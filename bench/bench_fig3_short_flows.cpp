@@ -17,8 +17,9 @@
 //
 // `--smoke` runs a trimmed deterministic subset and prints key=value lines
 // for scripts/check.sh transport-smoke: per-transport 16 KB closed-loop
-// p99s, the MPTCP flap-recovery time, and a per-transport shard-invariance
-// digest check (exits non-zero on any digest mismatch).
+// p99s, the Homa/MTP p99 ratio, the MPTCP flap-recovery time, and a
+// per-transport shard-invariance digest check (exits non-zero on any digest
+// mismatch).
 //
 // Scenarios are independent simulations, so they run on a sim::ParallelSweep
 // by default; `--serial` runs them inline on one thread. Results are
@@ -269,7 +270,8 @@ std::tuple<std::uint64_t, std::size_t> digest_run(const std::string& transport,
   return {s->fct_digest(), s->fct().count()};
 }
 
-/// key=value lines for the scripts/check.sh transport-smoke gate. Returns
+/// key=value lines for the scripts/check.sh transport-smoke gates (the
+/// bench_fig3_short_flows entries of BENCH_scale.json `gates`). Returns
 /// non-zero if any transport's completion digest differs across shard
 /// counts — that is a correctness bug, not a performance regression, so it
 /// hard-fails here rather than being compared against a baseline.
@@ -285,6 +287,9 @@ int run_smoke() {
     std::printf("%s_p99_us_16k=%.3f\n", r.transport.c_str(), r.fct_p99_us);
     std::printf("%s_completed_16k=%zu\n", r.transport.c_str(), r.completed);
   }
+  // Both handshake-free: Homa drifting toward DCTCP's handshake tax is a
+  // model bug. zoo[0] is mtp, zoo[2] is homa.
+  std::printf("homa_vs_mtp_p99_ratio=%.3f\n", results[2].fct_p99_us / results[0].fct_p99_us);
 
   const FaultRecoveryResult mptcp_flap = run_fault_recovery("mptcp");
   std::printf("mptcp_flap_recovery_us=%.3f\n", mptcp_flap.recovery_us);

@@ -62,12 +62,7 @@ const SimTime kWindowEnd = 10_ms;
 constexpr std::int64_t kMeanIntervalNs = 47'000;  // per client: ~0.85x capacity
 constexpr std::int64_t kProbeIntervalNs = 97'000;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 double capacity_rps() { return 1e9 / static_cast<double>(kServiceTime.ns()); }
 

@@ -89,12 +89,7 @@ namespace {
 
 constexpr std::int64_t kMsgBytes = 10'000;  // 10 packets at the 1000 B MTU
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 /// CPUs this process may actually run on (the cgroup/affinity mask, not the
 /// machine) — what decides whether a sharded speedup is measurable here.
@@ -170,7 +165,7 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
   };
   std::vector<ShardStat> st(shards);
   std::vector<std::uint64_t> cell(hosts);
-  for (int h = 0; h < hosts; ++h) cell[h] = splitmix64(0xc2b2ae3d27d4eb4fULL ^ h);
+  for (int h = 0; h < hosts; ++h) cell[h] = mix64(0xc2b2ae3d27d4eb4fULL ^ h);
 
   scenario::Scenario* sp = s.get();
   s->set_arrival_handler([sp, &st, &cell, hosts](const workload::ArrivalSchedule::Arrival& a) {
@@ -184,7 +179,7 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
         [&ss, c = &cell[src]](proto::MsgId, sim::SimTime fct) {
           --ss.outstanding;
           ++ss.completed;
-          *c ^= splitmix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
+          *c ^= mix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
         });
   });
 

@@ -7,12 +7,7 @@
 namespace mtp::fault {
 
 namespace {
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 std::uint64_t hash_name(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -29,7 +24,7 @@ std::uint64_t hash_name(const std::string& s) {
 std::uint64_t packet_identity(const net::Packet& pkt) {
   std::uint64_t h = pkt.flow_hash ^ (std::uint64_t{pkt.size_bytes()} << 1);
   if (pkt.is_mtp()) {
-    h ^= splitmix64((std::uint64_t{pkt.mtp().msg_id} << 20) ^ pkt.mtp().pkt_num);
+    h ^= mix64((std::uint64_t{pkt.mtp().msg_id} << 20) ^ pkt.mtp().pkt_num);
   }
   return h;
 }
@@ -60,15 +55,15 @@ FaultInjector::~FaultInjector() {
 }
 
 std::uint64_t FaultInjector::derive_seed() {
-  return splitmix64(seed_ ^ splitmix64(++streams_));
+  return mix64(seed_ ^ mix64(++streams_));
 }
 
 void FaultInjector::Cell::fold(std::uint64_t v) {
-  state ^= splitmix64(v + state);
+  state ^= mix64(v + state);
 }
 
 FaultInjector::Cell* FaultInjector::new_cell() {
-  cells_.emplace_back(splitmix64(0xa5a5a5a5a5a5a5a5ULL ^ ++cells_created_));
+  cells_.emplace_back(mix64(0xa5a5a5a5a5a5a5a5ULL ^ ++cells_created_));
   return &cells_.back();
 }
 
@@ -128,7 +123,7 @@ void FaultInjector::random_flaps(net::Link& link, sim::SimTime start,
 
 void FaultInjector::impair_link(net::Link& link, GilbertElliott::Config model) {
   auto st = std::make_unique<Impairment>(model, derive_seed(),
-                                         splitmix64(0x5c5c5c5c5c5c5c5cULL ^ ++cells_created_));
+                                         mix64(0x5c5c5c5c5c5c5c5cULL ^ ++cells_created_));
   Impairment* s = st.get();
   impaired_[&link] = std::move(st);
   link.set_fault_hook([this, s](const net::Packet& pkt) {

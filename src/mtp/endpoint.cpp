@@ -8,18 +8,7 @@
 
 namespace mtp::core {
 
-namespace {
-std::uint64_t mtp_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
-                            proto::PortNum bp) {
-  std::uint64_t h = (static_cast<std::uint64_t>(a) << 48) ^
-                    (static_cast<std::uint64_t>(b) << 32) ^
-                    (static_cast<std::uint64_t>(ap) << 16) ^ bp;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-}  // namespace
+using transport::message_flow_hash;
 
 MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
     : host_(host), cfg_(cfg), sim_(host.simulator()) {
@@ -46,7 +35,7 @@ MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
         out.push_back({"known_pathlets", MetricKind::kGauge,
                        static_cast<double>(known_pathlets())});
         out.push_back({"srtt_us", MetricKind::kGauge,
-                       rtt_valid_ ? static_cast<double>(srtt_.ns()) / 1000.0 : 0.0});
+                       rtt_.valid ? static_cast<double>(rtt_.srtt.ns()) / 1000.0 : 0.0});
         out.push_back({"checksum_drops", MetricKind::kCounter,
                        static_cast<double>(checksum_drops_)});
         out.push_back({"rto_backoff", MetricKind::kGauge, rto_backoff_});
@@ -171,7 +160,7 @@ std::vector<proto::PathRef> MtpEndpoint::active_exclusions() {
 void MtpEndpoint::penalize(proto::PathletId pathlet, proto::TrafficClassId tc,
                            LossKind kind) {
   const sim::SimTime gap =
-      rtt_valid_ ? std::max(srtt_ * 2, cfg_.retx_scan_period) : cfg_.min_rto;
+      rtt_.valid ? std::max(rtt_.srtt * 2, cfg_.retx_scan_period) : cfg_.min_rto;
   CcState& st = cc_[CcKey{pathlet, tc}];
   if (st.decreased_once && sim_.now() - st.last_decrease < gap) return;
   st.last_decrease = sim_.now();
@@ -350,7 +339,7 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathInd
   p.ecn = net::Ecn::kEct;
   p.tc = msg.opts.tc;
   p.priority = msg.opts.priority;
-  p.flow_hash = mtp_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
+  p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
@@ -386,26 +375,6 @@ void MtpEndpoint::complete_outgoing(OutgoingMessage& msg) {
   sim_.timers().cancel(msg.retx_timer);
   outgoing_.erase(id);  // msg is dangling beyond this point
   if (done) done(id, fct);
-}
-
-void MtpEndpoint::rtt_sample(sim::SimTime sample) {
-  if (!rtt_valid_) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-    rtt_valid_ = true;
-  } else {
-    const sim::SimTime err = sample >= srtt_ ? sample - srtt_ : srtt_ - sample;
-    rttvar_ = rttvar_.scaled(0.75) + err.scaled(0.25);
-    srtt_ = srtt_.scaled(0.875) + sample.scaled(0.125);
-  }
-}
-
-sim::SimTime MtpEndpoint::rto() const {
-  sim::SimTime r = rtt_valid_ ? srtt_ * 2 + rttvar_ * 4 : cfg_.min_rto.scaled(5.0);
-  r = r.scaled(rto_backoff_);
-  r = std::max(r, cfg_.min_rto);
-  r = std::min(r, cfg_.max_rto);
-  return r;
 }
 
 void MtpEndpoint::retx_fire(void* self, std::uint64_t id) {
@@ -576,7 +545,7 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   p.ecn = net::Ecn::kNotEct;
   p.tc = data.tc;
   p.priority = data.priority;
-  p.flow_hash = mtp_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
+  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
@@ -840,7 +809,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
 
       const bool karn_valid = !msg.retransmitted(e.pkt_num);
       const sim::SimTime rtt = sim_.now() - msg.pkts[e.pkt_num].sent_at;
-      if (karn_valid) rtt_sample(rtt);
+      if (karn_valid) rtt_.sample(rtt);
 
       // Feed pathlet algorithms: feedback TLVs first, then the ack credit.
       for (const auto& pf : hdr.ack_path_feedback()) {
@@ -853,12 +822,12 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
         // charged to (the per-destination virtual pathlet).
         for (const proto::PathletId p : paths_[msg.pkts[e.pkt_num].charged_path]) {
           cc(p, msg.opts.tc, proto::FeedbackType::kNone)
-              .on_ack(bytes, karn_valid ? rtt : srtt_);
+              .on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
         }
       } else {
         for (const auto& pf : hdr.ack_path_feedback()) {
           cc(pf.pathlet, pf.tc, pf.feedback.type)
-              .on_ack(bytes, karn_valid ? rtt : srtt_);
+              .on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
         }
       }
 
@@ -945,7 +914,7 @@ void MtpEndpoint::send_busy_reject(const net::Packet& data, std::uint8_t flags) 
   p.ecn = net::Ecn::kNotEct;
   p.tc = data.tc;
   p.priority = data.priority;
-  p.flow_hash = mtp_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
+  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;

@@ -38,6 +38,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
+#include "transport/rto.hpp"
 
 namespace mtp::core {
 
@@ -194,7 +195,7 @@ class MtpEndpoint {
   /// Fresh messages shed because their deadline had already passed.
   std::uint64_t deadline_expiries() const { return deadline_expiries_; }
   const overload::Admission& admission() const { return admission_; }
-  sim::SimTime srtt() const { return srtt_; }
+  sim::SimTime srtt() const { return rtt_.srtt; }
   const MtpConfig& config() const { return cfg_; }
   net::Host& host() { return host_; }
   /// Current path (pathlet ids) learned for a destination; empty if unknown.
@@ -336,8 +337,7 @@ class MtpEndpoint {
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);  ///< wheel trampoline
   void arm_retx(OutgoingMessage& msg, sim::SimTime deadline);
-  void rtt_sample(sim::SimTime sample);
-  sim::SimTime rto() const;
+  sim::SimTime rto() const { return rtt_.rto(cfg_.min_rto, cfg_.max_rto, rto_backoff_); }
 
   PathletCc& cc(proto::PathletId pathlet, proto::TrafficClassId tc,
                 proto::FeedbackType type_hint);
@@ -408,12 +408,10 @@ class MtpEndpoint {
   std::unordered_map<net::NodeId, PathIndex> current_path_;
   std::unordered_map<proto::PathletId, sim::SimTime> excluded_until_;
   std::unordered_map<proto::PathletId, int> consecutive_losses_;
-  sim::SimTime srtt_;
-  sim::SimTime rttvar_;
-  bool rtt_valid_ = false;
+  transport::RtoEstimator rtt_;
   /// Exponential RTO backoff under consecutive timeouts (capped ×64,
   /// clamped to max_rto by rto()); reset by any new SACK progress. Karn-safe:
-  /// srtt_ only ever learns from non-retransmitted packets.
+  /// rtt_ only ever learns from non-retransmitted packets.
   double rto_backoff_ = 1.0;
   static constexpr double kMaxRtoBackoff = 64.0;
   /// Per-message wheel timers can expire many messages inside what used to

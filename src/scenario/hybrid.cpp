@@ -11,12 +11,7 @@ namespace {
 
 enum class Mode { kNone, kPacket, kFlow };
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 struct ModeRun {
   double p50_us = 0, p99_us = 0;
@@ -194,7 +189,7 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
   };
   std::vector<ShardCount> done(shards);
   std::vector<std::uint64_t> cell(hosts);
-  for (int h = 0; h < hosts; ++h) cell[h] = splitmix64(0x1badb002ULL ^ h);
+  for (int h = 0; h < hosts; ++h) cell[h] = mix64(0x1badb002ULL ^ h);
 
   Scenario* sp = s.get();
   s->set_arrival_handler([sp, &done, &cell, hosts](const workload::ArrivalSchedule::Arrival& a) {
@@ -205,7 +200,7 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
         dst, a.bytes, {.dst_port = 80},
         [counter, c = &cell[src]](proto::MsgId, sim::SimTime fct) {
           ++counter->completed;
-          *c ^= splitmix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
+          *c ^= mix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
         });
   });
 
@@ -218,7 +213,7 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
   // Bulk completion times fold in exactly: same (index, ns) on every shard
   // count or the digest differs.
   for (const auto& [idx, at] : s->bulk_completions()) {
-    r.digest ^= splitmix64((std::uint64_t{idx} << 40) ^ static_cast<std::uint64_t>(at.ns()));
+    r.digest ^= mix64((std::uint64_t{idx} << 40) ^ static_cast<std::uint64_t>(at.ns()));
     ++r.bulk_completed;
   }
   return r;

@@ -16,6 +16,16 @@
 
 namespace mtp::sim {
 
+/// splitmix64 finalizer: the one 64-bit mixer behind seed substreams, flow
+/// picks and every completion-digest fold. Recorded digests depend on its
+/// exact constants.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// A seeded PRNG plus the sampling helpers used throughout the workloads.
 class Rng {
  public:

@@ -225,27 +225,4 @@ class LogHistogram {
   double min_ = std::numeric_limits<double>::max();
 };
 
-/// Time series of arbitrary sampled values (queue occupancy, cwnd, ...).
-class TimeSeries {
- public:
-  struct Point {
-    sim::SimTime t;
-    double value;
-  };
-
-  void record(sim::SimTime t, double v) { points_.push_back({t, v}); }
-  const std::vector<Point>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
-
-  double max_value() const {
-    double m = points_.empty() ? 0 : points_.front().value;
-    for (const auto& p : points_) m = std::max(m, p.value);
-    return m;
-  }
-  double final_value() const { return points_.empty() ? 0 : points_.back().value; }
-
- private:
-  std::vector<Point> points_;
-};
-
 }  // namespace mtp::stats

@@ -7,17 +7,6 @@ namespace mtp::transport {
 
 namespace {
 constexpr double kMaxBackoff = 64.0;
-
-std::uint64_t homa_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
-                             proto::PortNum bp) {
-  std::uint64_t h = (static_cast<std::uint64_t>(a) << 48) ^
-                    (static_cast<std::uint64_t>(b) << 32) ^
-                    (static_cast<std::uint64_t>(ap) << 16) ^ bp;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
 }  // namespace
 
 HomaEndpoint::HomaEndpoint(net::Host& host, HomaConfig cfg)
@@ -41,7 +30,7 @@ HomaEndpoint::HomaEndpoint(net::Host& host, HomaConfig cfg)
         out.push_back({"active_incoming", MetricKind::kGauge,
                        static_cast<double>(active_.size())});
         out.push_back({"srtt_us", MetricKind::kGauge,
-                       rtt_valid_ ? static_cast<double>(srtt_.ns()) / 1000.0 : 0.0});
+                       rtt_.valid ? static_cast<double>(rtt_.srtt.ns()) / 1000.0 : 0.0});
         out.push_back({"checksum_drops", MetricKind::kCounter,
                        static_cast<double>(checksum_drops_)});
       });
@@ -97,7 +86,7 @@ void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
   p.ecn = net::Ecn::kEct;
   p.tc = msg.opts.tc;
   p.priority = unscheduled ? cfg_.unscheduled_priority : msg.sched_prio;
-  p.flow_hash = homa_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
+  p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
@@ -135,7 +124,7 @@ void HomaEndpoint::on_ack(const net::Packet& pkt) {
     std::uint8_t& st = msg.state[s.pkt_num];
     if ((st & 3u) == 2u) continue;  // already sacked
     // Karn: retransmitted packets give ambiguous RTT samples.
-    if (!(st & 4u) && (st & 3u) == 1u) rtt_sample(sim_.now() - msg.sent_at[s.pkt_num]);
+    if (!(st & 4u) && (st & 3u) == 1u) rtt_.sample(sim_.now() - msg.sent_at[s.pkt_num]);
     st = static_cast<std::uint8_t>((st & ~3u) | 2u);
     ++msg.sacked;
     progressed = true;
@@ -164,26 +153,6 @@ void HomaEndpoint::complete_outgoing(OutMsg& msg) {
   sim_.timers().cancel(msg.retx_timer);
   outgoing_.erase(id);  // msg is dangling beyond this point
   if (done) done(id, fct);
-}
-
-void HomaEndpoint::rtt_sample(sim::SimTime sample) {
-  if (!rtt_valid_) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-    rtt_valid_ = true;
-  } else {
-    const sim::SimTime err = sample >= srtt_ ? sample - srtt_ : srtt_ - sample;
-    rttvar_ = rttvar_.scaled(0.75) + err.scaled(0.25);
-    srtt_ = srtt_.scaled(0.875) + sample.scaled(0.125);
-  }
-}
-
-sim::SimTime HomaEndpoint::rto(const OutMsg& msg) const {
-  sim::SimTime r = rtt_valid_ ? srtt_ * 2 + rttvar_ * 4 : cfg_.min_rto.scaled(5.0);
-  r = r.scaled(msg.backoff);
-  r = std::max(r, cfg_.min_rto);
-  r = std::min(r, cfg_.max_rto);
-  return r;
 }
 
 void HomaEndpoint::retx_fire(void* self, std::uint64_t id) {
@@ -323,7 +292,7 @@ void HomaEndpoint::emit_ack(const net::Packet& data) {
   p.ecn = net::Ecn::kNotEct;
   p.tc = data.tc;
   p.priority = data.priority;
-  p.flow_hash = homa_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
+  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
@@ -373,7 +342,7 @@ void HomaEndpoint::send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset
   p.ecn = net::Ecn::kNotEct;
   p.tc = msg.tc;
   p.priority = prio;
-  p.flow_hash = homa_flow_hash(p.src, msg.dst_port, key.src, msg.src_port);
+  p.flow_hash = message_flow_hash(p.src, msg.dst_port, key.src, msg.src_port);
   p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;

@@ -36,6 +36,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
+#include "transport/rto.hpp"
 
 namespace mtp::transport {
 
@@ -92,7 +93,7 @@ class HomaEndpoint {
   std::uint64_t acks_sent() const { return acks_sent_; }
   std::uint64_t checksum_drops() const { return checksum_drops_; }
   std::size_t outstanding_messages() const { return outgoing_.size(); }
-  sim::SimTime srtt() const { return srtt_; }
+  sim::SimTime srtt() const { return rtt_.srtt; }
   const HomaConfig& config() const { return cfg_; }
   net::Host& host() { return host_; }
 
@@ -164,8 +165,9 @@ class HomaEndpoint {
   void arm_retx(OutMsg& msg, sim::SimTime deadline);
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);
-  void rtt_sample(sim::SimTime sample);
-  sim::SimTime rto(const OutMsg& msg) const;
+  sim::SimTime rto(const OutMsg& msg) const {
+    return rtt_.rto(cfg_.min_rto, cfg_.max_rto, msg.backoff);
+  }
 
   net::Host& host_;
   HomaConfig cfg_;
@@ -174,9 +176,7 @@ class HomaEndpoint {
   // --- Sender.
   proto::MsgId next_msg_id_ = 1;
   std::unordered_map<proto::MsgId, OutMsg> outgoing_;
-  sim::SimTime srtt_;
-  sim::SimTime rttvar_;
-  bool rtt_valid_ = false;
+  RtoEstimator rtt_;
   std::uint64_t pkts_sent_ = 0;
   std::uint64_t pkts_retx_ = 0;
   std::uint64_t checksum_drops_ = 0;

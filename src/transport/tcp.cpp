@@ -465,8 +465,8 @@ void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
 // and ACKs are still flowing, its retransmission was itself lost — resend
 // it now instead of stalling until the RTO.
 void TcpConnection::maybe_rescue_retransmit() {
-  if (!rtt_valid_ || snd_una_ >= data_end_seq()) return;
-  const sim::SimTime threshold = std::max(srtt_ * 2, stack_.config().min_rto / 2);
+  if (!rtt_.valid || snd_una_ >= data_end_seq()) return;
+  const sim::SimTime threshold = std::max(rtt_.srtt * 2, stack_.config().min_rto / 2);
   if (simulator().now() - last_una_tx_at_ < threshold) return;
   const auto& cfg = stack_.config();
   std::uint64_t hole_end = data_end_seq();
@@ -655,16 +655,8 @@ void TcpConnection::maybe_close() {
 
 void TcpConnection::rtt_sample(sim::SimTime sample) {
   const auto& cfg = stack_.config();
-  if (!rtt_valid_) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-    rtt_valid_ = true;
-  } else {
-    const sim::SimTime err = sample >= srtt_ ? sample - srtt_ : srtt_ - sample;
-    rttvar_ = rttvar_.scaled(0.75) + err.scaled(0.25);
-    srtt_ = srtt_.scaled(0.875) + sample.scaled(0.125);
-  }
-  rto_ = srtt_ + rttvar_ * 4;
+  rtt_.sample(sample);
+  rto_ = rtt_.srtt + rtt_.rttvar * 4;
   rto_ = std::max(rto_, cfg.min_rto);
   rto_ = std::min(rto_, cfg.max_rto);
 }

@@ -25,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
+#include "transport/rto.hpp"
 
 namespace mtp::transport {
 
@@ -103,7 +104,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::int64_t unacked_bytes() const { return static_cast<std::int64_t>(snd_nxt_ - snd_una_); }
   std::int64_t bytes_delivered() const { return delivered_; }  ///< cumulative acked payload
   double cwnd_bytes() const { return cwnd_; }
-  sim::SimTime srtt() const { return srtt_; }
+  sim::SimTime srtt() const { return rtt_.srtt; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t timeouts() const { return timeouts_; }
   const std::string& name() const { return name_; }
@@ -191,10 +192,8 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool fin_sent_ = false;
 
   // --- RTT estimation (Karn's algorithm: samples only from non-rexmitted).
-  sim::SimTime srtt_;
-  sim::SimTime rttvar_;
+  RtoEstimator rtt_;
   sim::SimTime rto_;
-  bool rtt_valid_ = false;
   std::uint64_t rtt_seq_ = 0;        ///< measuring segment end-seq; 0 = none
   sim::SimTime rtt_sent_at_;
   sim::TimerId rto_timer_;  ///< on the simulator's shared timer wheel

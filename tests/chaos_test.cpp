@@ -33,12 +33,7 @@ using mtp::testing::HostPair;
 using sim::Bandwidth;
 using sim::SimTime;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using sim::mix64;
 
 struct ChaosResult {
   std::uint64_t fault_digest = 0;  ///< injector's decision timeline

@@ -130,17 +130,6 @@ TEST(FctRecorder, TracksBytesAlongsideTimes) {
   EXPECT_EQ(r.total_bytes(), 350);
 }
 
-TEST(TimeSeries, TracksMaxAndFinal) {
-  TimeSeries ts;
-  EXPECT_TRUE(ts.empty());
-  ts.record(1_us, 5);
-  ts.record(2_us, 9);
-  ts.record(3_us, 2);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 9);
-  EXPECT_DOUBLE_EQ(ts.final_value(), 2);
-  EXPECT_EQ(ts.points().size(), 3u);
-}
-
 TEST(TablePrinting, AlignsColumns) {
   Table t({"a", "long-header"});
   t.add_row({"x", "1"});
