@@ -1,7 +1,7 @@
 // Scale-out fabric benchmark: 100k+ concurrent messages on a fat-tree.
 //
 // The paper argues MTP's per-message state is what lets in-network fabrics
-// scale; this bench puts a number on it. Three probes:
+// scale; this bench puts a number on it. Four probes:
 //
 //  1. Capacity + throughput: a k=8 fat-tree (128 hosts, 16 cores) where
 //     every host bursts 800 x 10 KB messages to a host 37 ranks away —
@@ -15,19 +15,21 @@
 //     messages on one endpoint and report net heap bytes per message (the
 //     compact PktMeta/PktFifo layout; the old two-deque layout burned
 //     ~1.2 KB per idle message in empty deque chunks alone).
-//  3. Determinism at scale: the same k=4 fat-tree sweep run serially and on
-//     a sim::ParallelSweep must produce bit-identical digests.
-//  4. Space-parallel speedup: the k=16 burst run on 1/2/4/8 sim::sharded
+//  3. Space-parallel speedup: the k=16 burst run on 1/2/4/8 sim::sharded
 //     shards (`--shards N` runs one shard count by itself). The completion
-//     digest — an XOR of per-source-host streams, so it is independent of
-//     how completions interleave across shards — must be bit-identical for
-//     every shard count; events/s against shards=1 is the speedup. The
-//     table also lands in a telemetry::RunReport ("scale_shards").
+//     digest — a sim::RunDigest with one cell per source host, so it is
+//     independent of how completions interleave across shards — must be
+//     bit-identical for every shard count; events/s against shards=1 is the
+//     speedup. The table also lands in a telemetry::RunReport
+//     ("scale_shards").
+//  4. Hybrid fidelity: fluid bulk vs packet bulk on the fig3/fig7 rigs, and
+//     the k=32 tenant-isolation run at 1/2/4 shards (scenario/hybrid.hpp).
 //
-// `--smoke` runs probes 1-4 at k=8/k=16 and prints machine-readable lines
-// for scripts/check.sh (compared against BENCH_scale.json); the default mode
-// also runs the k=16 (1024-host) smoke to prove the fabric constructs and
-// routes at four-digit host counts.
+// `--smoke` runs probes 1-4 at k=8/k=16/k=32 and prints machine-readable
+// lines for scripts/check.sh (compared against BENCH_scale.json); the
+// default mode also runs the k=16 (1024-host) smoke to prove the fabric
+// constructs and routes at four-digit host counts. Serial-vs-ParallelSweep
+// determinism is tests/scale_test.cpp's ScenarioSweep case.
 #include <sched.h>
 #include <sys/resource.h>
 
@@ -44,7 +46,6 @@
 #include "net/fat_tree.hpp"
 #include "scenario/hybrid.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/parallel.hpp"
 #include "stats/table.hpp"
 #include "telemetry/report.hpp"
 #include "transport/tcp.hpp"
@@ -89,8 +90,6 @@ namespace {
 
 constexpr std::int64_t kMsgBytes = 10'000;  // 10 packets at the 1000 B MTU
 
-using sim::mix64;
-
 /// CPUs this process may actually run on (the cgroup/affinity mask, not the
 /// machine) — what decides whether a sharded speedup is measurable here.
 unsigned available_cores() {
@@ -117,13 +116,13 @@ struct ScaleResult {
   double events_per_sec = 0;
 };
 
-/// Probes 1 and 4: burst `msgs_per_host` messages from every fat-tree host
+/// Probes 1 and 3: burst `msgs_per_host` messages from every fat-tree host
 /// to the host 37 ranks away, all inside the first 10 us of simulated time,
-/// on `shards` space shards. The digest folds each completion into a cell
-/// owned by its *source host* and XORs the cells: per-host completion order
-/// is part of the (shard-invariant) timeline while cross-host interleaving
-/// is not, so equal digests across shard counts mean the sharded run
-/// completed the same messages at the same simulated times.
+/// on `shards` space shards. The digest folds each completion into the cell
+/// of its *source host*: per-host completion order is part of the
+/// (shard-invariant) timeline while cross-host interleaving is not, so equal
+/// digests across shard counts mean the sharded run completed the same
+/// messages at the same simulated times.
 ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
                                scenario::Forwarding fwd = scenario::Forwarding::kEcmp,
                                unsigned shards = 1) {
@@ -164,11 +163,10 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
     std::uint64_t completed = 0;
   };
   std::vector<ShardStat> st(shards);
-  std::vector<std::uint64_t> cell(hosts);
-  for (int h = 0; h < hosts; ++h) cell[h] = mix64(0xc2b2ae3d27d4eb4fULL ^ h);
+  sim::RunDigest digest(hosts);
 
   scenario::Scenario* sp = s.get();
-  s->set_arrival_handler([sp, &st, &cell, hosts](const workload::ArrivalSchedule::Arrival& a) {
+  s->set_arrival_handler([sp, &st, &digest, hosts](const workload::ArrivalSchedule::Arrival& a) {
     const int src = static_cast<int>(a.src);
     const auto dst = sp->topo().senders[(src + 37) % hosts]->id();
     ShardStat& ss = st[sp->network().shard_of(*sp->topo().senders[src])];
@@ -176,10 +174,10 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
     if (ss.outstanding > ss.peak) ss.peak = ss.outstanding;
     sp->mtp_sender(a.src)->send_message(
         dst, a.bytes, {.dst_port = 80},
-        [&ss, c = &cell[src]](proto::MsgId, sim::SimTime fct) {
+        [&ss, &digest, src](proto::MsgId, sim::SimTime fct) {
           --ss.outstanding;
           ++ss.completed;
-          *c ^= mix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
+          digest.add(src, static_cast<std::uint64_t>(fct.ns()));
         });
   });
 
@@ -190,7 +188,7 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
     r.completed += ss.completed;
     r.peak_concurrent += ss.peak;  // sum of per-shard peaks (== peak at shards=1)
   }
-  for (int h = 0; h < hosts; ++h) r.digest ^= cell[h];
+  r.digest = digest.value();
   r.windows = s->windows();
   r.sim_ms = s->simulator().now().ms();
   r.events_per_sec = static_cast<double>(r.events) / r.wall_sec;
@@ -225,41 +223,6 @@ double idle_message_bytes(int count) {
   const double per_msg = static_cast<double>(after - before) / count;
   net.simulator().run();  // drain so destructors run cleanly
   return per_msg;
-}
-
-/// Probe 3: FNV-1a digest over completion data of a 4-job k=4 fat-tree
-/// sweep. Must be identical serial vs parallel.
-std::uint64_t sweep_digest(unsigned workers) {
-  sim::ParallelSweep pool(workers);
-  const std::vector<std::uint64_t> digests =
-      pool.map(4, [](std::size_t job) -> std::uint64_t {
-        auto s = scenario::ScenarioBuilder()
-                     .seed(100 + job)
-                     .topology(scenario::topo::fat_tree({.k = 4}))
-                     .forwarding(scenario::Forwarding::kMessageAware)
-                     .transport("mtp")
-                     .build();
-        const int hosts = static_cast<int>(s->num_senders());
-        std::uint64_t digest = 14695981039346656037ull;
-        auto mix = [&digest](std::uint64_t v) {
-          digest = (digest ^ v) * 1099511628211ull;
-        };
-        for (int h = 0; h < hosts; ++h) {
-          const auto dst = s->topo().senders[(h + 5) % hosts]->id();
-          for (int m = 0; m < 40; ++m) {
-            s->mtp_sender(h)->send_message(
-                dst, kMsgBytes, {.dst_port = 80},
-                [&mix, h, m](proto::MsgId, sim::SimTime fct) {
-                  mix(static_cast<std::uint64_t>(fct.ns()) + h * 1000003ull + m);
-                });
-          }
-        }
-        mix(s->simulator().run(50_ms));
-        return digest;
-      });
-  std::uint64_t combined = 14695981039346656037ull;
-  for (std::uint64_t d : digests) combined = (combined ^ d) * 1099511628211ull;
-  return combined;
 }
 
 /// Probe 2b: park `count` idle *established* TCP connections (both endpoints
@@ -341,10 +304,8 @@ int smoke_main() {
   }
   const double idle = idle_message_bytes(100'000);
   const double idle_conn = idle_connection_bytes(20'000);
-  const std::uint64_t serial = sweep_digest(1);
-  const std::uint64_t parallel = sweep_digest(0);
 
-  // Probe 4 (sharded): digest equality at k=8 across 1/2/4 shards, then the
+  // Probe 3 (sharded): digest equality at k=8 across 1/2/4 shards, then the
   // k=16 speedup pair. scripts/check.sh gates the digests unconditionally
   // and the speedup only when shard_available_cores is large enough to make
   // a wall-clock ratio meaningful (a 1-vCPU CI box timeslices the shards).
@@ -357,7 +318,7 @@ int smoke_main() {
   const bool shard_match =
       repeat_match && same_run(d1, d2) && same_run(d1, d4) && same_run(s1, s8);
 
-  // Probe 5 (hybrid): the fluid bulk model must reproduce the packet-level
+  // Probe 4 (hybrid): the fluid bulk model must reproduce the packet-level
   // foreground percentiles on the fig3/fig7 rigs while collapsing the bulk
   // share of events, and the k=32 (8192-host) tenant-isolation scenario
   // must complete digest-identically on 1/2/4 shards.
@@ -383,9 +344,6 @@ int smoke_main() {
   std::printf("completed_msgs=%llu\n", static_cast<unsigned long long>(r.completed));
   std::printf("bytes_per_idle_msg=%.1f\n", idle);
   std::printf("peak_rss_mb=%.1f\n", peak_rss_mb());
-  std::printf("digest_serial=%016llx\n", static_cast<unsigned long long>(serial));
-  std::printf("digest_parallel=%016llx\n", static_cast<unsigned long long>(parallel));
-  std::printf("digest_match=%d\n", serial == parallel ? 1 : 0);
   std::printf("shard_available_cores=%u\n", available_cores());
   std::printf("shard_digest_match=%d\n", shard_match ? 1 : 0);
   std::printf("shard1_events_per_sec=%.0f\n", s1.events_per_sec);
@@ -398,7 +356,7 @@ int smoke_main() {
   std::printf("hybrid_k32_hosts=%d\n", k32a.hosts);
   std::printf("hybrid_k32_digest_match=%d\n", k32_match ? 1 : 0);
   std::printf("hybrid_k32_events_per_sec=%.0f\n", k32_best);
-  return (serial == parallel && shard_match && k32_match) ? 0 : 1;
+  return (shard_match && k32_match) ? 0 : 1;
 }
 
 /// `--bulk-mode flow|packet|none` in full: the fig3/fig7 fidelity tables and
@@ -460,7 +418,7 @@ int hybrid_main(std::string_view mode) {
   return match ? 0 : 1;
 }
 
-/// Probe 4 in full: the k=16 burst at 1/2/4/8 shards, printed as a table
+/// Probe 3 in full: the k=16 burst at 1/2/4/8 shards, printed as a table
 /// and written to a telemetry::RunReport.
 bool shard_speedup_main(const std::vector<unsigned>& shard_counts) {
   std::printf("\n=== sim::sharded speedup: k=16 burst, %u core(s) available ===\n\n",
@@ -566,15 +524,7 @@ int main(int argc, char** argv) {
 
   const double idle = idle_message_bytes(100'000);
   std::printf("\nidle-message footprint: %.1f bytes/message (100k parked)\n", idle);
-
-  const std::uint64_t serial = sweep_digest(1);
-  const std::uint64_t parallel = sweep_digest(0);
-  std::printf("sweep digest: serial=%016llx parallel=%016llx (%s)\n",
-              static_cast<unsigned long long>(serial),
-              static_cast<unsigned long long>(parallel),
-              serial == parallel ? "bit-identical" : "MISMATCH");
   std::printf("peak RSS: %.1f MB\n", peak_rss_mb());
 
-  const bool shard_match = shard_speedup_main({1, 2, 4, 8});
-  return (serial == parallel && shard_match) ? 0 : 1;
+  return shard_speedup_main({1, 2, 4, 8}) ? 0 : 1;
 }

@@ -58,47 +58,31 @@ std::uint64_t FaultInjector::derive_seed() {
   return mix64(seed_ ^ mix64(++streams_));
 }
 
-void FaultInjector::Cell::fold(std::uint64_t v) {
-  state ^= mix64(v + state);
-}
-
-FaultInjector::Cell* FaultInjector::new_cell() {
-  cells_.emplace_back(mix64(0xa5a5a5a5a5a5a5a5ULL ^ ++cells_created_));
-  return &cells_.back();
-}
-
-FaultInjector::Cell& FaultInjector::flap_cell(net::Link& link) {
+std::size_t FaultInjector::flap_cell(net::Link& link) {
   auto it = flap_cells_.find(&link);
-  if (it == flap_cells_.end()) it = flap_cells_.emplace(&link, new_cell()).first;
-  return *it->second;
+  if (it == flap_cells_.end()) it = flap_cells_.emplace(&link, digest_.new_cell()).first;
+  return it->second;
 }
 
-std::uint64_t FaultInjector::digest() const {
-  std::uint64_t d = schedule_cell_.state;
-  for (const Cell& c : cells_) d ^= c.state;
-  for (const auto& [link, st] : impaired_) d ^= st->cell.state;
-  return d;
-}
-
-void FaultInjector::set_link_state(net::Link& link, Cell& cell, bool up) {
+void FaultInjector::set_link_state(net::Link& link, std::size_t cell, bool up) {
   flaps_executed_.fetch_add(1, std::memory_order_relaxed);
-  cell.fold(static_cast<std::uint64_t>(link.simulator().now().ns()) * 2 + (up ? 1 : 0));
+  digest_.add(cell, static_cast<std::uint64_t>(link.simulator().now().ns()) * 2 + (up ? 1 : 0));
   link.set_up(up);
 }
 
 void FaultInjector::flap_link(net::Link& link, sim::SimTime down_at,
                               sim::SimTime down_for) {
   ++flaps_scheduled_;
-  schedule_cell_.fold(hash_name(link.name()));
-  schedule_cell_.fold(static_cast<std::uint64_t>(down_at.ns()));
-  schedule_cell_.fold(static_cast<std::uint64_t>(down_for.ns()));
+  digest_.add(kScheduleCell, hash_name(link.name()));
+  digest_.add(kScheduleCell, static_cast<std::uint64_t>(down_at.ns()));
+  digest_.add(kScheduleCell, static_cast<std::uint64_t>(down_for.ns()));
   net::Link* l = &link;
-  Cell* cell = &flap_cell(link);
+  const std::size_t cell = flap_cell(link);
   // Flap events run on the link's own simulator: under sim::sharded that is
   // the shard whose worker thread owns the link's queue and stats.
-  link.simulator().schedule_at(down_at, [this, l, cell] { set_link_state(*l, *cell, false); });
+  link.simulator().schedule_at(down_at, [this, l, cell] { set_link_state(*l, cell, false); });
   link.simulator().schedule_at(down_at + down_for,
-                               [this, l, cell] { set_link_state(*l, *cell, true); });
+                               [this, l, cell] { set_link_state(*l, cell, true); });
 }
 
 void FaultInjector::random_flaps(net::Link& link, sim::SimTime start,
@@ -122,14 +106,13 @@ void FaultInjector::random_flaps(net::Link& link, sim::SimTime start,
 }
 
 void FaultInjector::impair_link(net::Link& link, GilbertElliott::Config model) {
-  auto st = std::make_unique<Impairment>(model, derive_seed(),
-                                         mix64(0x5c5c5c5c5c5c5c5cULL ^ ++cells_created_));
+  auto st = std::make_unique<Impairment>(model, derive_seed(), digest_.new_cell());
   Impairment* s = st.get();
   impaired_[&link] = std::move(st);
   link.set_fault_hook([this, s](const net::Packet& pkt) {
     const net::FaultAction action = s->chain.step(s->rng);
     if (action != net::FaultAction::kNone) {
-      s->cell.fold(packet_identity(pkt) * 4 + static_cast<std::uint64_t>(action));
+      digest_.add(s->cell, packet_identity(pkt) * 4 + static_cast<std::uint64_t>(action));
       if (action == net::FaultAction::kDrop) {
         pkts_dropped_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -155,10 +138,10 @@ void FaultInjector::crash_device(std::string name, sim::SimTime at,
 void FaultInjector::crash_device(sim::Simulator& on, std::string name, sim::SimTime at,
                                  sim::SimTime down_for, std::function<void()> crash_fn,
                                  std::function<void()> restart_fn) {
-  schedule_cell_.fold(hash_name(name));
-  schedule_cell_.fold(static_cast<std::uint64_t>(at.ns()));
-  schedule_cell_.fold(static_cast<std::uint64_t>(down_for.ns()));
-  Cell* cell = new_cell();
+  digest_.add(kScheduleCell, hash_name(name));
+  digest_.add(kScheduleCell, static_cast<std::uint64_t>(at.ns()));
+  digest_.add(kScheduleCell, static_cast<std::uint64_t>(down_for.ns()));
+  const std::size_t cell = digest_.new_cell();
   sim::Simulator* s = &on;
   auto trace_crash = [s](const std::string& who, bool restart) {
     if (!telemetry::TraceSink::enabled()) return;
@@ -171,14 +154,14 @@ void FaultInjector::crash_device(sim::Simulator& on, std::string name, sim::SimT
   };
   on.schedule_at(at, [this, s, cell, name, crash_fn = std::move(crash_fn), trace_crash] {
     crashes_.fetch_add(1, std::memory_order_relaxed);
-    cell->fold(static_cast<std::uint64_t>(s->now().ns()));
+    digest_.add(cell, static_cast<std::uint64_t>(s->now().ns()));
     trace_crash(name, /*restart=*/false);
     if (crash_fn) crash_fn();
   });
   on.schedule_at(at + down_for,
                  [this, s, cell, name, restart_fn = std::move(restart_fn), trace_crash] {
                    restarts_.fetch_add(1, std::memory_order_relaxed);
-                   cell->fold(static_cast<std::uint64_t>(s->now().ns()) | 1);
+                   digest_.add(cell, static_cast<std::uint64_t>(s->now().ns()) | 1);
                    trace_crash(name, /*restart=*/true);
                    if (restart_fn) restart_fn();
                  });

@@ -23,15 +23,14 @@
 // spread across shards, so runtime work executes on the *owner's* simulator
 // (flaps on link.simulator(), crashes on the simulator passed to
 // crash_device) and runtime bookkeeping is shard-safe: counters are relaxed
-// atomics, and the digest is a set of per-stream cells — each cell folds its
-// own decisions in event order on one shard, and digest() XORs the cells.
-// Per-cell order is fixed by the (shard-invariant) simulation timeline and
-// XOR commutes, so the digest is bit-identical for every shard count.
+// atomics, and the digest is a sim::RunDigest with one cell per stream (the
+// build-time schedule, each flapped link, each crash, each impairment). A
+// cell folds its own decisions in event order on one shard, so the digest is
+// bit-identical for every shard count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -160,46 +159,34 @@ class FaultInjector {
   std::uint64_t pkts_corrupted() const { return pkts_corrupted_.load(std::memory_order_relaxed); }
 
   /// Fold of every fault decision this injector made — schedule generation
-  /// and per-packet impairment verdicts alike. Equal digests mean
-  /// bit-identical fault timelines. XOR of order-sensitive per-stream cells
-  /// (see the header comment), so the value is independent of the shard
-  /// count the experiment ran with. Call between runs, not during one.
-  std::uint64_t digest() const;
+  /// and per-packet impairment verdicts alike, cleared impairments included.
+  /// Equal digests mean bit-identical fault timelines, for any shard count
+  /// (see the header comment). Call between runs, not during one.
+  std::uint64_t digest() const { return digest_.value(); }
 
  private:
-  /// One order-sensitive digest stream. Each cell is owned by exactly one
-  /// shard at runtime (the schedule cell by the build thread). Cells start
-  /// at a per-creation-index salt so identical fold sequences in different
-  /// cells cannot XOR-cancel.
-  struct Cell {
-    explicit Cell(std::uint64_t salt) : state(salt) {}
-    void fold(std::uint64_t v);
-    std::uint64_t state;
-  };
+  static constexpr std::size_t kScheduleCell = 0;  ///< build-time decisions
 
   struct Impairment {
     GilbertElliott chain;
     sim::Rng rng;
-    Cell cell;
-    Impairment(GilbertElliott::Config cfg, std::uint64_t seed, std::uint64_t salt)
-        : chain(cfg), rng(seed), cell(salt) {}
+    std::size_t cell;  ///< digest_ cell of this link's verdicts
+    Impairment(GilbertElliott::Config cfg, std::uint64_t seed, std::size_t cell)
+        : chain(cfg), rng(seed), cell(cell) {}
   };
 
   /// Derive an independent substream: splitmix64 over (root seed, counter).
   std::uint64_t derive_seed();
-  Cell* new_cell();  ///< build-time only (not thread-safe)
-  Cell& flap_cell(net::Link& link);
-  void set_link_state(net::Link& link, Cell& cell, bool up);
+  std::size_t flap_cell(net::Link& link);
+  void set_link_state(net::Link& link, std::size_t cell, bool up);
 
   sim::Simulator& sim_;
   std::uint64_t seed_;
   std::uint64_t streams_ = 0;
-  std::uint64_t cells_created_ = 0;
   std::string name_;
   std::unordered_map<net::Link*, std::unique_ptr<Impairment>> impaired_;
-  std::unordered_map<net::Link*, Cell*> flap_cells_;  ///< runtime flap folds, per link
-  std::deque<Cell> cells_;  ///< flap + crash cells; deque keeps pointers stable
-  Cell schedule_cell_{0x9e3779b97f4a7c15ULL};  ///< build-time scheduling decisions
+  std::unordered_map<net::Link*, std::size_t> flap_cells_;  ///< digest_ cell per flapped link
+  sim::RunDigest digest_{1};  ///< kScheduleCell, then one cell per runtime stream
   std::uint64_t flaps_scheduled_ = 0;
   std::atomic<std::uint64_t> flaps_executed_{0};
   std::atomic<std::uint64_t> crashes_{0};

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 
+#include "sim/random.hpp"
 #include "telemetry/trace.hpp"
 
 namespace mtp::stream {
@@ -683,13 +684,6 @@ StreamMux::Stats StreamMux::stats() const {
 }
 
 std::uint64_t StreamMux::digest() const {
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
-  };
-  std::uint64_t h = 0x5374726541764d31ULL;
   std::vector<std::pair<std::uint64_t, std::array<std::uint64_t, 4>>> rows;
   rows.reserve(rx_.size() + done_.size());
   for (const auto& [k, st] : rx_) {
@@ -699,19 +693,18 @@ std::uint64_t StreamMux::digest() const {
     rows.push_back({pack(k) | (1ULL << 63), {t.next_seq, t.bytes, t.epoch, 0}});
   }
   std::sort(rows.begin(), rows.end());
+  sim::RunDigest d(1);
   for (const auto& [k, vals] : rows) {
-    h = mix(h, k);
-    for (const auto v : vals) h = mix(h, v);
+    d.add(0, k);
+    for (const auto v : vals) d.add(0, v);
   }
   const Stats s = stats();
-  h = mix(h, s.segments_delivered);
-  h = mix(h, s.bytes_delivered);
-  h = mix(h, s.fec_repairs);
-  h = mix(h, s.arq_recovered);
-  h = mix(h, s.dup_segments);
-  h = mix(h, s.streams_completed);
-  h = mix(h, s.streams_failed);
-  return h;
+  for (const std::uint64_t v : {s.segments_delivered, s.bytes_delivered, s.fec_repairs,
+                                s.arq_recovered, s.dup_segments, s.streams_completed,
+                                s.streams_failed}) {
+    d.add(0, v);
+  }
+  return d.value();
 }
 
 }  // namespace mtp::stream

@@ -11,8 +11,6 @@ namespace {
 
 enum class Mode { kNone, kPacket, kFlow };
 
-using sim::mix64;
-
 struct ModeRun {
   double p50_us = 0, p99_us = 0;
   std::uint64_t events = 0;
@@ -181,26 +179,24 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
   r.fg_sent = static_cast<std::size_t>(hosts) * msgs_per_host;
   r.bulk_count = bulk.size();
 
-  // Per-source digest cells: each is only written by the shard owning its
-  // host, and XOR-folding them makes the digest independent of cross-host
-  // completion interleaving (exactly bench_scale's scheme).
+  // Completion counters per shard and digest cells per source host, each
+  // written only by the shard that owns it.
   struct alignas(64) ShardCount {
     std::uint64_t completed = 0;
   };
   std::vector<ShardCount> done(shards);
-  std::vector<std::uint64_t> cell(hosts);
-  for (int h = 0; h < hosts; ++h) cell[h] = mix64(0x1badb002ULL ^ h);
+  sim::RunDigest digest(hosts);
 
   Scenario* sp = s.get();
-  s->set_arrival_handler([sp, &done, &cell, hosts](const workload::ArrivalSchedule::Arrival& a) {
+  s->set_arrival_handler([sp, &done, &digest, hosts](const workload::ArrivalSchedule::Arrival& a) {
     const int src = static_cast<int>(a.src);
     const auto dst = sp->topo().senders[(src + 37) % hosts]->id();
     auto* counter = &done[sp->network().shard_of(*sp->topo().senders[src])];
     sp->mtp_sender(a.src)->send_message(
         dst, a.bytes, {.dst_port = 80},
-        [counter, c = &cell[src]](proto::MsgId, sim::SimTime fct) {
+        [counter, &digest, src](proto::MsgId, sim::SimTime fct) {
           ++counter->completed;
-          *c ^= mix64(*c ^ static_cast<std::uint64_t>(fct.ns()));
+          digest.add(src, static_cast<std::uint64_t>(fct.ns()));
         });
   });
 
@@ -209,13 +205,14 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
   r.wall_sec = std::chrono::duration<double>(Clock::now() - t0).count();
   r.events_per_sec = static_cast<double>(r.events) / r.wall_sec;
   for (const ShardCount& d : done) r.fg_completed += d.completed;
-  for (int h = 0; h < hosts; ++h) r.digest ^= cell[h];
-  // Bulk completion times fold in exactly: same (index, ns) on every shard
-  // count or the digest differs.
+  // Bulk completions, sorted by transfer index, fold in after the join: same
+  // (index, ns) on every shard count or the digest differs.
   for (const auto& [idx, at] : s->bulk_completions()) {
-    r.digest ^= mix64((std::uint64_t{idx} << 40) ^ static_cast<std::uint64_t>(at.ns()));
+    digest.add(0, idx);
+    digest.add(0, static_cast<std::uint64_t>(at.ns()));
     ++r.bulk_completed;
   }
+  r.digest = digest.value();
   return r;
 }
 

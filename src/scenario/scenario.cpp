@@ -661,15 +661,10 @@ stream::StreamMux::Stats Scenario::stream_stats() const {
 }
 
 std::uint64_t Scenario::stream_digest() const {
-  std::uint64_t d = 0x9e3779b97f4a7c15ull;
-  const auto mix = [&d](std::uint64_t v) {
-    v *= 0xbf58476d1ce4e5b9ull;
-    v ^= v >> 27;
-    d = (d ^ v) * 0x94d049bb133111ebull;
-  };
-  for (const auto& m : stream_muxes_) mix(m->digest());
-  if (stream_rcv_) mix(stream_rcv_->digest());
-  return d;
+  sim::RunDigest d(1);
+  for (const auto& m : stream_muxes_) d.add(0, m->digest());
+  if (stream_rcv_) d.add(0, stream_rcv_->digest());
+  return d.value();
 }
 
 std::size_t Scenario::replayed() const {

@@ -17,14 +17,48 @@
 namespace mtp::sim {
 
 /// splitmix64 finalizer: the one 64-bit mixer behind seed substreams, flow
-/// picks and every completion-digest fold. Recorded digests depend on its
-/// exact constants.
+/// picks and RunDigest, through which every run digest folds. Recorded
+/// digests depend on its exact constants.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// The determinism digest of one run: N order-sensitive cells, XORed.
+///
+/// Give every cell exactly one writer (a source host, a fault stream, one
+/// shard-owned object). The cell then sees its values in simulated-time
+/// order, which no shard count changes, and the XOR makes value()
+/// independent of how cells interleave across shards. Cell i starts at
+/// mix64(i), so identical sequences in two cells cannot XOR-cancel. Create
+/// every cell before the run; cells are distinct words, so writers on
+/// different shards need no synchronisation. Fold post-run totals in only
+/// after the run has joined.
+class RunDigest {
+ public:
+  explicit RunDigest(std::size_t cells) {
+    for (std::size_t i = 0; i < cells; ++i) new_cell();
+  }
+
+  /// Append a cell and return its index. Never while a run is in flight.
+  std::size_t new_cell() {
+    cells_.push_back(mix64(cells_.size()));
+    return cells_.size() - 1;
+  }
+
+  void add(std::size_t cell, std::uint64_t v) { cells_[cell] = mix64(cells_[cell] ^ v); }
+
+  std::uint64_t value() const {
+    std::uint64_t d = 0;
+    for (const std::uint64_t c : cells_) d ^= c;
+    return d;
+  }
+
+ private:
+  std::vector<std::uint64_t> cells_;
+};
 
 /// A seeded PRNG plus the sampling helpers used throughout the workloads.
 class Rng {

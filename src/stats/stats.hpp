@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -168,61 +166,6 @@ class FctRecorder {
   std::int64_t total_bytes_ = 0;
   mutable std::vector<double> sorted_;
   mutable bool sorted_dirty_ = false;
-};
-
-/// Log-bucketed histogram for latency/size distributions: O(1) record, no
-/// per-sample storage, ~4% relative error on quantiles — the right tool when
-/// an experiment records millions of samples.
-class LogHistogram {
- public:
-  /// Buckets are powers of `base` (>1); e.g. 1.08 gives ~4% resolution.
-  explicit LogHistogram(double base = 1.08) : log_base_(std::log(base)) {
-    if (!(base > 1.0)) throw std::invalid_argument("LogHistogram: base must be > 1");
-  }
-
-  void record(double v) {
-    ++count_;
-    sum_ += v;
-    max_ = std::max(max_, v);
-    min_ = std::min(min_, v);
-    ++buckets_[bucket_of(v)];
-  }
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-  double max_value() const { return count_ ? max_ : 0; }
-  double min_value() const { return count_ ? min_ : 0; }
-
-  /// Quantile estimate: upper edge of the bucket containing rank q.
-  double quantile(double q) const {
-    if (count_ == 0) throw std::invalid_argument("LogHistogram::quantile: empty");
-    if (q < 0 || q > 1) throw std::invalid_argument("LogHistogram::quantile: q in [0,1]");
-    const auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count_)));
-    std::uint64_t seen = 0;
-    for (const auto& [b, n] : buckets_) {
-      seen += n;
-      if (seen >= std::max<std::uint64_t>(rank, 1)) return upper_edge(b);
-    }
-    return max_;
-  }
-
- private:
-  int bucket_of(double v) const {
-    if (v <= 0) return std::numeric_limits<int>::min() / 2;
-    return static_cast<int>(std::floor(std::log(v) / log_base_));
-  }
-  double upper_edge(int b) const {
-    if (b == std::numeric_limits<int>::min() / 2) return 0;
-    return std::exp(static_cast<double>(b + 1) * log_base_);
-  }
-
-  double log_base_;
-  std::map<int, std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double max_ = std::numeric_limits<double>::lowest();
-  double min_ = std::numeric_limits<double>::max();
 };
 
 }  // namespace mtp::stats

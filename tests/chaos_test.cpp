@@ -66,14 +66,16 @@ ChaosResult run_chaos(std::uint64_t seed) {
   cfg.exclude_duration = 300_us;
   std::vector<std::unique_ptr<MtpEndpoint>> eps;
   ChaosResult res;
+  sim::RunDigest digest(1);  // serial run: one cell in event order
   std::set<std::pair<net::NodeId, proto::MsgId>> seen;
   for (net::Host* h : ls.hosts()) {
     auto ep = std::make_unique<MtpEndpoint>(*h, cfg);
-    ep->listen_any([&res, &seen](const ReceivedMessage& m) {
+    ep->listen_any([&res, &seen, &digest](const ReceivedMessage& m) {
       ++res.delivered;
       if (!seen.emplace(m.src, m.msg_id).second) ++res.duplicates;
-      res.run_digest = mix64(res.run_digest ^ mix64(m.src) ^
-                             mix64(m.msg_id) ^ mix64(static_cast<std::uint64_t>(m.bytes)));
+      digest.add(0, m.src);
+      digest.add(0, m.msg_id);
+      digest.add(0, static_cast<std::uint64_t>(m.bytes));
     });
     eps.push_back(std::move(ep));
   }
@@ -100,13 +102,12 @@ ChaosResult run_chaos(std::uint64_t seed) {
     const SimTime at = SimTime::nanoseconds(wl.uniform_int(0, 2'000'000));
     net::Host* to = ls.hosts()[dst];
     MtpEndpoint* ep = eps[src].get();
-    net.simulator().schedule_at(at, [ep, to, bytes, &res] {
+    net.simulator().schedule_at(at, [ep, to, bytes, &res, &digest] {
       ++res.sent;
       ep->send_message(to->id(), bytes, {.dst_port = 80},
-                       [&res](proto::MsgId, SimTime fct) {
+                       [&res, &digest](proto::MsgId, SimTime fct) {
                          ++res.completions;
-                         res.run_digest = mix64(
-                             res.run_digest ^ static_cast<std::uint64_t>(fct.ns()));
+                         digest.add(0, static_cast<std::uint64_t>(fct.ns()));
                        });
     });
   }
@@ -119,8 +120,10 @@ ChaosResult run_chaos(std::uint64_t seed) {
     res.corrupted_delivered += ep->corrupted_delivered();
     res.checksum_drops += ep->checksum_drops();
   }
-  res.run_digest = mix64(res.run_digest ^ res.fault_digest ^ res.delivered ^
-                         res.checksum_drops);
+  for (const std::uint64_t v : {res.fault_digest, res.delivered, res.checksum_drops}) {
+    digest.add(0, v);
+  }
+  res.run_digest = digest.value();
   return res;
 }
 
@@ -178,8 +181,8 @@ TEST(ParallelSweepChaos, FaultTimelinesBitIdenticalSerialVsParallel) {
 
 // One chaos run on `shards` space shards (sim::sharded via net::Network).
 // Same fabric, fault families and 48-message workload as run_chaos, but all
-// runtime folds are shard-local: delivery/completion digests live in
-// per-host cells (each host is owned by exactly one shard) combined by XOR,
+// runtime folds are shard-local: delivery/completion digests live in one
+// RunDigest cell per host (each host is owned by exactly one shard),
 // counters are per-host, and workload sends are scheduled on the simulator
 // of the shard owning the sending host. The result is therefore a pure
 // function of `seed` alone — `shards` must not change a single bit of it.
@@ -202,7 +205,6 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
   cfg.exclude_duration = 300_us;
 
   struct alignas(64) HostSlot {
-    std::uint64_t cell = 0;  ///< delivery + completion fold, this host only
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
     std::uint64_t completions = 0;
@@ -210,16 +212,17 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
     std::set<std::pair<net::NodeId, proto::MsgId>> seen;
   };
   std::vector<HostSlot> slot(4);
-  for (int h = 0; h < 4; ++h) slot[h].cell = mix64(0x2545f4914f6cdd1dULL ^ h);
+  sim::RunDigest digest(4);  ///< delivery + completion folds, one cell per host
 
   std::vector<std::unique_ptr<MtpEndpoint>> eps;
   for (std::size_t h = 0; h < ls.hosts().size(); ++h) {
     auto ep = std::make_unique<MtpEndpoint>(*ls.hosts()[h], cfg);
-    ep->listen_any([s = &slot[h]](const ReceivedMessage& m) {
+    ep->listen_any([s = &slot[h], &digest, h](const ReceivedMessage& m) {
       ++s->delivered;
       if (!s->seen.emplace(m.src, m.msg_id).second) ++s->duplicates;
-      s->cell = mix64(s->cell ^ mix64(m.src) ^ mix64(m.msg_id) ^
-                      mix64(static_cast<std::uint64_t>(m.bytes)));
+      digest.add(h, m.src);
+      digest.add(h, m.msg_id);
+      digest.add(h, static_cast<std::uint64_t>(m.bytes));
     });
     eps.push_back(std::move(ep));
   }
@@ -244,15 +247,14 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
     MtpEndpoint* ep = eps[src].get();
     HostSlot* s = &slot[src];
     // The send fires on the sending host's own shard; the completion
-    // callback therefore also runs there and folds into the same slot.
+    // callback therefore also runs there and folds into the same cell.
     net.simulator(net.shard_of(*ls.hosts()[src]))
-        .schedule_at(at, [ep, to, bytes, s] {
+        .schedule_at(at, [ep, to, bytes, s, &digest, src] {
           ++s->sent;
           ep->send_message(to->id(), bytes, {.dst_port = 80},
-                           [s](proto::MsgId, SimTime fct) {
+                           [s, &digest, src](proto::MsgId, SimTime fct) {
                              ++s->completions;
-                             s->cell = mix64(s->cell ^
-                                             static_cast<std::uint64_t>(fct.ns()));
+                             digest.add(src, static_cast<std::uint64_t>(fct.ns()));
                            });
         });
   }
@@ -266,7 +268,6 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
     res.delivered += s.delivered;
     res.completions += s.completions;
     res.duplicates += s.duplicates;
-    res.run_digest ^= s.cell;
   }
   for (const auto& ep : eps) {
     res.corrupted_delivered += ep->corrupted_delivered();
@@ -275,14 +276,16 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
   for (unsigned sh = 0; sh < net.shards(); ++sh) {
     res.leaked_events += net.simulator(sh).pending_events();
   }
-  res.run_digest = mix64(res.run_digest ^ res.fault_digest ^ res.delivered ^
-                         res.checksum_drops);
+  for (const std::uint64_t v : {res.fault_digest, res.delivered, res.checksum_drops}) {
+    digest.add(0, v);
+  }
+  res.run_digest = digest.value();
   return res;
 }
 
 // Named to match the tsan suite filter (-R 'Sharded'): four shard workers
 // exchange packets over the SPSC channels and fold into adjacent per-host
-// slots while TSan watches.
+// slots and digest cells while TSan watches.
 TEST(ShardedChaos, SeededSchedulesSatisfyAllInvariantsOnShards) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const ChaosResult r = run_chaos_sharded(seed, /*shards=*/4);

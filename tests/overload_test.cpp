@@ -631,14 +631,9 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
   server_cfg.overload.enabled = true;
   server_cfg.overload.max_incoming_msgs = 6;
 
-  // Per-host slots: every runtime fold lives on the shard owning the host.
-  struct alignas(64) HostSlot {
-    std::uint64_t cell = 0;
-  };
-  std::vector<HostSlot> slot(kHosts);
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    slot[h].cell = mix64(0x0ddba11ULL ^ h);
-  }
+  // One digest cell per host: every runtime fold lives on the shard owning
+  // the host.
+  sim::RunDigest digest(kHosts);
 
   // Raw (non-RPC) messages: index -> outcome flags. `delivered` is written
   // by the receiving host's shard, `completed`/`rejected` by the sender's —
@@ -659,7 +654,7 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
   for (std::size_t h = 0; h < kHosts; ++h) {
     auto ep = std::make_unique<MtpEndpoint>(
         *ls.hosts()[h], h == 3 ? server_cfg : client_cfg);
-    ep->listen_any([s = &slot[h], &msg_slot](const ReceivedMessage& m) {
+    ep->listen_any([&digest, h, &msg_slot](const ReceivedMessage& m) {
       if (!m.app) return;
       const std::string& key = m.app->key;
       int idx = -1;
@@ -667,15 +662,17 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
       if (key.rfind("get:", 0) == 0) idx = std::stoi(key.substr(4));
       if (idx < 0) return;
       ++msg_slot[idx].delivered;
-      s->cell = mix64(s->cell ^ mix64(m.src) ^ mix64(m.msg_id) ^
-                      mix64(static_cast<std::uint64_t>(m.bytes)));
+      digest.add(h, m.src);
+      digest.add(h, m.msg_id);
+      digest.add(h, static_cast<std::uint64_t>(m.bytes));
     });
-    ep->on_rejected = [s = &slot[h], &msg_slot, mi = &msg_index[h]](
+    ep->on_rejected = [&digest, h, &msg_slot, mi = &msg_index[h]](
                           proto::MsgId id, net::NodeId, bool expired) {
       auto it = mi->find(id);
       if (it != mi->end()) {
         ++msg_slot[it->second].rejected;
-        s->cell = mix64(s->cell ^ mix64(id) ^ (expired ? 0x5eedULL : 0));
+        digest.add(h, id);
+        digest.add(h, expired);
       }
     };
     eps.push_back(std::move(ep));
@@ -734,15 +731,14 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
     const std::uint8_t pri = rng.bernoulli(0.5) ? 1 : 0;
     const SimTime at = SimTime::nanoseconds(rng.uniform_int(0, 3'000'000));
     RpcClient* cl = clients[c].get();
-    HostSlot* s = &slot[c];
     net.simulator(net.shard_of(*ls.hosts()[c]))
-        .schedule_at(at, [cl, s, &cb, i, bytes, pri, server_host] {
+        .schedule_at(at, [cl, &digest, c, &cb, i, bytes, pri, server_host] {
           cl->call(server_host->id(), 80, "m", bytes,
-                   [s, &cb, i](const RpcReply& r) {
+                   [&digest, c, &cb, i](const RpcReply& r) {
                      ++cb[i];
-                     s->cell = mix64(s->cell ^ (r.ok ? 0x600dULL : 0xbadULL) ^
-                                     (r.rejected ? 0x7e7ec7ULL : 0) ^
-                                     static_cast<std::uint64_t>(r.latency.ns()));
+                     digest.add(c, r.ok);
+                     digest.add(c, r.rejected);
+                     digest.add(c, static_cast<std::uint64_t>(r.latency.ns()));
                    });
         });
   }
@@ -837,13 +833,13 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
   for (unsigned sh = 0; sh < net.shards(); ++sh) {
     res.leaked_events += net.simulator(sh).pending_events();
   }
-  for (const HostSlot& s : slot) res.digest ^= s.cell;
-  res.digest = mix64(res.digest ^ mix64(res.rpc_ok) ^ mix64(res.rpc_timeout) ^
-                     mix64(res.rpc_rejected) ^ mix64(res.served) ^
-                     mix64(res.server_shed) ^ mix64(res.cache_sheds) ^
-                     mix64(res.breaker_opens) ^ mix64(res.msgs_rejected) ^
-                     mix64(eps[3]->busy_rejects_sent()) ^
-                     mix64(eps[3]->grants_issued()));
+  for (const std::uint64_t v :
+       {res.rpc_ok, res.rpc_timeout, res.rpc_rejected, res.served, res.server_shed,
+        res.cache_sheds, res.breaker_opens, res.msgs_rejected, eps[3]->busy_rejects_sent(),
+        eps[3]->grants_issued()}) {
+    digest.add(0, v);
+  }
+  res.digest = digest.value();
   return res;
 }
 

@@ -230,24 +230,23 @@ std::uint64_t scenario_sweep_digest(unsigned workers) {
                      .transport("mtp")
                      .build();
         const int hosts = static_cast<int>(s->num_senders());
-        std::uint64_t digest = 14695981039346656037ull;
-        auto mix = [&digest](std::uint64_t v) { digest = (digest ^ v) * 1099511628211ull; };
+        sim::RunDigest digest(hosts);
         for (int h = 0; h < hosts; ++h) {
           const auto dst = s->topo().senders[(h + 3) % hosts]->id();
           for (int m = 0; m < 8; ++m) {
             s->mtp_sender(h)->send_message(
                 dst, 20'000, {.dst_port = 80},
-                [&mix, h, m](proto::MsgId, sim::SimTime fct) {
-                  mix(static_cast<std::uint64_t>(fct.ns()) + h * 1000003ull + m);
+                [&digest, h](proto::MsgId, sim::SimTime fct) {
+                  digest.add(h, static_cast<std::uint64_t>(fct.ns()));
                 });
           }
         }
-        mix(s->simulator().run(20_ms));
-        return digest;
+        digest.add(0, s->simulator().run(20_ms));
+        return digest.value();
       });
-  std::uint64_t combined = 14695981039346656037ull;
-  for (std::uint64_t d : digests) combined = (combined ^ d) * 1099511628211ull;
-  return combined;
+  sim::RunDigest combined(1);
+  for (std::uint64_t d : digests) combined.add(0, d);
+  return combined.value();
 }
 
 TEST(ScenarioSweep, ParallelScenarioSweepIsBitIdentical) {

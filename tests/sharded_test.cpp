@@ -28,8 +28,6 @@ using namespace mtp::sim::literals;
 using sim::Bandwidth;
 using sim::SimTime;
 
-using sim::mix64;
-
 // --- sim::WorkerPool -------------------------------------------------------
 
 TEST(ShardedWorkerPool, StridedLanesCoverEveryIndexExactlyOnce) {
@@ -150,7 +148,7 @@ workload::ArrivalSchedule fabric_schedule(int hosts, int per_host) {
 }
 
 struct FabricResult {
-  std::uint64_t completion_digest = 0;  ///< XOR of per-source-host streams
+  std::uint64_t completion_digest = 0;  ///< one RunDigest cell per source host
   std::uint64_t fault_digest = 0;
   std::uint64_t completed = 0;
   std::uint64_t flaps = 0;
@@ -178,34 +176,31 @@ FabricResult run_fabric(std::uint64_t seed, unsigned shards) {
                   {.p_good_to_bad = 0.02, .p_bad_to_good = 0.1, .bad_loss = 0.2,
                    .bad_corrupt = 0.1});
 
-  // Per-source-host completion cells: each is written only on the shard that
-  // owns the host, and XOR makes the combined digest independent of how the
+  // Per-source-host completion slots and digest cells: each is written only
+  // on the shard that owns the host, so the digest is independent of how the
   // hosts interleave (which is the only thing sharding may change).
   struct alignas(64) Slot {
-    std::uint64_t cell = 0;
     std::uint64_t completed = 0;
   };
   std::vector<Slot> slots(kHosts);
-  for (int h = 0; h < kHosts; ++h) slots[h].cell = mix64(0x51ed270b9f8f51edULL ^ h);
+  sim::RunDigest digest(kHosts);
 
   scenario::Scenario* sp = s.get();
-  s->set_arrival_handler([sp, &slots](const workload::ArrivalSchedule::Arrival& a) {
+  s->set_arrival_handler([sp, &slots, &digest](const workload::ArrivalSchedule::Arrival& a) {
     const int src = static_cast<int>(a.src);
     const auto dst = sp->topo().senders[(src + 5) % kHosts]->id();
     sp->mtp_sender(a.src)->send_message(
         dst, a.bytes, {.dst_port = 80},
-        [slot = &slots[src]](proto::MsgId, SimTime fct) {
+        [slot = &slots[src], &digest, src](proto::MsgId, SimTime fct) {
           ++slot->completed;
-          slot->cell ^= mix64(slot->cell ^ static_cast<std::uint64_t>(fct.ns()));
+          digest.add(src, static_cast<std::uint64_t>(fct.ns()));
         });
   });
 
   s->run(200_ms);
   FabricResult r;
-  for (const Slot& slot : slots) {
-    r.completion_digest ^= slot.cell;
-    r.completed += slot.completed;
-  }
+  for (const Slot& slot : slots) r.completed += slot.completed;
+  r.completion_digest = digest.value();
   r.fault_digest = inj.digest();
   r.flaps = inj.flaps_executed();
   r.windows = s->windows();

@@ -407,6 +407,51 @@ TEST(Rng, ExponentialMeanConverges) {
   EXPECT_NEAR(sum / n, 3.0, 0.1);
 }
 
+// ---------------------------------------------------------------- RunDigest
+
+TEST(RunDigest, CrossCellInterleavingDoesNotChangeTheValue) {
+  RunDigest a(3), b(3);
+  a.add(0, 1);
+  a.add(1, 10);
+  a.add(2, 100);
+  a.add(0, 2);
+  a.add(1, 20);
+  b.add(2, 100);
+  b.add(1, 10);
+  b.add(1, 20);
+  b.add(0, 1);
+  b.add(0, 2);
+  EXPECT_EQ(a.value(), b.value());
+}
+
+TEST(RunDigest, OrderInsideACellChangesTheValue) {
+  RunDigest a(2), b(2);
+  a.add(0, 1);
+  a.add(0, 2);
+  b.add(0, 2);
+  b.add(0, 1);
+  EXPECT_NE(a.value(), b.value());
+}
+
+TEST(RunDigest, MovingAValueToAnotherCellChangesTheValue) {
+  RunDigest a(2), b(2);
+  a.add(0, 1);
+  a.add(0, 2);
+  b.add(0, 1);
+  b.add(1, 2);
+  EXPECT_NE(a.value(), b.value());
+}
+
+TEST(RunDigest, IdenticalSequencesInTwoCellsDoNotCancel) {
+  RunDigest both(2), untouched(2);
+  for (const std::size_t cell : {0u, 1u}) {
+    both.add(cell, 7);
+    both.add(cell, 8);
+  }
+  EXPECT_NE(both.value(), untouched.value());
+  EXPECT_NE(both.value(), 0u);
+}
+
 TEST(BoundedPareto, SamplesStayInRange) {
   Rng rng(3);
   BoundedPareto dist(10e3, 1e9, 1.2);

@@ -229,40 +229,6 @@ TEST(ClosedLoopGenerator, MaintainsConcurrency) {
   EXPECT_EQ(sent, 14);
 }
 
-}  // namespace
-}  // namespace mtp::workload
-
-namespace mtp::stats {
-namespace {
-
-TEST(LogHistogram, QuantilesWithinBucketResolution) {
-  LogHistogram h(1.08);
-  for (int i = 1; i <= 10000; ++i) h.record(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 10000u);
-  EXPECT_NEAR(h.quantile(0.5), 5000, 5000 * 0.09);
-  EXPECT_NEAR(h.quantile(0.99), 9900, 9900 * 0.09);
-  EXPECT_NEAR(h.mean(), 5000.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.max_value(), 10000);
-  EXPECT_DOUBLE_EQ(h.min_value(), 1);
-}
-
-TEST(LogHistogram, HandlesZeroAndRejectsBadArgs) {
-  EXPECT_THROW(LogHistogram(1.0), std::invalid_argument);
-  LogHistogram h;
-  EXPECT_THROW(h.quantile(0.5), std::invalid_argument);
-  h.record(0);
-  h.record(100);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 0.0);  // the zero sample's bucket
-  EXPECT_GE(h.quantile(1.0), 100.0);
-}
-
-}  // namespace
-}  // namespace mtp::stats
-
-namespace mtp::workload {
-namespace {
-
 TEST(SizeDistPresets, WebSearchShape) {
   sim::Rng rng(8);
   auto d = SizeDist::web_search();
