@@ -1,15 +1,16 @@
 // Microbenchmarks of the substrate (google-benchmark): event-queue
-// operations, header serialization, queue datapaths, and end-to-end
-// simulated-packet throughput. These guard the simulator's performance —
-// packet-level experiments execute tens of millions of events.
+// operations, header serialization, queue datapaths, switch forwarding, and
+// end-to-end simulated-packet throughput. These guard the simulator's
+// performance — packet-level experiments execute tens of millions of events.
 //
 // Two extra facilities beyond plain google-benchmark:
 //  - a global operator new/delete counter, so the hot benchmarks report
 //    allocs_per_event alongside events_per_sec (the allocation-free core
 //    contract, docs/perf.md);
 //  - a --smoke mode that runs a fixed workload and prints machine-readable
-//    `events_per_sec=` / `allocs_per_event=` lines for scripts/check.sh to
-//    compare against the recorded baseline in BENCH_core.json.
+//    `events_per_sec=` / `allocs_per_event=` / `switch_forward_ns=` lines
+//    for scripts/check.sh to compare against the recorded baseline in
+//    BENCH_core.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -17,10 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <random>
 #include <string_view>
 
 #include "innetwork/queues.hpp"
 #include "mtp/endpoint.hpp"
+#include "net/fat_tree.hpp"
 #include "net/network.hpp"
 #include "proto/mtp_header.hpp"
 #include "sim/simulator.hpp"
@@ -198,6 +201,47 @@ void BM_WfqQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_WfqQueue);
 
+// Switch forwarding on a k=16 fat-tree core switch (1024 explicit down
+// routes, one per host): the route-table lookup plus an ECMP select over the
+// candidates, per packet, for destinations drawn uniformly over the hosts —
+// the per-hop routing work of a fabric run, without the link and event cost.
+class SwitchForwardProbe {
+ public:
+  static constexpr std::size_t kPackets = 4096;
+
+  SwitchForwardProbe() : tree_(net_, {.k = 16}) {
+    std::mt19937_64 rng(1);
+    pkts_.resize(kPackets);
+    for (net::Packet& p : pkts_) {
+      p.dst = tree_.host(static_cast<int>(rng() % tree_.hosts().size()))->id();
+      p.flow_hash = rng();
+    }
+  }
+
+  /// Forwarding decisions for every probe packet; returns a port checksum.
+  std::uint64_t run() {
+    net::Switch& core = *tree_.core(0);
+    std::uint64_t sum = 0;
+    for (const net::Packet& p : pkts_) {
+      sum += ecmp_.select(p, core.route_candidates(p.dst), core);
+    }
+    return sum;
+  }
+
+ private:
+  net::Network net_;
+  net::FatTree tree_;
+  net::EcmpPolicy ecmp_;
+  std::vector<net::Packet> pkts_;
+};
+
+void BM_SwitchForward(benchmark::State& state) {
+  SwitchForwardProbe probe;
+  for (auto _ : state) benchmark::DoNotOptimize(probe.run());
+  state.SetItemsProcessed(state.iterations() * SwitchForwardProbe::kPackets);
+}
+BENCHMARK(BM_SwitchForward);
+
 // One end-to-end MTP transfer over host -> switch -> host; the workload
 // behind BM_EndToEndMtpTransfer and the --smoke probe. Returns the number of
 // simulator events executed.
@@ -241,7 +285,8 @@ BENCHMARK(BM_EndToEndMtpTransfer)->Unit(benchmark::kMicrosecond);
 
 // --smoke: fixed workload, machine-readable output, no benchmark machinery.
 // scripts/check.sh compares events_per_sec against BENCH_core.json (>25%
-// regression fails) and bounds allocs_per_event on the pure-scheduler churn.
+// regression fails) and bounds allocs_per_event on the pure-scheduler churn;
+// switch_forward_ns is recorded in BENCH_core.json's history, not gated.
 int smoke_main() {
   using Clock = std::chrono::steady_clock;
 
@@ -275,9 +320,22 @@ int smoke_main() {
   const std::uint64_t churn_allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
   benchmark::DoNotOptimize(counter);
 
+  // Forwarding probe: best-of-3 mean nanoseconds per forwarding decision.
+  SwitchForwardProbe forward;
+  double best_forward_ns = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    constexpr int kRounds = 500;
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kRounds; ++i) benchmark::DoNotOptimize(forward.run());
+    const std::chrono::duration<double, std::nano> dt = Clock::now() - t0;
+    const double ns = dt.count() / (kRounds * SwitchForwardProbe::kPackets);
+    if (attempt == 0 || ns < best_forward_ns) best_forward_ns = ns;
+  }
+
   std::printf("events_per_sec=%.0f\n", best_events_per_sec);
   std::printf("allocs_per_event=%.6f\n",
               static_cast<double>(churn_allocs) / static_cast<double>(churn_events));
+  std::printf("switch_forward_ns=%.2f\n", best_forward_ns);
   return 0;
 }
 

@@ -191,7 +191,7 @@ void Link::try_transmit() {
     telemetry::trace().record(trace_event(telemetry::TraceEventType::kDequeue, f.pkt));
   }
   // Queueing delay (excluding this packet's own serialization time).
-  f.qdelay = sim_.now() - f.pkt.hop_enqueued_at;
+  tx_qdelay_ = sim_.now() - f.pkt.hop_enqueued_at;
   const std::uint32_t size = f.pkt.size_bytes();
   in_flight_bytes_ += size;
   // Serialization runs at the residual rate: line rate minus whatever the
@@ -206,24 +206,24 @@ void Link::try_transmit() {
 void Link::finish_tx() {
   InFlight& f = in_flight_.back();
   in_flight_bytes_ -= f.pkt.size_bytes();
-  stamp(f.pkt, f.qdelay);
+  stamp(f.pkt, tx_qdelay_);
   stats_.pkts_delivered++;
   stats_.bytes_delivered += f.pkt.size_bytes();
   if (telemetry::TraceSink::enabled()) {
     telemetry::trace().record(trace_event(telemetry::TraceEventType::kTx, f.pkt));
   }
-  // One *keyed* delivery event per packet (key = link uid + tx counter):
-  // deliveries at equal timestamps execute in link-uid order on every
-  // engine, which is what keeps serial and sharded runs bit-identical —
-  // FIFO tie-breaking would encode cross-shard scheduling history into the
-  // timeline. Per-link deliveries are still FIFO in time: serialization
-  // ends are strictly ordered onto a fixed propagation delay.
+  // Keyed delivery (key = link uid + tx counter): deliveries at equal
+  // timestamps execute in link-uid order on every engine, which is what
+  // keeps serial and sharded runs bit-identical — FIFO tie-breaking would
+  // encode cross-shard scheduling history into the timeline. Per-link
+  // deliveries are FIFO in time: serialization ends are strictly ordered
+  // onto a fixed propagation delay.
   const sim::SimTime deliver_at = sim_.now() + delay_;
   const std::uint64_t key = next_delivery_key();
   if (remote_sink_) {
-    // Cross-shard hop: the receiving shard schedules the delivery. The
-    // packet leaves the ring now — sender-side accounting (stats, kTx) is
-    // already done above.
+    // Cross-shard hop: the receiving shard schedules the delivery, one
+    // event per packet. The packet leaves the ring now — sender-side
+    // accounting (stats, kTx) is already done above.
     Packet pkt = std::move(f.pkt);
     in_flight_.drop_back();
     transmitting_ = false;
@@ -231,8 +231,11 @@ void Link::finish_tx() {
     try_transmit();
     return;
   }
+  // Chained delivery (see InFlight): arm it now only if no earlier packet
+  // is propagating; otherwise the predecessor's deliver_front arms it.
   f.deliver_at = deliver_at;
-  sim_.schedule_keyed_at(deliver_at, key, [this] { deliver_front(); });
+  f.key = key;
+  if (in_flight_.size() == 1) arm_delivery(f);
   transmitting_ = false;
   try_transmit();
 }
@@ -248,6 +251,10 @@ void Link::deliver_front() {
   // rvalue reference, so the only move left is the receiver's own store.
   Packet pkt = std::move(f.pkt);
   in_flight_.drop_front();
+  // Arm the next propagating packet's delivery at its own time and key. The
+  // back cell is still serializing while transmitting_ is set; finish_tx
+  // arms it if it becomes the front.
+  if (in_flight_.size() > (transmitting_ ? 1u : 0u)) arm_delivery(in_flight_.front());
   dst_->receive(std::move(pkt), dst_in_port_);
 }
 

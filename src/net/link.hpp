@@ -158,20 +158,34 @@ class Link {
 
   /// A packet between serialization start and delivery. Packets wait here —
   /// not inside scheduled closures — so the per-hop events capture only
-  /// `this` (8 bytes) and the 312-byte Packet is moved three times per hop
+  /// `this` (8 bytes) and the 144-byte Packet is moved three times per hop
   /// total (into the queue, into this ring, out to the receiver) instead of
-  /// six. Each delivery is a *keyed* event at its deliver_at: key =
+  /// six. Each delivery runs as a *keyed* event at its deliver_at: key =
   /// (uid << 28) | per-link tx counter, so at equal timestamps deliveries
   /// execute in link-uid order — derived from topology, not from scheduling
   /// history, which is what keeps serial and sharded runs bit-identical
   /// (sim/sharded/engine.hpp). Per-link deliver_at is strictly increasing
   /// (serialization is >= 1ns), so the counter only disambiguates events of
   /// *different* links.
+  ///
+  /// Deliveries are chained: only the front propagating cell has an event in
+  /// the heap. finish_tx arms a packet's delivery when no earlier packet is
+  /// propagating; otherwise deliver_front arms it, at the cell's own
+  /// (deliver_at, key), when its predecessor leaves. The late insertion
+  /// cannot reorder anything: the heap pops in (when, seq) order, keyed
+  /// events do not consume the FIFO counter, and the predecessor runs
+  /// strictly earlier — so every event popped before it would have popped
+  /// before it anyway. A link holds one heap entry however many packets
+  /// are on the wire.
   struct InFlight {
     Packet pkt;
-    sim::SimTime qdelay;      ///< queueing delay, for the pathlet stamp at tx end
     sim::SimTime deliver_at;  ///< set at serialization end (tx + propagation)
+    std::uint64_t key = 0;    ///< delivery key, set with deliver_at
   };
+
+  void arm_delivery(const InFlight& f) {
+    sim_.schedule_keyed_at(f.deliver_at, f.key, [this] { deliver_front(); });
+  }
 
   std::uint64_t next_delivery_key() {
     return (uid_ << 28) | (std::uint64_t{++tx_seq_} & 0x0fffffff);
@@ -190,6 +204,7 @@ class Link {
   bool up_ = true;
   std::int64_t fluid_reserved_bps_ = 0;  ///< sim::flow capacity reservation
   sim::RingBuffer<InFlight> in_flight_{8};  ///< back = serializing, front = next to deliver
+  sim::SimTime tx_qdelay_;  ///< serializing packet's queueing delay, for the pathlet stamp
   std::int64_t in_flight_bytes_ = 0;
   RemoteSink remote_sink_;
   LinkStats stats_;

@@ -10,10 +10,11 @@
 // share policer, mutation offload, L7 load balancer) hook in here.
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -52,8 +53,20 @@ class Switch : public Node {
   }
 
   /// Add `port` as a candidate egress for `dst`. Call repeatedly to create
-  /// multipath candidate sets.
-  void add_route(NodeId dst, PortIndex port) { routes_[dst].push_back(port); }
+  /// multipath candidate sets (candidates keep call order). Destinations may
+  /// be added in any id order; the table spans [lowest, highest] id added.
+  void add_route(NodeId dst, PortIndex port) {
+    assert(port < kMultiTag && "port index collides with the route-table tags");
+    std::uint32_t& entry = route_entry(dst);
+    if (entry == kNoRoute) {
+      entry = port;  // the common case: one port, stored inline
+    } else if (entry & kMultiTag) {
+      multi_routes_[entry & ~kMultiTag].push_back(port);
+    } else {
+      multi_routes_.push_back({entry, port});
+      entry = kMultiTag | static_cast<std::uint32_t>(multi_routes_.size() - 1);
+    }
+  }
 
   /// Candidate ports for any destination with no explicit route. This is how
   /// large fabrics stay compact: a fat-tree edge switch routes its own hosts
@@ -64,8 +77,13 @@ class Switch : public Node {
   /// The candidates forward() would consider for `dst` (explicit route if
   /// present, else the default set; empty = drop). For topology tests.
   std::span<const PortIndex> route_candidates(NodeId dst) const {
-    auto it = routes_.find(dst);
-    if (it != routes_.end() && !it->second.empty()) return it->second;
+    // Below base_ the unsigned difference wraps past the end: one compare.
+    const std::size_t i = static_cast<std::size_t>(dst) - base_;
+    if (i < routes_.size()) {
+      const std::uint32_t& entry = routes_[i];
+      if (!(entry & kMultiTag)) return {&entry, 1};
+      if (entry != kNoRoute) return multi_routes_[entry & ~kMultiTag];
+    }
     return default_route_;
   }
 
@@ -101,7 +119,32 @@ class Switch : public Node {
     out_port(port)->send(std::move(pkt));
   }
 
-  std::unordered_map<NodeId, std::vector<PortIndex>> routes_;
+  /// The table entry for `dst`, growing the table (with kNoRoute) to
+  /// cover it.
+  std::uint32_t& route_entry(NodeId dst) {
+    if (routes_.empty()) {
+      base_ = dst;
+    } else if (dst < base_) {
+      routes_.insert(routes_.begin(), base_ - dst, kNoRoute);
+      base_ = dst;
+    }
+    const std::size_t i = dst - base_;
+    if (i >= routes_.size()) routes_.resize(i + 1, kNoRoute);
+    return routes_[i];
+  }
+
+  // Flat route table: routes_[dst - base_] is one 32-bit entry — a single
+  // port stored inline (the fat-tree case: every explicit route there has
+  // one port), kNoRoute, or kMultiTag | index into multi_routes_. Fat-tree
+  // host ids are contiguous per pod, so each switch's table is dense.
+  // Entries are PortIndex-sized so an inline port is returned as a
+  // one-element span over the entry itself.
+  static_assert(sizeof(PortIndex) == sizeof(std::uint32_t));
+  static constexpr std::uint32_t kMultiTag = 0x80000000u;
+  static constexpr std::uint32_t kNoRoute = 0xffffffffu;
+  NodeId base_ = 0;
+  std::vector<std::uint32_t> routes_;
+  std::vector<std::vector<PortIndex>> multi_routes_;
   std::vector<PortIndex> default_route_;
   std::unique_ptr<ForwardingPolicy> policy_;
   std::vector<std::shared_ptr<IngressProcessor>> ingress_;

@@ -1,11 +1,11 @@
 // sim::RingBuffer — a growable circular FIFO.
 //
-// std::deque<T> allocates a fresh chunk for every element once sizeof(T)
-// exceeds the chunk size (512 bytes in libstdc++) — for 312-byte Packets
-// that is a malloc/free per enqueue, which the allocation-free hot path
-// (docs/perf.md) cannot afford. RingBuffer keeps elements in one contiguous
-// power-of-two array, doubling (and re-linearizing) only when full, so
-// steady-state push/pop never touches the heap.
+// std::deque<T> allocates a fresh 512-byte chunk (libstdc++) every
+// 512 / sizeof(T) elements — for 144-byte Packets that is a malloc/free
+// every three enqueues, which the allocation-free hot path (docs/perf.md)
+// cannot afford. RingBuffer keeps elements in one contiguous power-of-two
+// array, doubling (and re-linearizing) only when full, so steady-state
+// push/pop never touches the heap.
 #pragma once
 
 #include <cassert>

@@ -1,7 +1,12 @@
 // Network-substrate tests: queue behaviour (drops, ECN), link timing
-// (serialization + propagation), switch routing and forwarding policies,
-// and pathlet feedback stamping.
+// (serialization + propagation) and chained keyed deliveries, switch route
+// tables and forwarding policies, and pathlet feedback stamping.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
+#include <vector>
 
 #include "net/forwarding.hpp"
 #include "net/network.hpp"
@@ -132,6 +137,67 @@ TEST(Link, PipelinesSerializationWithPropagation) {
   sim.run();
   ASSERT_EQ(sink.pkts.size(), 2u);
   EXPECT_EQ(sink.arrival_times[1] - sink.arrival_times[0], 100_ns);
+}
+
+TEST(Link, ChainsDeliveriesWithOneHeapEntryPerLink) {
+  // A long pipe full of back-to-back packets: every packet still arrives at
+  // its own tx end + propagation, in FIFO order, but the link keeps at most
+  // one delivery in the heap (plus the running serialization) however many
+  // packets are on the wire.
+  constexpr int kPackets = 64;
+  sim::Simulator sim;
+  SinkNode sink(sim, 1, "sink");
+  Link link(sim, "l", Bandwidth::gbps(100), 50_us, std::make_unique<DropTailQueue>());
+  link.connect_to(sink, 0);
+  std::vector<std::uint64_t> sent;
+  for (int i = 0; i < kPackets; ++i) {
+    Packet p = make_pkt(0, 1, 1250);  // 100ns each at 100G
+    sent.push_back(p.uid);
+    link.send(std::move(p));
+  }
+  std::size_t max_pending = 0;
+  for (SimTime t = 50_ns; t < 60_us; t += 50_ns) {
+    sim.run(t);
+    max_pending = std::max(max_pending, sim.pending_events());
+  }
+  sim.run();
+  EXPECT_LE(max_pending, 2u);
+  ASSERT_EQ(sink.pkts.size(), static_cast<std::size_t>(kPackets));
+  for (int i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(sink.pkts[i].uid, sent[i]) << "packet " << i;
+    EXPECT_EQ(sink.arrival_times[i], SimTime::nanoseconds(100 * (i + 1)) + 50_us)
+        << "packet " << i;
+  }
+}
+
+TEST(Link, EqualTimeDeliveriesRunInLinkUidOrder) {
+  // Link A carries two packets, so its second delivery at 1200ns is armed
+  // by the first one's (a chained delivery); link B's single packet reaches
+  // the same sink at the same nanosecond. Whichever link has the lower uid
+  // delivers first, whichever link's send() ran first.
+  for (const bool a_low_uid : {true, false}) {
+    for (const bool b_sends_first : {true, false}) {
+      sim::Simulator sim;
+      SinkNode sink(sim, 9, "sink");
+      Link a(sim, "a", Bandwidth::gbps(100), 1_us, std::make_unique<DropTailQueue>());
+      Link b(sim, "b", Bandwidth::gbps(100), 1100_ns, std::make_unique<DropTailQueue>());
+      a.set_uid(a_low_uid ? 1 : 2);
+      b.set_uid(a_low_uid ? 2 : 1);
+      a.connect_to(sink, 0);
+      b.connect_to(sink, 1);
+      if (b_sends_first) b.send(make_pkt(20, 9, 1250));
+      a.send(make_pkt(10, 9, 1250));  // arrives at 1100ns
+      a.send(make_pkt(10, 9, 1250));  // arrives at 1200ns
+      if (!b_sends_first) b.send(make_pkt(20, 9, 1250));  // arrives at 1200ns
+      sim.run();
+      ASSERT_EQ(sink.pkts.size(), 3u);
+      EXPECT_EQ(sink.arrival_times[1], 1200_ns);
+      EXPECT_EQ(sink.arrival_times[2], 1200_ns);
+      const NodeId low_src = a_low_uid ? 10 : 20;
+      EXPECT_EQ(sink.pkts[1].src, low_src)
+          << "a_low_uid=" << a_low_uid << " b_sends_first=" << b_sends_first;
+    }
+  }
 }
 
 TEST(Link, CountsDeliveredBytes) {
@@ -324,6 +390,49 @@ TEST(Switch, DropsWhenNoRoute) {
   a->send(make_pkt(a->id(), 77, 100));
   net.simulator().run();
   EXPECT_EQ(sw->no_route_drops(), 1u);
+}
+
+TEST(Switch, RouteTableMatchesReferenceMap) {
+  // Random add_route sequences — ascending ids, ids below the first one
+  // added, sparse gaps, repeated destinations — against a reference
+  // map<dst, ports in call order>. route_candidates must agree for every id
+  // up to two past the largest, falling back to the default set wherever
+  // the reference has no entry.
+  enum class Shape { kAscending, kDescending, kSparse, kRepeated };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto shape = static_cast<Shape>(seed % 4);
+    sim::Simulator sim;
+    Switch sw(sim, 0, "sw");
+    const std::vector<PortIndex> fallback = {7, 8};
+    const bool with_default = seed % 3 != 0;
+    if (with_default) sw.set_default_route(fallback);
+    std::map<NodeId, std::vector<PortIndex>> ref;
+    const int n = 1 + static_cast<int>(rng() % 60);
+    NodeId next = 50 + static_cast<NodeId>(rng() % 50);
+    for (int i = 0; i < n; ++i) {
+      NodeId dst = 0;
+      switch (shape) {
+        case Shape::kAscending: dst = next++; break;
+        case Shape::kDescending: dst = next > 0 ? next-- : 0; break;
+        case Shape::kSparse: dst = static_cast<NodeId>(rng() % 5000); break;
+        case Shape::kRepeated: dst = 100 + static_cast<NodeId>(rng() % 6); break;
+      }
+      const auto port = static_cast<PortIndex>(rng() % 16);
+      sw.add_route(dst, port);
+      ref[dst].push_back(port);
+    }
+    const NodeId max_id = ref.rbegin()->first;
+    for (NodeId id = 0; id < max_id + 2; ++id) {
+      const auto it = ref.find(id);
+      const std::vector<PortIndex> want =
+          it != ref.end() ? it->second
+                          : (with_default ? fallback : std::vector<PortIndex>{});
+      const std::span<const PortIndex> got = sw.route_candidates(id);
+      ASSERT_EQ(std::vector<PortIndex>(got.begin(), got.end()), want)
+          << "seed " << seed << " id " << id;
+    }
+  }
 }
 
 TEST(ForwardingPolicies, SprayAlternatesPorts) {

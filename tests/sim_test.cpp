@@ -1,9 +1,11 @@
 // Unit tests for the simulation kernel: time arithmetic, event ordering,
-// cancellation, periodic tasks, and RNG distributions.
+// cancellation, periodic tasks, the RingBuffer FIFO, and RNG distributions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "net/packet.hpp"
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -373,6 +376,72 @@ TEST(PeriodicTask, DestructorCancelsPendingTick) {
   // fire the callback (which would read the destroyed object).
   sim.run(100_ns);
   EXPECT_EQ(ticks, 0);
+}
+
+// A model check against std::deque through empty -> refill -> wrap ->
+// grow, driven by every push/pop flavour RingBuffer offers.
+TEST(RingBuffer, MatchesDequeModel) {
+  RingBuffer<int> ring(8);
+  std::deque<int> model;
+  int next = 0;
+  const auto push = [&](int how) {
+    if (how == 0) {
+      ring.push_back(int{next});
+    } else {
+      ring.push_empty() = next;
+    }
+    model.push_back(next++);
+  };
+  const auto pop = [&](int how) {
+    ASSERT_FALSE(model.empty());
+    int got = -1;
+    if (how == 0) {
+      got = ring.pop_front();
+    } else if (how == 1) {
+      ring.pop_front_into(got);
+    } else {
+      got = ring.front();
+      ring.drop_front();
+    }
+    EXPECT_EQ(got, model.front());
+    model.pop_front();
+  };
+  const auto check = [&](const char* phase) {
+    ASSERT_EQ(ring.size(), model.size()) << phase;
+    ASSERT_EQ(ring.empty(), model.empty()) << phase;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(ring[i], model[i]) << phase << " index " << i;
+    }
+    if (!model.empty()) {
+      ASSERT_EQ(ring.front(), model.front()) << phase;
+      ASSERT_EQ(ring.back(), model.back()) << phase;
+    }
+  };
+
+  for (int i = 0; i < 5; ++i) push(i % 2);
+  for (int i = 0; i < 5; ++i) pop(i % 3);
+  check("empty");
+  for (int i = 0; i < 6; ++i) push(i % 2);
+  check("refill");
+  for (int i = 0; i < 4; ++i) pop(i % 3);
+  for (int i = 0; i < 6; ++i) push(i % 2);  // 8 live cells, head mid-array
+  check("wrap");
+  EXPECT_EQ(ring.capacity(), 8u);
+  for (int i = 0; i < 5; ++i) push(i % 2);  // overflows: re-linearize
+  check("grow");
+  EXPECT_EQ(ring.capacity(), 16u);
+
+  std::mt19937 rng(7);
+  for (int step = 0; step < 5000; ++step) {
+    if (model.empty() || rng() % 5 < 3 - (model.size() > 40 ? 2 : 0)) {
+      push(static_cast<int>(rng() % 2));
+    } else {
+      pop(static_cast<int>(rng() % 3));
+    }
+    if (step % 97 == 0) check("random");
+  }
+  while (!model.empty()) pop(static_cast<int>(rng() % 3));
+  check("drained");
 }
 
 TEST(Rng, DeterministicForSameSeed) {
