@@ -8,18 +8,20 @@
 //    allocs_per_event alongside events_per_sec (the allocation-free core
 //    contract, docs/perf.md);
 //  - a --smoke mode that runs a fixed workload and prints machine-readable
-//    `events_per_sec=` / `allocs_per_event=` / `switch_forward_ns=` lines
-//    for scripts/check.sh to compare against the recorded baseline in
-//    BENCH_core.json.
+//    `events_per_sec=` / `allocs_per_event=` / `switch_forward_ns=` /
+//    `link_hop_ns=` lines for scripts/check.sh to compare against the
+//    recorded baseline in BENCH_core.json.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <random>
 #include <string_view>
+#include <vector>
 
 #include "innetwork/queues.hpp"
 #include "mtp/endpoint.hpp"
@@ -242,6 +244,70 @@ void BM_SwitchForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchForward);
 
+// Link hops over a ring of 1024 links whose DropTail queues each hold ~200
+// packets: every delivered packet is re-sent on the next link, so queue
+// depths hold steady and the ~220k waiting packets (tens of MB) dwarf L2.
+// This is the memory traffic of a congested fabric's link and queue layer —
+// enqueue, serialization, chained delivery — without forwarding or
+// transport work.
+class LinkHopProbe {
+ public:
+  static constexpr int kLinks = 1024;
+  static constexpr int kDepth = 200;
+
+  LinkHopProbe() {
+    for (int i = 0; i < kLinks; ++i) {
+      relays_.push_back(std::make_unique<Relay>(net_.simulator(),
+                                                static_cast<net::NodeId>(1'000'000 + i), hops_));
+    }
+    for (int i = 0; i < kLinks; ++i) {
+      net_.connect_simplex(*relays_[i], *relays_[(i + 1) % kLinks], sim::Bandwidth::gbps(100),
+                           1_us,
+                           std::make_unique<net::DropTailQueue>(
+                               net::DropTailQueue::Config{.capacity_pkts = 256}));
+    }
+    for (auto& r : relays_) {
+      for (int k = 0; k < kDepth; ++k) r->out_port(0)->send(make_pkt(0));
+    }
+    run(20_us);  // warm up: every link serializing, every pipe full
+  }
+
+  /// Runs `span` more simulated time; returns the hops taken in it.
+  std::uint64_t run(sim::SimTime span) {
+    const std::uint64_t before = hops_;
+    end_ = end_ + span;
+    net_.simulator().run(end_);
+    return hops_ - before;
+  }
+
+ private:
+  class Relay : public net::Node {
+   public:
+    Relay(sim::Simulator& s, net::NodeId id, std::uint64_t& hops)
+        : Node(s, id, "relay"), hops_(hops) {}
+    void receive(net::Packet&& pkt, net::PortIndex) override {
+      ++hops_;
+      out_port(0)->send(std::move(pkt));
+    }
+
+   private:
+    std::uint64_t& hops_;
+  };
+
+  net::Network net_;
+  std::uint64_t hops_ = 0;
+  std::vector<std::unique_ptr<Relay>> relays_;
+  sim::SimTime end_;
+};
+
+void BM_LinkHop(benchmark::State& state) {
+  LinkHopProbe probe;
+  std::uint64_t hops = 0;
+  for (auto _ : state) hops += probe.run(5_us);
+  state.SetItemsProcessed(static_cast<std::int64_t>(hops));
+}
+BENCHMARK(BM_LinkHop)->Unit(benchmark::kMillisecond);
+
 // One end-to-end MTP transfer over host -> switch -> host; the workload
 // behind BM_EndToEndMtpTransfer and the --smoke probe. Returns the number of
 // simulator events executed.
@@ -286,7 +352,8 @@ BENCHMARK(BM_EndToEndMtpTransfer)->Unit(benchmark::kMicrosecond);
 // --smoke: fixed workload, machine-readable output, no benchmark machinery.
 // scripts/check.sh compares events_per_sec against BENCH_core.json (>25%
 // regression fails) and bounds allocs_per_event on the pure-scheduler churn;
-// switch_forward_ns is recorded in BENCH_core.json's history, not gated.
+// switch_forward_ns and link_hop_ns are recorded in BENCH_core.json's
+// history, not gated.
 int smoke_main() {
   using Clock = std::chrono::steady_clock;
 
@@ -332,10 +399,23 @@ int smoke_main() {
     if (attempt == 0 || ns < best_forward_ns) best_forward_ns = ns;
   }
 
+  // Link-hop probe: best-of-3 mean nanoseconds per hop, 100 us of
+  // simulated time (~1.2M hops) each.
+  LinkHopProbe hop;
+  double best_hop_ns = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const auto t0 = Clock::now();
+    const std::uint64_t hops = hop.run(100_us);
+    const std::chrono::duration<double, std::nano> dt = Clock::now() - t0;
+    const double ns = dt.count() / static_cast<double>(hops);
+    if (attempt == 0 || ns < best_hop_ns) best_hop_ns = ns;
+  }
+
   std::printf("events_per_sec=%.0f\n", best_events_per_sec);
   std::printf("allocs_per_event=%.6f\n",
               static_cast<double>(churn_allocs) / static_cast<double>(churn_events));
   std::printf("switch_forward_ns=%.2f\n", best_forward_ns);
+  std::printf("link_hop_ns=%.2f\n", best_hop_ns);
   return 0;
 }
 

@@ -29,13 +29,13 @@ run_asan() {
 
 run_tsan() {
   # ThreadSanitizer over the multi-threaded surface: ParallelSweep jobs
-  # exercise the thread-local telemetry singletons, the synchronized logger,
-  # and per-simulator packet uids from several workers at once.
+  # exercise the thread-local telemetry singletons and the synchronized
+  # logger from several workers at once.
   # scale_test's scenario-sweep case runs whole ScenarioBuilder rigs on
   # worker threads, covering the scenario library's thread-local surfaces.
   # sharded_test/chaos_test's Sharded* cases run one fabric split across
   # worker shards, covering the SPSC handoff channels, the window barrier,
-  # and the per-shard counter slots.
+  # the per-shard packet pools, and the per-shard counter slots.
   # flow_test's hybrid scenarios run per-shard FluidModel replicas on worker
   # threads; the `hybrid` ctest label selects exactly those cases.
   # stream_test's `stream` label covers the mtp::stream reassembly/FEC suite;

@@ -18,9 +18,8 @@ std::uint64_t hash_name(const std::string& s) {
   return h;
 }
 
-// Content-derived packet identity for digest folds. pkt.uid is allocated by
-// whichever shard's simulator transmitted the packet and is NOT
-// shard-invariant (shards use disjoint uid ranges); the headers are.
+// Content-derived packet identity for digest folds: built from the headers
+// alone, so it is the same whichever shard transmitted the packet.
 std::uint64_t packet_identity(const net::Packet& pkt) {
   std::uint64_t h = pkt.flow_hash ^ (std::uint64_t{pkt.size_bytes()} << 1);
   if (pkt.is_mtp()) {

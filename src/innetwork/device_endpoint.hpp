@@ -157,7 +157,6 @@ class DeviceReceiver {
     p.header_bytes = 64;
     p.tc = data.tc;
     p.priority = data.priority;
-    p.uid = sw_.simulator().next_packet_uid();
     proto::MtpHeader hdr;
     hdr.src_port = dh.dst_port;
     hdr.dst_port = dh.src_port;
@@ -197,7 +196,6 @@ class DeviceReceiver {
     p.header_bytes = 64;
     p.tc = data.tc;
     p.priority = data.priority;
-    p.uid = sw_.simulator().next_packet_uid();
     proto::MtpHeader hdr;
     hdr.src_port = dh.dst_port;
     hdr.dst_port = dh.src_port;
@@ -358,7 +356,6 @@ class DeviceSender {
     p.ecn = net::Ecn::kEct;
     p.tc = msg.opts.tc;
     p.priority = msg.opts.priority;
-    p.uid = sw_.simulator().next_packet_uid();
     proto::MtpHeader hdr;
     hdr.src_port = msg.opts.src_port;
     hdr.dst_port = msg.opts.dst_port;

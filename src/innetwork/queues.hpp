@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 
 #include "net/queue.hpp"
 
@@ -26,6 +25,7 @@ class WfqQueue final : public net::Queue {
   };
 
   explicit WfqQueue(Config cfg) : cfg_(cfg) {}
+  ~WfqQueue() override { discard_all(); }
 
   bool enqueue(net::Packet&& pkt) override {
     auto& q = queues_[pkt.tc];
@@ -42,13 +42,13 @@ class WfqQueue final : public net::Queue {
     q.bytes += pkt.size_bytes();
     bytes_ += pkt.size_bytes();
     ++pkts_;
-    q.pkts.push_back(std::move(pkt));
+    q.pkts.push_back(store(std::move(pkt)));
     ++stats_.enqueued;
     return true;
   }
 
-  std::optional<net::Packet> dequeue() override {
-    if (pkts_ == 0) return std::nullopt;
+  net::PacketHandle dequeue_handle() override {
+    if (pkts_ == 0) return net::kNoPacket;
     // DRR sweep: find the next TC whose deficit covers its head packet.
     for (int sweep = 0; sweep < 2 * 256; ++sweep) {
       TcQueue& q = queues_[rr_];
@@ -61,16 +61,16 @@ class WfqQueue final : public net::Queue {
         q.deficit += cfg_.quantum_bytes;
         q.fresh_round = true;
       }
-      const auto head_size = q.pkts.front().size_bytes();
+      const auto head_size = stored(q.pkts.front()).size_bytes();
       if (q.deficit >= head_size) {
         q.deficit -= head_size;
-        net::Packet pkt = q.pkts.pop_front();
+        const net::PacketHandle h = q.pkts.pop_front();
         q.bytes -= head_size;
         bytes_ -= head_size;
         --pkts_;
         ++stats_.dequeued;
         if (q.pkts.empty()) q.deficit = 0;
-        return pkt;
+        return h;
       }
       q.fresh_round = false;
       rr_ = static_cast<std::uint8_t>(rr_ + 1);
@@ -80,15 +80,16 @@ class WfqQueue final : public net::Queue {
     for (std::size_t i = 0; i < queues_.size(); ++i) {
       TcQueue& q = queues_[(rr_ + i) % queues_.size()];
       if (!q.pkts.empty()) {
-        net::Packet pkt = q.pkts.pop_front();
-        q.bytes -= pkt.size_bytes();
-        bytes_ -= pkt.size_bytes();
+        const net::PacketHandle h = q.pkts.pop_front();
+        const auto size = stored(h).size_bytes();
+        q.bytes -= size;
+        bytes_ -= size;
         --pkts_;
         ++stats_.dequeued;
-        return pkt;
+        return h;
       }
     }
-    return std::nullopt;
+    return net::kNoPacket;
   }
 
   std::size_t len_pkts() const override { return pkts_; }
@@ -98,7 +99,7 @@ class WfqQueue final : public net::Queue {
 
  private:
   struct TcQueue {
-    sim::RingBuffer<net::Packet> pkts;
+    sim::RingBuffer<net::PacketHandle> pkts;
     std::int64_t bytes = 0;
     std::int64_t deficit = 0;
     std::uint64_t dropped = 0;
@@ -124,6 +125,7 @@ class StrictPriorityQueue final : public net::Queue {
   };
 
   explicit StrictPriorityQueue(Config cfg) : cfg_(cfg) {}
+  ~StrictPriorityQueue() override { discard_all(); }
 
   bool enqueue(net::Packet&& pkt) override {
     auto& q = levels_[pkt.priority];
@@ -138,23 +140,23 @@ class StrictPriorityQueue final : public net::Queue {
     }
     bytes_ += pkt.size_bytes();
     ++pkts_;
-    q.push_back(std::move(pkt));
+    q.push_back(store(std::move(pkt)));
     ++stats_.enqueued;
     return true;
   }
 
-  std::optional<net::Packet> dequeue() override {
-    if (pkts_ == 0) return std::nullopt;
+  net::PacketHandle dequeue_handle() override {
+    if (pkts_ == 0) return net::kNoPacket;
     for (int level = 255; level >= 0; --level) {
       auto& q = levels_[static_cast<std::size_t>(level)];
       if (q.empty()) continue;
-      net::Packet pkt = q.pop_front();
-      bytes_ -= pkt.size_bytes();
+      const net::PacketHandle h = q.pop_front();
+      bytes_ -= stored(h).size_bytes();
       --pkts_;
       ++stats_.dequeued;
-      return pkt;
+      return h;
     }
-    return std::nullopt;
+    return net::kNoPacket;
   }
 
   std::size_t len_pkts() const override { return pkts_; }
@@ -163,7 +165,7 @@ class StrictPriorityQueue final : public net::Queue {
 
  private:
   Config cfg_;
-  std::array<sim::RingBuffer<net::Packet>, 256> levels_;
+  std::array<sim::RingBuffer<net::PacketHandle>, 256> levels_;
   std::size_t pkts_ = 0;
   std::int64_t bytes_ = 0;
 };
@@ -181,6 +183,7 @@ class TrimmingQueue final : public net::Queue {
   };
 
   explicit TrimmingQueue(Config cfg) : cfg_(cfg) {}
+  ~TrimmingQueue() override { discard_all(); }
 
   bool enqueue(net::Packet&& pkt) override {
     const bool is_control = pkt.payload_bytes == 0;
@@ -190,7 +193,7 @@ class TrimmingQueue final : public net::Queue {
         return false;
       }
       bytes_ += pkt.size_bytes();
-      control_.push_back(std::move(pkt));
+      control_.push_back(store(std::move(pkt)));
       ++stats_.enqueued;
       return true;
     }
@@ -204,7 +207,7 @@ class TrimmingQueue final : public net::Queue {
           return false;
         }
         bytes_ += pkt.size_bytes();
-        control_.push_back(std::move(pkt));
+        control_.push_back(store(std::move(pkt)));
         ++stats_.enqueued;
         return true;
       }
@@ -217,21 +220,21 @@ class TrimmingQueue final : public net::Queue {
       ++stats_.ecn_marked;
     }
     bytes_ += pkt.size_bytes();
-    data_.push_back(std::move(pkt));
+    data_.push_back(store(std::move(pkt)));
     ++stats_.enqueued;
     return true;
   }
 
-  std::optional<net::Packet> dequeue() override {
-    auto take = [this](sim::RingBuffer<net::Packet>& q) {
-      net::Packet pkt = q.pop_front();
-      bytes_ -= pkt.size_bytes();
+  net::PacketHandle dequeue_handle() override {
+    auto take = [this](sim::RingBuffer<net::PacketHandle>& q) {
+      const net::PacketHandle h = q.pop_front();
+      bytes_ -= stored(h).size_bytes();
       ++stats_.dequeued;
-      return pkt;
+      return h;
     };
     if (!control_.empty()) return take(control_);
     if (!data_.empty()) return take(data_);
-    return std::nullopt;
+    return net::kNoPacket;
   }
 
   std::size_t len_pkts() const override { return data_.size() + control_.size(); }
@@ -240,8 +243,8 @@ class TrimmingQueue final : public net::Queue {
 
  private:
   Config cfg_;
-  sim::RingBuffer<net::Packet> data_;
-  sim::RingBuffer<net::Packet> control_;
+  sim::RingBuffer<net::PacketHandle> data_;
+  sim::RingBuffer<net::PacketHandle> control_;
   std::int64_t bytes_ = 0;
   std::uint64_t trimmed_ = 0;
 };

@@ -340,7 +340,6 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathInd
   p.tc = msg.opts.tc;
   p.priority = msg.opts.priority;
   p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = msg.opts.src_port;
@@ -546,7 +545,6 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   p.tc = data.tc;
   p.priority = data.priority;
   p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = dh.dst_port;
@@ -915,7 +913,6 @@ void MtpEndpoint::send_busy_reject(const net::Packet& data, std::uint8_t flags) 
   p.tc = data.tc;
   p.priority = data.priority;
   p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = dh.dst_port;

@@ -20,7 +20,16 @@ struct PacketClosureProbe {
 static_assert(sim::Task::fits_inline<PacketClosureProbe>(),
               "net::Packet no longer fits sim::Task's inline buffer; "
               "grow sim::Task::kInlineBytes or shrink Packet");
+// The size the docs quote (docs/perf.md, docs/scale.md, sim/task.hpp). A
+// layout change must update them along with this line.
+static_assert(sizeof(Packet) == 144, "net::Packet changed size; update the docs");
 }  // namespace
+
+Link::~Link() {
+  // Return every held slot: the pool may be shared and outlive this link.
+  if (tx_ != kNoPacket) (void)pool_.take(tx_);
+  while (!in_flight_.empty()) (void)pool_.take(in_flight_.pop_front().pkt);
+}
 
 void Link::register_metrics() {
   using telemetry::MetricKind;
@@ -178,21 +187,17 @@ void Link::stamp(Packet& pkt, sim::SimTime queue_delay) {
 }
 
 void Link::try_transmit() {
-  if (transmitting_) return;
-  // Dequeue straight into the in-flight ring cell: one move-assign from the
-  // queue's storage, no optional<Packet> round trip.
-  InFlight& f = in_flight_.push_empty();
-  if (!queue_->dequeue_into(f.pkt)) {
-    in_flight_.drop_back();
-    return;
-  }
-  transmitting_ = true;
+  if (tx_ != kNoPacket) return;
+  // The packet stays in its pool slot; only the handle leaves the queue.
+  tx_ = queue_->dequeue_handle();
+  if (tx_ == kNoPacket) return;
+  const Packet& pkt = pool_[tx_];
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kDequeue, f.pkt));
+    telemetry::trace().record(trace_event(telemetry::TraceEventType::kDequeue, pkt));
   }
   // Queueing delay (excluding this packet's own serialization time).
-  tx_qdelay_ = sim_.now() - f.pkt.hop_enqueued_at;
-  const std::uint32_t size = f.pkt.size_bytes();
+  tx_qdelay_ = sim_.now() - pkt.hop_enqueued_at;
+  const std::uint32_t size = pkt.size_bytes();
   in_flight_bytes_ += size;
   // Serialization runs at the residual rate: line rate minus whatever the
   // fluid flow model has reserved on this link (bandwidth_ itself when no
@@ -200,17 +205,18 @@ void Link::try_transmit() {
   sim_.schedule(residual_bandwidth().serialization_delay(size), [this] { finish_tx(); });
 }
 
-// Serialization finished: the wire has the whole packet. The serializing
-// packet is always in_flight_.back() — exactly one serialization runs at a
-// time, and packets enter the ring when theirs starts.
+// Serialization finished: the wire has the whole packet. Exactly one
+// serialization runs at a time, and its packet is tx_.
 void Link::finish_tx() {
-  InFlight& f = in_flight_.back();
-  in_flight_bytes_ -= f.pkt.size_bytes();
-  stamp(f.pkt, tx_qdelay_);
+  const PacketHandle h = tx_;
+  tx_ = kNoPacket;
+  Packet& pkt = pool_[h];
+  in_flight_bytes_ -= pkt.size_bytes();
+  stamp(pkt, tx_qdelay_);
   stats_.pkts_delivered++;
-  stats_.bytes_delivered += f.pkt.size_bytes();
+  stats_.bytes_delivered += pkt.size_bytes();
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kTx, f.pkt));
+    telemetry::trace().record(trace_event(telemetry::TraceEventType::kTx, pkt));
   }
   // Keyed delivery (key = link uid + tx counter): deliveries at equal
   // timestamps execute in link-uid order on every engine, which is what
@@ -221,41 +227,34 @@ void Link::finish_tx() {
   const sim::SimTime deliver_at = sim_.now() + delay_;
   const std::uint64_t key = next_delivery_key();
   if (remote_sink_) {
-    // Cross-shard hop: the receiving shard schedules the delivery, one
-    // event per packet. The packet leaves the ring now — sender-side
-    // accounting (stats, kTx) is already done above.
-    Packet pkt = std::move(f.pkt);
-    in_flight_.drop_back();
-    transmitting_ = false;
-    remote_sink_(std::move(pkt), deliver_at, key);
-    try_transmit();
-    return;
+    // Cross-shard hop: the packet leaves this shard's pool and the
+    // receiving shard schedules the delivery, one event per packet.
+    // Sender-side accounting (stats, kTx) is already done above.
+    remote_sink_(pool_.take(h), deliver_at, key);
+  } else {
+    // Chained delivery (see InFlight): arm it now only if no earlier packet
+    // is propagating; otherwise the predecessor's deliver_front arms it.
+    in_flight_.push_back(InFlight{deliver_at, key, h});
+    if (in_flight_.size() == 1) arm_delivery(in_flight_.front());
   }
-  // Chained delivery (see InFlight): arm it now only if no earlier packet
-  // is propagating; otherwise the predecessor's deliver_front arms it.
-  f.deliver_at = deliver_at;
-  f.key = key;
-  if (in_flight_.size() == 1) arm_delivery(f);
-  transmitting_ = false;
   try_transmit();
 }
 
 void Link::deliver_front() {
-  InFlight& f = in_flight_.front();
+  const InFlight f = in_flight_.pop_front();
+  Packet& pkt = pool_[f.pkt];
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kRx, f.pkt));
+    telemetry::trace().record(trace_event(telemetry::TraceEventType::kRx, pkt));
   }
-  // Hand the packet to the receiver straight from the ring cell; drop_front
-  // before receive() so a receiver that re-enters this link (e.g. a loopback
-  // forward) sees a consistent ring. The receive sink takes the packet by
-  // rvalue reference, so the only move left is the receiver's own store.
-  Packet pkt = std::move(f.pkt);
-  in_flight_.drop_front();
-  // Arm the next propagating packet's delivery at its own time and key. The
-  // back cell is still serializing while transmitting_ is set; finish_tx
-  // arms it if it becomes the front.
-  if (in_flight_.size() > (transmitting_ ? 1u : 0u)) arm_delivery(in_flight_.front());
+  // Arm the next propagating packet's delivery at its own time and key
+  // before receive(), so a receiver that re-enters this link (e.g. a
+  // loopback forward) sees a consistent ring.
+  if (!in_flight_.empty()) arm_delivery(in_flight_.front());
+  // The receiver moves the packet straight out of its slot (into the next
+  // hop's slot, or its own storage); the slot is released only afterwards,
+  // so nothing the receiver sends can be handed this slot mid-move.
   dst_->receive(std::move(pkt), dst_in_port_);
+  pool_.release(f.pkt);
 }
 
 }  // namespace mtp::net

@@ -40,16 +40,24 @@ enum class FaultAction : std::uint8_t { kNone, kDrop, kCorrupt };
 
 class Link {
  public:
+  /// Packets wait in `pool` (Network passes its shard's pool) from send()
+  /// until delivery; the link binds `queue` to it. Without a pool the link
+  /// makes a private one. A shared pool must outlive the link.
   Link(sim::Simulator& simulator, std::string name, sim::Bandwidth bandwidth,
-       sim::SimTime propagation_delay, std::unique_ptr<Queue> queue)
+       sim::SimTime propagation_delay, std::unique_ptr<Queue> queue,
+       PacketPool* pool = nullptr)
       : sim_(simulator),
         uid_(simulator.next_link_uid()),
         name_(std::move(name)),
         bandwidth_(bandwidth),
         delay_(propagation_delay),
+        own_pool_(pool == nullptr ? std::make_unique<PacketPool>() : nullptr),
+        pool_(pool == nullptr ? *own_pool_ : *pool),
         queue_(std::move(queue)) {
+    queue_->bind_pool(pool_);
     register_metrics();
   }
+  ~Link();
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -83,6 +91,13 @@ class Link {
   /// Bytes currently committed to this link: in-queue plus in-serialization.
   /// Used by load-aware forwarding policies.
   std::int64_t backlog_bytes() const { return queue_->len_bytes() + in_flight_bytes_; }
+
+  /// Packets this link holds in its pool: queued, serializing, or
+  /// propagating to a same-shard peer. A cross-shard packet leaves the pool
+  /// when its serialization ends.
+  std::size_t held_packets() const {
+    return queue_->len_pkts() + (tx_ != kNoPacket ? 1 : 0) + in_flight_.size();
+  }
 
   /// Capacity reservation (sim::flow fluid bulk transfers). The reserved
   /// rate is bandwidth a fluid flow is currently "transmitting" at; packet
@@ -156,20 +171,20 @@ class Link {
   telemetry::TraceEvent trace_event(telemetry::TraceEventType type,
                                     const Packet& pkt) const;
 
-  /// A packet between serialization start and delivery. Packets wait here —
-  /// not inside scheduled closures — so the per-hop events capture only
-  /// `this` (8 bytes) and the 144-byte Packet is moved three times per hop
-  /// total (into the queue, into this ring, out to the receiver) instead of
-  /// six. Each delivery runs as a *keyed* event at its deliver_at: key =
-  /// (uid << 28) | per-link tx counter, so at equal timestamps deliveries
-  /// execute in link-uid order — derived from topology, not from scheduling
-  /// history, which is what keeps serial and sharded runs bit-identical
-  /// (sim/sharded/engine.hpp). Per-link deliver_at is strictly increasing
-  /// (serialization is >= 1ns), so the counter only disambiguates events of
-  /// *different* links.
+  /// A packet on the wire: serialization has ended and it propagates until
+  /// deliver_at. The packet itself stays in its pool slot; the cell carries
+  /// the handle, so per-hop events capture only `this` and a hop moves the
+  /// packet once into the pool (send) and once out (the receiver's own
+  /// store, straight from the slot). Each delivery runs as a *keyed* event
+  /// at its deliver_at: key = (uid << 28) | per-link tx counter, so at equal
+  /// timestamps deliveries execute in link-uid order — derived from
+  /// topology, not from scheduling history, which is what keeps serial and
+  /// sharded runs bit-identical (sim/sharded/engine.hpp). Per-link
+  /// deliver_at is strictly increasing (serialization is >= 1ns), so the
+  /// counter only disambiguates events of *different* links.
   ///
-  /// Deliveries are chained: only the front propagating cell has an event in
-  /// the heap. finish_tx arms a packet's delivery when no earlier packet is
+  /// Deliveries are chained: only the front cell has an event in the heap.
+  /// finish_tx arms a packet's delivery when no earlier packet is
   /// propagating; otherwise deliver_front arms it, at the cell's own
   /// (deliver_at, key), when its predecessor leaves. The late insertion
   /// cannot reorder anything: the heap pops in (when, seq) order, keyed
@@ -178,9 +193,9 @@ class Link {
   /// before it anyway. A link holds one heap entry however many packets
   /// are on the wire.
   struct InFlight {
-    Packet pkt;
-    sim::SimTime deliver_at;  ///< set at serialization end (tx + propagation)
-    std::uint64_t key = 0;    ///< delivery key, set with deliver_at
+    sim::SimTime deliver_at;  ///< serialization end + propagation
+    std::uint64_t key = 0;    ///< delivery key
+    PacketHandle pkt = kNoPacket;
   };
 
   void arm_delivery(const InFlight& f) {
@@ -197,13 +212,15 @@ class Link {
   std::string name_;
   sim::Bandwidth bandwidth_;
   sim::SimTime delay_;
-  std::unique_ptr<Queue> queue_;
+  std::unique_ptr<PacketPool> own_pool_;  ///< standalone links only
+  PacketPool& pool_;
+  std::unique_ptr<Queue> queue_;  ///< after the pools: destroyed first
   Node* dst_ = nullptr;
   PortIndex dst_in_port_ = 0;
-  bool transmitting_ = false;
+  PacketHandle tx_ = kNoPacket;  ///< the serializing packet, if any
   bool up_ = true;
   std::int64_t fluid_reserved_bps_ = 0;  ///< sim::flow capacity reservation
-  sim::RingBuffer<InFlight> in_flight_{8};  ///< back = serializing, front = next to deliver
+  sim::RingBuffer<InFlight> in_flight_{8};  ///< propagating, front = next to deliver
   sim::SimTime tx_qdelay_;  ///< serializing packet's queueing delay, for the pathlet stamp
   std::int64_t in_flight_bytes_ = 0;
   RemoteSink remote_sink_;

@@ -12,13 +12,11 @@ Network::Network(std::uint64_t seed, unsigned shards) : rng_(seed) {
     throw std::invalid_argument("Network: shard count must be >= 1");
   }
   sims_.reserve(shards);
+  pools_.reserve(shards);
   arenas_.reserve(shards);
   for (unsigned s = 0; s < shards; ++s) {
     sims_.push_back(std::make_unique<sim::Simulator>());
-    // Shard-disjoint packet uid ranges without cross-thread coordination.
-    // Shard 0's base is 0, so a one-shard Network hands out the exact uid
-    // sequence a bare Simulator would.
-    sims_.back()->seed_packet_uids(std::uint64_t{s} << 48);
+    pools_.push_back(std::make_unique<PacketPool>());
     arenas_.push_back(std::make_unique<sim::Arena>());
   }
   channels_.resize(static_cast<std::size_t>(shards) * shards);
@@ -35,7 +33,7 @@ Link* Network::connect_simplex(Node& a, Node& b, sim::Bandwidth bw, sim::SimTime
   // The link lives where its sender lives: queueing, serialization and fault
   // hooks all run on a's simulator.
   Link* p = arenas_[sa]->make<Link>(*sims_[sa], a.name() + "->" + b.name(), bw, delay,
-                                    std::move(queue));
+                                    std::move(queue), pools_[sa].get());
   // Topology-global uid in construction order: identical for every shard
   // count, which keeps keyed delivery ordering — and therefore the whole
   // timeline — independent of the partitioning.
@@ -156,6 +154,19 @@ std::uint64_t Network::run(sim::SimTime until) {
     shard_events_.assign(shards(), {});
   }
   return executed;
+}
+
+std::size_t Network::unaccounted_packet_slots() const {
+  std::vector<std::size_t> held(shards(), 0);
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    held[link_shard_[i]] += links_[i]->held_packets();
+  }
+  std::size_t off = 0;
+  for (unsigned s = 0; s < shards(); ++s) {
+    const std::size_t live = pools_[s]->live();
+    off += live > held[s] ? live - held[s] : held[s] - live;
+  }
+  return off;
 }
 
 std::uint64_t Network::windows() const {

@@ -126,6 +126,16 @@ class Network {
     return link_shard_[link_index];
   }
 
+  /// Shard `shard`'s packet pool. Every link of the shard (and its queue)
+  /// keeps its waiting packets here; a packet crossing to another shard
+  /// leaves it when serialization ends (docs/perf.md, "Where packets wait").
+  const PacketPool& packet_pool(unsigned shard) const { return *pools_.at(shard); }
+
+  /// Slot conservation: for each shard, |live pool slots - packets its links
+  /// hold (Link::held_packets)|, summed. Zero between events; anything else
+  /// is a slot leaked or freed twice. Costs one pass over the links.
+  std::size_t unaccounted_packet_slots() const;
+
  private:
   /// A packet mid-flight between shards: everything the receiving shard
   /// needs to schedule the delivery as a keyed event.
@@ -152,6 +162,9 @@ class Network {
 
   sim::Rng rng_;
   std::vector<std::unique_ptr<sim::Simulator>> sims_;   ///< one per shard
+  /// One per shard. Declared before arenas_ so every pool outlives the
+  /// links and queues bound to it.
+  std::vector<std::unique_ptr<PacketPool>> pools_;
   std::vector<std::unique_ptr<sim::Arena>> arenas_;     ///< nodes+links, per shard
   std::vector<std::unique_ptr<Channel>> channels_;      ///< [from * S + to]
   std::vector<std::vector<Handoff>> drain_buf_;         ///< per-shard scratch

@@ -15,6 +15,7 @@
 #include "proto/mtp_header.hpp"
 #include "proto/tcp_header.hpp"
 #include "proto/types.hpp"
+#include "sim/slot_pool.hpp"
 #include "sim/time.hpp"
 
 namespace mtp::net {
@@ -46,8 +47,20 @@ struct Packet {
   Ecn ecn = Ecn::kNotEct;
   proto::TrafficClassId tc = 0;
   std::uint8_t priority = 0;
+
+  // --- Per-hop scratch space owned by the Link currently carrying the
+  // packet (with hop_enqueued_at below); reset on every send(). Not part of
+  // the wire format. The two flags sit in the padding after priority.
+  bool hop_was_ce = false;  ///< CE codepoint on arrival at the current hop
+
+  /// Ground truth for fault injection: corrupt() sets this. The simulation
+  /// does not materialize payload bytes, so this one bit stands in for the
+  /// flipped bits — it feeds the fingerprint (making verification fail) but
+  /// MUST NOT be consulted by any delivery path. Tests read it to prove that
+  /// checksum verification, not this flag, kept corrupted data out.
+  bool corrupted = false;
+
   std::uint64_t flow_hash = 0;  ///< 5-tuple-style hash for ECMP decisions
-  std::uint64_t uid = 0;        ///< unique per packet *transmission* (retransmits get fresh uids)
 
   /// Payload checksum, stamped by the first link the packet crosses (NIC
   /// checksum offload). 0 = not yet stamped. Receivers recompute and drop on
@@ -61,17 +74,7 @@ struct Packet {
   /// interface (bool test, ->, *, assignment from AppData).
   proto::Boxed<AppData> app;
 
-  // --- Per-hop scratch space owned by the Link currently carrying the
-  // packet; reset on every send(). Not part of the wire format.
-  sim::SimTime hop_enqueued_at;
-  bool hop_was_ce = false;  ///< CE codepoint on arrival at the current hop
-
-  /// Ground truth for fault injection: corrupt() sets this. The simulation
-  /// does not materialize payload bytes, so this one bit stands in for the
-  /// flipped bits — it feeds the fingerprint (making verification fail) but
-  /// MUST NOT be consulted by any delivery path. Tests read it to prove that
-  /// checksum verification, not this flag, kept corrupted data out.
-  bool corrupted = false;
+  sim::SimTime hop_enqueued_at;  ///< per-hop scratch: when this link queued it
 
   std::uint32_t size_bytes() const { return payload_bytes + header_bytes; }
 
@@ -85,10 +88,6 @@ struct Packet {
   const proto::UdpHeader& udp() const { return std::get<proto::UdpHeader>(header); }
   proto::MtpHeader& mtp() { return std::get<proto::MtpHeader>(header); }
   const proto::MtpHeader& mtp() const { return std::get<proto::MtpHeader>(header); }
-
-  // Transmission uids come from Simulator::next_packet_uid(): per-simulator
-  // state keeps them deterministic per run and race-free under
-  // sim::ParallelSweep (a process-wide counter was neither).
 
   // --- Payload checksum (fault model, docs/faults.md).
   //
@@ -148,5 +147,14 @@ struct Packet {
   /// verifying receiver sees a mismatch.
   void corrupt() { corrupted = true; }
 };
+
+/// Where packets wait inside the net layer (docs/perf.md, "Where packets
+/// wait"): queues and links hold 4-byte handles into a PacketPool, and the
+/// packet itself stays in its pool slot from Link::send until delivery.
+/// Network owns one pool per shard; a pool must outlive every link and
+/// queue bound to it.
+using PacketPool = sim::SlotPool<Packet>;
+using PacketHandle = std::uint32_t;
+inline constexpr PacketHandle kNoPacket = PacketPool::kNone;
 
 }  // namespace mtp::net

@@ -1,8 +1,22 @@
 #include "net/queue.hpp"
 
+#include <stdexcept>
+
 #include "telemetry/metrics.hpp"
 
 namespace mtp::net {
+
+void Queue::bind_pool(PacketPool& pool) {
+  if (!empty()) throw std::logic_error("Queue::bind_pool: queue holds packets");
+  pool_ = &pool;
+  own_pool_.reset();
+}
+
+PacketPool& Queue::make_private_pool() {
+  own_pool_ = std::make_unique<PacketPool>();
+  pool_ = own_pool_.get();
+  return *pool_;
+}
 
 void Queue::append_metrics(std::vector<telemetry::MetricSample>& out) const {
   using telemetry::MetricKind;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -38,23 +39,32 @@ struct QueueStats {
 
 /// Abstract egress queue. enqueue() may mutate the packet (ECN marking,
 /// trimming) and returns false if the packet was dropped entirely.
+///
+/// An accepted packet moves into a slot of the queue's PacketPool and the
+/// queue keeps only its 4-byte handle (docs/perf.md, "Where packets wait").
+/// A Link binds its queue to the link's pool; a queue used on its own makes
+/// a private pool on first use.
 class Queue {
  public:
   virtual ~Queue() = default;
 
   virtual bool enqueue(Packet&& pkt) = 0;
-  virtual std::optional<Packet> dequeue() = 0;
 
-  /// Move the next packet into `out` (one move-assign, no temporaries);
-  /// returns false if the queue is empty. The Link's serializer drains
-  /// through this so the hot path skips the optional<Packet> round trip.
-  /// Subclasses with a flat FIFO should override; the default delegates.
-  virtual bool dequeue_into(Packet& out) {
-    std::optional<Packet> p = dequeue();
-    if (!p) return false;
-    out = std::move(*p);
-    return true;
+  /// Unlink the next packet and return its pool handle, or kNoPacket if the
+  /// queue is empty. The packet stays in its slot; the caller now owns the
+  /// handle and must release it. The Link's serializer drains through this,
+  /// so a packet is not moved between enqueue and delivery.
+  virtual PacketHandle dequeue_handle() = 0;
+
+  /// Unlink the next packet and move it out of the pool.
+  std::optional<Packet> dequeue() {
+    const PacketHandle h = dequeue_handle();
+    if (h == kNoPacket) return std::nullopt;
+    return pool_->take(h);
   }
+
+  /// Keep packets in `pool` from now on. Only an empty queue may be bound.
+  void bind_pool(PacketPool& pool);
 
   virtual std::size_t len_pkts() const = 0;
   virtual std::int64_t len_bytes() const = 0;
@@ -94,7 +104,26 @@ class Queue {
     stats_.bytes_dropped += pkt.size_bytes();
   }
 
+  /// Move an accepted packet into the pool; the subclass keeps the handle.
+  PacketHandle store(Packet&& pkt) {
+    return (pool_ != nullptr ? *pool_ : make_private_pool()).put(std::move(pkt));
+  }
+  /// A stored packet. Valid for any handle the subclass holds.
+  const Packet& stored(PacketHandle h) const { return (*pool_)[h]; }
+  /// Discard every held packet. Subclass destructors call this so a shared
+  /// pool gets their slots back.
+  void discard_all() {
+    while (dequeue()) {
+    }
+  }
+
   QueueStats stats_;
+
+ private:
+  PacketPool& make_private_pool();
+
+  PacketPool* pool_ = nullptr;
+  std::unique_ptr<PacketPool> own_pool_;  ///< set only for an unbound queue
 };
 
 /// FIFO tail-drop queue with instantaneous-queue-length ECN marking.
@@ -110,6 +139,8 @@ class DropTailQueue : public Queue {
   explicit DropTailQueue(Config cfg) : cfg_(cfg) {}
   DropTailQueue() : DropTailQueue(Config{}) {}
 
+  ~DropTailQueue() override { discard_all(); }
+
   bool enqueue(Packet&& pkt) override {
     if (q_.size() >= cfg_.capacity_pkts) {
       note_tail_drop(pkt);
@@ -121,28 +152,17 @@ class DropTailQueue : public Queue {
       ++stats_.ecn_marked;
     }
     bytes_ += pkt.size_bytes();
-    q_.push_back(std::move(pkt));
+    q_.push_back(store(std::move(pkt)));
     ++stats_.enqueued;
     return true;
   }
 
-  std::optional<Packet> dequeue() override {
-    if (q_.empty()) return std::nullopt;
-    // Default-construct the optional's Packet and move-assign into it: one
-    // move instead of two (ring cell -> local -> optional).
-    std::optional<Packet> out(std::in_place);
-    q_.pop_front_into(*out);
-    bytes_ -= out->size_bytes();
+  PacketHandle dequeue_handle() override {
+    if (q_.empty()) return kNoPacket;
+    const PacketHandle h = q_.pop_front();
+    bytes_ -= stored(h).size_bytes();
     ++stats_.dequeued;
-    return out;
-  }
-
-  bool dequeue_into(Packet& out) override {
-    if (q_.empty()) return false;
-    q_.pop_front_into(out);
-    bytes_ -= out.size_bytes();
-    ++stats_.dequeued;
-    return true;
+    return h;
   }
 
   std::size_t len_pkts() const override { return q_.size(); }
@@ -151,7 +171,7 @@ class DropTailQueue : public Queue {
 
  private:
   Config cfg_;
-  sim::RingBuffer<Packet> q_;
+  sim::RingBuffer<PacketHandle> q_;
   std::int64_t bytes_ = 0;
 };
 

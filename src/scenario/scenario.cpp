@@ -435,7 +435,6 @@ struct Scenario::PacedBulk {
     pkt.payload_bytes = payload;
     pkt.header_bytes = 28;  // UDP + IP, like transport::UdpSocket
     pkt.flow_hash = mix64((std::uint64_t{index} << 32) ^ 0xb01cb01cULL);
-    pkt.uid = sim->next_packet_uid();
     pkt.header = proto::UdpHeader{static_cast<proto::PortNum>(index), kBulkUdpPort,
                                   static_cast<std::uint16_t>(payload)};
     src->send(std::move(pkt));
@@ -673,14 +672,27 @@ std::size_t Scenario::replayed() const {
   return n;
 }
 
+namespace {
+void check_packet_slots(const net::Network& net) {
+  if (const std::size_t off = net.unaccounted_packet_slots(); off != 0) {
+    throw std::logic_error("Scenario::run: " + std::to_string(off) +
+                           " packet pool slots held by no queue or link");
+  }
+}
+}  // namespace
+
 std::uint64_t Scenario::run(sim::SimTime until) {
   start();
-  return net_->run(until);
+  const std::uint64_t executed = net_->run(until);
+  check_packet_slots(*net_);
+  return executed;
 }
 
 std::uint64_t Scenario::run() {
   start();
-  return net_->run();
+  const std::uint64_t executed = net_->run();
+  check_packet_slots(*net_);
+  return executed;
 }
 
 }  // namespace mtp::scenario

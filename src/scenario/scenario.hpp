@@ -219,7 +219,9 @@ class Scenario {
 
   /// First call starts the workload replay (and bulk sources), then runs
   /// the network — all shards, under sim::sharded when shards > 1; later
-  /// calls just continue. Returns events executed across shards.
+  /// calls just continue. Returns events executed across shards. Each call
+  /// ends by checking slot conservation (Network::unaccounted_packet_slots)
+  /// and throws std::logic_error if a packet slot leaked.
   std::uint64_t run(sim::SimTime until);
   std::uint64_t run();  ///< run to quiescence
 

@@ -10,7 +10,7 @@
 // its own arguments (topology, seed, duration) and touch no cross-thread
 // mutable state. The process-wide telemetry singletons are thread-local
 // (MetricRegistry::global(), telemetry::trace()) or internally synchronized
-// (sim::Log), and packet uids are per-Simulator, so an unmodified bench
+// (sim::Log), and packet pools are per-Network, so an unmodified bench
 // scenario already satisfies the contract. Jobs that enable tracing or
 // tune thread-local telemetry must do so *inside* the job body: worker
 // threads do not inherit the caller's thread-local state.

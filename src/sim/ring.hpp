@@ -1,11 +1,11 @@
 // sim::RingBuffer — a growable circular FIFO.
 //
 // std::deque<T> allocates a fresh 512-byte chunk (libstdc++) every
-// 512 / sizeof(T) elements — for 144-byte Packets that is a malloc/free
-// every three enqueues, which the allocation-free hot path (docs/perf.md)
-// cannot afford. RingBuffer keeps elements in one contiguous power-of-two
-// array, doubling (and re-linearizing) only when full, so steady-state
-// push/pop never touches the heap.
+// 512 / sizeof(T) elements, a malloc/free every few hundred pushes even for
+// the 4-byte packet handles queues hold, which the allocation-free hot path
+// (docs/perf.md) cannot afford. RingBuffer keeps elements in one contiguous
+// power-of-two array, doubling (and re-linearizing) only when full, so
+// steady-state push/pop never touches the heap.
 #pragma once
 
 #include <cassert>
@@ -34,16 +34,6 @@ class RingBuffer {
     ++count_;
   }
 
-  /// Claim the next back cell and return it for in-place assignment. The
-  /// cell holds a default-constructed (or previously moved-from) T; callers
-  /// assign its fields directly, skipping the temporary that push_back of a
-  /// freshly built aggregate would move twice.
-  T& push_empty() {
-    if (count_ == buf_.size()) grow();
-    ++count_;
-    return back();
-  }
-
   T& front() {
     assert(count_ > 0);
     return buf_[head_];
@@ -51,10 +41,6 @@ class RingBuffer {
   const T& front() const {
     assert(count_ > 0);
     return buf_[head_];
-  }
-  T& back() {
-    assert(count_ > 0);
-    return buf_[(head_ + count_ - 1) & (buf_.size() - 1)];
   }
 
   T pop_front() {
@@ -65,39 +51,10 @@ class RingBuffer {
     return v;
   }
 
-  /// Move the front element into `out` (one move-assign, no temporary).
-  void pop_front_into(T& out) {
-    assert(count_ > 0);
-    out = std::move(buf_[head_]);
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --count_;
-  }
-
-  /// Advance past the front element without moving it out. For use after the
-  /// caller consumed it via front() — anything it still owns stays in the
-  /// cell until that cell is overwritten, so move out what matters first.
-  void drop_front() {
-    assert(count_ > 0);
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --count_;
-  }
-
-  /// Un-claim the cell most recently claimed with push_empty() (same caveat
-  /// as drop_front: the cell's contents stay until overwritten).
-  void drop_back() {
-    assert(count_ > 0);
-    --count_;
-  }
-
   /// FIFO-order element access: (*this)[0] is the front.
   T& operator[](std::size_t i) {
     assert(i < count_);
     return buf_[(head_ + i) & (buf_.size() - 1)];
-  }
-
-  void clear() {
-    // Drop payloads eagerly; keep the storage for reuse.
-    while (count_ > 0) (void)pop_front();
   }
 
  private:

@@ -6,9 +6,8 @@
 
 namespace mtp::sim {
 
-Simulator::Simulator(std::size_t reserve_events) {
+Simulator::Simulator(std::size_t reserve_events) : slots_(reserve_events) {
   heap_.reserve(reserve_events);
-  free_slots_.reserve(reserve_events);
 }
 
 Simulator::~Simulator() = default;
@@ -59,7 +58,7 @@ void Simulator::pop_top() {
 SimTime Simulator::next_event_time() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    if (!slot(top.slot).cancelled) return top.when;
+    if (!slots_[top.slot].cancelled) return top.when;
     pop_top();
     release_slot(top.slot);
   }
@@ -70,7 +69,7 @@ std::uint64_t Simulator::run(SimTime until) {
   std::uint64_t executed_this_run = 0;
   while (!heap_.empty()) {
     const HeapEntry top = heap_[0];
-    Slot& s = slot(top.slot);
+    Slot& s = slots_[top.slot];
     if (s.cancelled) {
       pop_top();
       release_slot(top.slot);

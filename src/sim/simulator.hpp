@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/slot_pool.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -69,7 +70,7 @@ class Simulator {
 
   /// `reserve_events` pre-sizes the heap and the free list so steady-state
   /// scheduling never reallocates (both still grow if exceeded). Slot pages
-  /// are deliberately NOT pre-allocated: a page is ~90KB of Task storage,
+  /// are deliberately NOT pre-allocated: a page is ~56KB of Task storage,
   /// and short-lived simulators (tests, per-scenario sweeps) would pay for
   /// pages they never touch — demand allocation in acquire_slot() reaches
   /// the same steady state after the first few hundred events.
@@ -121,8 +122,8 @@ class Simulator {
   /// must match the slot's current generation, and every execution or
   /// cancellation bumps it. No per-cancel memory is retained.
   void cancel(EventId id) {
-    if (id.slot_ >= slot_count_) return;  // null or from another simulator
-    Slot& s = slot(id.slot_);
+    if (id.slot_ >= slots_.size()) return;  // null or from another simulator
+    Slot& s = slots_[id.slot_];
     if (s.gen != id.gen_) return;
     // Flag only: the task object stays put until its heap entry pops (it may
     // be the one currently executing — cancelling yourself is legal).
@@ -139,20 +140,10 @@ class Simulator {
   /// Events still in the queue (including cancelled ones not yet popped).
   std::size_t pending_events() const { return heap_.size(); }
 
-  /// Fresh packet-transmission uid. Per-simulator (not a process global) so
-  /// concurrent sweeps are race-free and every run sees the same uid
-  /// sequence regardless of what ran before it.
-  std::uint64_t next_packet_uid() { return ++next_packet_uid_; }
-
   /// Fresh link uid for keyed delivery ordering (net/link.hpp). Deterministic
   /// in construction order; net::Network overrides per-link with a
   /// topology-global counter so uids agree across shard counts.
   std::uint64_t next_link_uid() { return ++next_link_uid_; }
-
-  /// Re-base the packet uid counter (next uid handed out is base + 1).
-  /// The sharded engine gives shard i base i << 48 so uids stay unique
-  /// across shards without any cross-thread coordination.
-  void seed_packet_uids(std::uint64_t base) { next_packet_uid_ = base; }
 
   /// Timestamp of the earliest pending (non-cancelled) event, or
   /// SimTime::max() if the queue is empty. Prunes cancelled heap tops as a
@@ -188,39 +179,29 @@ class Simulator {
     bool cancelled = false;
   };
 
-  // Slots live in fixed-size pages so a Slot& stays valid while its task
-  // executes even if the callback schedules enough to grow the pool (a flat
-  // vector would reallocate under the running closure's feet). Stability is
-  // what lets run() invoke tasks in place: one move-construct at schedule()
-  // and one destroy after execution, nothing else touches the capture state.
-  static constexpr std::size_t kSlotsPerPage = 256;
-
-  Slot& slot(std::uint32_t i) { return pages_[i / kSlotsPerPage][i % kSlotsPerPage]; }
-
-  void add_page() { pages_.push_back(std::make_unique<Slot[]>(kSlotsPerPage)); }
-
+  // Slots live in a sim::SlotPool, whose pages never move, so a Slot& stays
+  // valid while its task executes even if the callback schedules enough to
+  // add a page (a flat vector would reallocate under the running closure's
+  // feet). Stability is what lets run() invoke tasks in place: one
+  // move-construct at schedule() and one destroy after execution, nothing
+  // else touches the capture state.
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
 
   std::uint32_t acquire_slot() {
-    if (free_slots_.empty()) {
-      if (slot_count_ == pages_.size() * kSlotsPerPage) add_page();
-      return static_cast<std::uint32_t>(slot_count_++);
-    }
-    const std::uint32_t idx = free_slots_.back();
-    free_slots_.pop_back();
-    slot(idx).cancelled = false;
+    const std::uint32_t idx = slots_.acquire();
+    slots_[idx].cancelled = false;
     return idx;
   }
 
   /// Bump the generation (invalidating outstanding EventIds) and recycle.
   void release_slot(std::uint32_t idx) {
-    Slot& s = slot(idx);
+    Slot& s = slots_[idx];
     s.task.reset();
     ++s.gen;
-    free_slots_.push_back(idx);
+    slots_.release(idx);
   }
 
   template <class F>
@@ -229,7 +210,7 @@ class Simulator {
       throw std::invalid_argument("Simulator::schedule_at: time in the past " + when.to_string());
     }
     const std::uint32_t idx = acquire_slot();
-    Slot& s = slot(idx);
+    Slot& s = slots_[idx];
     s.task.emplace(std::forward<F>(fn));
     heap_.push_back(HeapEntry{when, seq, idx});
     sift_up(heap_.size() - 1);
@@ -242,12 +223,9 @@ class Simulator {
 
   SimTime now_;
   std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (when, seq)
-  std::vector<std::unique_ptr<Slot[]>> pages_;
-  std::size_t slot_count_ = 0;  ///< slots handed out so far (all pages)
-  std::vector<std::uint32_t> free_slots_;
+  SlotPool<Slot> slots_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t next_packet_uid_ = 0;
   std::uint64_t next_link_uid_ = 0;
   std::unique_ptr<TimerWheel> timers_;  ///< lazy; see timers()
 };

@@ -19,11 +19,12 @@ namespace mtp::sim {
 
 class Task {
  public:
-  /// Inline capacity: sizeof(net::Packet) (144 as of this writing — the
-  /// variable-length header lists ride behind proto::Boxed pointers) plus a
-  /// captured `this`, a SimTime, and rounding slack. Keeping this tight
-  /// matters beyond the no-heap contract: every scheduler slot carries a
-  /// Task, so the inline buffer sets the slot stride the event heap walks.
+  /// Inline capacity: sizeof(net::Packet) (144 bytes, pinned by a
+  /// static_assert in link.cpp — the variable-length header lists ride
+  /// behind proto::Boxed pointers) plus a captured `this`, a SimTime, and
+  /// rounding slack. Keeping this tight matters beyond the no-heap
+  /// contract: every scheduler slot carries a Task, so the inline buffer
+  /// sets the slot stride the event heap walks.
   static constexpr std::size_t kInlineBytes = 184;
 
   /// True if a callable of type F runs from the inline buffer (no heap).

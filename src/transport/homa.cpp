@@ -87,7 +87,6 @@ void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
   p.tc = msg.opts.tc;
   p.priority = unscheduled ? cfg_.unscheduled_priority : msg.sched_prio;
   p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = msg.opts.src_port;
@@ -293,7 +292,6 @@ void HomaEndpoint::emit_ack(const net::Packet& data) {
   p.tc = data.tc;
   p.priority = data.priority;
   p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = dh.dst_port;
@@ -343,7 +341,6 @@ void HomaEndpoint::send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset
   p.tc = msg.tc;
   p.priority = prio;
   p.flow_hash = message_flow_hash(p.src, msg.dst_port, key.src, msg.src_port);
-  p.uid = sim_.next_packet_uid();
 
   proto::MtpHeader hdr;
   hdr.src_port = msg.dst_port;

@@ -107,7 +107,6 @@ void TcpStack::on_packet(net::Packet&& pkt) {
     ack.dst = pkt.src;
     ack.header_bytes = cfg_.header_bytes;
     ack.tc = cfg_.tc;
-    ack.uid = host_.simulator().next_packet_uid();
     proto::TcpHeader h;
     h.src_port = hdr.dst_port;
     h.dst_port = hdr.src_port;
@@ -245,7 +244,6 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len, bool retr
   pkt.ecn = cfg.uses_ecn() ? net::Ecn::kEct : net::Ecn::kNotEct;
   pkt.tc = cfg.tc;
   pkt.flow_hash = make_flow_hash(pkt.src, local_port_, peer_, peer_port_);
-  pkt.uid = simulator().next_packet_uid();
   proto::TcpHeader hdr;
   hdr.src_port = local_port_;
   hdr.dst_port = peer_port_;
@@ -283,7 +281,6 @@ void TcpConnection::send_control(std::uint8_t flags, std::uint64_t seq) {
   pkt.ecn = net::Ecn::kNotEct;  // control packets are not ECN-capable
   pkt.tc = cfg.tc;
   pkt.flow_hash = make_flow_hash(pkt.src, local_port_, peer_, peer_port_);
-  pkt.uid = simulator().next_packet_uid();
   proto::TcpHeader hdr;
   hdr.src_port = local_port_;
   hdr.dst_port = peer_port_;

@@ -37,7 +37,6 @@ class UdpSocket {
     pkt.tc = tc;
     pkt.flow_hash = (static_cast<std::uint64_t>(host_.id()) << 32) ^
                     (static_cast<std::uint64_t>(dst) << 16) ^ dst_port;
-    pkt.uid = host_.simulator().next_packet_uid();
     pkt.header = proto::UdpHeader{port_, dst_port, bytes};
     host_.send(std::move(pkt));
   }

@@ -5,6 +5,10 @@
 //   - payload integrity (no corrupted packet ever reaches an app or device),
 //   - every RPC completes or cleanly times out (callback exactly once),
 //   - the event queue drains (no leaked timers or runaway retransmission),
+//   - packet slots are conserved: at every slice boundary each shard's pool
+//     holds exactly the packets its queues and links hold, and nothing once
+//     the run quiesces (flaps discard queued packets, faults drop and
+//     corrupt them — every path must free its slot),
 //   - the fault timeline is bit-identical for a given seed, serial or under
 //     sim::ParallelSweep.
 #include <gtest/gtest.h>
@@ -46,7 +50,22 @@ struct ChaosResult {
   std::uint64_t checksum_drops = 0;
   std::uint64_t flaps = 0;
   std::size_t leaked_events = 0;
+  std::size_t unaccounted_slots = 0;  ///< summed over slice boundaries
+  std::size_t live_slots = 0;         ///< pool slots still live at quiescence
 };
+
+/// Runs `net` to 500 ms (a healthy run quiesces long before) in 50 us slices
+/// across the 4 ms fault window, checking slot conservation at each slice
+/// boundary and once more at the end.
+void run_checking_slots(net::Network& net, ChaosResult& res) {
+  for (SimTime t = 50_us; t < 4_ms; t += 50_us) {
+    net.run(t);
+    res.unaccounted_slots += net.unaccounted_packet_slots();
+  }
+  net.run(500_ms);
+  res.unaccounted_slots += net.unaccounted_packet_slots();
+  res.live_slots = mtp::testing::live_packets(net);
+}
 
 // One chaos run: 48 random messages over a 2x2 leaf-spine while two uplinks
 // flap at random and a third runs a Gilbert-Elliott impairment. Everything —
@@ -112,7 +131,7 @@ ChaosResult run_chaos(std::uint64_t seed) {
     });
   }
 
-  net.simulator().run(500_ms);  // generous bound: a healthy run quiesces long before
+  run_checking_slots(net, res);
   res.leaked_events = net.simulator().pending_events();
   res.fault_digest = inj.digest();
   res.flaps = inj.flaps_executed();
@@ -136,6 +155,8 @@ void check_invariants(const ChaosResult& r, std::uint64_t seed) {
       << "seed " << seed << ": corrupted payload reached the application";
   EXPECT_EQ(r.leaked_events, 0u) << "seed " << seed << ": event queue did not drain";
   EXPECT_GT(r.flaps, 0u) << "seed " << seed << ": fault schedule was a no-op";
+  EXPECT_EQ(r.unaccounted_slots, 0u) << "seed " << seed << ": packet slot leaked mid-run";
+  EXPECT_EQ(r.live_slots, 0u) << "seed " << seed << ": packet slot leaked at quiescence";
 }
 
 TEST(Chaos, TwentyFourSeededScheduleSatisfyAllInvariants) {
@@ -259,8 +280,8 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
         });
   }
 
-  net.run(500_ms);
   ChaosResult res;
+  run_checking_slots(net, res);
   res.fault_digest = inj.digest();
   res.flaps = inj.flaps_executed();
   for (const HostSlot& s : slot) {
@@ -296,6 +317,8 @@ TEST(ShardedChaos, SeededSchedulesSatisfyAllInvariantsOnShards) {
     EXPECT_EQ(r.corrupted_delivered, 0u) << "seed " << seed;
     EXPECT_EQ(r.leaked_events, 0u) << "seed " << seed << ": queues did not drain";
     EXPECT_GT(r.flaps, 0u) << "seed " << seed;
+    EXPECT_EQ(r.unaccounted_slots, 0u) << "seed " << seed << ": packet slot leaked mid-run";
+    EXPECT_EQ(r.live_slots, 0u) << "seed " << seed << ": packet slot leaked at quiescence";
   }
 }
 
@@ -312,6 +335,50 @@ TEST(ShardedChaos, DigestsBitIdenticalAcrossShardCounts) {
       EXPECT_EQ(r.flaps, one.flaps) << "seed " << seed << " x" << shards;
     }
   }
+}
+
+// Flaps that cut a standing queue: four MTP senders keep the dumbbell's
+// bottleneck queue deep while it flaps at random and corrupts in bursts, so
+// down transitions discard queued packets. Each discard must free its
+// pool slot — checked at every slice boundary and at quiescence — and every
+// message must still arrive exactly once.
+TEST(Chaos, FlapsThatDiscardQueuedPacketsFreeTheirSlots) {
+  std::uint64_t discarded_on_flaps = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    mtp::testing::Dumbbell d(4, Bandwidth::gbps(10), 2_us);
+    std::vector<std::unique_ptr<MtpEndpoint>> eps;
+    for (net::Host* h : d.senders) {
+      eps.push_back(std::make_unique<MtpEndpoint>(*h, core::MtpConfig{}));
+    }
+    MtpEndpoint rcv(*d.receiver, {});
+    std::set<std::pair<net::NodeId, proto::MsgId>> seen;
+    int deliveries = 0;
+    rcv.listen(80, [&](const ReceivedMessage& m) {
+      ++deliveries;
+      seen.emplace(m.src, m.msg_id);
+    });
+    for (auto& ep : eps) {
+      for (int m = 0; m < 3; ++m) ep->send_message(d.receiver->id(), 200'000, {.dst_port = 80});
+    }
+    FaultInjector inj(d.sim(), seed);
+    inj.random_flaps(*d.bottleneck, 50_us, 3_ms, /*mean_up=*/250_us, /*mean_down=*/80_us);
+    inj.impair_link(*d.bottleneck, {.p_good_to_bad = 0.01,
+                                    .p_bad_to_good = 0.1,
+                                    .bad_loss = 0.1,
+                                    .bad_corrupt = 0.1});
+    ChaosResult res;
+    run_checking_slots(d.net, res);
+    EXPECT_EQ(deliveries, 12) << "seed " << seed;
+    EXPECT_EQ(seen.size(), 12u) << "seed " << seed;
+    EXPECT_EQ(rcv.corrupted_delivered(), 0u) << "seed " << seed;
+    EXPECT_EQ(d.sim().pending_events(), 0u) << "seed " << seed;
+    EXPECT_EQ(res.unaccounted_slots, 0u) << "seed " << seed << ": packet slot leaked mid-run";
+    EXPECT_EQ(res.live_slots, 0u) << "seed " << seed << ": packet slot leaked at quiescence";
+    // Dequeued but never transmitted: discarded by a flap.
+    const net::Link& l = *d.bottleneck;
+    discarded_on_flaps += l.queue().stats().dequeued - l.stats().pkts_delivered;
+  }
+  EXPECT_GT(discarded_on_flaps, 0u) << "no flap ever cut a standing queue";
 }
 
 // Devices + RPC under chaos: a KVS cache that crashes (twice) and a flapping
@@ -367,6 +434,8 @@ TEST(Chaos, DevicesAndRpcSurviveCrashesAndFlaps) {
     EXPECT_EQ(client_ep.corrupted_delivered(), 0u);
     EXPECT_EQ(server_ep.corrupted_delivered(), 0u);
     EXPECT_EQ(t.sim().pending_events(), 0u) << "seed " << seed;
+    EXPECT_EQ(t.net.unaccounted_packet_slots(), 0u) << "seed " << seed;
+    EXPECT_EQ(mtp::testing::live_packets(t.net), 0u) << "seed " << seed;
     EXPECT_TRUE(cache->online());
   }
 }

@@ -13,14 +13,6 @@
 namespace mtp::innetwork {
 namespace {
 
-// Packet uids are per-Simulator; helpers that fabricate packets outside a
-// simulation keep uniqueness with a file-local counter.
-std::uint64_t next_test_uid() {
-  static std::uint64_t counter = 0;
-  return ++counter;
-}
-
-
 using namespace mtp::sim::literals;
 using core::MtpEndpoint;
 using core::ReceivedMessage;
@@ -35,7 +27,6 @@ net::Packet data_pkt(net::NodeId src, net::NodeId dst, proto::MsgId msg,
   p.dst = dst;
   p.payload_bytes = len;
   p.header_bytes = 64;
-  p.uid = next_test_uid();
   proto::MtpHeader h;
   h.msg_id = msg;
   h.pkt_num = pkt;

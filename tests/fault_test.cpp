@@ -35,7 +35,6 @@ net::Packet mtp_data_pkt(std::uint32_t pkt_num = 0, std::uint32_t total = 4) {
   p.dst = 2;
   p.payload_bytes = 1000;
   p.header_bytes = 64;
-  p.uid = 7;
   proto::MtpHeader h;
   h.msg_id = 42;
   h.pkt_num = pkt_num;
@@ -488,7 +487,6 @@ TEST(L7Lb, EjectedReplicaReceivesNoNewRequests) {
     p.src = 1;
     p.dst = 50;
     p.payload_bytes = 1000;
-    p.uid = id;
     proto::MtpHeader h;
     h.msg_id = id;
     h.msg_len_pkts = 1;

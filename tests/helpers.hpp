@@ -10,6 +10,14 @@ namespace mtp::testing {
 
 using namespace mtp::sim::literals;
 
+/// Packets waiting in any of the network's per-shard pools. Zero once a run
+/// has quiesced: every packet was delivered, consumed or dropped.
+inline std::size_t live_packets(const net::Network& net) {
+  std::size_t n = 0;
+  for (unsigned s = 0; s < net.shards(); ++s) n += net.packet_pool(s).live();
+  return n;
+}
+
 /// host a -- switch -- host b, symmetric links.
 struct HostPair {
   net::Network net;

@@ -3,6 +3,8 @@
 // bulk/blob layer that rides on them.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "helpers.hpp"
 #include "innetwork/device_endpoint.hpp"
 #include "innetwork/fair_policer.hpp"
@@ -17,14 +19,6 @@
 
 namespace mtp::innetwork {
 namespace {
-
-// Packet uids are per-Simulator; helpers that fabricate packets outside a
-// simulation keep uniqueness with a file-local counter.
-std::uint64_t next_test_uid() {
-  static std::uint64_t counter = 0;
-  return ++counter;
-}
-
 
 using namespace mtp::sim::literals;
 using core::MtpEndpoint;
@@ -41,7 +35,6 @@ net::Packet mtp_data(net::NodeId src, net::NodeId dst, proto::MsgId msg,
   p.payload_bytes = len;
   p.header_bytes = 64;
   p.tc = tc;
-  p.uid = next_test_uid();
   proto::MtpHeader h;
   h.msg_id = msg;
   h.pkt_num = pkt;
@@ -54,9 +47,13 @@ net::Packet mtp_data(net::NodeId src, net::NodeId dst, proto::MsgId msg,
 }
 
 // ------------------------------------------------------------------ queues
+//
+// Each case runs twice: on a standalone queue (private pool) and bound to a
+// pool that other packets already occupy (the shared-pool tests below).
 
-TEST(WfqQueue, EqualServiceForUnequalArrivals) {
+void wfq_equal_service(net::PacketPool* shared) {
   WfqQueue q({.per_tc_capacity_pkts = 1000, .quantum_bytes = 1500});
+  if (shared != nullptr) q.bind_pool(*shared);
   // TC1 floods 8x more than TC2.
   for (int i = 0; i < 800; ++i) q.enqueue(mtp_data(1, 9, i, 0, 1, 1000, 1));
   for (int i = 0; i < 100; ++i) q.enqueue(mtp_data(2, 9, 1000 + i, 0, 1, 1000, 2));
@@ -70,8 +67,9 @@ TEST(WfqQueue, EqualServiceForUnequalArrivals) {
   EXPECT_NEAR(tc1, tc2, 4);
 }
 
-TEST(WfqQueue, PerTcIsolationOnDrops) {
+void wfq_per_tc_isolation(net::PacketPool* shared) {
   WfqQueue q({.per_tc_capacity_pkts = 4});
+  if (shared != nullptr) q.bind_pool(*shared);
   for (int i = 0; i < 10; ++i) q.enqueue(mtp_data(1, 9, i, 0, 1, 1000, 1));
   EXPECT_TRUE(q.enqueue(mtp_data(2, 9, 99, 0, 1, 1000, 2)));  // TC2 unaffected
   EXPECT_EQ(q.stats().dropped, 6u);
@@ -79,8 +77,9 @@ TEST(WfqQueue, PerTcIsolationOnDrops) {
   EXPECT_EQ(q.tc_len_pkts(2), 1u);
 }
 
-TEST(WfqQueue, DrainsCompletely) {
+void wfq_drains_completely(net::PacketPool* shared) {
   WfqQueue q({});
+  if (shared != nullptr) q.bind_pool(*shared);
   for (int i = 0; i < 5; ++i) q.enqueue(mtp_data(1, 9, i, 0, 1, 500, i % 3));
   int n = 0;
   while (q.dequeue().has_value()) ++n;
@@ -89,8 +88,9 @@ TEST(WfqQueue, DrainsCompletely) {
   EXPECT_EQ(q.len_bytes(), 0);
 }
 
-TEST(TrimmingQueue, TrimsMtpDataInsteadOfDropping) {
+void trims_mtp_data(net::PacketPool* shared) {
   TrimmingQueue q({.capacity_pkts = 2});
+  if (shared != nullptr) q.bind_pool(*shared);
   q.enqueue(mtp_data(1, 9, 1, 0, 1, 1000));
   q.enqueue(mtp_data(1, 9, 2, 0, 1, 1000));
   q.enqueue(mtp_data(1, 9, 3, 0, 1, 1000));  // over capacity: trimmed
@@ -104,8 +104,9 @@ TEST(TrimmingQueue, TrimsMtpDataInsteadOfDropping) {
   EXPECT_EQ(first->mtp().pkt_len, 1000u);  // header still says what was lost
 }
 
-TEST(TrimmingQueue, NonMtpOverflowStillDrops) {
+void non_mtp_overflow_drops(net::PacketPool* shared) {
   TrimmingQueue q({.capacity_pkts = 1});
+  if (shared != nullptr) q.bind_pool(*shared);
   net::Packet p1;
   p1.payload_bytes = 500;
   net::Packet p2;
@@ -113,6 +114,38 @@ TEST(TrimmingQueue, NonMtpOverflowStillDrops) {
   EXPECT_TRUE(q.enqueue(std::move(p1)));
   EXPECT_FALSE(q.enqueue(std::move(p2)));
   EXPECT_EQ(q.stats().dropped, 1u);
+}
+
+TEST(WfqQueue, EqualServiceForUnequalArrivals) { wfq_equal_service(nullptr); }
+TEST(WfqQueue, PerTcIsolationOnDrops) { wfq_per_tc_isolation(nullptr); }
+TEST(WfqQueue, DrainsCompletely) { wfq_drains_completely(nullptr); }
+TEST(TrimmingQueue, TrimsMtpDataInsteadOfDropping) { trims_mtp_data(nullptr); }
+TEST(TrimmingQueue, NonMtpOverflowStillDrops) { non_mtp_overflow_drops(nullptr); }
+
+/// Runs `cases` on queues bound to one pool that three packets of another
+/// queue already occupy; each queue must hand its slots back when destroyed
+/// and leave the resident packets untouched.
+void run_on_shared_pool(std::initializer_list<void (*)(net::PacketPool*)> cases) {
+  net::PacketPool pool;
+  net::DropTailQueue resident;
+  resident.bind_pool(pool);
+  for (int i = 1; i <= 3; ++i) resident.enqueue(mtp_data(7, 9, 7000 + i, 0, 1, 100));
+  for (auto* run : cases) {
+    run(&pool);
+    EXPECT_EQ(pool.live(), 3u);
+  }
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(resident.dequeue()->mtp().msg_id, static_cast<proto::MsgId>(7000 + i));
+  }
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(WfqQueue, CasesPassBoundToASharedPool) {
+  run_on_shared_pool({wfq_equal_service, wfq_per_tc_isolation, wfq_drains_completely});
+}
+
+TEST(TrimmingQueue, CasesPassBoundToASharedPool) {
+  run_on_shared_pool({trims_mtp_data, non_mtp_overflow_drops});
 }
 
 // -------------------------------------------------------------- tcp proxy

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/forwarding.hpp"
@@ -13,14 +15,6 @@
 
 namespace mtp::net {
 namespace {
-
-// Packet uids are per-Simulator; helpers that fabricate packets outside a
-// simulation keep uniqueness with a file-local counter.
-std::uint64_t next_test_uid() {
-  static std::uint64_t counter = 0;
-  return ++counter;
-}
-
 
 using namespace mtp::sim::literals;
 using sim::Bandwidth;
@@ -32,7 +26,6 @@ Packet make_pkt(NodeId src, NodeId dst, std::uint32_t bytes, Ecn ecn = Ecn::kNot
   p.dst = dst;
   p.payload_bytes = bytes;
   p.ecn = ecn;
-  p.uid = next_test_uid();
   return p;
 }
 
@@ -49,9 +42,13 @@ class SinkNode : public Node {
 };
 
 // ----------------------------------------------------------------- queues
+//
+// Each case runs twice: on a standalone queue (private pool) and bound to a
+// pool that other packets already occupy (the shared-pool test below).
 
-TEST(DropTailQueue, FifoOrder) {
+void fifo_order(PacketPool* shared) {
   DropTailQueue q({.capacity_pkts = 4});
+  if (shared != nullptr) q.bind_pool(*shared);
   for (std::uint32_t i = 1; i <= 3; ++i) q.enqueue(make_pkt(0, 1, i * 100));
   EXPECT_EQ(q.len_pkts(), 3u);
   EXPECT_EQ(q.dequeue()->payload_bytes, 100u);
@@ -60,8 +57,9 @@ TEST(DropTailQueue, FifoOrder) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(DropTailQueue, DropsWhenFull) {
+void drops_when_full(PacketPool* shared) {
   DropTailQueue q({.capacity_pkts = 2});
+  if (shared != nullptr) q.bind_pool(*shared);
   EXPECT_TRUE(q.enqueue(make_pkt(0, 1, 100)));
   EXPECT_TRUE(q.enqueue(make_pkt(0, 1, 100)));
   EXPECT_FALSE(q.enqueue(make_pkt(0, 1, 100)));
@@ -69,8 +67,9 @@ TEST(DropTailQueue, DropsWhenFull) {
   EXPECT_EQ(q.stats().bytes_dropped, 100u);
 }
 
-TEST(DropTailQueue, TracksByteOccupancy) {
+void tracks_byte_occupancy(PacketPool* shared) {
   DropTailQueue q({.capacity_pkts = 10});
+  if (shared != nullptr) q.bind_pool(*shared);
   q.enqueue(make_pkt(0, 1, 500));
   q.enqueue(make_pkt(0, 1, 300));
   EXPECT_EQ(q.len_bytes(), 800);
@@ -78,8 +77,9 @@ TEST(DropTailQueue, TracksByteOccupancy) {
   EXPECT_EQ(q.len_bytes(), 300);
 }
 
-TEST(DropTailQueue, EcnMarksAboveThreshold) {
+void ecn_marks_above_threshold(PacketPool* shared) {
   DropTailQueue q({.capacity_pkts = 10, .ecn_threshold_pkts = 2});
+  if (shared != nullptr) q.bind_pool(*shared);
   q.enqueue(make_pkt(0, 1, 100, Ecn::kEct));
   q.enqueue(make_pkt(0, 1, 100, Ecn::kEct));
   q.enqueue(make_pkt(0, 1, 100, Ecn::kEct));  // queue len 2 at enqueue: marked
@@ -89,14 +89,41 @@ TEST(DropTailQueue, EcnMarksAboveThreshold) {
   EXPECT_EQ(q.stats().ecn_marked, 1u);
 }
 
-TEST(DropTailQueue, NeverMarksNonEctPackets) {
-  DropTailQueue q({.capacity_pkts = 10, .ecn_threshold_pkts = 0});
-  DropTailQueue q2({.capacity_pkts = 10, .ecn_threshold_pkts = 1});
-  q2.enqueue(make_pkt(0, 1, 100, Ecn::kNotEct));
-  q2.enqueue(make_pkt(0, 1, 100, Ecn::kNotEct));
-  EXPECT_EQ(q2.dequeue()->ecn, Ecn::kNotEct);
-  EXPECT_EQ(q2.dequeue()->ecn, Ecn::kNotEct);
-  (void)q;
+void never_marks_non_ect(PacketPool* shared) {
+  DropTailQueue q({.capacity_pkts = 10, .ecn_threshold_pkts = 1});
+  if (shared != nullptr) q.bind_pool(*shared);
+  q.enqueue(make_pkt(0, 1, 100, Ecn::kNotEct));
+  q.enqueue(make_pkt(0, 1, 100, Ecn::kNotEct));
+  EXPECT_EQ(q.dequeue()->ecn, Ecn::kNotEct);
+  EXPECT_EQ(q.dequeue()->ecn, Ecn::kNotEct);
+}
+
+TEST(DropTailQueue, FifoOrder) { fifo_order(nullptr); }
+TEST(DropTailQueue, DropsWhenFull) { drops_when_full(nullptr); }
+TEST(DropTailQueue, TracksByteOccupancy) { tracks_byte_occupancy(nullptr); }
+TEST(DropTailQueue, EcnMarksAboveThreshold) { ecn_marks_above_threshold(nullptr); }
+TEST(DropTailQueue, NeverMarksNonEctPackets) { never_marks_non_ect(nullptr); }
+
+TEST(DropTailQueue, CasesPassBoundToASharedPool) {
+  PacketPool pool;
+  DropTailQueue resident;
+  resident.bind_pool(pool);
+  for (std::uint32_t i = 1; i <= 3; ++i) resident.enqueue(make_pkt(0, 1, 7000 + i));
+  for (auto* run : {fifo_order, drops_when_full, tracks_byte_occupancy,
+                    ecn_marks_above_threshold, never_marks_non_ect}) {
+    run(&pool);
+    // A destroyed queue returns the slots it still held.
+    EXPECT_EQ(pool.live(), 3u);
+  }
+  for (std::uint32_t i = 1; i <= 3; ++i) EXPECT_EQ(resident.dequeue()->payload_bytes, 7000 + i);
+  EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(DropTailQueue, BindingANonEmptyQueueThrows) {
+  DropTailQueue q;
+  q.enqueue(make_pkt(0, 1, 100));
+  PacketPool pool;
+  EXPECT_THROW(q.bind_pool(pool), std::logic_error);
 }
 
 // ------------------------------------------------------------------ links
@@ -149,10 +176,9 @@ TEST(Link, ChainsDeliveriesWithOneHeapEntryPerLink) {
   SinkNode sink(sim, 1, "sink");
   Link link(sim, "l", Bandwidth::gbps(100), 50_us, std::make_unique<DropTailQueue>());
   link.connect_to(sink, 0);
-  std::vector<std::uint64_t> sent;
   for (int i = 0; i < kPackets; ++i) {
     Packet p = make_pkt(0, 1, 1250);  // 100ns each at 100G
-    sent.push_back(p.uid);
+    p.flow_hash = static_cast<std::uint64_t>(i);  // identifies the packet
     link.send(std::move(p));
   }
   std::size_t max_pending = 0;
@@ -164,7 +190,7 @@ TEST(Link, ChainsDeliveriesWithOneHeapEntryPerLink) {
   EXPECT_LE(max_pending, 2u);
   ASSERT_EQ(sink.pkts.size(), static_cast<std::size_t>(kPackets));
   for (int i = 0; i < kPackets; ++i) {
-    EXPECT_EQ(sink.pkts[i].uid, sent[i]) << "packet " << i;
+    EXPECT_EQ(sink.pkts[i].flow_hash, static_cast<std::uint64_t>(i)) << "packet " << i;
     EXPECT_EQ(sink.arrival_times[i], SimTime::nanoseconds(100 * (i + 1)) + 50_us)
         << "packet " << i;
   }
@@ -198,6 +224,74 @@ TEST(Link, EqualTimeDeliveriesRunInLinkUidOrder) {
           << "a_low_uid=" << a_low_uid << " b_sends_first=" << b_sends_first;
     }
   }
+}
+
+// Two links on one pool, fed interleaved sends (one overflowing its queue),
+// deliver exactly what they deliver on private pools: the same packets in the
+// same order at the same times. At every slice boundary the pool holds
+// exactly the packets the two links hold.
+TEST(Link, TwoLinksSharingAPoolDoNotCrossTalk) {
+  using Arrivals = std::vector<std::pair<std::uint64_t, SimTime>>;
+  auto run = [](bool shared) {
+    sim::Simulator sim;
+    PacketPool pool;
+    PacketPool* bind = shared ? &pool : nullptr;
+    SinkNode sink_a(sim, 1, "sink_a");
+    SinkNode sink_b(sim, 2, "sink_b");
+    Link a(sim, "a", Bandwidth::gbps(10), 2_us,
+           std::make_unique<DropTailQueue>(DropTailQueue::Config{.capacity_pkts = 8}), bind);
+    Link b(sim, "b", Bandwidth::gbps(25), 3_us, std::make_unique<DropTailQueue>(), bind);
+    a.connect_to(sink_a, 0);
+    b.connect_to(sink_b, 0);
+    for (int i = 0; i < 40; ++i) {
+      sim.schedule_at(SimTime::nanoseconds(150 * i), [&a, &b, i] {
+        Packet pa = make_pkt(0, 1, 500 + 10 * static_cast<std::uint32_t>(i));
+        pa.flow_hash = 1000 + static_cast<std::uint64_t>(i);
+        a.send(std::move(pa));
+        Packet pb = make_pkt(0, 2, 900);
+        pb.flow_hash = 2000 + static_cast<std::uint64_t>(i);
+        b.send(std::move(pb));
+      });
+    }
+    for (SimTime t = 500_ns; t < 30_us; t += 500_ns) {
+      sim.run(t);
+      if (shared) {
+        EXPECT_EQ(pool.live(), a.held_packets() + b.held_packets()) << t.to_string();
+      }
+    }
+    sim.run();
+    EXPECT_GT(a.queue().stats().dropped, 0u);  // the 8-packet queue overflowed
+    EXPECT_EQ(pool.live(), 0u);
+    Arrivals got_a, got_b;
+    for (std::size_t i = 0; i < sink_a.pkts.size(); ++i) {
+      got_a.emplace_back(sink_a.pkts[i].flow_hash, sink_a.arrival_times[i]);
+    }
+    for (std::size_t i = 0; i < sink_b.pkts.size(); ++i) {
+      got_b.emplace_back(sink_b.pkts[i].flow_hash, sink_b.arrival_times[i]);
+    }
+    return std::make_pair(got_a, got_b);
+  };
+  const auto own = run(false);
+  const auto shared = run(true);
+  EXPECT_EQ(shared.first, own.first);
+  EXPECT_EQ(shared.second, own.second);
+  EXPECT_EQ(shared.second.size(), 40u);
+  for (const auto& [flow, at] : shared.first) EXPECT_LT(flow, 2000u) << "b's packet reached a";
+}
+
+TEST(Link, DestroyedLinkReturnsItsSlotsToASharedPool) {
+  sim::Simulator sim;
+  PacketPool pool;
+  SinkNode sink(sim, 1, "sink");
+  {
+    Link link(sim, "l", Bandwidth::gbps(10), 10_us, std::make_unique<DropTailQueue>(), &pool);
+    link.connect_to(sink, 0);
+    for (int i = 0; i < 20; ++i) link.send(make_pkt(0, 1, 1000));  // 800 ns each
+    sim.run(5_us);  // some propagating, one serializing, the rest queued
+    EXPECT_EQ(pool.live(), 20u);
+    EXPECT_EQ(link.held_packets(), 20u);
+  }
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(Link, CountsDeliveredBytes) {

@@ -83,38 +83,54 @@ TEST(DcqcnCc, EndToEndTransferControlsQueue) {
 
 // -------------------------------------------------------- priority queue
 
-TEST(StrictPriorityQueue, HighPriorityJumpsTheLine) {
+// Each queue case runs twice: on a standalone queue (private pool) and bound
+// to a pool that other packets already occupy.
+
+net::Packet prio_pkt(std::uint8_t pri, std::uint32_t bytes) {
+  net::Packet p;
+  p.payload_bytes = bytes;
+  p.priority = pri;
+  return p;
+}
+
+void high_priority_first(net::PacketPool* shared) {
   innetwork::StrictPriorityQueue q({.per_level_capacity_pkts = 64});
-  auto mk = [](std::uint8_t pri) {
-    net::Packet p;
-    p.payload_bytes = 100;
-    p.priority = pri;
-    return p;
-  };
-  q.enqueue(mk(0));
-  q.enqueue(mk(0));
-  q.enqueue(mk(7));
+  if (shared != nullptr) q.bind_pool(*shared);
+  q.enqueue(prio_pkt(0, 100));
+  q.enqueue(prio_pkt(0, 100));
+  q.enqueue(prio_pkt(7, 100));
   EXPECT_EQ(q.dequeue()->priority, 7);
   EXPECT_EQ(q.dequeue()->priority, 0);
   EXPECT_EQ(q.dequeue()->priority, 0);
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(StrictPriorityQueue, FifoWithinLevelAndPerLevelDrops) {
+void fifo_within_level(net::PacketPool* shared) {
   innetwork::StrictPriorityQueue q({.per_level_capacity_pkts = 2});
-  auto mk = [](std::uint8_t pri, std::uint32_t bytes) {
-    net::Packet p;
-    p.payload_bytes = bytes;
-    p.priority = pri;
-    return p;
-  };
-  EXPECT_TRUE(q.enqueue(mk(3, 1)));
-  EXPECT_TRUE(q.enqueue(mk(3, 2)));
-  EXPECT_FALSE(q.enqueue(mk(3, 3)));  // level 3 full
-  EXPECT_TRUE(q.enqueue(mk(1, 4)));   // level 1 unaffected
+  if (shared != nullptr) q.bind_pool(*shared);
+  EXPECT_TRUE(q.enqueue(prio_pkt(3, 1)));
+  EXPECT_TRUE(q.enqueue(prio_pkt(3, 2)));
+  EXPECT_FALSE(q.enqueue(prio_pkt(3, 3)));  // level 3 full
+  EXPECT_TRUE(q.enqueue(prio_pkt(1, 4)));   // level 1 unaffected
   EXPECT_EQ(q.dequeue()->payload_bytes, 1u);
   EXPECT_EQ(q.dequeue()->payload_bytes, 2u);
   EXPECT_EQ(q.dequeue()->payload_bytes, 4u);
+}
+
+TEST(StrictPriorityQueue, HighPriorityJumpsTheLine) { high_priority_first(nullptr); }
+TEST(StrictPriorityQueue, FifoWithinLevelAndPerLevelDrops) { fifo_within_level(nullptr); }
+
+TEST(StrictPriorityQueue, CasesPassBoundToASharedPool) {
+  net::PacketPool pool;
+  net::DropTailQueue resident;
+  resident.bind_pool(pool);
+  for (std::uint32_t i = 1; i <= 3; ++i) resident.enqueue(prio_pkt(9, 7000 + i));
+  for (auto* run : {high_priority_first, fifo_within_level}) {
+    run(&pool);
+    EXPECT_EQ(pool.live(), 3u);  // a destroyed queue returns its slots
+  }
+  for (std::uint32_t i = 1; i <= 3; ++i) EXPECT_EQ(resident.dequeue()->payload_bytes, 7000 + i);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(StrictPriorityQueue, HighPriorityMessageCutsFctUnderCongestion) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "helpers.hpp"
 #include "mtp/endpoint.hpp"
 #include "net/network.hpp"
 #include "scenario/scenario.hpp"
@@ -122,7 +123,39 @@ std::pair<std::int64_t, std::uint64_t> ping(unsigned shards) {
   ea.send_message(b->id(), 50'000, {.dst_port = 80},
                   [&fct](proto::MsgId, SimTime t) { fct = t; });
   net.run();
+  EXPECT_EQ(mtp::testing::live_packets(net), 0u) << shards << " shards";
   return {fct.ns(), net.windows()};
+}
+
+// Packets sent on the calling thread before run() wait in shard 0's pool;
+// shard 0's worker serializes them, and each leaves that pool when it is
+// handed to shard 1 — before it is delivered there.
+TEST(ShardedNetwork, CrossShardHandoffFreesTheSendersSlot) {
+  net::Network net(1, 2);
+  auto* a = net.add_host("a");
+  net.set_build_shard(1);
+  auto* b = net.add_host("b");
+  const auto cable = net.connect(*a, *b, Bandwidth::gbps(100), 20_us);
+  int received = 0;
+  b->set_udp_handler(9, [&received](net::Packet&&) { ++received; });
+  for (int i = 0; i < 8; ++i) {
+    net::Packet p;
+    p.src = a->id();
+    p.dst = b->id();
+    p.payload_bytes = 1250;  // 100 ns each at 100G
+    p.header = proto::UdpHeader{1, 9, 1250};
+    cable.forward->send(std::move(p));
+  }
+  EXPECT_EQ(net.packet_pool(0).live(), 8u);
+  EXPECT_EQ(net.unaccounted_packet_slots(), 0u);
+  net.run(5_us);  // every serialization has ended; nothing has arrived yet
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(net.packet_pool(0).live(), 0u);
+  EXPECT_EQ(net.packet_pool(1).live(), 0u);
+  EXPECT_EQ(net.unaccounted_packet_slots(), 0u);
+  net.run();
+  EXPECT_EQ(received, 8);
+  EXPECT_EQ(mtp::testing::live_packets(net), 0u);
 }
 
 TEST(ShardedNetwork, CrossShardMessageMatchesSerialTimeline) {
@@ -153,6 +186,7 @@ struct FabricResult {
   std::uint64_t completed = 0;
   std::uint64_t flaps = 0;
   std::uint64_t windows = 0;
+  std::size_t live_slots = 0;  ///< pool slots still live after the run
 };
 
 /// A k=4 fat-tree (16 hosts, 4 pods) under message-aware forwarding with a
@@ -197,8 +231,12 @@ FabricResult run_fabric(std::uint64_t seed, unsigned shards) {
         });
   });
 
+  // Slices through the fault window: each Scenario::run(until) boundary
+  // checks packet slot conservation on every shard (it throws on a leak).
+  for (SimTime t = 100_us; t < 2_ms; t += 100_us) s->run(t);
   s->run(200_ms);
   FabricResult r;
+  r.live_slots = mtp::testing::live_packets(s->network());
   for (const Slot& slot : slots) r.completed += slot.completed;
   r.completion_digest = digest.value();
   r.fault_digest = inj.digest();
@@ -211,6 +249,7 @@ TEST(ShardedScenario, FabricDigestsInvariantAcrossShardCounts) {
   const FabricResult one = run_fabric(/*seed=*/42, /*shards=*/1);
   EXPECT_EQ(one.completed, 48u);
   EXPECT_GT(one.flaps, 0u);
+  EXPECT_EQ(one.live_slots, 0u);
   for (unsigned shards : {2u, 4u}) {
     const FabricResult r = run_fabric(42, shards);
     EXPECT_EQ(r.completion_digest, one.completion_digest) << shards << " shards";
@@ -218,6 +257,7 @@ TEST(ShardedScenario, FabricDigestsInvariantAcrossShardCounts) {
     EXPECT_EQ(r.completed, one.completed) << shards << " shards";
     EXPECT_EQ(r.flaps, one.flaps) << shards << " shards";
     EXPECT_GT(r.windows, 0u) << shards << " shards";
+    EXPECT_EQ(r.live_slots, 0u) << shards << " shards";
   }
 }
 

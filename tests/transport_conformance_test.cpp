@@ -11,7 +11,10 @@
 //   3. liveness under faults: a mid-run link flap delays but never loses
 //      completions;
 //   4. shard invariance: the (fct, bytes) completion multiset is identical
-//      at 1, 2 and 4 space shards.
+//      at 1, 2 and 4 space shards;
+//   5. slot conservation: every Scenario::run boundary checks that each
+//      shard's packet pool holds exactly what its queues and links hold,
+//      and once a run quiesces no pool holds a packet.
 //
 // The suite is parameterized by registry name, so a transport added by a
 // downstream test automatically gets no coverage here — but the registry
@@ -22,12 +25,19 @@
 #include <tuple>
 #include <vector>
 
+#include "helpers.hpp"
 #include "scenario/scenario.hpp"
 
 namespace mtp::scenario {
 namespace {
 
 class TransportConformance : public ::testing::TestWithParam<const char*> {};
+
+/// After a run to quiescence: no packet slot is live on any shard.
+void expect_pools_drained(Scenario& s) {
+  EXPECT_EQ(s.network().unaccounted_packet_slots(), 0u);
+  EXPECT_EQ(mtp::testing::live_packets(s.network()), 0u);
+}
 
 workload::ArrivalSchedule spaced_schedule(int per_sender, int senders,
                                           std::int64_t bytes, sim::SimTime gap) {
@@ -51,6 +61,7 @@ TEST_P(TransportConformance, EveryMessageCompletesExactlyOnce) {
                .build();
   EXPECT_EQ(s->transport_name(), GetParam());
   s->run();
+  expect_pools_drained(*s);
   EXPECT_EQ(s->fct().count(), 12u);
   EXPECT_EQ(s->replayed(), 12u);
   std::uint64_t completed = 0;
@@ -83,6 +94,7 @@ TEST_P(TransportConformance, FctGrowsWithMessageSize) {
         });
   }
   s->run();
+  expect_pools_drained(*s);
   for (int i = 0; i < 4; ++i) {
     ASSERT_GT(fct[i].ns(), 0) << "message " << i << " never completed";
   }
@@ -104,7 +116,11 @@ TEST_P(TransportConformance, CompletesAcrossLinkFlap) {
                .workload(spaced_schedule(5, 2, 40'000, 10_us))
                .flap(0, 60_us, 300_us)
                .build();
+  // 20 us slices through the flap: each run(until) checks slot conservation
+  // while the flap discards queued packets.
+  for (sim::SimTime t = 20_us; t < 1_ms; t += 20_us) s->run(t);
   s->run();
+  expect_pools_drained(*s);
   EXPECT_EQ(s->fct().count(), 10u);
 }
 
@@ -146,6 +162,7 @@ std::tuple<std::uint64_t, std::size_t> digest_run(const char* transport,
                .workload(spaced_schedule(4, 4, 12'000, 3_us))
                .build();
   s->run();
+  expect_pools_drained(*s);
   return {s->fct_digest(), s->fct().count()};
 }
 
