@@ -384,6 +384,13 @@ TEST(Chaos, FlapsThatDiscardQueuedPacketsFreeTheirSlots) {
 // Devices + RPC under chaos: a KVS cache that crashes (twice) and a flapping
 // backend link, with client retries on. Every call's callback fires exactly
 // once and the sum of outcomes accounts for every call.
+/// RPC outcome digests of DevicesAndRpcSurviveCrashesAndFlaps, seeds 1-6.
+/// The in-network cache answers through a DeviceReceiver/DeviceSender pair,
+/// so these pin device message handling under crashes and flaps.
+constexpr std::uint64_t kRecordedOutcomes[] = {
+    0xd77658ac6f35e565ULL, 0x8e15a1626378cbcaULL, 0x17bbcdebdab34e99ULL,
+    0x9e7dcb96541ffcc3ULL, 0x378d118f980deb7bULL, 0x211300dff426ac4bULL};
+
 TEST(Chaos, DevicesAndRpcSurviveCrashesAndFlaps) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     HostPair t(Bandwidth::gbps(10));
@@ -413,13 +420,20 @@ TEST(Chaos, DevicesAndRpcSurviveCrashesAndFlaps) {
 
     const int kCalls = 30;
     std::vector<int> callbacks(kCalls, 0);
+    sim::RunDigest outcomes(1);  // every RPC outcome, in completion order
     sim::Rng wl(seed * 1000 + 5);
     for (int i = 0; i < kCalls; ++i) {
       const SimTime at = SimTime::nanoseconds(wl.uniform_int(0, 5'000'000));
       const std::string method = "key" + std::to_string(i % 8);  // some always miss
       t.sim().schedule_at(at, [&, i, method] {
         client.call(t.b->id(), 80, method, 1'000,
-                    [&callbacks, i](const core::RpcReply&) { ++callbacks[i]; });
+                    [&callbacks, &outcomes, i](const core::RpcReply& r) {
+                      ++callbacks[i];
+                      outcomes.add(0, (std::uint64_t(i) << 40) ^ (std::uint64_t(r.ok) << 33) ^
+                                          (std::uint64_t(r.rejected) << 32) ^ r.responder);
+                      outcomes.add(0, (std::uint64_t(r.bytes) << 32) ^
+                                          static_cast<std::uint64_t>(r.latency.ns()));
+                    });
       });
     }
     t.sim().run(500_ms);
@@ -437,6 +451,7 @@ TEST(Chaos, DevicesAndRpcSurviveCrashesAndFlaps) {
     EXPECT_EQ(t.net.unaccounted_packet_slots(), 0u) << "seed " << seed;
     EXPECT_EQ(mtp::testing::live_packets(t.net), 0u) << "seed " << seed;
     EXPECT_TRUE(cache->online());
+    EXPECT_EQ(outcomes.value(), kRecordedOutcomes[seed - 1]) << "seed " << seed;
   }
 }
 

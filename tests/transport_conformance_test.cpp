@@ -14,13 +14,17 @@
 //      at 1, 2 and 4 space shards;
 //   5. slot conservation: every Scenario::run boundary checks that each
 //      shard's packet pool holds exactly what its queues and links hold,
-//      and once a run quiesces no pool holds a packet.
+//      and once a run quiesces no pool holds a packet;
+//   6. recorded digests: the clean and link-flap completion digests match
+//      the values recorded in kRecorded.
 //
 // The suite is parameterized by registry name, so a transport added by a
 // downstream test automatically gets no coverage here — but the registry
 // tests at the bottom show how to plug one in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -104,15 +108,14 @@ TEST_P(TransportConformance, FctGrowsWithMessageSize) {
   }
 }
 
-TEST_P(TransportConformance, CompletesAcrossLinkFlap) {
-  // ECMP over dual paths; the first path dies at 60 us for 300 us, while
-  // the workload is still arriving. Recovery may be slow (RTO backoff) but
-  // every message must still complete.
+/// ECMP over dual paths; the first path dies at 60 us for 300 us, while the
+/// workload is still arriving. Returns (fct_digest, completions).
+std::tuple<std::uint64_t, std::size_t> flap_run(const char* transport) {
   auto s = ScenarioBuilder()
                .seed(9)
                .topology(topo::dual_path(2))
                .forwarding(Forwarding::kEcmp)
-               .transport(GetParam())
+               .transport(transport)
                .workload(spaced_schedule(5, 2, 40'000, 10_us))
                .flap(0, 60_us, 300_us)
                .build();
@@ -121,7 +124,12 @@ TEST_P(TransportConformance, CompletesAcrossLinkFlap) {
   for (sim::SimTime t = 20_us; t < 1_ms; t += 20_us) s->run(t);
   s->run();
   expect_pools_drained(*s);
-  EXPECT_EQ(s->fct().count(), 10u);
+  return {s->fct_digest(), s->fct().count()};
+}
+
+TEST_P(TransportConformance, CompletesAcrossLinkFlap) {
+  // Recovery may be slow (RTO backoff) but every message must still complete.
+  EXPECT_EQ(std::get<1>(flap_run(GetParam())), 10u);
 }
 
 /// incast(4) with sender i placed on shard i mod shards; switch + receiver
@@ -172,6 +180,32 @@ TEST_P(TransportConformance, FctDigestInvariantAcrossShardCounts) {
   for (unsigned shards : {2u, 4u}) {
     EXPECT_EQ(digest_run(GetParam(), shards), one) << shards << " shards";
   }
+}
+
+/// Recorded completion digests: the one-shard digest_run() and the link-flap
+/// rig (which drives Homa's retransmit timer and grant-loss probe, and MTP's
+/// loss recovery). A refactor that keeps behaviour keeps every value; a
+/// change that moves one changes behaviour and must say so.
+struct RecordedDigests {
+  const char* transport;
+  std::uint64_t clean;
+  std::uint64_t flap;
+};
+constexpr RecordedDigests kRecorded[] = {
+    {"mtp", 0xf1e2db6086cef11eULL, 0x16cbf3c551aa1945ULL},
+    {"tcp", 0x1f2e1bff84661784ULL, 0xd829ee2bc850094aULL},
+    {"dctcp", 0x1f2e1bff84661784ULL, 0xd829ee2bc850094aULL},
+    {"homa", 0x9145e59eed44cdf0ULL, 0xc582cf4c0db86db6ULL},
+    {"mptcp", 0x004a0b1d11739facULL, 0x29f171843687b35fULL},
+};
+
+TEST_P(TransportConformance, FctDigestMatchesRecorded) {
+  const std::string name = GetParam();
+  const auto* rec = std::find_if(std::begin(kRecorded), std::end(kRecorded),
+                                 [&](const RecordedDigests& r) { return name == r.transport; });
+  ASSERT_NE(rec, std::end(kRecorded)) << "no recorded digests for " << name;
+  EXPECT_EQ(std::get<0>(digest_run(GetParam(), 1)), rec->clean);
+  EXPECT_EQ(std::get<0>(flap_run(GetParam())), rec->flap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, TransportConformance,
