@@ -60,11 +60,13 @@ run_chaos() {
   # Seeded fault schedules (link flaps, bursty corruption, device crashes)
   # with exactly-once / integrity / quiescence invariants, run under ASan so
   # recovery paths are also leak- and UB-checked. Fixed seeds: a failure here
-  # reproduces with `build-asan/tests/chaos_test`.
+  # reproduces with `build-asan/tests/chaos_test`. The Device, KvsCache and
+  # MutationOffload cases cover the devices' indexed per-packet sender state.
   cmake --preset asan -S "$repo"
-  cmake --build --preset asan -j "$jobs" --target chaos_test fault_test
+  cmake --build --preset asan -j "$jobs" --target chaos_test fault_test device_test \
+    innetwork_test message_test overload_test
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
-    -R 'Chaos|FaultInjector|RecoveryEdge|Impairment'
+    -R 'Chaos|FaultInjector|RecoveryEdge|Impairment|Device|KvsCache|MutationOffload'
 }
 
 run_smoke() {

@@ -11,23 +11,33 @@
 //     first packet* (the header carries Msg Len) and let them pass through.
 //
 //   DeviceSender — injects new messages from the switch with lightweight
-//     reliability: per-message unacked sets, retransmission on NACK or
+//     reliability: a fixed per-message window, retransmission on NACK or
 //     timeout, bounded retries. Congestion control is intentionally simple
 //     (devices sit at line rate next to their egress queue).
+//
+// Both halves run on the shared message core (transport/message.hpp), the
+// same tombstones, reassembly, packet builders and sender record MTP and Homa
+// hosts use; only the policy above is device-specific.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/trace.hpp"
+#include "transport/message.hpp"
 
 namespace mtp::innetwork {
+
+/// Payload bytes per device-emitted packet.
+inline constexpr std::uint32_t kDeviceMss = 1000;
+/// Accounted header overhead of every packet a device emits.
+inline constexpr std::uint32_t kDeviceHeaderBytes = 64;
+/// Tombstones a DeviceReceiver keeps per set (delivered, busy-rejected).
+inline constexpr std::size_t kDeviceTombstones = 1 << 12;
 
 /// Reassembled message a device consumed (mirrors core::ReceivedMessage but
 /// lives here so innetwork does not depend on the endpoint library).
@@ -49,7 +59,6 @@ class DeviceReceiver {
     /// Messages larger than this pass through untouched (bounded buffering —
     /// the paper's "low buffering and computation requirements").
     std::int64_t max_message_bytes = 1 << 20;
-    std::size_t completed_cache = 1 << 12;
   };
 
   DeviceReceiver(net::Switch& sw, Config cfg) : sw_(sw), cfg_(cfg) {}
@@ -63,7 +72,7 @@ class DeviceReceiver {
   /// completed). Devices that select messages by AppData — which rides only
   /// on packet 0 — use this to keep consuming the remaining packets.
   bool tracking(net::NodeId src, proto::MsgId id) const {
-    const Key key{src, id};
+    const transport::MsgKey key{src, id};
     return partial_.contains(key) || completed_.contains(key);
   }
 
@@ -73,7 +82,7 @@ class DeviceReceiver {
   /// damaged payloads (the checksum stands in for end-host verification).
   std::optional<DeviceMessage> on_data(const net::Packet& pkt) {
     const auto& hdr = pkt.mtp();
-    const Key key{pkt.src, hdr.msg_id};
+    const transport::MsgKey key{pkt.src, hdr.msg_id};
     if (!pkt.checksum_ok()) {
       ++checksum_drops_;
       ack(pkt, /*nack=*/true);
@@ -82,13 +91,12 @@ class DeviceReceiver {
     if (pkt.corrupted) ++corrupted_delivered_;  // checksum missed real damage
     ack(pkt, /*nack=*/false);
     if (completed_.contains(key)) return std::nullopt;  // dup of delivered msg
-    if (hdr.msg_len_pkts == 0 || hdr.pkt_num >= hdr.msg_len_pkts) return std::nullopt;
+    if (!transport::Reassembly::well_formed(hdr)) return std::nullopt;
 
     auto [it, fresh] = partial_.try_emplace(key);
     auto& st = it->second;
     if (fresh) {
-      st.have.assign(hdr.msg_len_pkts, false);
-      st.total_pkts = hdr.msg_len_pkts;
+      st.start(hdr.msg_len_pkts);
       st.msg.src = pkt.src;
       st.msg.dst = pkt.dst;
       st.msg.msg_id = hdr.msg_id;
@@ -99,19 +107,11 @@ class DeviceReceiver {
       st.msg.dst_port = hdr.dst_port;
     }
     if (pkt.app) st.msg.app = *pkt.app;
-    if (!st.have[hdr.pkt_num]) {
-      st.have[hdr.pkt_num] = true;
-      ++st.received;
-    }
-    if (st.received != st.total_pkts) return std::nullopt;
+    st.add(hdr.pkt_num);
+    if (!st.complete()) return std::nullopt;
     DeviceMessage done = std::move(st.msg);
     partial_.erase(it);
     completed_.insert(key);
-    completed_fifo_.push_back(key);
-    while (completed_fifo_.size() > cfg_.completed_cache) {
-      completed_.erase(completed_fifo_.front());
-      completed_fifo_.pop_front();
-    }
     return done;
   }
 
@@ -120,7 +120,6 @@ class DeviceReceiver {
   void clear() {
     partial_.clear();
     completed_.clear();
-    completed_fifo_.clear();
   }
 
   std::uint64_t checksum_drops() const { return checksum_drops_; }
@@ -133,7 +132,7 @@ class DeviceReceiver {
   /// check before adopting so every retransmission is re-rejected — a shed
   /// message must never be partially reassembled later.
   bool rejected(net::NodeId src, proto::MsgId id) const {
-    return !rejected_.empty() && rejected_.contains(Key{src, id});
+    return rejected_.contains({src, id});
   }
 
   /// Busy-reject a message: explicit NACK-style refusal in the MTP header
@@ -142,32 +141,11 @@ class DeviceReceiver {
   /// retransmissions are quenched, bounded by the same cache budget.
   void busy_reject(const net::Packet& data, std::uint8_t flags) {
     const auto& dh = data.mtp();
-    const Key key{data.src, dh.msg_id};
-    if (rejected_.insert(key).second) {
-      rejected_fifo_.push_back(key);
-      while (rejected_fifo_.size() > cfg_.completed_cache) {
-        rejected_.erase(rejected_fifo_.front());
-        rejected_fifo_.pop_front();
-      }
-    }
+    rejected_.insert({data.src, dh.msg_id});
     ++busy_rejects_;
-    net::Packet p;
-    p.src = sw_.id();
-    p.dst = data.src;
-    p.header_bytes = 64;
-    p.tc = data.tc;
-    p.priority = data.priority;
-    proto::MtpHeader hdr;
-    hdr.src_port = dh.dst_port;
-    hdr.dst_port = dh.src_port;
-    hdr.type = proto::MtpPacketType::kAck;
-    hdr.msg_id = dh.msg_id;
-    hdr.tc = dh.tc;
-    hdr.msg_len_bytes = dh.msg_len_bytes;
-    hdr.msg_len_pkts = dh.msg_len_pkts;
-    hdr.pkt_num = dh.pkt_num;
-    hdr.overload.ensure().flags = flags;
-    p.header = std::move(hdr);
+    net::Packet p = transport::make_reply(data, sw_.id());
+    p.header_bytes = kDeviceHeaderBytes;
+    p.mtp().overload.ensure().flags = flags;
     if (telemetry::TraceSink::enabled()) {
       telemetry::TraceEvent ev;
       ev.t = sw_.simulator().now();
@@ -189,72 +167,32 @@ class DeviceReceiver {
 
   /// Emit an ACK (or NACK) for a data packet, as an MTP receiver would.
   void ack(const net::Packet& data, bool nack) {
-    const auto& dh = data.mtp();
-    net::Packet p;
-    p.src = sw_.id();
-    p.dst = data.src;
-    p.header_bytes = 64;
-    p.tc = data.tc;
-    p.priority = data.priority;
-    proto::MtpHeader hdr;
-    hdr.src_port = dh.dst_port;
-    hdr.dst_port = dh.src_port;
-    hdr.type = proto::MtpPacketType::kAck;
-    hdr.msg_id = dh.msg_id;
-    hdr.tc = dh.tc;
-    hdr.msg_len_bytes = dh.msg_len_bytes;
-    hdr.msg_len_pkts = dh.msg_len_pkts;
-    hdr.pkt_num = dh.pkt_num;
-    hdr.ack_path_feedback() = dh.path_feedback();
-    if (nack) {
-      hdr.nack().push_back({dh.msg_id, dh.pkt_num});
-    } else {
-      hdr.sack().push_back({dh.msg_id, dh.pkt_num});
-    }
-    p.header = std::move(hdr);
+    net::Packet p = transport::make_reply(data, sw_.id());
+    p.header_bytes = kDeviceHeaderBytes;
+    auto& hdr = p.mtp();
+    hdr.ack_path_feedback() = data.mtp().path_feedback();
+    (nack ? hdr.nack() : hdr.sack()).push_back({hdr.msg_id, hdr.pkt_num});
     sw_.inject(std::move(p));
   }
 
  private:
-  struct Key {
-    net::NodeId src;
-    proto::MsgId id;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.src) << 32) ^ k.id);
-    }
-  };
-  struct Partial {
-    std::vector<bool> have;
-    std::uint32_t received = 0;
-    std::uint32_t total_pkts = 0;
+  struct Partial : transport::Reassembly {
     DeviceMessage msg;
   };
 
   net::Switch& sw_;
   Config cfg_;
-  std::unordered_map<Key, Partial, KeyHash> partial_;
-  std::unordered_set<Key, KeyHash> completed_;
-  std::deque<Key> completed_fifo_;
-  std::unordered_set<Key, KeyHash> rejected_;
-  std::deque<Key> rejected_fifo_;
+  std::unordered_map<transport::MsgKey, Partial, transport::MsgKeyHash> partial_;
+  transport::Tombstones completed_{kDeviceTombstones};
+  transport::Tombstones rejected_{kDeviceTombstones};
   std::uint64_t checksum_drops_ = 0;
   std::uint64_t corrupted_delivered_ = 0;
   std::uint64_t busy_rejects_ = 0;
 };
 
-// Helper: DeviceMessage carries bytes; packet count comes from headers.
-inline std::uint32_t device_msg_pkts(std::int64_t bytes, std::uint32_t mss) {
-  return static_cast<std::uint32_t>((bytes + mss - 1) / mss);
-}
-
 class DeviceSender {
  public:
   struct Config {
-    std::uint32_t mss = 1000;
-    std::uint32_t header_bytes = 64;
     sim::SimTime retx_timeout = sim::SimTime::microseconds(500);
     int max_retries = 5;
     /// Packets in flight per message: the device self-clocks on ACKs rather
@@ -279,18 +217,14 @@ class DeviceSender {
 
   proto::MsgId send(net::NodeId dst, std::int64_t bytes, SendOptions opts) {
     const proto::MsgId id = next_id_++;
-    Outgoing msg;
-    msg.dst = dst;
-    msg.bytes = bytes;
-    msg.opts = std::move(opts);
-    msg.total_pkts = device_msg_pkts(bytes, cfg_.mss);
-    for (std::uint32_t k = 0; k < msg.total_pkts; ++k) msg.unsacked.insert(k);
-    auto [it, ok] = outgoing_.emplace(id, std::move(msg));
-    (void)ok;
-    Outgoing& m = it->second;
+    Outgoing& m = outgoing_[id];
+    m.id = id;
+    m.dst = dst;
+    m.opts = std::move(opts);
+    m.packetize(bytes, kDeviceMss);
     // Open a window's worth; each SACK clocks out the next unsent packet.
     while (m.next_unsent < m.total_pkts && m.next_unsent < cfg_.window_pkts) {
-      emit(id, m, m.next_unsent++);
+      emit(m, m.next_unsent++);
     }
     m.last_tx = sw_.simulator().now();
     if (!task_->running()) task_->start();
@@ -307,17 +241,19 @@ class DeviceSender {
       if (it == outgoing_.end()) continue;
       consumed = true;
       Outgoing& m = it->second;
-      if (m.unsacked.erase(e.pkt_num) != 0) {
+      if (m.unsacked(e.pkt_num)) {
+        m.set_state(e.pkt_num, transport::PktState::kSacked);
+        ++m.sacked;
         m.last_tx = sw_.simulator().now();  // forward progress
-        if (m.next_unsent < m.total_pkts) emit(e.msg_id, m, m.next_unsent++);
+        if (m.next_unsent < m.total_pkts) emit(m, m.next_unsent++);
       }
-      if (m.unsacked.empty()) outgoing_.erase(it);
+      if (m.sacked == m.total_pkts) outgoing_.erase(it);
     }
     for (const auto& e : hdr.nack()) {
       auto it = outgoing_.find(e.msg_id);
       if (it == outgoing_.end()) continue;
       consumed = true;
-      if (it->second.unsacked.contains(e.pkt_num)) emit(e.msg_id, it->second, e.pkt_num);
+      if (it->second.unsacked(e.pkt_num)) emit(it->second, e.pkt_num);
     }
     return consumed;
   }
@@ -334,41 +270,22 @@ class DeviceSender {
   }
 
  private:
-  struct Outgoing {
-    net::NodeId dst;
-    std::int64_t bytes;
-    SendOptions opts;
-    std::uint32_t total_pkts;
-    std::uint32_t next_unsent = 0;
-    std::unordered_set<std::uint32_t> unsacked;
+  /// Packets are only ever unsent or sacked here: the window and the scan
+  /// below need nothing finer.
+  struct Outgoing : transport::OutboundMessage<SendOptions> {
     sim::SimTime last_tx;
     int retries = 0;
+
+    /// In range and not yet SACKed (the bound check drops stray entries).
+    bool unsacked(std::uint32_t pkt) const {
+      return pkt < total_pkts && state(pkt) != transport::PktState::kSacked;
+    }
   };
 
-  void emit(proto::MsgId id, Outgoing& msg, std::uint32_t pkt_num) {
-    net::Packet p;
-    p.src = sw_.id();
-    p.dst = msg.dst;
-    const std::int64_t off = static_cast<std::int64_t>(pkt_num) * cfg_.mss;
-    p.payload_bytes = static_cast<std::uint32_t>(
-        std::min<std::int64_t>(cfg_.mss, msg.bytes - off));
-    p.header_bytes = cfg_.header_bytes;
-    p.ecn = net::Ecn::kEct;
-    p.tc = msg.opts.tc;
-    p.priority = msg.opts.priority;
-    proto::MtpHeader hdr;
-    hdr.src_port = msg.opts.src_port;
-    hdr.dst_port = msg.opts.dst_port;
-    hdr.msg_id = id;
-    hdr.priority = msg.opts.priority;
-    hdr.tc = msg.opts.tc;
-    hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.bytes);
-    hdr.msg_len_pkts = msg.total_pkts;
-    hdr.pkt_num = pkt_num;
-    hdr.pkt_offset = static_cast<std::uint64_t>(off);
-    hdr.pkt_len = p.payload_bytes;
+  void emit(const Outgoing& msg, std::uint32_t pkt_num) {
+    net::Packet p = transport::make_data(sw_.id(), msg, pkt_num, kDeviceMss, msg.opts.priority);
+    p.header_bytes = kDeviceHeaderBytes;
     if (pkt_num == 0 && msg.opts.app) p.app = *msg.opts.app;
-    p.header = std::move(hdr);
     sw_.inject(std::move(p));
   }
 
@@ -392,8 +309,8 @@ class DeviceSender {
       // Retransmit a window's worth of the oldest unacked packets.
       std::uint32_t budget = cfg_.window_pkts;
       for (std::uint32_t k = 0; k < msg.next_unsent && budget > 0; ++k) {
-        if (msg.unsacked.contains(k)) {
-          emit(it->first, msg, k);
+        if (msg.unsacked(k)) {
+          emit(msg, k);
           --budget;
         }
       }

@@ -8,7 +8,7 @@
 
 namespace mtp::core {
 
-using transport::message_flow_hash;
+using transport::PktState;
 
 MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
     : host_(host), cfg_(cfg), sim_(host.simulator()) {
@@ -64,7 +64,12 @@ MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
   }
 }
 
-MtpEndpoint::~MtpEndpoint() = default;
+MtpEndpoint::~MtpEndpoint() {
+  // Timers and the host handler hold a raw `this`; the simulator may outlive
+  // the endpoint.
+  for (auto& [id, msg] : outgoing_) sim_.timers().cancel(msg.retx_timer);
+  host_.set_mtp_handler({});
+}
 
 // ------------------------------------------------------------------ sender
 
@@ -76,9 +81,7 @@ proto::MsgId MtpEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
   msg.id = id;
   msg.dst = dst;
   msg.opts = std::move(opts);
-  msg.total_bytes = bytes;
-  msg.total_pkts = static_cast<std::uint32_t>((bytes + cfg_.mss - 1) / cfg_.mss);
-  msg.pkts.assign(msg.total_pkts, PktMeta{});
+  msg.packetize(bytes, cfg_.mss);
   msg.started_at = sim_.now();
   msg.done = std::move(on_delivered);
   OutgoingMessage& slot = outgoing_.emplace(id, std::move(msg)).first->second;
@@ -318,41 +321,20 @@ bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_
   if (!grant_admit(msg.dst, bytes)) return false;
   charge(path, msg.opts.tc, bytes);
   grant_charge(msg.dst, bytes);
-  msg.pkts[pkt].charged_path = path;
-  msg.set_state(pkt, PktState::kInflight);
-  msg.pkts[pkt].sent_at = sim_.now();
-  if (is_retx) {
-    msg.mark_retransmitted(pkt);
-    ++pkts_retx_;
-  }
+  msg.charged_path(pkt) = path;
+  msg.mark_sent(pkt, sim_.now(), is_retx);
+  if (is_retx) ++pkts_retx_;
   msg.inflight_fifo.push_back(pkt);
-  if (!sim_.timers().armed(msg.retx_timer)) arm_retx(msg, sim_.now() + rto());
-  send_data_pkt(msg, pkt, path);
+  if (!sim_.timers().armed(msg.retx_timer)) {
+    msg.arm_retx(sim_, sim_.now() + rto(), &MtpEndpoint::retx_fire, this);
+  }
+  send_data_pkt(msg, pkt);
   return true;
 }
 
-void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathIndex) {
-  net::Packet p;
-  p.src = host_.id();
-  p.dst = msg.dst;
-  p.payload_bytes = msg.pkt_len(pkt, cfg_.mss);
-  p.ecn = net::Ecn::kEct;
-  p.tc = msg.opts.tc;
-  p.priority = msg.opts.priority;
-  p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
-
-  proto::MtpHeader hdr;
-  hdr.src_port = msg.opts.src_port;
-  hdr.dst_port = msg.opts.dst_port;
-  hdr.type = proto::MtpPacketType::kData;
-  hdr.msg_id = msg.id;
-  hdr.priority = msg.opts.priority;
-  hdr.tc = msg.opts.tc;
-  hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.total_bytes);
-  hdr.msg_len_pkts = msg.total_pkts;
-  hdr.pkt_num = pkt;
-  hdr.pkt_offset = static_cast<std::uint64_t>(pkt) * cfg_.mss;
-  hdr.pkt_len = p.payload_bytes;
+void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt) {
+  net::Packet p = transport::make_data(host_.id(), msg, pkt, cfg_.mss, msg.opts.priority);
+  auto& hdr = p.mtp();
   hdr.path_exclude() = active_exclusions();
   if (pkt == 0 && msg.opts.app) p.app = *msg.opts.app;
   if (pkt == 0 && msg.opts.stream) hdr.stream = *msg.opts.stream;
@@ -362,32 +344,12 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathInd
   }
   p.header_bytes =
       cfg_.base_header_bytes + static_cast<std::uint32_t>(hdr.path_exclude().size() * 5);
-  p.header = std::move(hdr);
   ++pkts_sent_;
   host_.send(std::move(p));
 }
 
-void MtpEndpoint::complete_outgoing(OutgoingMessage& msg) {
-  const sim::SimTime fct = sim_.now() - msg.started_at;
-  auto done = std::move(msg.done);
-  const proto::MsgId id = msg.id;
-  sim_.timers().cancel(msg.retx_timer);
-  outgoing_.erase(id);  // msg is dangling beyond this point
-  if (done) done(id, fct);
-}
-
 void MtpEndpoint::retx_fire(void* self, std::uint64_t id) {
   static_cast<MtpEndpoint*>(self)->on_retx_timer(static_cast<proto::MsgId>(id));
-}
-
-void MtpEndpoint::arm_retx(OutgoingMessage& msg, sim::SimTime deadline) {
-  // Never (re)arm in the past or at the current instant: a deadline that has
-  // already passed still needs a fresh wheel tick so the expiry check runs
-  // from a clean event, and an `== now` arm would re-fire at this timestamp
-  // forever when the oldest packet sits exactly at its deadline.
-  const sim::SimTime floor = sim_.now() + sim_.timers().granularity();
-  msg.retx_timer =
-      sim_.timers().arm(std::max(deadline, floor), &MtpEndpoint::retx_fire, this, msg.id);
 }
 
 /// Per-message expiry check, driven by the shared timer wheel. Replaces the
@@ -410,7 +372,7 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
     msg.inflight_fifo.pop_front();
     msg.set_state(pkt, PktState::kLost);
     const std::int64_t bytes = msg.pkt_len(pkt, cfg_.mss);
-    uncharge(msg.pkts[pkt].charged_path, msg.opts.tc, bytes);
+    uncharge(msg.charged_path(pkt), msg.opts.tc, bytes);
     grant_uncharge(msg.dst, bytes);
     msg.retx_queue.push_back(pkt);
     enqueue_send(msg, /*urgent=*/true);
@@ -429,14 +391,15 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
       ev.value = static_cast<std::uint64_t>(deadline.ns());
       telemetry::trace().record(ev);
     }
-    for (const proto::PathletId p : paths_[msg.pkts[pkt].charged_path]) {
+    for (const proto::PathletId p : paths_[msg.charged_path(pkt)]) {
       penalize(p, msg.opts.tc, LossKind::kTimeout);
     }
   }
   if (!msg.inflight_fifo.empty()) {
     // The surviving front packet defines the next deadline. (If everything
     // expired, the next transmission rearms in try_send_pkt.)
-    arm_retx(msg, msg.pkts[msg.inflight_fifo.front()].sent_at + deadline);
+    msg.arm_retx(sim_, msg.pkts[msg.inflight_fifo.front()].sent_at + deadline,
+                 &MtpEndpoint::retx_fire, this);
   }
   if (any_lost) {
     // Consecutive timeouts back the timer off exponentially (a blackholed
@@ -536,31 +499,13 @@ void MtpEndpoint::flush_acks() {
 
 void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
                            std::vector<proto::SackEntry>&& nacks) {
-  const auto& dh = data.mtp();
-  net::Packet p;
-  p.src = host_.id();
-  p.dst = data.src;
-  p.payload_bytes = 0;
-  p.ecn = net::Ecn::kNotEct;
-  p.tc = data.tc;
-  p.priority = data.priority;
-  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-
-  proto::MtpHeader hdr;
-  hdr.src_port = dh.dst_port;
-  hdr.dst_port = dh.src_port;
-  hdr.type = proto::MtpPacketType::kAck;
-  hdr.msg_id = dh.msg_id;
-  hdr.tc = dh.tc;
-  hdr.priority = dh.priority;
-  hdr.msg_len_bytes = dh.msg_len_bytes;
-  hdr.msg_len_pkts = dh.msg_len_pkts;
-  hdr.pkt_num = dh.pkt_num;
+  net::Packet p = transport::make_reply(data, host_.id());
+  auto& hdr = p.mtp();
   // The receiver copies the data packet's accumulated path feedback into the
   // ACK's feedback list — the core of pathlet congestion control. With
   // coalescing, the freshest packet's feedback stands in for the batch
   // (paper §4: "feedback can be aggregated").
-  hdr.ack_path_feedback() = dh.path_feedback();
+  hdr.ack_path_feedback() = data.mtp().path_feedback();
   hdr.sack() = std::move(sacks);
   hdr.nack() = std::move(nacks);
   if (cfg_.overload.enabled) {
@@ -573,24 +518,22 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   p.header_bytes = cfg_.base_header_bytes +
                    static_cast<std::uint32_t>(hdr.ack_path_feedback().size() * 14 +
                                               (hdr.sack().size() + hdr.nack().size()) * 12);
-  p.header = std::move(hdr);
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
-    const auto& h = p.mtp();
     telemetry::TraceEvent ev;
     ev.t = sim_.now();
     ev.type = telemetry::TraceEventType::kAck;
     ev.component = host_.name();
     ev.src = p.src;
     ev.dst = p.dst;
-    ev.msg_id = h.msg_id;
-    ev.pkt_num = h.pkt_num;
+    ev.msg_id = hdr.msg_id;
+    ev.pkt_num = hdr.pkt_num;
     ev.bytes = p.size_bytes();
     ev.tc = p.tc;
     ev.flow = p.flow_hash;
-    ev.value = h.sack().size();
+    ev.value = hdr.sack().size();
     telemetry::trace().record(ev);
-    for (const auto& n : h.nack()) {
+    for (const auto& n : hdr.nack()) {
       telemetry::TraceEvent ne = ev;
       ne.type = telemetry::TraceEventType::kNack;
       ne.msg_id = n.msg_id;
@@ -604,12 +547,12 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
 
 void MtpEndpoint::on_data(net::Packet&& pkt) {
   const auto& hdr = pkt.mtp();
-  const MsgKey key{pkt.src, hdr.msg_id};
+  const transport::MsgKey key{pkt.src, hdr.msg_id};
 
   // Packet of a message this endpoint busy-rejected: re-reject to quench the
   // sender (mirrors the completed_ re-ACK). A rejected message must never be
   // partially reassembled, let alone delivered.
-  if (!rejected_.empty() && rejected_.contains(key)) {
+  if (rejected_.contains(key)) {
     send_busy_reject(pkt, proto::kOverloadBusy);
     return;
   }
@@ -628,7 +571,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     return;
   }
 
-  if (hdr.msg_len_pkts == 0 || hdr.pkt_num >= hdr.msg_len_pkts) return;  // malformed
+  if (!transport::Reassembly::well_formed(hdr)) return;
 
   // Overload shedding — only for messages not yet under reassembly (an
   // admitted message is a commitment: it completes). Deadline-expired work
@@ -655,8 +598,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
   auto [it, fresh] = incoming_.try_emplace(key);
   IncomingMessage& msg = it->second;
   if (fresh) {
-    msg.have.assign(hdr.msg_len_pkts, false);
-    msg.total_pkts = hdr.msg_len_pkts;
+    msg.start(hdr.msg_len_pkts);
     msg.total_bytes = static_cast<std::int64_t>(hdr.msg_len_bytes);
     msg.priority = hdr.priority;
     msg.tc = hdr.tc;
@@ -667,9 +609,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
   if (pkt.app) msg.app = *pkt.app;
   if (hdr.has_stream()) msg.stream = *hdr.stream;
   if (hdr.deadline_ns() != 0) msg.deadline_ns = hdr.deadline_ns();
-  if (!msg.have[hdr.pkt_num]) {
-    msg.have[hdr.pkt_num] = true;
-    ++msg.received;
+  if (msg.add(hdr.pkt_num)) {
     if (on_payload) on_payload(pkt.payload_bytes);
     if (cfg_.overload.enabled) {
       admission_.on_delivered(pkt.src, pkt.payload_bytes, sim_.now());
@@ -690,7 +630,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
       ++msg.gap_checked;
     }
   }
-  const bool completes = msg.received == msg.total_pkts;
+  const bool completes = msg.complete();
   queue_ack(pkt, /*nack=*/false, std::move(gap_nacks),
             /*flush_now=*/completes || cfg_.ack_coalesce <= 1);
 
@@ -711,11 +651,6 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     done.completed_at = sim_.now();
     incoming_.erase(it);
     completed_.insert(key);
-    completed_fifo_.push_back(key);
-    while (completed_fifo_.size() > cfg_.completed_cache) {
-      completed_.erase(completed_fifo_.front());
-      completed_fifo_.pop_front();
-    }
     ++msgs_delivered_;
     auto handler = handlers_.find(done.dst_port);
     if (handler != handlers_.end()) {
@@ -784,11 +719,11 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
       if (is_nack) {
         if (msg.state(e.pkt_num) == PktState::kInflight) {
           msg.set_state(e.pkt_num, PktState::kLost);
-          uncharge(msg.pkts[e.pkt_num].charged_path, msg.opts.tc, bytes);
+          uncharge(msg.charged_path(e.pkt_num), msg.opts.tc, bytes);
           grant_uncharge(msg.dst, bytes);
           msg.retx_queue.push_back(e.pkt_num);
           enqueue_send(msg, /*urgent=*/true);
-          for (const proto::PathletId p : paths_[msg.pkts[e.pkt_num].charged_path]) {
+          for (const proto::PathletId p : paths_[msg.charged_path(e.pkt_num)]) {
             penalize(p, msg.opts.tc, LossKind::kTrim);
           }
         }
@@ -798,7 +733,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
       const PktState prev = msg.state(e.pkt_num);
       if (prev == PktState::kSacked) continue;
       if (prev == PktState::kInflight) {
-        uncharge(msg.pkts[e.pkt_num].charged_path, msg.opts.tc, bytes);
+        uncharge(msg.charged_path(e.pkt_num), msg.opts.tc, bytes);
         grant_uncharge(msg.dst, bytes);
       }
       msg.set_state(e.pkt_num, PktState::kSacked);
@@ -818,7 +753,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
       if (hdr.ack_path_feedback().empty()) {
         // No pathlet info on this path: evolve whatever the packet was
         // charged to (the per-destination virtual pathlet).
-        for (const proto::PathletId p : paths_[msg.pkts[e.pkt_num].charged_path]) {
+        for (const proto::PathletId p : paths_[msg.charged_path(e.pkt_num)]) {
           cc(p, msg.opts.tc, proto::FeedbackType::kNone)
               .on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
         }
@@ -830,7 +765,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
       }
 
       if (msg.sacked == msg.total_pkts) {
-        complete_outgoing(msg);  // erases msg from outgoing_
+        transport::complete_outbound(outgoing_, msg, sim_);  // erases msg
         continue;                // later entries re-resolve via the map lookup
       }
     }
@@ -877,7 +812,7 @@ void MtpEndpoint::abort_outgoing(proto::MsgId id, bool expired) {
   for (std::uint32_t k = 0; k < msg.total_pkts; ++k) {
     if (msg.state(k) == PktState::kInflight) {
       const std::int64_t bytes = msg.pkt_len(k, cfg_.mss);
-      uncharge(msg.pkts[k].charged_path, msg.opts.tc, bytes);
+      uncharge(msg.charged_path(k), msg.opts.tc, bytes);
       grant_uncharge(msg.dst, bytes);
     }
   }
@@ -890,43 +825,18 @@ void MtpEndpoint::abort_outgoing(proto::MsgId id, bool expired) {
 
 /// Receiver-side shed: remember the reject (so retransmissions are quenched,
 /// and the message can never later be accepted) and tell the sender.
-void MtpEndpoint::reject_message(const MsgKey& key, const net::Packet& data,
+void MtpEndpoint::reject_message(const transport::MsgKey& key, const net::Packet& data,
                                  std::uint8_t flags) {
-  if (rejected_.insert(key).second) {
-    rejected_fifo_.push_back(key);
-    while (rejected_fifo_.size() > cfg_.completed_cache) {
-      rejected_.erase(rejected_fifo_.front());
-      rejected_fifo_.pop_front();
-    }
-  }
+  rejected_.insert(key);
   ++busy_rejects_sent_;
   send_busy_reject(data, flags);
 }
 
 void MtpEndpoint::send_busy_reject(const net::Packet& data, std::uint8_t flags) {
   const auto& dh = data.mtp();
-  net::Packet p;
-  p.src = host_.id();
-  p.dst = data.src;
-  p.payload_bytes = 0;
-  p.ecn = net::Ecn::kNotEct;
-  p.tc = data.tc;
-  p.priority = data.priority;
-  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-
-  proto::MtpHeader hdr;
-  hdr.src_port = dh.dst_port;
-  hdr.dst_port = dh.src_port;
-  hdr.type = proto::MtpPacketType::kAck;
-  hdr.msg_id = dh.msg_id;
-  hdr.tc = dh.tc;
-  hdr.priority = dh.priority;
-  hdr.msg_len_bytes = dh.msg_len_bytes;
-  hdr.msg_len_pkts = dh.msg_len_pkts;
-  hdr.pkt_num = dh.pkt_num;
-  hdr.overload.ensure().flags = flags;
+  net::Packet p = transport::make_reply(data, host_.id());
+  p.mtp().overload.ensure().flags = flags;
   p.header_bytes = cfg_.base_header_bytes;
-  p.header = std::move(hdr);
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
     telemetry::TraceEvent ev;

@@ -29,7 +29,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mtp/cc_algorithm.hpp"
@@ -38,7 +37,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/rto.hpp"
+#include "transport/message.hpp"
 
 namespace mtp::core {
 
@@ -54,9 +53,6 @@ struct MtpConfig {
   /// retransmit-scan period; timers now live on the simulator's timer wheel
   /// and fire per message — see docs/scale.md.)
   sim::SimTime retx_scan_period = sim::SimTime::microseconds(100);
-
-  /// Completed-message tombstones kept to re-ACK duplicate retransmissions.
-  std::size_t completed_cache = 1 << 14;
 
   /// Automatically exclude a pathlet after this many consecutive timeout
   /// losses on it (0 disables auto-exclusion).
@@ -220,16 +216,6 @@ class MtpEndpoint {
     }
   };
 
-  enum class PktState : std::uint8_t { kUnsent, kInflight, kSacked, kLost };
-
-  /// Per-packet sender state, one 16-byte record instead of four parallel
-  /// vectors: a 1-packet message costs one small allocation, not four.
-  struct PktMeta {
-    sim::SimTime sent_at;
-    PathIndex charged_path = 0;
-    std::uint8_t flags = 0;  ///< bits 0-1: PktState, bit 2: retransmitted (Karn)
-  };
-
   /// FIFO of packet numbers. A vector with a head cursor: unlike std::deque
   /// (whose empty libstdc++ instance still owns a 512-byte chunk) it holds no
   /// memory until used, which dominates idle per-message footprint at scale.
@@ -251,15 +237,8 @@ class MtpEndpoint {
     std::size_t head_ = 0;
   };
 
-  struct OutgoingMessage {
-    proto::MsgId id = 0;
-    net::NodeId dst = net::kInvalidNode;
-    MessageOptions opts;
-    std::int64_t total_bytes = 0;
-    std::uint32_t total_pkts = 0;
-    std::vector<PktMeta> pkts;  // per packet
-    std::uint32_t next_unsent = 0;
-    std::uint32_t sacked = 0;
+  /// Shared message core plus MTP's retransmit FIFOs and send-queue flag.
+  struct OutgoingMessage : transport::OutboundMessage<MessageOptions> {
     PktFifo retx_queue;
     /// Packet numbers in transmission order; the front is always the oldest
     /// in-flight packet, so expiry checks are O(1) until a loss.
@@ -267,34 +246,13 @@ class MtpEndpoint {
     /// True while the message sits in its SendGroup queue (has packets to
     /// send but may be window-blocked). Guards against double-enqueue.
     bool send_queued = false;
-    sim::SimTime started_at;
-    /// Wheel timer for the oldest in-flight packet's deadline; null when
-    /// nothing is in flight.
-    sim::TimerId retx_timer;
-    DoneFn done;
 
-    PktState state(std::uint32_t pkt) const {
-      return static_cast<PktState>(pkts[pkt].flags & 0x3);
-    }
-    void set_state(std::uint32_t pkt, PktState s) {
-      pkts[pkt].flags =
-          static_cast<std::uint8_t>((pkts[pkt].flags & ~0x3u) | static_cast<std::uint8_t>(s));
-    }
-    bool retransmitted(std::uint32_t pkt) const { return (pkts[pkt].flags & 0x4) != 0; }
-    void mark_retransmitted(std::uint32_t pkt) { pkts[pkt].flags |= 0x4; }
-
-    std::uint32_t pkt_len(std::uint32_t pkt, std::uint32_t mss) const {
-      const std::uint64_t off = static_cast<std::uint64_t>(pkt) * mss;
-      return static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(mss, static_cast<std::uint64_t>(total_bytes) - off));
-    }
+    /// The path a packet was charged to, kept in its PktMeta aux field.
+    PathIndex& charged_path(std::uint32_t pkt) { return pkts[pkt].aux; }
   };
 
-  struct IncomingMessage {
-    std::vector<bool> have;
-    std::uint32_t received = 0;
+  struct IncomingMessage : transport::Reassembly {
     std::uint32_t gap_checked = 0;  ///< packets below this were gap-NACKed once
-    std::uint32_t total_pkts = 0;
     std::int64_t total_bytes = 0;
     std::uint8_t priority = 0;
     proto::TrafficClassId tc = 0;
@@ -304,17 +262,6 @@ class MtpEndpoint {
     std::optional<proto::StreamHeader> stream;
     std::uint64_t deadline_ns = 0;  ///< from the packet-0 overload block
     sim::SimTime first_pkt_at;
-  };
-
-  struct MsgKey {
-    net::NodeId src;
-    proto::MsgId id;
-    bool operator==(const MsgKey&) const = default;
-  };
-  struct MsgKeyHash {
-    std::size_t operator()(const MsgKey& k) const {
-      return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.src) << 32) ^ k.id);
-    }
   };
 
   void on_packet(net::Packet&& pkt);
@@ -332,11 +279,9 @@ class MtpEndpoint {
   /// allows. Returns false if it stopped window-blocked with work remaining.
   bool service_msg(OutgoingMessage& msg);
   bool try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_retx);
-  void send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathIndex path);
-  void complete_outgoing(OutgoingMessage& msg);
+  void send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt);
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);  ///< wheel trampoline
-  void arm_retx(OutgoingMessage& msg, sim::SimTime deadline);
   sim::SimTime rto() const { return rtt_.rto(cfg_.min_rto, cfg_.max_rto, rto_backoff_); }
 
   PathletCc& cc(proto::PathletId pathlet, proto::TrafficClassId tc,
@@ -355,7 +300,7 @@ class MtpEndpoint {
   void grant_charge(net::NodeId dst, std::int64_t bytes);
   void grant_uncharge(net::NodeId dst, std::int64_t bytes);
   void abort_outgoing(proto::MsgId id, bool expired);
-  void reject_message(const MsgKey& key, const net::Packet& data,
+  void reject_message(const transport::MsgKey& key, const net::Packet& data,
                       std::uint8_t flags);
   void send_busy_reject(const net::Packet& data, std::uint8_t flags);
 
@@ -433,9 +378,8 @@ class MtpEndpoint {
   std::uint64_t msgs_rejected_ = 0;
 
   // --- Receiver.
-  std::unordered_map<MsgKey, IncomingMessage, MsgKeyHash> incoming_;
-  std::unordered_set<MsgKey, MsgKeyHash> completed_;
-  std::deque<MsgKey> completed_fifo_;
+  std::unordered_map<transport::MsgKey, IncomingMessage, transport::MsgKeyHash> incoming_;
+  transport::Tombstones completed_{transport::kHostTombstones};
   std::unordered_map<proto::PortNum, MessageHandler> handlers_;
   MessageHandler default_handler_;
   std::uint64_t msgs_delivered_ = 0;
@@ -456,8 +400,7 @@ class MtpEndpoint {
   /// this endpoint refused (a message must never be both rejected and
   /// delivered, so rejects are remembered exactly like completions).
   overload::Admission admission_;
-  std::unordered_set<MsgKey, MsgKeyHash> rejected_;
-  std::deque<MsgKey> rejected_fifo_;
+  transport::Tombstones rejected_{transport::kHostTombstones};
   std::uint64_t busy_rejects_sent_ = 0;
   std::uint64_t grants_issued_ = 0;
   std::uint64_t deadline_expiries_ = 0;

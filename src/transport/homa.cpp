@@ -37,7 +37,10 @@ HomaEndpoint::HomaEndpoint(net::Host& host, HomaConfig cfg)
 }
 
 HomaEndpoint::~HomaEndpoint() {
+  // Timers and the host handler hold a raw `this`; the simulator may outlive
+  // the endpoint.
   for (auto& [id, msg] : outgoing_) sim_.timers().cancel(msg.retx_timer);
+  host_.set_mtp_handler({});
 }
 
 // ------------------------------------------------------------------ sender
@@ -50,10 +53,7 @@ proto::MsgId HomaEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
   msg.id = id;
   msg.dst = dst;
   msg.opts = opts;
-  msg.total_bytes = bytes;
-  msg.total_pkts = static_cast<std::uint32_t>((bytes + cfg_.mss - 1) / cfg_.mss);
-  msg.state.assign(msg.total_pkts, 0);
-  msg.sent_at.assign(msg.total_pkts, sim::SimTime{});
+  msg.packetize(bytes, cfg_.mss);
   // The unscheduled window: one BDP goes out immediately, no grant needed.
   msg.granted = std::min<std::int64_t>(bytes, cfg_.rtt_bytes);
   msg.sched_prio = 0;
@@ -73,42 +73,20 @@ void HomaEndpoint::pump(OutMsg& msg) {
 }
 
 void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
-  const std::uint64_t offset = static_cast<std::uint64_t>(pkt) * cfg_.mss;
   // Priority remapping: the unscheduled prefix rides the top level so short
   // messages cut ahead; granted bytes carry whatever level the receiver's
   // SRPT ranking assigned in the latest grant.
-  const bool unscheduled =
-      static_cast<std::int64_t>(offset) < std::min<std::int64_t>(cfg_.rtt_bytes, msg.total_bytes);
-  net::Packet p;
-  p.src = host_.id();
-  p.dst = msg.dst;
-  p.payload_bytes = msg.pkt_len(pkt, cfg_.mss);
-  p.ecn = net::Ecn::kEct;
-  p.tc = msg.opts.tc;
-  p.priority = unscheduled ? cfg_.unscheduled_priority : msg.sched_prio;
-  p.flow_hash = message_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
-
-  proto::MtpHeader hdr;
-  hdr.src_port = msg.opts.src_port;
-  hdr.dst_port = msg.opts.dst_port;
-  hdr.type = proto::MtpPacketType::kData;
-  hdr.msg_id = msg.id;
-  hdr.priority = p.priority;
-  hdr.tc = msg.opts.tc;
-  hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.total_bytes);
-  hdr.msg_len_pkts = msg.total_pkts;
-  hdr.pkt_num = pkt;
-  hdr.pkt_offset = offset;
-  hdr.pkt_len = p.payload_bytes;
+  const bool unscheduled = static_cast<std::int64_t>(msg.pkt_offset(pkt, cfg_.mss)) <
+                           std::min<std::int64_t>(cfg_.rtt_bytes, msg.total_bytes);
+  net::Packet p = make_data(host_.id(), msg, pkt, cfg_.mss,
+                            unscheduled ? cfg_.unscheduled_priority : msg.sched_prio);
   p.header_bytes = cfg_.base_header_bytes;
-  p.header = std::move(hdr);
-
-  msg.state[pkt] = static_cast<std::uint8_t>((msg.state[pkt] & ~3u) | 1u |
-                                             (is_retx ? 4u : 0u));
-  msg.sent_at[pkt] = sim_.now();
+  msg.mark_sent(pkt, sim_.now(), is_retx);
   ++pkts_sent_;
   if (is_retx) ++pkts_retx_;
-  if (!sim_.timers().armed(msg.retx_timer)) arm_retx(msg, sim_.now() + rto(msg));
+  if (!sim_.timers().armed(msg.retx_timer)) {
+    msg.arm_retx(sim_, sim_.now() + rto(msg), &HomaEndpoint::retx_fire, this);
+  }
   host_.send(std::move(p));
 }
 
@@ -120,17 +98,21 @@ void HomaEndpoint::on_ack(const net::Packet& pkt) {
   bool progressed = false;
   for (const auto& s : hdr.sack()) {
     if (s.msg_id != msg.id || s.pkt_num >= msg.total_pkts) continue;
-    std::uint8_t& st = msg.state[s.pkt_num];
-    if ((st & 3u) == 2u) continue;  // already sacked
+    const PktState st = msg.state(s.pkt_num);
+    if (st == PktState::kSacked) continue;
     // Karn: retransmitted packets give ambiguous RTT samples.
-    if (!(st & 4u) && (st & 3u) == 1u) rtt_.sample(sim_.now() - msg.sent_at[s.pkt_num]);
-    st = static_cast<std::uint8_t>((st & ~3u) | 2u);
+    if (!msg.retransmitted(s.pkt_num) && st == PktState::kInflight) {
+      rtt_.sample(sim_.now() - msg.pkts[s.pkt_num].sent_at);
+    }
+    msg.set_state(s.pkt_num, PktState::kSacked);
     ++msg.sacked;
     progressed = true;
   }
   if (progressed) {
     msg.backoff = 1.0;
-    while (msg.cursor < msg.total_pkts && (msg.state[msg.cursor] & 3u) == 2u) ++msg.cursor;
+    while (msg.cursor < msg.total_pkts && msg.state(msg.cursor) == PktState::kSacked) {
+      ++msg.cursor;
+    }
   }
   if (hdr.has_overload()) {
     // grant_bytes is the absolute byte offset the receiver allows.
@@ -139,32 +121,14 @@ void HomaEndpoint::on_ack(const net::Packet& pkt) {
     msg.sched_prio = hdr.priority;
   }
   if (msg.sacked == msg.total_pkts) {
-    complete_outgoing(msg);
+    complete_outbound(outgoing_, msg, sim_);
     return;
   }
   pump(msg);
 }
 
-void HomaEndpoint::complete_outgoing(OutMsg& msg) {
-  const sim::SimTime fct = sim_.now() - msg.started_at;
-  auto done = std::move(msg.done);
-  const proto::MsgId id = msg.id;
-  sim_.timers().cancel(msg.retx_timer);
-  outgoing_.erase(id);  // msg is dangling beyond this point
-  if (done) done(id, fct);
-}
-
 void HomaEndpoint::retx_fire(void* self, std::uint64_t id) {
   static_cast<HomaEndpoint*>(self)->on_retx_timer(static_cast<proto::MsgId>(id));
-}
-
-void HomaEndpoint::arm_retx(OutMsg& msg, sim::SimTime deadline) {
-  // Never (re)arm in the past or at the current instant — an `== now` arm
-  // would re-fire at this timestamp forever when the oldest packet sits
-  // exactly at its deadline.
-  const sim::SimTime floor = sim_.now() + sim_.timers().granularity();
-  msg.retx_timer =
-      sim_.timers().arm(std::max(deadline, floor), &HomaEndpoint::retx_fire, this, msg.id);
 }
 
 void HomaEndpoint::on_retx_timer(proto::MsgId id) {
@@ -179,12 +143,13 @@ void HomaEndpoint::on_retx_timer(proto::MsgId id) {
   // The cursor bounds the scan: everything below it is sacked, everything at
   // or above next_unsent was never sent.
   for (std::uint32_t pkt = msg.cursor; pkt < msg.next_unsent; ++pkt) {
-    if ((msg.state[pkt] & 3u) != 1u) continue;
-    if (now - msg.sent_at[pkt] > deadline) {
+    if (msg.state(pkt) != PktState::kInflight) continue;
+    const sim::SimTime sent_at = msg.pkts[pkt].sent_at;
+    if (now - sent_at > deadline) {
       send_data_pkt(msg, pkt, /*is_retx=*/true);
       any_expired = true;
-    } else if (!any_inflight || msg.sent_at[pkt] < oldest) {
-      oldest = msg.sent_at[pkt];
+    } else if (!any_inflight || sent_at < oldest) {
+      oldest = sent_at;
       any_inflight = true;
     }
   }
@@ -200,7 +165,8 @@ void HomaEndpoint::on_retx_timer(proto::MsgId id) {
   }
   // The message is incomplete (completion erases it), so always keep a timer
   // pending: either at the oldest surviving packet's deadline or one RTO out.
-  arm_retx(msg, any_inflight ? oldest + deadline : now + rto(msg));
+  msg.arm_retx(sim_, any_inflight ? oldest + deadline : now + rto(msg),
+               &HomaEndpoint::retx_fire, this);
 }
 
 // ---------------------------------------------------------------- receiver
@@ -228,17 +194,17 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
   const MsgKey key{pkt.src, hdr.msg_id};
 
   // Duplicate of an already-delivered message: re-ACK to quench the sender.
-  if (!completed_.empty() && completed_.contains(key)) {
+  if (completed_.contains(key)) {
     emit_ack(pkt);
     return;
   }
+  if (!Reassembly::well_formed(hdr)) return;
 
   auto [it, fresh] = incoming_.try_emplace(key);
   InMsg& msg = it->second;
   if (fresh) {
-    msg.total_pkts = hdr.msg_len_pkts;
+    msg.start(hdr.msg_len_pkts);
     msg.total_bytes = static_cast<std::int64_t>(hdr.msg_len_bytes);
-    msg.have.assign(msg.total_pkts, false);
     // The sender's unscheduled window is implicitly granted.
     msg.granted = std::min<std::int64_t>(msg.total_bytes, cfg_.rtt_bytes);
     msg.tc = hdr.tc;
@@ -248,9 +214,7 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     active_.insert({msg.total_bytes, key.src, key.id});
   }
 
-  if (hdr.pkt_num < msg.total_pkts && !msg.have[hdr.pkt_num]) {
-    msg.have[hdr.pkt_num] = true;
-    ++msg.received;
+  if (msg.add(hdr.pkt_num)) {
     const std::int64_t before = msg.total_bytes - msg.received_bytes;
     msg.received_bytes += pkt.payload_bytes;
     if (on_payload) on_payload(pkt.payload_bytes);
@@ -260,7 +224,7 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     active_.insert({msg.total_bytes - msg.received_bytes, key.src, key.id});
   }
 
-  if (msg.received == msg.total_pkts) {
+  if (msg.complete()) {
     emit_ack(pkt);  // final SACK completes the sender
     active_.erase({0, key.src, key.id});
     auto h = handlers_.find(msg.dst_port);
@@ -269,11 +233,6 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     const std::int64_t bytes = msg.total_bytes;
     incoming_.erase(it);  // msg is dangling beyond this point
     completed_.insert(key);
-    completed_fifo_.push_back(key);
-    while (completed_fifo_.size() > cfg_.completed_cache) {
-      completed_.erase(completed_fifo_.front());
-      completed_fifo_.pop_front();
-    }
     if (h != handlers_.end() && h->second) h->second(src, bytes);
     issue_grants();  // a slot opened: promote the next message
     return;
@@ -283,30 +242,11 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
 }
 
 void HomaEndpoint::emit_ack(const net::Packet& data) {
-  const auto& dh = data.mtp();
-  net::Packet p;
-  p.src = host_.id();
-  p.dst = data.src;
-  p.payload_bytes = 0;
-  p.ecn = net::Ecn::kNotEct;
-  p.tc = data.tc;
-  p.priority = data.priority;
-  p.flow_hash = message_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
-
-  proto::MtpHeader hdr;
-  hdr.src_port = dh.dst_port;
-  hdr.dst_port = dh.src_port;
-  hdr.type = proto::MtpPacketType::kAck;
-  hdr.msg_id = dh.msg_id;
-  hdr.tc = dh.tc;
-  hdr.priority = dh.priority;
-  hdr.msg_len_bytes = dh.msg_len_bytes;
-  hdr.msg_len_pkts = dh.msg_len_pkts;
-  hdr.pkt_num = dh.pkt_num;
-  hdr.sack().push_back({dh.msg_id, dh.pkt_num});
+  net::Packet p = make_reply(data, host_.id());
+  auto& hdr = p.mtp();
+  hdr.sack().push_back({hdr.msg_id, hdr.pkt_num});
   p.header_bytes = cfg_.base_header_bytes +
                    static_cast<std::uint32_t>(hdr.sack().size() * 12);
-  p.header = std::move(hdr);
   ++acks_sent_;
   host_.send(std::move(p));
 }

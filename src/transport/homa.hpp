@@ -23,20 +23,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <set>
 #include <string>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/host.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/rto.hpp"
+#include "transport/message.hpp"
 
 namespace mtp::transport {
 
@@ -53,9 +51,6 @@ struct HomaConfig {
   std::uint8_t sched_priorities = 4;      ///< scheduled levels 0..n-1 by SRPT rank
   sim::SimTime min_rto = sim::SimTime::microseconds(200);
   sim::SimTime max_rto = sim::SimTime::milliseconds(5);
-
-  /// Completed-message tombstones kept to re-ACK duplicate retransmissions.
-  std::size_t completed_cache = 1 << 14;
 };
 
 /// Per-message submission metadata (mirrors core::MessageOptions' subset the
@@ -98,37 +93,15 @@ class HomaEndpoint {
   net::Host& host() { return host_; }
 
  private:
-  struct OutMsg {
-    proto::MsgId id = 0;
-    net::NodeId dst = net::kInvalidNode;
-    HomaOptions opts;
-    std::int64_t total_bytes = 0;
-    std::uint32_t total_pkts = 0;
-    /// Per packet: bits 0-1 state (0 unsent, 1 inflight, 2 sacked),
-    /// bit 2 retransmitted (Karn).
-    std::vector<std::uint8_t> state;
-    std::vector<sim::SimTime> sent_at;
-    std::uint32_t next_unsent = 0;
-    std::uint32_t sacked = 0;
+  /// Shared message core plus Homa's grant, cursor and backoff state.
+  struct OutMsg : OutboundMessage<HomaOptions> {
     std::uint32_t cursor = 0;  ///< all packets below are sacked
     std::int64_t granted = 0;  ///< bytes the receiver allows (incl. unscheduled)
     std::uint8_t sched_prio = 0;  ///< priority the latest grant assigned
-    sim::SimTime started_at;
-    sim::TimerId retx_timer;
     double backoff = 1.0;
-    DoneFn done;
-
-    std::uint32_t pkt_len(std::uint32_t pkt, std::uint32_t mss) const {
-      const std::uint64_t off = static_cast<std::uint64_t>(pkt) * mss;
-      return static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(mss, static_cast<std::uint64_t>(total_bytes) - off));
-    }
   };
 
-  struct InMsg {
-    std::vector<bool> have;
-    std::uint32_t received = 0;
-    std::uint32_t total_pkts = 0;
+  struct InMsg : Reassembly {
     std::int64_t total_bytes = 0;
     std::int64_t received_bytes = 0;
     std::int64_t granted = 0;  ///< highest grant offset sent so far
@@ -138,16 +111,6 @@ class HomaEndpoint {
     sim::SimTime first_pkt_at;
   };
 
-  struct MsgKey {
-    net::NodeId src;
-    proto::MsgId id;
-    bool operator==(const MsgKey&) const = default;
-  };
-  struct MsgKeyHash {
-    std::size_t operator()(const MsgKey& k) const {
-      return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.src) << 32) ^ k.id);
-    }
-  };
   /// SRPT order with deterministic ties: (remaining bytes, source, msg id).
   using SrptKey = std::tuple<std::int64_t, net::NodeId, proto::MsgId>;
 
@@ -156,13 +119,11 @@ class HomaEndpoint {
   void on_ack(const net::Packet& pkt);
   void pump(OutMsg& msg);
   void send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx);
-  void complete_outgoing(OutMsg& msg);
   void emit_ack(const net::Packet& data);
   void send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset,
                   std::uint8_t prio);
   /// Re-rank the active set and extend grants for the top `overcommit`.
   void issue_grants();
-  void arm_retx(OutMsg& msg, sim::SimTime deadline);
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);
   sim::SimTime rto(const OutMsg& msg) const {
@@ -184,8 +145,7 @@ class HomaEndpoint {
   // --- Receiver.
   std::unordered_map<MsgKey, InMsg, MsgKeyHash> incoming_;
   std::set<SrptKey> active_;  ///< incomplete messages in SRPT grant order
-  std::unordered_set<MsgKey, MsgKeyHash> completed_;
-  std::deque<MsgKey> completed_fifo_;
+  Tombstones completed_{kHostTombstones};
   std::unordered_map<proto::PortNum, MessageHandler> handlers_;
   std::uint64_t msgs_delivered_ = 0;
   std::uint64_t grants_issued_ = 0;

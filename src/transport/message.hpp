@@ -1,0 +1,285 @@
+// The message core every message transport shares. MTP hosts, the Homa-style
+// transport and in-network devices move messages the same way (the paper's
+// Fig 1 puts one message layer in hosts and devices alike); this header holds
+// those mechanics, and each transport keeps only its policy:
+//
+//   - RtoEstimator and message_flow_hash: RTT estimation and the ECMP hash;
+//   - MsgKey and Tombstones: a receiver's message identity and its bounded
+//     memory of messages it has finished with;
+//   - Reassembly: which packets of an incoming message have arrived;
+//   - make_reply and make_data: the ACK and data packet skeletons;
+//   - OutboundMessage and complete_outbound: a sender's per-message record
+//     and its retirement.
+//
+// The arithmetic (and its order) is what the recorded completion digests were
+// produced with; changing a constant or an operation order moves every
+// transport's fct_digest.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <unordered_set>
+#include <vector>
+
+#include "net/packet.hpp"
+#include "sim/time.hpp"
+#include "sim/timer_wheel.hpp"
+
+namespace mtp::transport {
+
+/// Smoothed RTT and RTT variance from Karn-filtered samples (RFC 6298 with
+/// alpha = 1/8, beta = 1/4). Callers feed only samples from packets that were
+/// never retransmitted.
+struct RtoEstimator {
+  sim::SimTime srtt;
+  sim::SimTime rttvar;
+  bool valid = false;
+
+  void sample(sim::SimTime s) {
+    if (!valid) {
+      srtt = s;
+      rttvar = s / 2;
+      valid = true;
+    } else {
+      const sim::SimTime err = s >= srtt ? s - srtt : srtt - s;
+      rttvar = rttvar.scaled(0.75) + err.scaled(0.25);
+      srtt = srtt.scaled(0.875) + s.scaled(0.125);
+    }
+  }
+
+  /// Message-transport timeout: 2*srtt + 4*rttvar (5*min_rto before the
+  /// first sample), times the backoff multiplier, clamped to [min, max].
+  sim::SimTime rto(sim::SimTime min_rto, sim::SimTime max_rto, double backoff) const {
+    sim::SimTime r = valid ? srtt * 2 + rttvar * 4 : min_rto.scaled(5.0);
+    r = r.scaled(backoff);
+    r = std::max(r, min_rto);
+    r = std::min(r, max_rto);
+    return r;
+  }
+};
+
+/// ECMP hash over (src, src port, dst, dst port). Constant per 4-tuple, so a
+/// message keeps one path under ECMP unless the forwarding layer sprays.
+inline std::uint64_t message_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
+                                       proto::PortNum bp) {
+  std::uint64_t h = (static_cast<std::uint64_t>(a) << 48) ^
+                    (static_cast<std::uint64_t>(b) << 32) ^
+                    (static_cast<std::uint64_t>(ap) << 16) ^ bp;
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  return h;
+}
+
+/// Tombstones a host receiver keeps per set (delivered, busy-rejected).
+inline constexpr std::size_t kHostTombstones = 1 << 14;
+
+/// A message as its receiver names it: ids are only unique per sender.
+struct MsgKey {
+  net::NodeId src;
+  proto::MsgId id;
+  bool operator==(const MsgKey&) const = default;
+};
+struct MsgKeyHash {
+  std::size_t operator()(const MsgKey& k) const {
+    return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.src) << 32) ^ k.id);
+  }
+};
+
+/// Messages a receiver has finished with (delivered or rejected), so it can
+/// re-ACK or re-reject their retransmissions. Bounded: past `capacity` the
+/// oldest entry is forgotten first.
+class Tombstones {
+ public:
+  explicit Tombstones(std::size_t capacity) : capacity_(capacity) {}
+
+  bool contains(const MsgKey& k) const { return !set_.empty() && set_.contains(k); }
+  void insert(const MsgKey& k) {
+    if (!set_.insert(k).second) return;
+    fifo_.push_back(k);
+    while (fifo_.size() > capacity_) {
+      set_.erase(fifo_.front());
+      fifo_.pop_front();
+    }
+  }
+  void clear() {
+    set_.clear();
+    fifo_.clear();
+  }
+
+ private:
+  std::size_t capacity_;
+  std::unordered_set<MsgKey, MsgKeyHash> set_;
+  std::deque<MsgKey> fifo_;
+};
+
+/// Which packets of an incoming message have arrived.
+struct Reassembly {
+  std::vector<bool> have;
+  std::uint32_t received = 0;
+  std::uint32_t total_pkts = 0;
+
+  /// Every packet carries its message's length, so a receiver can refuse a
+  /// malformed header (no packets, or a packet number past the end) before
+  /// it allocates anything.
+  static bool well_formed(const proto::MtpHeader& h) {
+    return h.msg_len_pkts != 0 && h.pkt_num < h.msg_len_pkts;
+  }
+  void start(std::uint32_t pkts) {
+    have.assign(pkts, false);
+    total_pkts = pkts;
+  }
+  /// Record packet `pkt`; false for a duplicate or an out-of-range number.
+  bool add(std::uint32_t pkt) {
+    if (pkt >= total_pkts || have[pkt]) return false;
+    have[pkt] = true;
+    ++received;
+    return true;
+  }
+  bool complete() const { return received == total_pkts; }
+};
+
+/// Reply skeleton for `data`, sent by `self`: an ACK back to the sender with
+/// ports swapped, the message fields copied, the reverse 4-tuple's flow hash,
+/// and the data packet's TC and priority. Callers add SACK/NACK lists, path
+/// feedback, grants or reject flags, and the header size.
+inline net::Packet make_reply(const net::Packet& data, net::NodeId self) {
+  const auto& dh = data.mtp();
+  net::Packet p;
+  p.src = self;
+  p.dst = data.src;
+  p.tc = data.tc;
+  p.priority = data.priority;
+  p.flow_hash = message_flow_hash(self, dh.dst_port, data.src, dh.src_port);
+  auto& hdr = p.header.emplace<proto::MtpHeader>();
+  hdr.src_port = dh.dst_port;
+  hdr.dst_port = dh.src_port;
+  hdr.type = proto::MtpPacketType::kAck;
+  hdr.msg_id = dh.msg_id;
+  hdr.tc = dh.tc;
+  hdr.priority = dh.priority;
+  hdr.msg_len_bytes = dh.msg_len_bytes;
+  hdr.msg_len_pkts = dh.msg_len_pkts;
+  hdr.pkt_num = dh.pkt_num;
+  return p;
+}
+
+/// Sender-side state of one packet.
+enum class PktState : std::uint8_t { kUnsent, kInflight, kSacked, kLost };
+
+/// Per-packet sender record in 16 bytes: when the packet last left, its
+/// state, the Karn bit, and a 16-bit field the transport owns (MTP keeps the
+/// path the packet was charged to there).
+struct PktMeta {
+  sim::SimTime sent_at;
+  std::uint16_t aux = 0;
+  std::uint8_t flags = 0;  ///< bits 0-1: PktState, bit 2: retransmitted (Karn)
+};
+static_assert(sizeof(PktMeta) == 16);
+
+/// A sender's record of one outgoing message: its packetization and one
+/// PktMeta per packet. `Options` carries the transport's per-message
+/// submission fields and must provide src_port, dst_port and tc.
+template <class Options>
+struct OutboundMessage {
+  using DoneFn = std::function<void(proto::MsgId, sim::SimTime fct)>;
+
+  proto::MsgId id = 0;
+  Options opts;
+  std::int64_t total_bytes = 0;
+  net::NodeId dst = net::kInvalidNode;
+  std::uint32_t total_pkts = 0;
+  std::uint32_t next_unsent = 0;  ///< packets below were sent at least once
+  std::uint32_t sacked = 0;
+  std::vector<PktMeta> pkts;
+  sim::SimTime started_at;
+  sim::TimerId retx_timer;  ///< null while no retransmit timer is pending
+  DoneFn done;
+
+  /// Split `bytes` into `mss`-sized packets, all unsent.
+  void packetize(std::int64_t bytes, std::uint32_t mss) {
+    total_bytes = bytes;
+    total_pkts = static_cast<std::uint32_t>((bytes + mss - 1) / mss);
+    pkts.assign(total_pkts, PktMeta{});
+  }
+  std::uint64_t pkt_offset(std::uint32_t pkt, std::uint32_t mss) const {
+    return static_cast<std::uint64_t>(pkt) * mss;
+  }
+  std::uint32_t pkt_len(std::uint32_t pkt, std::uint32_t mss) const {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        mss, static_cast<std::uint64_t>(total_bytes) - pkt_offset(pkt, mss)));
+  }
+
+  PktState state(std::uint32_t pkt) const {
+    return static_cast<PktState>(pkts[pkt].flags & 0x3);
+  }
+  void set_state(std::uint32_t pkt, PktState s) {
+    pkts[pkt].flags =
+        static_cast<std::uint8_t>((pkts[pkt].flags & ~0x3u) | static_cast<std::uint8_t>(s));
+  }
+  bool retransmitted(std::uint32_t pkt) const { return (pkts[pkt].flags & 0x4) != 0; }
+  /// Packet `pkt` leaves at `now`. A retransmission sets the Karn bit, which
+  /// stays set for the life of the message.
+  void mark_sent(std::uint32_t pkt, sim::SimTime now, bool is_retx) {
+    set_state(pkt, PktState::kInflight);
+    pkts[pkt].sent_at = now;
+    if (is_retx) pkts[pkt].flags |= 0x4;
+  }
+
+  /// Arm the retransmit timer for `deadline`, calling fn(owner, id). Never
+  /// in the past or at the current instant: a deadline that has passed still
+  /// needs a fresh wheel tick so the expiry check runs from a clean event,
+  /// and an `== now` arm would re-fire at this timestamp forever when the
+  /// oldest packet sits exactly at its deadline.
+  void arm_retx(sim::Simulator& sim, sim::SimTime deadline, sim::TimerWheel::FireFn fn,
+                void* owner) {
+    const sim::SimTime floor = sim.now() + sim.timers().granularity();
+    retx_timer = sim.timers().arm(std::max(deadline, floor), fn, owner, id);
+  }
+};
+
+/// Retire a fully acknowledged message: cancel its timer, erase it from
+/// `outgoing` (keyed by message id), then fire its DoneFn with the FCT — last,
+/// so the callback may send.
+template <class Map>
+void complete_outbound(Map& outgoing, typename Map::mapped_type& msg, sim::Simulator& sim) {
+  const sim::SimTime fct = sim.now() - msg.started_at;
+  auto done = std::move(msg.done);
+  const proto::MsgId id = msg.id;
+  sim.timers().cancel(msg.retx_timer);
+  outgoing.erase(id);  // msg is dangling beyond this point
+  if (done) done(id, fct);
+}
+
+/// Data packet `pkt` of `msg`, sent by `self`, with its MTP header: ECN
+/// capable, on the message's 4-tuple flow hash, at `priority` in both the
+/// packet and the header. Callers add packet-0 extras and the header size.
+template <class Options>
+net::Packet make_data(net::NodeId self, const OutboundMessage<Options>& msg,
+                      std::uint32_t pkt, std::uint32_t mss, std::uint8_t priority) {
+  net::Packet p;
+  p.src = self;
+  p.dst = msg.dst;
+  p.payload_bytes = msg.pkt_len(pkt, mss);
+  p.ecn = net::Ecn::kEct;
+  p.tc = msg.opts.tc;
+  p.priority = priority;
+  p.flow_hash = message_flow_hash(self, msg.opts.src_port, msg.dst, msg.opts.dst_port);
+  auto& hdr = p.header.emplace<proto::MtpHeader>();
+  hdr.src_port = msg.opts.src_port;
+  hdr.dst_port = msg.opts.dst_port;
+  hdr.type = proto::MtpPacketType::kData;
+  hdr.msg_id = msg.id;
+  hdr.priority = priority;
+  hdr.tc = msg.opts.tc;
+  hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.total_bytes);
+  hdr.msg_len_pkts = msg.total_pkts;
+  hdr.pkt_num = pkt;
+  hdr.pkt_offset = msg.pkt_offset(pkt, mss);
+  hdr.pkt_len = p.payload_bytes;
+  return p;
+}
+
+}  // namespace mtp::transport

@@ -25,7 +25,7 @@
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/rto.hpp"
+#include "transport/message.hpp"
 
 namespace mtp::transport {
 

@@ -167,6 +167,30 @@ TEST(DeviceSender, AbandonsAfterMaxRetries) {
   EXPECT_EQ(tx.messages_abandoned(), 1u);
 }
 
+TEST(DeviceSender, RepliesAndAcksCarryTheReverseFlowHash) {
+  // Without a flow hash, ECMP sends every device-originated packet out the
+  // first candidate port. A device reply and a device ACK must hash like a
+  // host's: on the reverse 4-tuple, at the data packet's header priority.
+  SwitchRig rig;
+  DeviceReceiver rx(*rig.sw, {});
+  DeviceSender tx(*rig.sw, {});
+  std::vector<net::Packet> at_a;
+  rig.a->set_mtp_handler([&](net::Packet&& pkt) { at_a.push_back(std::move(pkt)); });
+  net::Packet req = data_pkt(rig.a->id(), rig.b->id(), 5, 0, 1, 500);  // port 9 -> 80
+  req.priority = 3;
+  req.mtp().priority = 3;
+  rx.on_data(req);
+  tx.send(rig.a->id(), 500, {.priority = 3, .src_port = 80, .dst_port = 9});
+  rig.net.simulator().run(100_us);
+  ASSERT_EQ(at_a.size(), 2u);
+  const std::uint64_t reverse =
+      transport::message_flow_hash(rig.sw->id(), 80, rig.a->id(), 9);
+  for (const net::Packet& p : at_a) {
+    EXPECT_EQ(p.flow_hash, reverse) << (p.mtp().is_ack() ? "ack" : "reply");
+    EXPECT_EQ(p.mtp().priority, 3) << (p.mtp().is_ack() ? "ack" : "reply");
+  }
+}
+
 TEST(DeviceSender, UnknownAckIgnored) {
   SwitchRig rig;
   DeviceSender tx(*rig.sw, {});

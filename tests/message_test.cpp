@@ -1,0 +1,215 @@
+// Unit tests for the shared message core (transport/message.hpp) and for the
+// endpoints built on it: tombstone eviction, the reply and data builders, the
+// sender record, DeviceSender's bounds check, and endpoint teardown mid-run.
+#include <gtest/gtest.h>
+
+#include <memory>
+
+#include "helpers.hpp"
+#include "innetwork/device_endpoint.hpp"
+#include "mtp/endpoint.hpp"
+#include "transport/homa.hpp"
+#include "transport/message.hpp"
+
+namespace mtp::transport {
+namespace {
+
+using namespace mtp::sim::literals;
+
+struct TestOptions {
+  proto::TrafficClassId tc = 0;
+  proto::PortNum src_port = 0;
+  proto::PortNum dst_port = 0;
+};
+
+TEST(Tombstones, EvictsOldestFirstAtCapacity) {
+  Tombstones t(2);
+  const MsgKey a{1, 10}, b{1, 11}, c{2, 10}, d{2, 11};
+  t.insert(a);
+  t.insert(b);
+  t.insert(c);  // over capacity: a, the oldest, goes
+  EXPECT_FALSE(t.contains(a));
+  EXPECT_TRUE(t.contains(b));
+  EXPECT_TRUE(t.contains(c));
+  t.insert(b);  // already present: no reordering, no growth
+  t.insert(d);  // b is still the oldest, and only b goes
+  EXPECT_FALSE(t.contains(b));
+  EXPECT_TRUE(t.contains(c));
+  EXPECT_TRUE(t.contains(d));
+}
+
+TEST(Tombstones, ClearEmptiesIt) {
+  Tombstones t(4);
+  t.insert({1, 1});
+  t.insert({1, 2});
+  t.clear();
+  EXPECT_FALSE(t.contains({1, 1}));
+  EXPECT_FALSE(t.contains({1, 2}));
+  t.insert({1, 1});  // usable again after a clear
+  EXPECT_TRUE(t.contains({1, 1}));
+}
+
+TEST(Reassembly, CountsEachPacketOnceAndGuardsMalformedHeaders) {
+  proto::MtpHeader h;
+  h.msg_len_pkts = 0;
+  EXPECT_FALSE(Reassembly::well_formed(h));
+  h.msg_len_pkts = 3;
+  h.pkt_num = 3;
+  EXPECT_FALSE(Reassembly::well_formed(h));
+  h.pkt_num = 2;
+  EXPECT_TRUE(Reassembly::well_formed(h));
+
+  Reassembly r;
+  r.start(3);
+  EXPECT_TRUE(r.add(2));
+  EXPECT_FALSE(r.add(2));  // duplicate
+  EXPECT_FALSE(r.add(7));  // out of range
+  EXPECT_TRUE(r.add(0));
+  EXPECT_FALSE(r.complete());
+  EXPECT_TRUE(r.add(1));
+  EXPECT_TRUE(r.complete());
+}
+
+TEST(MakeReply, SwapsPortsAndSetsTheReverseFlowHash) {
+  net::Packet data;
+  data.src = 4;
+  data.dst = 9;
+  data.payload_bytes = 1000;
+  data.ecn = net::Ecn::kEct;
+  data.tc = 2;
+  data.priority = 5;
+  proto::MtpHeader& dh = data.header.emplace<proto::MtpHeader>();
+  dh.src_port = 1234;
+  dh.dst_port = 80;
+  dh.msg_id = 77;
+  dh.tc = 2;
+  dh.priority = 5;
+  dh.msg_len_bytes = 3000;
+  dh.msg_len_pkts = 3;
+  dh.pkt_num = 1;
+
+  const net::Packet r = make_reply(data, 9);
+  EXPECT_EQ(r.src, 9u);
+  EXPECT_EQ(r.dst, 4u);
+  EXPECT_EQ(r.payload_bytes, 0u);
+  EXPECT_EQ(r.ecn, net::Ecn::kNotEct);
+  EXPECT_EQ(r.tc, 2);
+  EXPECT_EQ(r.priority, 5);
+  EXPECT_EQ(r.flow_hash, message_flow_hash(9, 80, 4, 1234));
+  EXPECT_NE(r.flow_hash, message_flow_hash(4, 1234, 9, 80));
+  const proto::MtpHeader& rh = r.mtp();
+  EXPECT_TRUE(rh.is_ack());
+  EXPECT_EQ(rh.src_port, 80);
+  EXPECT_EQ(rh.dst_port, 1234);
+  EXPECT_EQ(rh.msg_id, 77u);
+  EXPECT_EQ(rh.tc, 2);
+  EXPECT_EQ(rh.priority, 5);
+  EXPECT_EQ(rh.msg_len_bytes, 3000u);
+  EXPECT_EQ(rh.msg_len_pkts, 3u);
+  EXPECT_EQ(rh.pkt_num, 1u);
+  EXPECT_TRUE(rh.sack().empty());
+  EXPECT_TRUE(rh.nack().empty());
+}
+
+TEST(OutboundMessage, LastPacketLengthAndOffset) {
+  OutboundMessage<TestOptions> m;
+  m.packetize(2'500, 1000);
+  ASSERT_EQ(m.total_pkts, 3u);
+  ASSERT_EQ(m.pkts.size(), 3u);
+  EXPECT_EQ(m.pkt_len(0, 1000), 1000u);
+  EXPECT_EQ(m.pkt_offset(2, 1000), 2000u);
+  EXPECT_EQ(m.pkt_len(2, 1000), 500u);
+  for (std::uint32_t k = 0; k < 3; ++k) EXPECT_EQ(m.state(k), PktState::kUnsent);
+
+  m.id = 5;
+  m.dst = 3;
+  m.opts = {.tc = 1, .src_port = 7, .dst_port = 8};
+  const net::Packet p = make_data(net::NodeId{2}, m, 2, 1000, 6);
+  EXPECT_EQ(p.payload_bytes, 500u);
+  EXPECT_EQ(p.priority, 6);
+  EXPECT_EQ(p.flow_hash, message_flow_hash(2, 7, 3, 8));
+  EXPECT_EQ(p.mtp().pkt_offset, 2000u);
+  EXPECT_EQ(p.mtp().pkt_len, 500u);
+  EXPECT_EQ(p.mtp().msg_len_pkts, 3u);
+  EXPECT_EQ(p.mtp().priority, 6);
+}
+
+TEST(OutboundMessage, KarnBitSurvivesAResend) {
+  OutboundMessage<TestOptions> m;
+  m.packetize(3'000, 1000);
+  m.mark_sent(1, 10_us, /*is_retx=*/false);
+  EXPECT_FALSE(m.retransmitted(1));
+  m.mark_sent(1, 20_us, /*is_retx=*/true);
+  EXPECT_TRUE(m.retransmitted(1));
+  m.mark_sent(1, 30_us, /*is_retx=*/false);  // a later first-class send
+  EXPECT_TRUE(m.retransmitted(1));
+  EXPECT_EQ(m.state(1), PktState::kInflight);
+  EXPECT_EQ(m.pkts[1].sent_at, 30_us);
+  m.set_state(1, PktState::kSacked);
+  EXPECT_TRUE(m.retransmitted(1));
+  EXPECT_FALSE(m.retransmitted(0));
+}
+
+TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {
+  mtp::testing::HostPair t;
+  innetwork::DeviceSender tx(*t.sw, {});
+  int data_at_b = 0;
+  t.b->set_mtp_handler([&](net::Packet&& pkt) {
+    if (!pkt.mtp().is_ack()) ++data_at_b;
+  });
+  const proto::MsgId id = tx.send(t.b->id(), 2'000, {});  // 2 packets
+  t.sim().run(100_us);
+  ASSERT_EQ(data_at_b, 2);
+
+  auto ack = [&](std::vector<proto::SackEntry> sacks, std::vector<proto::SackEntry> nacks) {
+    net::Packet p;
+    p.src = t.b->id();
+    p.dst = t.sw->id();
+    proto::MtpHeader& h = p.header.emplace<proto::MtpHeader>();
+    h.type = proto::MtpPacketType::kAck;
+    h.sack() = std::move(sacks);
+    h.nack() = std::move(nacks);
+    return p;
+  };
+  // Known message, stray packet numbers: consumed, but nothing is sacked,
+  // resent or clocked out.
+  EXPECT_TRUE(tx.handle_ack(ack({{id, 2}, {id, 99}}, {{id, 5}})));
+  t.sim().run(200_us);
+  EXPECT_EQ(data_at_b, 2);
+  EXPECT_EQ(tx.outstanding(), 1u);
+
+  EXPECT_TRUE(tx.handle_ack(ack({{id, 0}, {id, 1}}, {})));
+  EXPECT_EQ(tx.outstanding(), 0u);
+}
+
+// Destroying an endpoint mid-run must leave nothing behind that still points
+// at it: no armed retransmit timer and no host packet handler.
+template <class Endpoint, class Config>
+void destroy_mid_run() {
+  mtp::testing::HostPair t;
+  auto sender = std::make_unique<Endpoint>(*t.a, Config{});
+  auto receiver = std::make_unique<Endpoint>(*t.b, Config{});
+  sender->send_message(t.b->id(), 200'000);
+  t.sim().run(4_us);  // first packets have reached the receiver
+  ASSERT_GT(receiver->acks_sent(), 0u);
+  receiver.reset();   // the sender's window is still arriving
+  t.sim().run(8_us);
+  ASSERT_GT(t.sim().timers().armed_count(), 0u);
+  sender.reset();     // message in flight, retransmit timer armed
+  EXPECT_EQ(t.sim().timers().armed_count(), 0u);
+  t.sim().run();      // in-flight packets land on hosts with no handler
+  EXPECT_EQ(t.sim().pending_events(), 0u);
+  EXPECT_EQ(t.net.unaccounted_packet_slots(), 0u);
+  EXPECT_EQ(mtp::testing::live_packets(t.net), 0u);
+}
+
+TEST(EndpointTeardown, MtpEndpointDestroyedMidRun) {
+  destroy_mid_run<core::MtpEndpoint, core::MtpConfig>();
+}
+
+TEST(EndpointTeardown, HomaEndpointDestroyedMidRun) {
+  destroy_mid_run<HomaEndpoint, HomaConfig>();
+}
+
+}  // namespace
+}  // namespace mtp::transport
