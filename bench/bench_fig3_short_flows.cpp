@@ -10,7 +10,7 @@
 // completion times via the client's done-callback.
 //
 // The second half runs the same closed-loop one-message-at-a-time workload
-// through the transport zoo (transport::TransportRegistry): MTP and the
+// through the transport zoo (transport::make_fleet): MTP and the
 // Homa-style receiver-driven transport complete short messages without a
 // handshake, while DCTCP-per-message and MPTCP pay connection setup — the
 // paper's argument, now as a four-way comparison behind one API.
@@ -178,7 +178,7 @@ struct ZooResult {
   telemetry::RegistrySnapshot registry;
 };
 
-/// The paper's one-message-at-a-time pattern through the registry API:
+/// The paper's one-message-at-a-time pattern through the Transport API:
 /// incast(4), each sender keeps exactly one message outstanding and issues
 /// the next from the done callback. Same workload for every transport — the
 /// only variable is what a "message" costs the transport.

@@ -54,7 +54,7 @@ const LossLevel kLossLevels[] = {
 
 struct Mode {
   const char* name;
-  const char* transport;  ///< TransportRegistry name
+  const char* transport;  ///< ScenarioBuilder::transport() name
   stream::StreamConfig cfg;  // ignored for TCP
   bool is_stream;
 };

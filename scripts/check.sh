@@ -44,7 +44,7 @@ run_tsan() {
   # shedding, budgets); its OverloadChaosSharded cases run the metastable-
   # failure harness on worker shards and also match the -R filter.
   cmake --preset tsan -S "$repo"
-  # transport_conformance_test's `transport` label runs the registry zoo
+  # transport_conformance_test's `transport` label runs the whole zoo
   # (MTP/TCP/DCTCP/Homa/MPTCP) including the 1/2/4-shard digest cases, so
   # every transport's fleet also gets exercised on worker shards under TSan.
   cmake --build --preset tsan -j "$jobs" --target parallel_test chaos_test scale_test scenario_test sharded_test flow_test stream_test overload_test transport_conformance_test

@@ -248,9 +248,21 @@ net::Host* Scenario::bulk_host(std::uint32_t idx) const {
 }
 
 std::unique_ptr<Scenario> ScenarioBuilder::build() {
+  if (forwarding_ == Forwarding::kAlternating && alternating_period_ <= 0_us) {
+    throw std::invalid_argument(
+        "ScenarioBuilder: Forwarding::kAlternating needs a positive alternating_period");
+  }
   auto s = std::unique_ptr<Scenario>(new Scenario());
   s->net_ = std::make_unique<net::Network>(seed_, shards_);
   s->topo_ = topo_fn_(*s->net_);
+  for (const Flap& f : flaps_) {
+    if (f.link >= s->topo_.fault_links.size()) {
+      throw std::invalid_argument("ScenarioBuilder: flap() link " + std::to_string(f.link) +
+                                  " is out of range; the topology has " +
+                                  std::to_string(s->topo_.fault_links.size()) +
+                                  " fault_links");
+    }
+  }
   s->dst_port_ = dst_port_;
   s->bulk_bytes_ = bulk_bytes_;
   s->bulk_mode_ = bulk_mode_;
@@ -276,24 +288,23 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
   tctx.dst_port = dst_port_;
   tctx.sender_tcs = sender_tcs_;
   tctx.meter = s->meter_.get();
-  s->fleet_ = transport::TransportRegistry::global().build(transport_, tctx, tcfg_);
+  s->fleet_ = transport::make_fleet(transport_, tctx, mtp_cfg_);
 
   if (stream_on_) {
     if (!rcv) {
       throw std::logic_error("Scenario: stream_workload needs a receiver topology");
     }
-    auto* mf = dynamic_cast<transport::MtpFleet*>(s->fleet_.get());
-    if (!mf) {
+    if (!s->mtp_receiver()) {
       throw std::logic_error(
           "Scenario: stream_workload rides MTP endpoints; it requires "
           "transport(\"mtp\"), not \"" + s->fleet_->name() + "\"");
     }
     // The receiver mux's listen() supersedes the fleet's no-op listener.
-    s->stream_rcv_ = std::make_unique<stream::StreamMux>(*mf->receiver_endpoint(),
+    s->stream_rcv_ = std::make_unique<stream::StreamMux>(*s->mtp_receiver(),
                                                          dst_port_, stream_cfg_);
     for (std::size_t i = 0; i < s->topo_.senders.size(); ++i) {
       s->stream_muxes_.push_back(std::make_unique<stream::StreamMux>(
-          mf->sender_endpoint(i), dst_port_, stream_cfg_));
+          *s->mtp_sender(i), dst_port_, stream_cfg_));
       s->stream_senders_.push_back(
           &s->stream_muxes_.back()->open(rcv->id(), dst_port_));
       s->stream_src_index_[s->topo_.senders[i]->id()] = i;
@@ -329,12 +340,9 @@ void ScenarioBuilder::wire_flow_level(Scenario& s) {
   index_of.reserve(links.size());
   for (std::uint32_t li = 0; li < links.size(); ++li) index_of.emplace(links[li], li);
 
-  sim::flow::FluidModel::Config fcfg;
-  fcfg.capacity_num = flow_cap_num_;
-  fcfg.capacity_den = flow_cap_den_;
   s.flow_models_.reserve(S);
   for (unsigned shard = 0; shard < S; ++shard) {
-    auto fm = std::make_unique<sim::flow::FluidModel>(net.simulator(shard), fcfg);
+    auto fm = std::make_unique<sim::flow::FluidModel>(net.simulator(shard));
     for (std::uint32_t li = 0; li < links.size(); ++li) {
       sim::flow::FluidModel::RateFn apply;
       if (net.shard_of_link(li) == shard) {

@@ -15,12 +15,13 @@
 //                .build();
 //   s->run();
 //
-// Transports are chosen by name from transport::TransportRegistry ("mtp",
-// "tcp", "dctcp", "homa", "mptcp", plus whatever tests register); unknown
-// names fail listing the registered set. The built Scenario owns the network
-// and a transport::TransportFleet — one transport::Transport per sender
-// host — so harness code never touches MtpEndpoint / TcpStack unless it
-// opts into the concrete accessors. Topologies are plain functors over
+// Transports are chosen by name ("mtp", "tcp", "dctcp", "homa", "mptcp";
+// see transport::make_fleet); unknown names fail listing the known set.
+// mtp_config() tunes the MTP senders; every other transport runs its
+// default config. The built Scenario owns the network and a
+// transport::Fleet — one transport::Transport per sender host — so harness
+// code never touches MtpEndpoint / TcpStack unless it opts into the
+// concrete accessors. Topologies are plain functors over
 // net::Network; the canned ones in namespace topo cover the paper's rigs,
 // and callers can pass their own.
 //
@@ -44,10 +45,10 @@
 #include "mtp/stream/stream.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
+#include "scenario/fleet.hpp"
 #include "sim/flow/fluid.hpp"
 #include "stats/stats.hpp"
 #include "telemetry/metrics.hpp"
-#include "transport/transport.hpp"
 #include "workload/workload.hpp"
 
 namespace mtp::scenario {
@@ -133,49 +134,33 @@ class Scenario {
   /// available when the topology has a receiver.
   transport::Transport& sender(std::size_t i) { return fleet_->sender(i); }
 
-  /// The whole fleet: name(), per-sender transports, metrics() roll-up.
-  transport::TransportFleet& fleet() { return *fleet_; }
   std::string transport_name() const { return fleet_->name(); }
   /// RunReport columns: completions, pkts, retransmits, timeouts, grants.
   transport::TransportMetrics transport_metrics() const { return fleet_->metrics(); }
 
   // Concrete access for scenario-specific wiring; null when the scenario
-  // runs a different transport.
+  // runs a different transport. The tcp_* pair covers "tcp", "dctcp" and
+  // "mptcp", which all run on TcpStacks.
   core::MtpEndpoint* mtp_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::MtpFleet*>(fleet_.get());
+    auto* f = fleet_of<core::MtpEndpoint>();
     return f ? &f->sender_endpoint(i) : nullptr;
   }
   core::MtpEndpoint* mtp_receiver() {
-    auto* f = dynamic_cast<transport::MtpFleet*>(fleet_.get());
+    auto* f = fleet_of<core::MtpEndpoint>();
     return f ? f->receiver_endpoint() : nullptr;
   }
   transport::TcpStack* tcp_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::TcpFleet*>(fleet_.get());
-    return f ? &f->sender_stack(i) : nullptr;
-  }
-  transport::TcpStack* tcp_receiver() {
-    auto* f = dynamic_cast<transport::TcpFleet*>(fleet_.get());
-    return f ? f->receiver_stack() : nullptr;
-  }
-  transport::HomaEndpoint* homa_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::HomaFleet*>(fleet_.get());
+    auto* f = fleet_of<transport::TcpStack>();
     return f ? &f->sender_endpoint(i) : nullptr;
   }
-  transport::HomaEndpoint* homa_receiver() {
-    auto* f = dynamic_cast<transport::HomaFleet*>(fleet_.get());
+  transport::TcpStack* tcp_receiver() {
+    auto* f = fleet_of<transport::TcpStack>();
     return f ? f->receiver_endpoint() : nullptr;
   }
 
   // Stream mode (ScenarioBuilder::stream_workload): one mtp::stream per
   // sender into the receiver's StreamMux. fct() then records per-record
   // delivery latency (arrival -> in-order delivery at the receiver).
-  stream::StreamMux* stream_mux(std::size_t i) {
-    return stream_muxes_.empty() ? nullptr : stream_muxes_[i].get();
-  }
-  stream::StreamMux* stream_receiver() { return stream_rcv_.get(); }
-  stream::Stream* stream_sender(std::size_t i) {
-    return stream_senders_.empty() ? nullptr : stream_senders_[i];
-  }
   /// Sum over every mux (sender sides + receiver side).
   stream::StreamMux::Stats stream_stats() const;
   /// Fold of every mux digest — the shard-equality check for stream runs.
@@ -190,7 +175,6 @@ class Scenario {
   std::uint64_t fct_digest() const;
   /// Receiver-side goodput meter; null unless goodput_window() was set.
   stats::ThroughputMeter* goodput() { return meter_.get(); }
-  workload::ArrivalSchedule& schedule() { return schedule_; }
   /// Workload arrivals delivered so far, summed over shards.
   std::size_t replayed() const;
 
@@ -215,7 +199,6 @@ class Scenario {
   /// delivery of the last packet.
   std::vector<std::pair<std::uint32_t, sim::SimTime>> bulk_completions() const;
   std::size_t bulk_completed() const;
-  std::size_t bulk_transfer_count() const { return bulk_transfers_.size(); }
 
   /// First call starts the workload replay (and bulk sources), then runs
   /// the network — all shards, under sim::sharded when shards > 1; later
@@ -239,6 +222,11 @@ class Scenario {
   void start();
   void start_paced_bulk();
   net::Host* bulk_host(std::uint32_t idx) const;
+  /// The fleet as Fleet<Endpoint>; null when it runs another endpoint type.
+  template <class Endpoint>
+  transport::Fleet<Endpoint>* fleet_of() {
+    return dynamic_cast<transport::Fleet<Endpoint>*>(fleet_.get());
+  }
 
   std::unique_ptr<net::Network> net_;
   Topology topo_;
@@ -292,38 +280,21 @@ class ScenarioBuilder {
   /// every n; only wall-clock changes.
   ScenarioBuilder& shards(unsigned n) { shards_ = n; return *this; }
   ScenarioBuilder& topology(TopologyFn fn) { topo_fn_ = std::move(fn); return *this; }
+  /// Forwarding::kAlternating needs a positive `alternating_period`;
+  /// build() throws std::invalid_argument otherwise.
   ScenarioBuilder& forwarding(Forwarding f, sim::SimTime alternating_period = 0_us) {
     forwarding_ = f;
     alternating_period_ = alternating_period;
     return *this;
   }
-  /// Pick the transport by registry name ("mtp", "tcp", "dctcp", "homa",
-  /// "mptcp", or anything tests registered). Unknown names make build()
-  /// throw, listing the registered set.
+  /// Pick the transport by name ("mtp", "tcp", "dctcp", "homa", "mptcp").
+  /// Unknown names make build() throw, listing the known set.
   ScenarioBuilder& transport(std::string name) {
     transport_ = std::move(name);
     return *this;
   }
-  /// Same, with a full per-transport config bundle in one call.
-  ScenarioBuilder& transport(std::string name, transport::TransportConfig cfg) {
-    transport_ = std::move(name);
-    tcfg_ = std::move(cfg);
-    return *this;
-  }
-  ScenarioBuilder& transport_config(transport::TransportConfig cfg) {
-    tcfg_ = std::move(cfg);
-    return *this;
-  }
-  ScenarioBuilder& mtp_config(core::MtpConfig cfg) { tcfg_.mtp = std::move(cfg); return *this; }
-  /// Overload-control knobs alone, leaving the rest of the MTP config as
-  /// configured (receiver-driven admission, watermark shedding, deadlines).
-  ScenarioBuilder& mtp_overload(core::MtpConfig::OverloadControl ov) {
-    tcfg_.mtp.overload = std::move(ov);
-    return *this;
-  }
-  ScenarioBuilder& tcp_config(transport::TcpConfig cfg) { tcfg_.tcp = std::move(cfg); return *this; }
-  ScenarioBuilder& homa_config(transport::HomaConfig cfg) { tcfg_.homa = std::move(cfg); return *this; }
-  ScenarioBuilder& mptcp_config(transport::MptcpConfig cfg) { tcfg_.mptcp = std::move(cfg); return *this; }
+  /// Config of the MTP senders; the MTP receiver always runs the default.
+  ScenarioBuilder& mtp_config(core::MtpConfig cfg) { mtp_cfg_ = std::move(cfg); return *this; }
   ScenarioBuilder& dst_port(proto::PortNum p) { dst_port_ = p; return *this; }
   /// Per-sender traffic class (MessageOptions.tc for MTP, TcpConfig.tc for
   /// TCP). Missing entries default to 0.
@@ -363,13 +334,6 @@ class ScenarioBuilder {
     for (const auto& t : v) bulk_transfers_.push_back(t);
     return *this;
   }
-  /// Fluid flows may claim at most num/den of any link (default 95/100), so
-  /// packet traffic always keeps a serialization residual.
-  ScenarioBuilder& flow_capacity_fraction(std::uint32_t num, std::uint32_t den) {
-    flow_cap_num_ = num;
-    flow_cap_den_ = den;
-    return *this;
-  }
   /// Mirror the declared foreground workload into the fluid model as
   /// external-load windows on each source's uplink: flows yield (re-solve)
   /// while a declared packet burst occupies a shared conduit. Off by
@@ -379,7 +343,8 @@ class ScenarioBuilder {
     fg_coupling_ = on;
     return *this;
   }
-  /// Take topology fault_links[link] down over [at, at + duration).
+  /// Take topology fault_links[link] down over [at, at + duration). build()
+  /// throws std::invalid_argument when `link` is not a fault_links index.
   ScenarioBuilder& flap(std::size_t link, sim::SimTime at, sim::SimTime duration) {
     flaps_.push_back({link, at, duration});
     return *this;
@@ -402,7 +367,7 @@ class ScenarioBuilder {
   Forwarding forwarding_ = Forwarding::kStatic;
   sim::SimTime alternating_period_ = 0_us;
   std::string transport_ = "mtp";
-  transport::TransportConfig tcfg_;
+  core::MtpConfig mtp_cfg_;
   proto::PortNum dst_port_ = 80;
   std::vector<proto::TrafficClassId> sender_tcs_;
   bool stream_on_ = false;
@@ -411,8 +376,6 @@ class ScenarioBuilder {
   std::int64_t bulk_bytes_ = 0;
   BulkMode bulk_mode_ = BulkMode::kPacket;
   std::vector<workload::BulkTransfer> bulk_transfers_;
-  std::uint32_t flow_cap_num_ = 95;
-  std::uint32_t flow_cap_den_ = 100;
   bool fg_coupling_ = false;
   std::vector<Flap> flaps_;
   sim::SimTime goodput_window_ = 0_us;

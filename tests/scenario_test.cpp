@@ -1,8 +1,11 @@
 // Tests for the mtp::scenario library: the fluent builder must assemble the
 // same rigs the benches used to hand-roll, and the transport::Transport
-// fleets it builds from the registry must behave identically across
-// transports (the per-name contract lives in transport_conformance_test).
+// fleets it builds by name must behave identically across transports (the
+// per-name contract lives in transport_conformance_test).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "scenario/scenario.hpp"
 
@@ -61,6 +64,8 @@ TEST(ScenarioBuilder, DctcpTransportIsTcpStackWithDctcpEnabled) {
                .build();
   EXPECT_EQ(s->sender(0).name(), "dctcp");
   EXPECT_TRUE(s->tcp_sender(0)->config().dctcp);
+  // The receiver stack echoes ECN marks DCTCP-style too.
+  EXPECT_TRUE(s->tcp_receiver()->config().dctcp);
 }
 
 TEST(ScenarioBuilder, BulkTransferFeedsGoodputMeter) {
@@ -106,6 +111,69 @@ TEST(ScenarioBuilder, SenderTcsReachTheWire) {
                .build();
   s->run();
   EXPECT_EQ(s->fct().count(), 8u);
+}
+
+TEST(ScenarioBuilder, MtpConfigReachesEverySender) {
+  core::MtpConfig cfg;
+  cfg.scheduling = core::MtpConfig::Scheduling::kSrpt;
+  auto s = ScenarioBuilder()
+               .seed(2)
+               .topology(topo::incast(3))
+               .transport("mtp")
+               .mtp_config(cfg)
+               .workload(small_schedule(2, 3))
+               .build();
+  for (std::size_t i = 0; i < s->num_senders(); ++i) {
+    ASSERT_NE(s->mtp_sender(i), nullptr);
+    EXPECT_EQ(s->mtp_sender(i)->config().scheduling, core::MtpConfig::Scheduling::kSrpt);
+  }
+  // The receiver keeps the default: sender knobs must not distort the sink.
+  ASSERT_NE(s->mtp_receiver(), nullptr);
+  EXPECT_EQ(s->mtp_receiver()->config().scheduling,
+            core::MtpConfig::Scheduling::kPriorityFifo);
+  s->run();
+  EXPECT_EQ(s->fct().count(), 6u);
+}
+
+TEST(ScenarioBuilder, MptcpExposesItsTcpStacks) {
+  auto s = ScenarioBuilder()
+               .seed(3)
+               .topology(topo::incast(2))
+               .transport("mptcp")
+               .workload(small_schedule(1, 2))
+               .build();
+  EXPECT_EQ(s->mtp_sender(0), nullptr);
+  ASSERT_NE(s->tcp_sender(1), nullptr);
+  ASSERT_NE(s->tcp_receiver(), nullptr);
+  EXPECT_FALSE(s->tcp_receiver()->config().dctcp);
+  s->run();
+  EXPECT_EQ(s->fct().count(), 2u);
+}
+
+TEST(ScenarioBuilder, AlternatingForwardingNeedsAPositivePeriod) {
+  for (sim::SimTime period : {0_us, 0_us - 5_us}) {
+    ScenarioBuilder b;
+    b.seed(1)
+        .topology(topo::two_path_flip())
+        .forwarding(Forwarding::kAlternating, period)
+        .transport("mtp")
+        .bulk();
+    EXPECT_THROW(b.build(), std::invalid_argument) << period.ns() << " ns";
+  }
+}
+
+TEST(ScenarioBuilder, FlapRejectsAnUnknownFaultLink) {
+  ScenarioBuilder b;
+  b.seed(1).topology(topo::incast(2)).transport("mtp").flap(3, 10_us, 10_us);
+  try {
+    b.build();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    // incast has a single fault link.
+    EXPECT_NE(what.find("link 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("has 1 fault_links"), std::string::npos) << what;
+  }
 }
 
 TEST(ScenarioTopo, IncastFansIntoOneReceiver) {
