@@ -128,6 +128,20 @@ TEST(Aggregation, StragglerTimeoutFlushesPartial) {
   EXPECT_EQ(rig.agg->rounds_open(), 0u);
 }
 
+// Recorded delivery digest of a round with one missing worker: the partial
+// aggregate reaches the server when the straggler timeout fires.
+TEST(Aggregation, StragglerRoundDigestMatchesRecorded) {
+  AggRig rig(4);
+  sim::RunDigest digest(1);
+  rig.server_ep->listen(90, [&](const ReceivedMessage& m) {
+    testing::fold_delivery(digest, m.src, m.msg_id, m.bytes, m.completed_at);
+  });
+  rig.push_round(3, 80'000, /*contributors=*/3);
+  rig.net.simulator().run(20_ms);
+  EXPECT_EQ(rig.agg->rounds_flushed_partial(), 1u);
+  EXPECT_EQ(digest.value(), 0x5344d1124f44a6a5ULL);
+}
+
 TEST(Aggregation, InterleavedRoundsStaySeparate) {
   AggRig rig(2);
   std::vector<std::string> keys;

@@ -5,6 +5,7 @@
 
 #include "net/forwarding.hpp"
 #include "net/network.hpp"
+#include "sim/random.hpp"
 
 namespace mtp::testing {
 
@@ -16,6 +17,16 @@ inline std::size_t live_packets(const net::Network& net) {
   std::size_t n = 0;
   for (unsigned s = 0; s < net.shards(); ++s) n += net.packet_pool(s).live();
   return n;
+}
+
+/// Fold one message delivery into cell 0 of a recorded completion digest:
+/// who sent it, which message, its size and when it completed.
+inline void fold_delivery(sim::RunDigest& d, net::NodeId src, std::uint64_t msg_id,
+                          std::int64_t bytes, sim::SimTime at) {
+  d.add(0, src);
+  d.add(0, msg_id);
+  d.add(0, static_cast<std::uint64_t>(bytes));
+  d.add(0, static_cast<std::uint64_t>(at.ns()));
 }
 
 /// host a -- switch -- host b, symmetric links.

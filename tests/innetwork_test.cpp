@@ -231,9 +231,15 @@ TEST(TcpProxy, LimitedWindowBoundsBufferButAddsHolLatency) {
 
 // --------------------------------------------------------------- policer
 
-TEST(FairSharePolicer, EqualizesTwoMtpTenantsOnSharedQueue) {
-  // Two senders (TC 1, TC 2) into one 10G bottleneck; tenant 2 sends 8x the
-  // messages. Shared drop-tail queue + policer; MTP per-TC windows react.
+struct PolicerRun {
+  std::array<std::int64_t, 3> got{};  ///< delivered bytes per TC
+  std::uint64_t policed = 0;          ///< packets the policer marked or dropped
+  std::uint64_t digest = 0;           ///< every delivery, in order (fold_delivery)
+};
+
+/// Two senders (TC 1, TC 2) into one 10G bottleneck; tenant 2 sends 8x the
+/// messages. Shared drop-tail queue + policer; MTP per-TC windows react.
+PolicerRun run_policer_rig() {
   testing::Dumbbell t(2, Bandwidth::gbps(10), 2_us,
                       {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
   t.bottleneck->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
@@ -244,8 +250,12 @@ TEST(FairSharePolicer, EqualizesTwoMtpTenantsOnSharedQueue) {
   MtpEndpoint s1(*t.senders[0], {});
   MtpEndpoint s2(*t.senders[1], {});
   MtpEndpoint r(*t.receiver, {});
-  std::array<std::int64_t, 3> got{};
-  r.listen_any([&](const ReceivedMessage& m) { got[m.tc] += m.bytes; });
+  PolicerRun run;
+  sim::RunDigest digest(1);
+  r.listen_any([&](const ReceivedMessage& m) {
+    run.got[m.tc] += m.bytes;
+    testing::fold_delivery(digest, m.src, m.msg_id, m.bytes, m.completed_at);
+  });
 
   // Tenant 1: one outstanding 50KB message at a time. Tenant 2: eight.
   std::function<void()> feed1 = [&] {
@@ -259,13 +269,25 @@ TEST(FairSharePolicer, EqualizesTwoMtpTenantsOnSharedQueue) {
   feed1();
   for (int i = 0; i < 8; ++i) feed2();
   t.sim().run(20_ms);
+  run.policed = policer->marked() + policer->dropped();
+  run.digest = digest.value();
+  return run;
+}
 
-  const double g1 = static_cast<double>(got[1]);
-  const double g2 = static_cast<double>(got[2]);
+TEST(FairSharePolicer, EqualizesTwoMtpTenantsOnSharedQueue) {
+  const PolicerRun run = run_policer_rig();
+  const double g1 = static_cast<double>(run.got[1]);
+  const double g2 = static_cast<double>(run.got[2]);
   EXPECT_GT(g1 + g2, 0);
   // Near-equal split despite the 8x message-count imbalance.
   EXPECT_GT(stats::jain_index({g1, g2}), 0.9);
-  EXPECT_GT(policer->marked() + policer->dropped(), 0u);
+  EXPECT_GT(run.policed, 0u);
+}
+
+// Recorded delivery digest of the policer rig: the policer's update period,
+// queue floor, drop ratio and active-tenant fraction must keep their values.
+TEST(FairSharePolicer, DeliveryDigestMatchesRecorded) {
+  EXPECT_EQ(run_policer_rig().digest, 0x3bbce283312dae03ULL);
 }
 
 // -------------------------------------------------------------- kvs cache
@@ -490,6 +512,42 @@ TEST(TrimmingNdp, NacksTriggerFastRetransmitWithoutTimeouts) {
   net.simulator().run(100_ms);
   EXPECT_EQ(got, 300'000);
   EXPECT_GT(src.pkts_retransmitted(), 0u);
+}
+
+// Recorded delivery digest of a 4:1 incast into a 16-packet trimming queue:
+// trims, NACKs and retransmissions all shape the completion times.
+TEST(TrimmingNdp, IncastDigestMatchesRecorded) {
+  net::Network net;
+  net::Switch* sw = net.add_switch("sw");
+  net::Host* rcv = net.add_host("rcv");
+  std::vector<net::Host*> senders;
+  for (int i = 0; i < 4; ++i) {
+    senders.push_back(net.add_host("h" + std::to_string(i)));
+    net.connect(*senders.back(), *sw, Bandwidth::gbps(100), 1_us, {.capacity_pkts = 1024});
+    sw->add_route(senders.back()->id(), static_cast<net::PortIndex>(i));
+  }
+  net.connect_simplex(*sw, *rcv, Bandwidth::gbps(10), 1_us,
+                      std::make_unique<TrimmingQueue>(
+                          TrimmingQueue::Config{.capacity_pkts = 16}));
+  net.connect_simplex(*rcv, *sw, Bandwidth::gbps(10), 1_us,
+                      std::make_unique<net::DropTailQueue>());
+  sw->add_route(rcv->id(), 4);
+
+  std::vector<std::unique_ptr<MtpEndpoint>> eps;
+  for (net::Host* h : senders) eps.push_back(std::make_unique<MtpEndpoint>(*h, core::MtpConfig{}));
+  MtpEndpoint dst(*rcv, {});
+  sim::RunDigest digest(1);
+  int delivered = 0;
+  dst.listen(80, [&](const ReceivedMessage& m) {
+    ++delivered;
+    testing::fold_delivery(digest, m.src, m.msg_id, m.bytes, m.completed_at);
+  });
+  for (auto& ep : eps) {
+    for (int m = 0; m < 2; ++m) ep->send_message(rcv->id(), 100'000, {.dst_port = 80});
+  }
+  net.simulator().run(100_ms);
+  EXPECT_EQ(delivered, 8);
+  EXPECT_EQ(digest.value(), 0x1d8528357b677bdeULL);
 }
 
 // ------------------------------------------------------------- bulk blobs

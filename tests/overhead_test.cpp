@@ -218,6 +218,32 @@ TEST(AckCoalescing, LossRecoveryStillWorks) {
   EXPECT_EQ(got, 400'000);
 }
 
+// Recorded delivery digest of a 16:1 incast into a 1G ECN pathlet with
+// 4-packet ACK batches. ECN keeps each sender's window under four packets,
+// so partial batches reach the senders on the ACK flush timer.
+TEST(AckCoalescing, IncastDigestMatchesRecorded) {
+  testing::Dumbbell t(16, Bandwidth::gbps(1), 1_us,
+                      {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
+  t.bottleneck->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
+  MtpConfig cfg;
+  cfg.ack_coalesce = 4;
+  std::vector<std::unique_ptr<MtpEndpoint>> eps;
+  for (net::Host* h : t.senders) eps.push_back(std::make_unique<MtpEndpoint>(*h, cfg));
+  MtpEndpoint dst(*t.receiver, cfg);
+  sim::RunDigest digest(1);
+  int delivered = 0;
+  dst.listen(80, [&](const ReceivedMessage& m) {
+    ++delivered;
+    testing::fold_delivery(digest, m.src, m.msg_id, m.bytes, m.completed_at);
+  });
+  for (auto& ep : eps) {
+    for (int m = 0; m < 2; ++m) ep->send_message(t.receiver->id(), 30'000, {.dst_port = 80});
+  }
+  t.sim().run(100_ms);
+  EXPECT_EQ(delivered, 32);
+  EXPECT_EQ(digest.value(), 0xa4af3f65b741611aULL);
+}
+
 // ---------------------------------------------------- selective feedback
 
 TEST(SelectiveFeedback, UncongestedPathStampsOnlyEveryNth) {

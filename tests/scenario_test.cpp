@@ -7,17 +7,19 @@
 #include <stdexcept>
 #include <string>
 
+#include "fault/fault.hpp"
 #include "scenario/scenario.hpp"
 
 namespace mtp::scenario {
 namespace {
 
-workload::ArrivalSchedule small_schedule(int per_sender, int senders) {
+workload::ArrivalSchedule small_schedule(int per_sender, int senders,
+                                         std::int64_t bytes = 20'000) {
   workload::ArrivalSchedule sched;
   sim::SimTime t = 1_us;
   for (int m = 0; m < per_sender; ++m) {
     for (int s = 0; s < senders; ++s) {
-      sched.add(t, static_cast<std::uint32_t>(s), 20'000);
+      sched.add(t, static_cast<std::uint32_t>(s), bytes);
       t += 2_us;
     }
   }
@@ -235,6 +237,121 @@ TEST(ScenarioBuilder, DeterministicAcrossRebuilds) {
   const auto a = run_once();
   const auto b = run_once();
   EXPECT_EQ(a, b);
+}
+
+// --- recorded completion digests -------------------------------------------
+//
+// Rigs whose completions read the transport and device constants no other
+// recorded digest reaches. A refactor that keeps behaviour keeps every value.
+
+/// incast(4) whose receiver downlink stamps `feedback` pathlet TLVs.
+TopologyFn incast_with_pathlet(proto::FeedbackType feedback) {
+  return [=](net::Network& net) {
+    Topology t = topo::incast(4)(net);
+    t.paths[0]->set_pathlet({.id = 1, .feedback = feedback});
+    return t;
+  };
+}
+
+/// Four 100G hosts into a 1G receiver downlink that stamps `feedback`
+/// pathlet TLVs. A full queue there holds milliseconds of delay, far past
+/// Swift's target.
+TopologyFn slow_incast(proto::FeedbackType feedback) {
+  return [=](net::Network& net) {
+    const net::DropTailQueue::Config q{.capacity_pkts = 256, .ecn_threshold_pkts = 40};
+    Topology t;
+    net::Switch* sw = net.add_switch("sw");
+    net::Host* rcv = net.add_host("recv");
+    for (int i = 0; i < 4; ++i) {
+      net::Host* h = net.add_host("h" + std::to_string(i));
+      t.senders.push_back(h);
+      net.connect(*h, *sw, sim::Bandwidth::gbps(100), 1_us, q);
+      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
+    }
+    auto down = net.connect(*sw, *rcv, sim::Bandwidth::gbps(1), 1_us, q);
+    down.forward->set_pathlet({.id = 1, .feedback = feedback});
+    sw->add_route(rcv->id(), 4);
+    t.receiver = rcv;
+    t.lb_switches = {sw};
+    t.paths = {down.forward};
+    t.fault_links = {down.forward};
+    return t;
+  };
+}
+
+/// Replays `sched` over `topo` for a fixed 20 ms (an RCP pathlet's rate
+/// timer never lets the run quiesce); every message must complete.
+std::uint64_t mtp_digest(TopologyFn topo, core::MtpConfig cfg, workload::ArrivalSchedule sched) {
+  const std::size_t messages = sched.size();
+  auto s = ScenarioBuilder()
+               .seed(11)
+               .topology(std::move(topo))
+               .mtp_config(cfg)
+               .workload(std::move(sched))
+               .build();
+  s->run(20_ms);
+  EXPECT_EQ(s->fct().count(), messages);
+  return s->fct_digest();
+}
+
+std::uint64_t rcp_pathlet_digest() {
+  return mtp_digest(incast_with_pathlet(proto::FeedbackType::kRate), {},
+                    small_schedule(6, 4, 150'000));
+}
+
+std::uint64_t swift_pathlet_digest() {
+  return mtp_digest(slow_incast(proto::FeedbackType::kDelay), {}, small_schedule(4, 4, 30'000));
+}
+
+/// incast(4) whose senders run mtp::overload against the default receiver,
+/// which issues no grants: the blind-start credit caps each sender's bytes
+/// in flight for the whole run.
+std::uint64_t overload_incast_digest() {
+  core::MtpConfig cfg;
+  cfg.overload.enabled = true;
+  return mtp_digest(topo::incast(4), cfg, small_schedule(6, 4, 150'000));
+}
+
+/// 20 records per sender on adaptive-FEC mtp::stream over incast(4), with
+/// Gilbert-Elliott loss on the receiver downlink. Feedback timing steers
+/// the redundancy; the quiescence time folds in when each stream completed.
+std::uint64_t lossy_stream_digest() {
+  auto s = ScenarioBuilder()
+               .seed(11)
+               .topology(topo::incast(4))
+               .workload(small_schedule(20, 4, 3'000))
+               .stream_workload({.fec_k = 4, .fec_r = 1, .adaptive_fec = true, .fec_r_max = 2})
+               .build();
+  fault::FaultInjector ge(s->simulator(), 17);
+  ge.impair_link(*s->topo().paths[0],
+                 {.p_good_to_bad = 0.05, .p_bad_to_good = 0.2, .bad_loss = 0.7});
+  s->run();
+  EXPECT_EQ(s->fct().count(), 80u);
+  EXPECT_EQ(s->stream_stats().streams_failed, 0u);
+  sim::RunDigest d(1);
+  d.add(0, s->fct_digest());
+  d.add(0, s->stream_digest());
+  d.add(0, static_cast<std::uint64_t>(s->simulator().now().ns()));
+  return d.value();
+}
+
+struct RecordedRig {
+  const char* name;
+  std::uint64_t (*run)();
+  std::uint64_t digest;
+};
+constexpr RecordedRig kRecordedRigs[] = {
+    {"rcp_pathlet", rcp_pathlet_digest, 0xc00b3143d472df3eULL},
+    {"swift_pathlet", swift_pathlet_digest, 0xa01e23a2f192d28cULL},
+    {"overload_incast", overload_incast_digest, 0x21e3b1f016ce2e69ULL},
+    {"lossy_stream", lossy_stream_digest, 0x7006d8fc69b1f174ULL},
+};
+
+TEST(ScenarioGoldens, CompletionDigestsMatchRecorded) {
+  for (const RecordedRig& rig : kRecordedRigs) {
+    SCOPED_TRACE(rig.name);
+    EXPECT_EQ(rig.run(), rig.digest);
+  }
 }
 
 }  // namespace
