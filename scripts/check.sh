@@ -29,8 +29,8 @@ run_asan() {
 
 run_tsan() {
   # ThreadSanitizer over the multi-threaded surface: ParallelSweep jobs
-  # exercise the thread-local telemetry singletons and the synchronized
-  # logger from several workers at once.
+  # exercise the thread-local telemetry singletons from several workers at
+  # once.
   # scale_test's scenario-sweep case runs whole ScenarioBuilder rigs on
   # worker threads, covering the scenario library's thread-local surfaces.
   # sharded_test/chaos_test's Sharded* cases run one fabric split across

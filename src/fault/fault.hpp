@@ -44,19 +44,21 @@
 
 namespace mtp::fault {
 
-/// Two-state Markov packet impairment: a Good state with (near-)zero error
-/// rates and a Bad state with bursty loss/corruption. Transition draws happen
+/// Two-state Markov packet impairment: an error-free Good state and a Bad
+/// state with bursty loss/corruption. Transition draws happen
 /// per packet, so burst lengths scale with offered load — the standard
 /// Gilbert-Elliott formulation.
 struct GilbertElliott {
   struct Config {
     double p_good_to_bad = 0.001;  ///< per-packet chance of entering a burst
     double p_bad_to_good = 0.05;   ///< per-packet chance of the burst ending
-    double good_loss = 0.0;
-    double good_corrupt = 0.0;
     double bad_loss = 0.25;
     double bad_corrupt = 0.25;
   };
+  /// Good-state error rates. step() draws the fate of every packet in
+  /// either state, so a run's random stream does not depend on the state.
+  static constexpr double kGoodLoss = 0.0;
+  static constexpr double kGoodCorrupt = 0.0;
 
   explicit GilbertElliott(Config cfg) : cfg(cfg) {}
 
@@ -67,8 +69,8 @@ struct GilbertElliott {
     } else {
       if (rng.bernoulli(cfg.p_good_to_bad)) bad = true;
     }
-    const double loss = bad ? cfg.bad_loss : cfg.good_loss;
-    const double corrupt = bad ? cfg.bad_corrupt : cfg.good_corrupt;
+    const double loss = bad ? cfg.bad_loss : kGoodLoss;
+    const double corrupt = bad ? cfg.bad_corrupt : kGoodCorrupt;
     const double u = rng.uniform();
     if (u < loss) return net::FaultAction::kDrop;
     if (u < loss + corrupt) return net::FaultAction::kCorrupt;

@@ -32,17 +32,14 @@ class AggregationOffload final : public net::IngressProcessor {
     net::NodeId server = net::kInvalidNode;  ///< parameter server
     proto::PortNum service_port = 90;
     std::uint32_t fan_in = 0;  ///< workers per round (required)
-    /// Flush a partial aggregate if stragglers keep a round open this long.
-    sim::SimTime straggler_timeout = sim::SimTime::milliseconds(2);
     /// Overload shedding: bounded work queue + busy-rejects (off by default).
     overload::ShedConfig shed;
-    DeviceReceiver::Config receiver;
-    DeviceSender::Config sender;
   };
+  /// Flush a partial aggregate if stragglers keep a round open this long.
+  static constexpr sim::SimTime kStragglerTimeout = sim::SimTime::milliseconds(2);
 
   AggregationOffload(net::Switch& sw, Config cfg)
-      : sw_(sw), cfg_(cfg), rx_(sw, cfg.receiver), tx_(sw, cfg.sender),
-        guard_(cfg.shed) {
+      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw, {}), guard_(cfg.shed) {
     metrics_ = telemetry::MetricRegistry::global().add(
         "aggregation", sw_.name(),
         [this](std::vector<telemetry::MetricSample>& out) {
@@ -129,7 +126,7 @@ class AggregationOffload final : public net::IngressProcessor {
       r.gradient_bytes = done->bytes;
       r.tc = done->tc;
       r.src_port = done->src_port;
-      r.timeout = sw_.simulator().schedule(cfg_.straggler_timeout, [this, round] {
+      r.timeout = sw_.simulator().schedule(kStragglerTimeout, [this, round] {
         flush(round, /*partial=*/true);
       });
     }

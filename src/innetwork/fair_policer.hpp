@@ -24,18 +24,19 @@ class FairSharePolicer final : public net::IngressProcessor {
   struct Config {
     /// Egress link being policed (for capacity and queue depth).
     net::Link* egress = nullptr;
-    sim::SimTime update_period = sim::SimTime::microseconds(50);
-    /// Engage only when the egress queue exceeds this many packets.
-    std::size_t min_queue_pkts = 5;
-    /// Start dropping (not just marking) above this over-share ratio.
-    double drop_ratio = 4.0;
-    /// Rates below this fraction of capacity don't count a TC as active.
-    double active_fraction = 0.005;
   };
+  /// Rate-estimation window.
+  static constexpr sim::SimTime kUpdatePeriod = sim::SimTime::microseconds(50);
+  /// Engage only when the egress queue exceeds this many packets.
+  static constexpr std::size_t kMinQueuePkts = 5;
+  /// Start dropping (not just marking) above this over-share ratio.
+  static constexpr double kDropRatio = 4.0;
+  /// Rates below this fraction of capacity don't count a TC as active.
+  static constexpr double kActiveFraction = 0.005;
 
   FairSharePolicer(sim::Simulator& simulator, Config cfg)
       : sim_(simulator), cfg_(cfg) {
-    task_ = std::make_unique<sim::PeriodicTask>(sim_, cfg_.update_period,
+    task_ = std::make_unique<sim::PeriodicTask>(sim_, kUpdatePeriod,
                                                 [this] { update(); });
     task_->start();
     metrics_ = telemetry::MetricRegistry::global().add(
@@ -52,7 +53,7 @@ class FairSharePolicer final : public net::IngressProcessor {
     auto& tc = tcs_[pkt.tc];
     tc.window_bytes += pkt.size_bytes();
     if (fair_rate_bps_ <= 0) return false;
-    if (cfg_.egress->queue().len_pkts() < cfg_.min_queue_pkts) return false;
+    if (cfg_.egress->queue().len_pkts() < kMinQueuePkts) return false;
     if (tc.rate_bps <= fair_rate_bps_) return false;
 
     const double over = tc.rate_bps / fair_rate_bps_;
@@ -63,7 +64,7 @@ class FairSharePolicer final : public net::IngressProcessor {
     tc.phase += p_mark;
     if (tc.phase >= 1.0) {
       tc.phase -= 1.0;
-      if (over >= cfg_.drop_ratio || pkt.ecn == net::Ecn::kNotEct) {
+      if (over >= kDropRatio || pkt.ecn == net::Ecn::kNotEct) {
         ++dropped_;
         // Attribute the loss to the policed egress queue's split counters —
         // the packet never reaches it, but its drop must not be invisible
@@ -84,7 +85,7 @@ class FairSharePolicer final : public net::IngressProcessor {
 
  private:
   void update() {
-    const double period_s = cfg_.update_period.sec();
+    const double period_s = kUpdatePeriod.sec();
     // Police packet-level tenants to the *residual* capacity: bandwidth a
     // fluid bulk flow has reserved on the egress (sim/flow) is not available
     // to share, exactly as it wouldn't be if the bulk bytes were packets.
@@ -96,7 +97,7 @@ class FairSharePolicer final : public net::IngressProcessor {
       const double inst = static_cast<double>(tc.window_bytes) * 8.0 / period_s;
       tc.rate_bps = 0.7 * tc.rate_bps + 0.3 * inst;
       tc.window_bytes = 0;
-      if (tc.rate_bps > cfg_.active_fraction * capacity) ++active;
+      if (tc.rate_bps > kActiveFraction * capacity) ++active;
     }
     fair_rate_bps_ = active > 0 ? capacity / active : 0.0;
   }

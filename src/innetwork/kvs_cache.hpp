@@ -34,13 +34,10 @@ class KvsCache final : public net::IngressProcessor {
     bool learn_from_responses = true;
     /// Overload shedding: bounded work queue + busy-rejects (off by default).
     overload::ShedConfig shed;
-    DeviceSender::Config sender;
-    DeviceReceiver::Config receiver;
   };
 
   KvsCache(net::Switch& sw, Config cfg)
-      : sw_(sw), cfg_(cfg), rx_(sw, cfg.receiver), tx_(sw, cfg.sender),
-        guard_(cfg.shed) {
+      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw, {}), guard_(cfg.shed) {
     metrics_ = telemetry::MetricRegistry::global().add(
         "kvs_cache", sw_.name(), [this](std::vector<telemetry::MetricSample>& out) {
           using telemetry::MetricKind;

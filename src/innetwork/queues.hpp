@@ -179,8 +179,9 @@ class TrimmingQueue final : public net::Queue {
   struct Config {
     std::size_t capacity_pkts = 128;
     std::size_t ecn_threshold_pkts = 0;
-    std::size_t control_capacity_pkts = 1024;
   };
+  /// Header-only packets (trimmed data, ACKs, NACKs) queued ahead of data.
+  static constexpr std::size_t kControlCapacityPkts = 1024;
 
   explicit TrimmingQueue(Config cfg) : cfg_(cfg) {}
   ~TrimmingQueue() override { discard_all(); }
@@ -188,7 +189,7 @@ class TrimmingQueue final : public net::Queue {
   bool enqueue(net::Packet&& pkt) override {
     const bool is_control = pkt.payload_bytes == 0;
     if (is_control) {
-      if (control_.size() >= cfg_.control_capacity_pkts) {
+      if (control_.size() >= kControlCapacityPkts) {
         note_tail_drop(pkt);
         return false;
       }
@@ -202,7 +203,7 @@ class TrimmingQueue final : public net::Queue {
         // Trim: drop the payload, keep the header, jump the queue.
         pkt.payload_bytes = 0;
         ++trimmed_;
-        if (control_.size() >= cfg_.control_capacity_pkts) {
+        if (control_.size() >= kControlCapacityPkts) {
           note_tail_drop(pkt);
           return false;
         }

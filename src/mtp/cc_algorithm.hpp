@@ -24,21 +24,28 @@ enum class LossKind {
   kTrim,     ///< NDP-style trimmed packet reported via NACK
 };
 
+/// Packets in a pathlet's first window, before any feedback.
+inline constexpr std::int64_t kInitWindowPkts = 10;
+/// Ceiling on every pathlet window.
+inline constexpr std::int64_t kMaxWindowBytes = std::int64_t{64} << 20;
+/// EWMA gain of the DCTCP and DCQCN alpha estimates.
+inline constexpr double kDctcpG = 1.0 / 16.0;
+/// Swift's multiplicative-decrease gain on the excess-delay fraction.
+inline constexpr double kSwiftBeta = 0.8;
+/// RCP window = stamped rate x smoothed RTT x this gain.
+inline constexpr double kRcpWindowGain = 1.0;
+
 struct CcConfig {
+  /// Payload bytes per packet. An MtpEndpoint sets it to its own mss.
   std::uint32_t mss = 1000;
-  std::int64_t init_window_pkts = 10;
-  std::int64_t max_window_bytes = std::int64_t{64} << 20;
-  double dctcp_g = 1.0 / 16.0;
   /// Which algorithm ECN-feedback pathlets run (paper §4: MTP can behave as
   /// DCTCP or DCQCN under the same network feedback).
   enum class EcnAlgorithm { kDctcp, kDcqcn };
   EcnAlgorithm ecn_algorithm = EcnAlgorithm::kDctcp;
   sim::SimTime swift_target_delay = sim::SimTime::microseconds(30);
-  double swift_beta = 0.8;
-  double rcp_window_gain = 1.0;
 
   std::int64_t init_window_bytes() const {
-    return init_window_pkts * static_cast<std::int64_t>(mss);
+    return kInitWindowPkts * static_cast<std::int64_t>(mss);
   }
 };
 
@@ -81,7 +88,7 @@ class DctcpCc final : public PathletCc {
     } else {
       cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(acked_bytes) / cwnd_;
     }
-    cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_window_bytes));
+    cwnd_ = std::min(cwnd_, static_cast<double>(kMaxWindowBytes));
     // Boundary = one window's worth of data acknowledged, measured against
     // the window size when this round started (comparing against the live
     // cwnd would chase slow-start growth and never trigger).
@@ -101,7 +108,7 @@ class DctcpCc final : public PathletCc {
   void window_boundary() {
     if (acked_bytes_ > 0) {
       const double f = static_cast<double>(ce_bytes_) / static_cast<double>(acked_bytes_);
-      alpha_ = (1.0 - cfg_.dctcp_g) * alpha_ + cfg_.dctcp_g * f;
+      alpha_ = (1.0 - kDctcpG) * alpha_ + kDctcpG * f;
       if (ce_bytes_ > 0) {
         cwnd_ = std::max(cwnd_ * (1.0 - alpha_ / 2.0), static_cast<double>(cfg_.mss));
         ssthresh_ = cwnd_;
@@ -142,9 +149,9 @@ class RcpCc final : public PathletCc {
       srtt_ = srtt_.scaled(0.875) + rtt.scaled(0.125);
     }
     if (rate_bps_ > 0) {
-      const double w = static_cast<double>(rate_bps_) / 8.0 * srtt_.sec() * cfg_.rcp_window_gain;
+      const double w = static_cast<double>(rate_bps_) / 8.0 * srtt_.sec() * kRcpWindowGain;
       window_ = std::clamp(static_cast<std::int64_t>(w),
-                           static_cast<std::int64_t>(cfg_.mss), cfg_.max_window_bytes);
+                           static_cast<std::int64_t>(cfg_.mss), kMaxWindowBytes);
     }
   }
 
@@ -187,12 +194,12 @@ class SwiftCc final : public PathletCc {
       cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(acked_bytes) / cwnd_;
     } else if (now_ >= next_decrease_) {
       const double factor =
-          std::max(1.0 - cfg_.swift_beta * (delay - target) / delay, 0.3);
+          std::max(1.0 - kSwiftBeta * (delay - target) / delay, 0.3);
       cwnd_ *= factor;
       next_decrease_ = now_ + rtt;
     }
     cwnd_ = std::clamp(cwnd_, static_cast<double>(cfg_.mss),
-                       static_cast<double>(cfg_.max_window_bytes));
+                       static_cast<double>(kMaxWindowBytes));
   }
 
   void on_loss(LossKind) override {
@@ -241,14 +248,14 @@ class DcqcnCc final : public PathletCc {
     bytes_since_update_ = 0;
 
     if (marked_) {
-      alpha_ = (1.0 - cfg_.dctcp_g) * alpha_ + cfg_.dctcp_g;
+      alpha_ = (1.0 - kDctcpG) * alpha_ + kDctcpG;
       target_bps_ = rate_bps_;
       rate_bps_ = std::max(rate_bps_ * (1.0 - alpha_ / 2.0), 1e8);
       recovery_steps_ = 0;
       marked_ = false;
       return;
     }
-    alpha_ = (1.0 - cfg_.dctcp_g) * alpha_;
+    alpha_ = (1.0 - kDctcpG) * alpha_;
     if (recovery_steps_ < 5) {
       // Fast recovery: halve the distance to the pre-cut target.
       rate_bps_ = (rate_bps_ + target_bps_) / 2.0;
@@ -269,7 +276,7 @@ class DcqcnCc final : public PathletCc {
   std::int64_t window_bytes() const override {
     const double rtt_s = srtt_valid_ ? srtt_.sec() : 10e-6;
     return std::clamp(static_cast<std::int64_t>(rate_bps_ / 8.0 * rtt_s),
-                      static_cast<std::int64_t>(cfg_.mss), cfg_.max_window_bytes);
+                      static_cast<std::int64_t>(cfg_.mss), kMaxWindowBytes);
   }
   std::string name() const override { return "dcqcn"; }
   double rate_gbps() const { return rate_bps_ / 1e9; }
@@ -312,7 +319,7 @@ class AimdCc final : public PathletCc {
     } else {
       cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(acked_bytes) / cwnd_;
     }
-    cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_window_bytes));
+    cwnd_ = std::min(cwnd_, static_cast<double>(kMaxWindowBytes));
   }
 
   void on_loss(LossKind) override {

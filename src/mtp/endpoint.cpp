@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/logging.hpp"
 #include "telemetry/trace.hpp"
 
 namespace mtp::core {
@@ -12,13 +11,14 @@ using transport::PktState;
 
 MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
     : host_(host), cfg_(cfg), sim_(host.simulator()) {
+  cfg_.cc.mss = cfg_.mss;  // packets and CC windows count the same mss
   host_.set_mtp_handler([this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
   paths_.push_back({proto::kDefaultPathlet});  // PathIndex 0 = default path
   // Retransmission timers live on the simulator's shared timer wheel, one
   // per message with in-flight packets — an idle endpoint leaves the event
   // queue empty (simulations can run to quiescence).
   ack_flush_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, cfg_.ack_flush_timeout, [this] { flush_acks(); });
+      sim_, kAckFlushTimeout, [this] { flush_acks(); });
   metrics_ = telemetry::MetricRegistry::global().add(
       "mtp", host_.name(), [this](std::vector<telemetry::MetricSample>& out) {
         using telemetry::MetricKind;
@@ -163,7 +163,7 @@ std::vector<proto::PathRef> MtpEndpoint::active_exclusions() {
 void MtpEndpoint::penalize(proto::PathletId pathlet, proto::TrafficClassId tc,
                            LossKind kind) {
   const sim::SimTime gap =
-      rtt_.valid ? std::max(rtt_.srtt * 2, cfg_.retx_scan_period) : cfg_.min_rto;
+      rtt_.valid ? std::max(rtt_.srtt * 2, kRetxScanPeriod) : transport::kMinRto;
   CcState& st = cc_[CcKey{pathlet, tc}];
   if (st.decreased_once && sim_.now() - st.last_decrease < gap) return;
   st.last_decrease = sim_.now();
@@ -343,7 +343,7 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt) {
         static_cast<std::uint64_t>(msg.opts.deadline.ns());
   }
   p.header_bytes =
-      cfg_.base_header_bytes + static_cast<std::uint32_t>(hdr.path_exclude().size() * 5);
+      kBaseHeaderBytes + static_cast<std::uint32_t>(hdr.path_exclude().size() * 5);
   ++pkts_sent_;
   host_.send(std::move(p));
 }
@@ -406,7 +406,7 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
     // path must not be hammered at a fixed rate); any new SACK resets it.
     // At most one doubling per scan period: many messages expiring in the
     // same window are one timeout episode, as under the old single scan.
-    if (now - last_backoff_at_ >= cfg_.retx_scan_period) {
+    if (now - last_backoff_at_ >= kRetxScanPeriod) {
       rto_backoff_ = std::min(rto_backoff_ * 2.0, kMaxRtoBackoff);
       last_backoff_at_ = now;
     }
@@ -486,7 +486,7 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
     if (pending_acks_.empty() && ack_flush_task_->running()) ack_flush_task_->stop();
     return;
   }
-  if (!ack_flush_task_->running()) ack_flush_task_->start(cfg_.ack_flush_timeout);
+  if (!ack_flush_task_->running()) ack_flush_task_->start(kAckFlushTimeout);
 }
 
 void MtpEndpoint::flush_acks() {
@@ -515,7 +515,7 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
         static_cast<std::uint64_t>(admission_.grant_bytes(sim_.now()));
     ++grants_issued_;
   }
-  p.header_bytes = cfg_.base_header_bytes +
+  p.header_bytes = kBaseHeaderBytes +
                    static_cast<std::uint32_t>(hdr.ack_path_feedback().size() * 14 +
                                               (hdr.sack().size() + hdr.nack().size()) * 12);
   ++acks_sent_;
@@ -616,13 +616,13 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     }
   }
 
-  // Gap NACKs: packets more than nack_gap_threshold behind this arrival that
+  // Gap NACKs: packets more than kNackGapThreshold behind this arrival that
   // are still missing were almost certainly lost — ask for them now (each at
   // most once; the sender's timer is the backstop if the retransmission is
   // lost too).
   std::vector<proto::SackEntry> gap_nacks;
-  if (cfg_.nack_gap_threshold != 0 && hdr.pkt_num >= cfg_.nack_gap_threshold) {
-    const std::uint32_t frontier = hdr.pkt_num - cfg_.nack_gap_threshold;
+  if (hdr.pkt_num >= kNackGapThreshold) {
+    const std::uint32_t frontier = hdr.pkt_num - kNackGapThreshold;
     while (msg.gap_checked < frontier && gap_nacks.size() < 32) {
       if (!msg.have[msg.gap_checked]) {
         gap_nacks.push_back({hdr.msg_id, msg.gap_checked});
@@ -668,7 +668,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
     const auto& ov = *hdr.overload;
     if (cfg_.overload.enabled && ov.grant_bytes > 0) {
       auto [git, fresh_grant] = grants_.try_emplace(
-          pkt.src, DstGrant{cfg_.overload.unsolicited_grant_bytes, 0});
+          pkt.src, DstGrant{kUnsolicitedGrantBytes, 0});
       git->second.grant = static_cast<std::int64_t>(ov.grant_bytes);
       (void)fresh_grant;
     }
@@ -781,7 +781,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
 bool MtpEndpoint::grant_admit(net::NodeId dst, std::int64_t bytes) {
   if (!cfg_.overload.enabled) return true;
   auto [it, fresh] = grants_.try_emplace(
-      dst, DstGrant{cfg_.overload.unsolicited_grant_bytes, 0});
+      dst, DstGrant{kUnsolicitedGrantBytes, 0});
   (void)fresh;
   const DstGrant& g = it->second;
   // inflight == 0 always admits: a stale or tiny grant can slow a sender to
@@ -836,7 +836,7 @@ void MtpEndpoint::send_busy_reject(const net::Packet& data, std::uint8_t flags) 
   const auto& dh = data.mtp();
   net::Packet p = transport::make_reply(data, host_.id());
   p.mtp().overload.ensure().flags = flags;
-  p.header_bytes = cfg_.base_header_bytes;
+  p.header_bytes = kBaseHeaderBytes;
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
     telemetry::TraceEvent ev;

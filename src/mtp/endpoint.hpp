@@ -41,29 +41,32 @@
 
 namespace mtp::core {
 
-struct MtpConfig {
-  std::uint32_t mss = 1000;          ///< payload bytes per packet
-  std::uint32_t base_header_bytes = 64;  ///< accounted fixed header + IP overhead
-  CcConfig cc;
+/// Accounted fixed MTP header + IP overhead per packet.
+inline constexpr std::uint32_t kBaseHeaderBytes = 64;
+/// Consecutive-timeout window: RTO backoff doubles at most once per this
+/// period, no matter how many messages expire inside it. (Historically the
+/// retransmit-scan period; timers now live on the simulator's timer wheel
+/// and fire per message — see docs/scale.md.)
+inline constexpr sim::SimTime kRetxScanPeriod = sim::SimTime::microseconds(100);
+/// Receiver-side gap NACKs: when packet N of a message arrives and packet
+/// K < N - threshold is still missing, NACK K once so the sender
+/// retransmits in ~1 RTT instead of waiting out the timeout. The threshold
+/// absorbs benign reordering.
+inline constexpr std::uint32_t kNackGapThreshold = 16;
+/// Coalesced ACK batches flush at least this often, so senders never stall.
+inline constexpr sim::SimTime kAckFlushTimeout = sim::SimTime::microseconds(20);
+/// mtp::overload blind-start credit per destination before the first grant
+/// arrives.
+inline constexpr std::int64_t kUnsolicitedGrantBytes = 16000;
 
-  sim::SimTime min_rto = sim::SimTime::microseconds(200);
-  sim::SimTime max_rto = sim::SimTime::milliseconds(100);
-  /// Consecutive-timeout window: RTO backoff doubles at most once per this
-  /// period, no matter how many messages expire inside it. (Historically the
-  /// retransmit-scan period; timers now live on the simulator's timer wheel
-  /// and fire per message — see docs/scale.md.)
-  sim::SimTime retx_scan_period = sim::SimTime::microseconds(100);
+struct MtpConfig {
+  std::uint32_t mss = 1000;  ///< payload bytes per packet; also the CC's mss
+  CcConfig cc;
 
   /// Automatically exclude a pathlet after this many consecutive timeout
   /// losses on it (0 disables auto-exclusion).
   int auto_exclude_after_losses = 0;
   sim::SimTime exclude_duration = sim::SimTime::milliseconds(1);
-
-  /// Receiver-side gap NACKs: when packet N of a message arrives and packet
-  /// K < N - threshold is still missing, NACK K once so the sender
-  /// retransmits in ~1 RTT instead of waiting out the timeout. The threshold
-  /// absorbs benign reordering. 0 disables gap NACKs.
-  std::uint32_t nack_gap_threshold = 16;
 
   /// Order in which the sender serves its outstanding messages.
   enum class Scheduling {
@@ -75,9 +78,8 @@ struct MtpConfig {
   /// ACK coalescing (paper §4 "Packet Header Overheads": feedback can be
   /// aggregated): batch up to this many SACKs per source into one ACK.
   /// 1 = ack every packet. Batches flush on the Nth packet, on message
-  /// completion, on any NACK, and on a short timer so senders never stall.
+  /// completion, on any NACK, and on a kAckFlushTimeout timer.
   std::uint32_t ack_coalesce = 1;
-  sim::SimTime ack_flush_timeout = sim::SimTime::microseconds(20);
 
   /// mtp::overload — receiver-driven admission + busy-reject shedding.
   /// Disabled by default: existing runs are byte-identical with the
@@ -86,8 +88,6 @@ struct MtpConfig {
     bool enabled = false;
     /// Receiver service-rate EWMA and grant sizing (see overload/admission).
     overload::AdmissionConfig admission;
-    /// Blind-start credit per destination before the first grant arrives.
-    std::int64_t unsolicited_grant_bytes = 16000;
     /// Receiver watermark: above this many messages under reassembly, fresh
     /// messages with priority < shed_below_priority are busy-rejected
     /// (0 disables watermark shedding; grants still pace senders).
@@ -132,7 +132,7 @@ class MtpEndpoint {
   using MessageHandler = std::function<void(const ReceivedMessage&)>;
   using DoneFn = std::function<void(proto::MsgId, sim::SimTime fct)>;
 
-  MtpEndpoint(net::Host& host, MtpConfig cfg);
+  MtpEndpoint(net::Host& host, MtpConfig cfg = {});
   ~MtpEndpoint();
   MtpEndpoint(const MtpEndpoint&) = delete;
   MtpEndpoint& operator=(const MtpEndpoint&) = delete;
@@ -282,7 +282,9 @@ class MtpEndpoint {
   void send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt);
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);  ///< wheel trampoline
-  sim::SimTime rto() const { return rtt_.rto(cfg_.min_rto, cfg_.max_rto, rto_backoff_); }
+  sim::SimTime rto() const {
+    return rtt_.rto(transport::kMinRto, transport::kMaxRto, rto_backoff_);
+  }
 
   PathletCc& cc(proto::PathletId pathlet, proto::TrafficClassId tc,
                 proto::FeedbackType type_hint);
@@ -355,7 +357,7 @@ class MtpEndpoint {
   std::unordered_map<proto::PathletId, int> consecutive_losses_;
   transport::RtoEstimator rtt_;
   /// Exponential RTO backoff under consecutive timeouts (capped ×64,
-  /// clamped to max_rto by rto()); reset by any new SACK progress. Karn-safe:
+  /// clamped to kMaxRto by rto()); reset by any new SACK progress. Karn-safe:
   /// rtt_ only ever learns from non-retransmitted packets.
   double rto_backoff_ = 1.0;
   static constexpr double kMaxRtoBackoff = 64.0;

@@ -38,7 +38,7 @@ void Stream::write(std::int64_t bytes, std::string_view content) {
   std::int64_t off = 0;
   while (off < bytes) {
     const auto len = static_cast<std::uint32_t>(
-        std::min<std::int64_t>(cfg_.segment_bytes, bytes - off));
+        std::min<std::int64_t>(kSegmentBytes, bytes - off));
     Seg s;
     s.start = stream_bytes_;
     s.len = len;
@@ -63,7 +63,7 @@ void Stream::finish() {
 }
 
 void Stream::maybe_submit() {
-  while (next_submit_ < next_seq_ && next_submit_ - cum_ < cfg_.window_segments) {
+  while (next_submit_ < next_seq_ && next_submit_ - cum_ < kWindowSegments) {
     submit(next_submit_++);
   }
 }
@@ -179,7 +179,7 @@ void Stream::arm_rto() {
   if (complete_ || failed_ || cum_ == next_submit_) return;
   if (!mux_.sim_.timers().armed(rto_timer_)) {
     rto_timer_ = mux_.sim_.timers().arm(
-        mux_.sim_.now() + sim::SimTime::nanoseconds(cfg_.stream_rto.ns() * backoff_),
+        mux_.sim_.now() + sim::SimTime::nanoseconds(kStreamRto.ns() * backoff_),
         &StreamMux::rto_tramp, &mux_, id_);
   }
 }
@@ -189,14 +189,14 @@ void Stream::rto_fire() {
   // MTP keeps retransmitting each segment message on its own, so reaching
   // here repeatedly means the far stream state is gone or a segment fell
   // outside the reorder window: resend outstanding segments as fresh MTP
-  // messages (the receiver dedups), give up after max_stream_retx.
+  // messages (the receiver dedups), give up after kMaxStreamRetx.
   bool counted = false;
   for (std::uint32_t s = cum_; s < next_submit_; ++s) {
     Seg& sg = seg(s);
     if (sg.flags & kAcked) continue;
     if (!counted) {
       counted = true;
-      if (++sg.retx > cfg_.max_stream_retx) {
+      if (++sg.retx > kMaxStreamRetx) {
         fail(StreamError::kTimedOut);
         return;
       }
@@ -349,7 +349,7 @@ void StreamMux::rx_data(const core::ReceivedMessage& m, const proto::StreamHeade
     note_feedback(key, st, false);  // re-ack so a stalled sender converges
     return;
   }
-  if (seq >= st.cum + cfg_.reorder_window) {
+  if (seq >= st.cum + kReorderWindow) {
     ++reorder_drops_;
     st.dirty = true;
     note_feedback(key, st, true);
@@ -404,7 +404,7 @@ void StreamMux::rx_parity(const core::ReceivedMessage& m, const proto::StreamHea
     ++dup_segments_;
     return;  // group already fully delivered
   }
-  if (base >= st.cum + cfg_.reorder_window) {
+  if (base >= st.cum + kReorderWindow) {
     ++reorder_drops_;
     return;
   }
@@ -527,12 +527,12 @@ void StreamMux::complete_rx(RxKey key, RxState& st) {
 
 void StreamMux::note_feedback(RxKey key, RxState& st, bool immediate) {
   if (!st.dirty) return;
-  if (immediate || st.since_fb >= cfg_.feedback_every) {
+  if (immediate || st.since_fb >= kFeedbackEvery) {
     send_feedback(key, st);
     return;
   }
   if (!sim_.timers().armed(st.fb_timer)) {
-    st.fb_timer = sim_.timers().arm(sim_.now() + cfg_.feedback_delay, &StreamMux::fb_fire,
+    st.fb_timer = sim_.timers().arm(sim_.now() + kFeedbackDelay, &StreamMux::fb_fire,
                                     this, pack(key));
   }
 }

@@ -21,7 +21,7 @@
 //   - Stream-level RTO fallback on the simulator's timer wheel: MTP already
 //     retransmits each segment message forever, so this only fires when the
 //     *stream* state is gone (receiver crash wiped the mux) or a segment
-//     fell outside the reorder window; after max_stream_retx attempts the
+//     fell outside the reorder window; after kMaxStreamRetx attempts the
 //     stream surfaces a clean StreamError instead of hanging.
 //
 // Segment payload content may ride in AppData (checksum-covered, verified
@@ -51,16 +51,24 @@
 
 namespace mtp::stream {
 
-struct StreamConfig {
-  /// Bytes per segment; <= the endpoint mss so each segment is one packet
-  /// (one MTP message), the unit FEC repairs.
-  std::uint32_t segment_bytes = 1000;
-  /// Receiver buffer span in segments beyond the in-order point; segments
-  /// past it are dropped (stream-level flow control keeps senders inside).
-  std::uint32_t reorder_window = 4096;
-  /// Sender cap on segments submitted beyond the cumulative ack.
-  std::uint32_t window_segments = 256;
+/// Bytes per segment; <= the endpoint mss so each segment is one packet
+/// (one MTP message), the unit FEC repairs.
+inline constexpr std::uint32_t kSegmentBytes = 1000;
+/// Receiver buffer span in segments beyond the in-order point; segments
+/// past it are dropped (stream-level flow control keeps senders inside).
+inline constexpr std::uint32_t kReorderWindow = 4096;
+/// Sender cap on segments submitted beyond the cumulative ack.
+inline constexpr std::uint32_t kWindowSegments = 256;
+/// Receiver feedback goes out every kFeedbackEvery delivered segments or
+/// kFeedbackDelay after the first unreported change, whichever comes first.
+inline constexpr std::uint32_t kFeedbackEvery = 8;
+inline constexpr sim::SimTime kFeedbackDelay = sim::SimTime::microseconds(100);
+/// Stream-level RTO (doubled per retry) and the retries before the stream
+/// fails with StreamError::kTimedOut.
+inline constexpr sim::SimTime kStreamRto = sim::SimTime::milliseconds(4);
+inline constexpr int kMaxStreamRetx = 8;
 
+struct StreamConfig {
   std::uint8_t fec_k = 4;  ///< data segments per FEC group (<= fec::kMaxK)
   std::uint8_t fec_r = 0;  ///< parities per group (<= fec::kMaxR); 0 = ARQ only
   bool adaptive_fec = false;  ///< drive r from receiver loss telemetry
@@ -70,12 +78,6 @@ struct StreamConfig {
   /// Emit parity for a partial group this long after its first segment, so
   /// the tail of a burst is covered too.
   sim::SimTime group_flush_delay = sim::SimTime::microseconds(150);
-
-  std::uint32_t feedback_every = 8;  ///< delivered segments per feedback msg
-  sim::SimTime feedback_delay = sim::SimTime::microseconds(100);
-
-  sim::SimTime stream_rto = sim::SimTime::milliseconds(4);
-  int max_stream_retx = 8;
 
   std::uint8_t priority = 0;
   proto::TrafficClassId tc = 0;

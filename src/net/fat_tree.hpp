@@ -27,6 +27,7 @@
 
 #include "net/forwarding.hpp"
 #include "net/network.hpp"
+#include "net/topologies.hpp"
 
 namespace mtp::net {
 
@@ -34,10 +35,7 @@ class FatTree {
  public:
   struct Config {
     int k = 4;  ///< pod count; must be even and >= 2
-    sim::Bandwidth host_bw = sim::Bandwidth::gbps(100);
-    sim::Bandwidth fabric_bw = sim::Bandwidth::gbps(100);
     sim::SimTime link_delay = sim::SimTime::microseconds(1);
-    DropTailQueue::Config queue{.capacity_pkts = 256, .ecn_threshold_pkts = 40};
   };
 
   /// Called once per edge/aggregation switch (cores are single-path and get
@@ -88,7 +86,7 @@ class FatTree {
           hosts_.push_back(host);
           host_pod_.push_back(p);
           host_edge_.push_back(e);
-          net.connect(*host, *edges_[p][e], cfg.host_bw, cfg.link_delay, cfg.queue);
+          net.connect(*host, *edges_[p][e], kHostLinkBw, cfg.link_delay, kFabricQueue);
           edges_[p][e]->add_route(host->id(), static_cast<PortIndex>(h));
         }
       }
@@ -99,8 +97,8 @@ class FatTree {
     for (int p = 0; p < k; ++p) {
       for (int e = 0; e < half; ++e) {
         for (int a = 0; a < half; ++a) {
-          net.connect(*edges_[p][e], *aggs_[p][a], cfg.fabric_bw, cfg.link_delay,
-                      cfg.queue);
+          net.connect(*edges_[p][e], *aggs_[p][a], kFabricLinkBw, cfg.link_delay,
+                      kFabricQueue);
         }
       }
     }
@@ -110,8 +108,8 @@ class FatTree {
     for (int p = 0; p < k; ++p) {
       for (int a = 0; a < half; ++a) {
         for (int i = 0; i < half; ++i) {
-          net.connect(*aggs_[p][a], *cores_[a * half + i], cfg.fabric_bw,
-                      cfg.link_delay, cfg.queue);
+          net.connect(*aggs_[p][a], *cores_[a * half + i], kFabricLinkBw,
+                      cfg.link_delay, kFabricQueue);
         }
       }
     }

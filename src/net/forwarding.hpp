@@ -9,15 +9,6 @@
 
 namespace mtp::net {
 
-/// Always the first candidate. The single-path baseline.
-class StaticPolicy final : public ForwardingPolicy {
- public:
-  PortIndex select(const Packet&, std::span<const PortIndex> c, Switch&) override {
-    return c.front();
-  }
-  std::string name() const override { return "static"; }
-};
-
 /// Flow-hash ECMP: every packet of a flow takes the same path, so elephants
 /// can collide on one path while the other idles (Fig 6's ECMP downside).
 class EcmpPolicy final : public ForwardingPolicy {

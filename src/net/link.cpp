@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "sim/logging.hpp"
-
 namespace mtp::net {
 
 namespace {
@@ -160,7 +158,6 @@ void Link::send(Packet&& pkt) {
     if (!accepted) {
       ev.type = telemetry::TraceEventType::kDrop;
       telemetry::trace().record(ev);
-      MTP_TRACE(sim_.now(), name_, "drop (queue full)");
       return;
     }
     if (after.ecn_marked > before.ecn_marked) {
@@ -170,7 +167,6 @@ void Link::send(Packet&& pkt) {
     }
     telemetry::trace().record(ev);
   } else if (!queue_->enqueue(std::move(pkt))) {
-    MTP_TRACE(sim_.now(), name_, "drop (queue full)");
     return;
   }
   try_transmit();

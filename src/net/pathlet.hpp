@@ -35,8 +35,6 @@ struct PathletConfig {
   sim::SimTime rcp_period = sim::SimTime::microseconds(10);
   /// Estimate of the average RTT of flows crossing this pathlet.
   sim::SimTime rcp_rtt = sim::SimTime::microseconds(10);
-  double rcp_alpha = 0.4;  ///< gain on spare capacity
-  double rcp_beta = 0.2;   ///< gain on queue drain
 };
 
 /// Per-link pathlet state. The owning Link calls on_arrival() for every
@@ -44,6 +42,9 @@ struct PathletConfig {
 /// RCP, and make_feedback() when stamping a departing packet.
 class PathletState {
  public:
+  static constexpr double kRcpAlpha = 0.4;  ///< RCP gain on spare capacity
+  static constexpr double kRcpBeta = 0.2;   ///< RCP gain on queue drain
+
   PathletState(PathletConfig cfg, sim::Bandwidth capacity)
       : cfg_(cfg), capacity_(capacity), rcp_rate_(capacity) {}
 
@@ -59,7 +60,7 @@ class PathletState {
     const double y = static_cast<double>(arrived_bytes_) * 8.0 / period_s;  // arrival bits/s
     const double d = cfg_.rcp_rtt.sec();
     const double q_term = static_cast<double>(queue_bytes) * 8.0 / d;
-    const double delta = (cfg_.rcp_alpha * (c - y) - cfg_.rcp_beta * q_term) / c;
+    const double delta = (kRcpAlpha * (c - y) - kRcpBeta * q_term) / c;
     double r = static_cast<double>(rcp_rate_.bits_per_sec()) * (1.0 + delta * period_s / d);
     r = std::min(r, c);
     r = std::max(r, 0.01 * c);

@@ -18,6 +18,12 @@
 
 namespace mtp::net {
 
+/// Link rates and switch queue of the canned fabrics (LeafSpine, FatTree).
+inline constexpr sim::Bandwidth kHostLinkBw = sim::Bandwidth::gbps(100);
+inline constexpr sim::Bandwidth kFabricLinkBw = sim::Bandwidth::gbps(100);
+inline constexpr DropTailQueue::Config kFabricQueue{.capacity_pkts = 256,
+                                                    .ecn_threshold_pkts = 40};
+
 class LeafSpine {
  public:
   struct Config {
@@ -27,10 +33,7 @@ class LeafSpine {
     /// When non-empty (size must equal `leaves`), leaf l hosts
     /// hosts_at_leaf[l] machines and `hosts_per_leaf` is ignored.
     std::vector<int> hosts_at_leaf;
-    sim::Bandwidth host_bw = sim::Bandwidth::gbps(100);
-    sim::Bandwidth fabric_bw = sim::Bandwidth::gbps(100);
     sim::SimTime link_delay = sim::SimTime::microseconds(1);
-    DropTailQueue::Config queue{.capacity_pkts = 256, .ecn_threshold_pkts = 40};
   };
 
   /// Factory for the policy each leaf uses to pick a spine (called once per
@@ -65,7 +68,7 @@ class LeafSpine {
         Host* host = net.add_host("h" + std::to_string(l) + "." + std::to_string(h));
         hosts_.push_back(host);
         host_leaf_.push_back(l);
-        net.connect(*host, *leaf, cfg.host_bw, cfg.link_delay, cfg.queue);
+        net.connect(*host, *leaf, kHostLinkBw, cfg.link_delay, kFabricQueue);
       }
       if (up_policy) leaf->set_policy(up_policy());
     }
@@ -73,7 +76,7 @@ class LeafSpine {
     // Leaf <-> spine mesh. On a spine: port l faces leaf l.
     for (int l = 0; l < cfg.leaves; ++l) {
       for (int s = 0; s < cfg.spines; ++s) {
-        net.connect(*leaves_[l], *spines_[s], cfg.fabric_bw, cfg.link_delay, cfg.queue);
+        net.connect(*leaves_[l], *spines_[s], kFabricLinkBw, cfg.link_delay, kFabricQueue);
       }
     }
     // Routing. Leaf: local hosts go down; remote hosts go up any spine.

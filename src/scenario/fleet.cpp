@@ -125,7 +125,7 @@ class MptcpTransport : public Transport {
     // but not yet reapable().
     std::erase_if(sessions_, [](const auto& s) { return s->reapable(); });
     sessions_.push_back(std::make_unique<MptcpSession>(
-        stack_, dst_, dst_port_, bytes, MptcpConfig{},
+        stack_, dst_, dst_port_, bytes,
         [this, done = std::move(done)](sim::SimTime fct,
                                        std::int64_t sent) mutable {
           ++completed_;
@@ -183,10 +183,11 @@ TransportMetrics receiver_counters(const TcpStack& s) { return sender_counters(s
 }  // namespace
 
 template <class Endpoint>
+template <class... Cfg>
 Fleet<Endpoint>::Fleet(std::string name, const TransportBuildContext& ctx,
-                       const Config& cfg)
+                       const Cfg&... cfg)
     : name_(std::move(name)) {
-  build_endpoints(ctx, cfg);
+  build_endpoints(ctx, cfg...);
   if (!ctx.receiver) return;
   for (std::size_t i = 0; i < eps_.size(); ++i) {
     senders_.push_back(make_transport(*eps_[i], name_, ctx.receiver->id(), ctx.dst_port,
@@ -205,19 +206,20 @@ TransportMetrics Fleet<Endpoint>::metrics() const {
 
 // MTP and Homa: every endpoint accepts on dst_port into a no-op handler.
 template <class Endpoint>
-void Fleet<Endpoint>::build_endpoints(const TransportBuildContext& ctx, const Config& cfg) {
+template <class... Cfg>
+void Fleet<Endpoint>::build_endpoints(const TransportBuildContext& ctx, const Cfg&... cfg) {
   const auto accept = [port = ctx.dst_port](Endpoint& ep) {
     ep.listen(port, [](const auto&...) {});
   };
   for (net::Host* h : ctx.senders) {
-    eps_.push_back(std::make_unique<Endpoint>(*h, cfg));
+    eps_.push_back(std::make_unique<Endpoint>(*h, cfg...));
     // Peer-to-peer topologies: every endpoint also accepts messages.
     if (!ctx.receiver) accept(*eps_.back());
   }
   if (!ctx.receiver) return;
-  // The receiver runs a plain default config: sender-side knobs (scheduling,
-  // pathlet CC tuning) must not distort the sink.
-  rcv_ = std::make_unique<Endpoint>(*ctx.receiver, Config{});
+  // The receiver is built from its host alone (MTP: the default config), so
+  // sender-side knobs (scheduling, pathlet CC tuning) cannot distort the sink.
+  rcv_ = std::make_unique<Endpoint>(*ctx.receiver);
   accept(*rcv_);
   if (auto* meter = ctx.meter) {
     // The receiver's shard clock: payload deliveries (and so the meter) run
@@ -231,6 +233,7 @@ void Fleet<Endpoint>::build_endpoints(const TransportBuildContext& ctx, const Co
 
 // TCP family: each stack stamps its sender's traffic class on every packet;
 // the receiver stack keeps the fleet's DCTCP flag and feeds a TcpSink.
+template <>
 template <>
 void Fleet<TcpStack>::build_endpoints(const TransportBuildContext& ctx, const TcpConfig& cfg) {
   for (std::size_t i = 0; i < ctx.senders.size(); ++i) {
@@ -253,7 +256,7 @@ std::unique_ptr<TransportFleet> make_fleet(const std::string& name,
                                            const TransportBuildContext& ctx,
                                            const core::MtpConfig& mtp) {
   if (name == "mtp") return std::make_unique<Fleet<core::MtpEndpoint>>(name, ctx, mtp);
-  if (name == "homa") return std::make_unique<Fleet<HomaEndpoint>>(name, ctx, HomaConfig{});
+  if (name == "homa") return std::make_unique<Fleet<HomaEndpoint>>(name, ctx);
   if (name == "tcp" || name == "dctcp" || name == "mptcp") {
     TcpConfig tcp;
     tcp.dctcp = name == "dctcp";

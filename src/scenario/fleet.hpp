@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,12 +132,12 @@ class TransportFleet {
 template <class Endpoint>
 class Fleet final : public TransportFleet {
  public:
-  using Config = std::remove_cvref_t<decltype(std::declval<const Endpoint&>().config())>;
-
-  /// Builds the sender endpoints in sender order (each running `cfg`), then
-  /// the receiver side, then one Transport per sender: creation order is
-  /// part of the recorded experiment.
-  Fleet(std::string name, const TransportBuildContext& ctx, const Config& cfg);
+  /// Builds the sender endpoints in sender order (each from its host and
+  /// `cfg`, which Homa, having no config, leaves empty), then the receiver
+  /// side, then one Transport per sender: creation order is part of the
+  /// recorded experiment.
+  template <class... Cfg>
+  Fleet(std::string name, const TransportBuildContext& ctx, const Cfg&... cfg);
 
   const std::string& name() const override { return name_; }
   std::size_t num_senders() const override { return senders_.size(); }
@@ -149,7 +148,8 @@ class Fleet final : public TransportFleet {
   Endpoint* receiver_endpoint() { return rcv_.get(); }
 
  private:
-  void build_endpoints(const TransportBuildContext& ctx, const Config& cfg);
+  template <class... Cfg>
+  void build_endpoints(const TransportBuildContext& ctx, const Cfg&... cfg);
 
   std::string name_;
   // Destroyed bottom-up: transports and the sink hold endpoint references.

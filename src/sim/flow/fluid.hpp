@@ -47,8 +47,6 @@ class FluidModel {
   using DoneFn = std::function<void(std::uint32_t flow, SimTime at)>;
 
   struct Config {
-    /// Keyed-event namespace; replicas must all use the same base.
-    std::uint64_t key_base = kFlowKeyBase;
     /// Flows may claim at most capacity * num/den of any conduit, so
     /// packet-level traffic always keeps a residual to serialize into.
     std::uint32_t capacity_num = 95;
@@ -154,7 +152,7 @@ class FluidModel {
 
   std::uint64_t next_key() {
     ++events_scheduled_;
-    return cfg_.key_base | (flow_seq_++ & 0x0fffffffffffffffULL);
+    return kFlowKeyBase | (flow_seq_++ & 0x0fffffffffffffffULL);
   }
 
   std::int64_t fluid_capacity(const Conduit& c) const;

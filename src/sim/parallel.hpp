@@ -9,8 +9,8 @@
 // Determinism contract (docs/perf.md): a job must derive every input from
 // its own arguments (topology, seed, duration) and touch no cross-thread
 // mutable state. The process-wide telemetry singletons are thread-local
-// (MetricRegistry::global(), telemetry::trace()) or internally synchronized
-// (sim::Log), and packet pools are per-Network, so an unmodified bench
+// (MetricRegistry::global(), telemetry::trace()), and packet pools are
+// per-Network, so an unmodified bench
 // scenario already satisfies the contract. Jobs that enable tracing or
 // tune thread-local telemetry must do so *inside* the job body: worker
 // threads do not inherit the caller's thread-local state.

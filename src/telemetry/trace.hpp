@@ -2,8 +2,7 @@
 //
 // A bounded ring buffer of typed packet events. The hooks are always
 // compiled in, but the fast path is a single predictable branch on a static
-// flag (mirroring sim::Log::enabled) so benchmarks pay ~nothing while
-// tracing is off. When the ring fills, the oldest events are overwritten —
+// flag so benchmarks pay ~nothing while tracing is off. When the ring fills, the oldest events are overwritten —
 // memory stays bounded no matter how long the experiment runs.
 //
 // Record-time filters restrict capture to one message, one node, or one

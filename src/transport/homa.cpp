@@ -9,8 +9,7 @@ namespace {
 constexpr double kMaxBackoff = 64.0;
 }  // namespace
 
-HomaEndpoint::HomaEndpoint(net::Host& host, HomaConfig cfg)
-    : host_(host), cfg_(cfg), sim_(host.simulator()) {
+HomaEndpoint::HomaEndpoint(net::Host& host) : host_(host), sim_(host.simulator()) {
   host_.set_mtp_handler([this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
   metrics_ = telemetry::MetricRegistry::global().add(
       "homa", host_.name(), [this](std::vector<telemetry::MetricSample>& out) {
@@ -53,9 +52,9 @@ proto::MsgId HomaEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
   msg.id = id;
   msg.dst = dst;
   msg.opts = opts;
-  msg.packetize(bytes, cfg_.mss);
+  msg.packetize(bytes, kMss);
   // The unscheduled window: one BDP goes out immediately, no grant needed.
-  msg.granted = std::min<std::int64_t>(bytes, cfg_.rtt_bytes);
+  msg.granted = std::min<std::int64_t>(bytes, kRttBytes);
   msg.sched_prio = 0;
   msg.started_at = sim_.now();
   msg.done = std::move(on_delivered);
@@ -66,7 +65,7 @@ proto::MsgId HomaEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
 
 void HomaEndpoint::pump(OutMsg& msg) {
   while (msg.next_unsent < msg.total_pkts &&
-         static_cast<std::int64_t>(msg.next_unsent) * cfg_.mss < msg.granted) {
+         static_cast<std::int64_t>(msg.next_unsent) * kMss < msg.granted) {
     send_data_pkt(msg, msg.next_unsent, /*is_retx=*/false);
     ++msg.next_unsent;
   }
@@ -76,11 +75,11 @@ void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
   // Priority remapping: the unscheduled prefix rides the top level so short
   // messages cut ahead; granted bytes carry whatever level the receiver's
   // SRPT ranking assigned in the latest grant.
-  const bool unscheduled = static_cast<std::int64_t>(msg.pkt_offset(pkt, cfg_.mss)) <
-                           std::min<std::int64_t>(cfg_.rtt_bytes, msg.total_bytes);
-  net::Packet p = make_data(host_.id(), msg, pkt, cfg_.mss,
-                            unscheduled ? cfg_.unscheduled_priority : msg.sched_prio);
-  p.header_bytes = cfg_.base_header_bytes;
+  const bool unscheduled = static_cast<std::int64_t>(msg.pkt_offset(pkt, kMss)) <
+                           std::min<std::int64_t>(kRttBytes, msg.total_bytes);
+  net::Packet p = make_data(host_.id(), msg, pkt, kMss,
+                            unscheduled ? kUnscheduledPriority : msg.sched_prio);
+  p.header_bytes = kHeaderBytes;
   msg.mark_sent(pkt, sim_.now(), is_retx);
   ++pkts_sent_;
   if (is_retx) ++pkts_retx_;
@@ -206,7 +205,7 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     msg.start(hdr.msg_len_pkts);
     msg.total_bytes = static_cast<std::int64_t>(hdr.msg_len_bytes);
     // The sender's unscheduled window is implicitly granted.
-    msg.granted = std::min<std::int64_t>(msg.total_bytes, cfg_.rtt_bytes);
+    msg.granted = std::min<std::int64_t>(msg.total_bytes, kRttBytes);
     msg.tc = hdr.tc;
     msg.src_port = hdr.src_port;
     msg.dst_port = hdr.dst_port;
@@ -245,27 +244,27 @@ void HomaEndpoint::emit_ack(const net::Packet& data) {
   net::Packet p = make_reply(data, host_.id());
   auto& hdr = p.mtp();
   hdr.sack().push_back({hdr.msg_id, hdr.pkt_num});
-  p.header_bytes = cfg_.base_header_bytes +
+  p.header_bytes = kHeaderBytes +
                    static_cast<std::uint32_t>(hdr.sack().size() * 12);
   ++acks_sent_;
   host_.send(std::move(p));
 }
 
 void HomaEndpoint::issue_grants() {
-  // Walk the SRPT order: the top `overcommit` incomplete messages each get
-  // one rtt_bytes of lookahead past what has arrived, at a priority level
+  // Walk the SRPT order: the top kOvercommit incomplete messages each get
+  // one kRttBytes of lookahead past what has arrived, at a priority level
   // that falls with SRPT rank (rank 0 = highest scheduled level).
   int rank = 0;
-  for (auto it = active_.begin(); it != active_.end() && rank < cfg_.overcommit;
+  for (auto it = active_.begin(); it != active_.end() && rank < kOvercommit;
        ++it, ++rank) {
     const MsgKey key{std::get<1>(*it), std::get<2>(*it)};
     auto mi = incoming_.find(key);
     if (mi == incoming_.end()) continue;
     InMsg& msg = mi->second;
     const std::int64_t desired =
-        std::min(msg.total_bytes, msg.received_bytes + cfg_.rtt_bytes);
+        std::min(msg.total_bytes, msg.received_bytes + kRttBytes);
     if (desired <= msg.granted) continue;
-    const int prio = std::max(0, static_cast<int>(cfg_.sched_priorities) - 1 - rank);
+    const int prio = std::max(0, static_cast<int>(kSchedPriorities) - 1 - rank);
     msg.granted = desired;
     send_grant(key, msg, desired, static_cast<std::uint8_t>(prio));
   }
@@ -292,7 +291,7 @@ void HomaEndpoint::send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset
   hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.total_bytes);
   hdr.msg_len_pkts = msg.total_pkts;
   hdr.overload.ensure().grant_bytes = static_cast<std::uint64_t>(offset);
-  p.header_bytes = cfg_.base_header_bytes;
+  p.header_bytes = kHeaderBytes;
   p.header = std::move(hdr);
   ++grants_issued_;
   host_.send(std::move(p));

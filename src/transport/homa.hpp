@@ -2,13 +2,13 @@
 // the "replace TCP in the datacenter" bar the paper's evaluation must clear).
 //
 // Mechanisms modelled:
-//   - Unscheduled first window: a sender blasts the first rtt_bytes of every
+//   - Unscheduled first window: a sender blasts the first kRttBytes of every
 //     message immediately at the highest priority — short messages complete
 //     in one RTT with no handshake and no grant round-trip.
 //   - Receiver-issued grants: bytes beyond the unscheduled window are sent
 //     only when the receiver grants them. The receiver keeps its active
 //     messages in SRPT order (fewest remaining bytes first) and grants the
-//     top `overcommit` messages one rtt_bytes of lookahead each, so the
+//     top kOvercommit messages one kRttBytes of lookahead each, so the
 //     downlink stays busy while the schedule still favors short messages.
 //   - Priority remapping: unscheduled packets ride the top priority level;
 //     granted packets carry the priority the receiver assigned by SRPT rank,
@@ -38,21 +38,6 @@
 
 namespace mtp::transport {
 
-struct HomaConfig {
-  std::uint32_t mss = 1000;             ///< payload bytes per packet
-  std::uint32_t base_header_bytes = 40; ///< accounted fixed header overhead
-  /// Unscheduled window and per-grant lookahead: roughly one
-  /// bandwidth-delay product (25 KB ~ 100G x 2us RTT).
-  std::int64_t rtt_bytes = 25'000;
-  /// Messages granted concurrently (Homa's overcommitment degree): keeps the
-  /// downlink busy when the top choice's sender stalls.
-  int overcommit = 2;
-  std::uint8_t unscheduled_priority = 7;  ///< highest level, short messages
-  std::uint8_t sched_priorities = 4;      ///< scheduled levels 0..n-1 by SRPT rank
-  sim::SimTime min_rto = sim::SimTime::microseconds(200);
-  sim::SimTime max_rto = sim::SimTime::milliseconds(5);
-};
-
 /// Per-message submission metadata (mirrors core::MessageOptions' subset the
 /// receiver-driven protocol uses).
 struct HomaOptions {
@@ -68,7 +53,20 @@ class HomaEndpoint {
   using MessageHandler = std::function<void(net::NodeId src, std::int64_t bytes)>;
   using DoneFn = std::function<void(proto::MsgId, sim::SimTime fct)>;
 
-  HomaEndpoint(net::Host& host, HomaConfig cfg);
+  static constexpr std::uint32_t kMss = 1000;         ///< payload bytes per packet
+  static constexpr std::uint32_t kHeaderBytes = 40;  ///< accounted fixed header overhead
+  /// Unscheduled window and per-grant lookahead: roughly one
+  /// bandwidth-delay product (25 KB ~ 100G x 2us RTT).
+  static constexpr std::int64_t kRttBytes = 25'000;
+  /// Messages granted concurrently (Homa's overcommitment degree): keeps the
+  /// downlink busy when the top choice's sender stalls.
+  static constexpr int kOvercommit = 2;
+  static constexpr std::uint8_t kUnscheduledPriority = 7;  ///< highest level, short messages
+  static constexpr std::uint8_t kSchedPriorities = 4;  ///< scheduled levels 0..n-1 by SRPT rank
+  /// RTO ceiling; the floor is the shared kMinRto.
+  static constexpr sim::SimTime kMaxRto = sim::SimTime::milliseconds(5);
+
+  explicit HomaEndpoint(net::Host& host);
   ~HomaEndpoint();
   HomaEndpoint(const HomaEndpoint&) = delete;
   HomaEndpoint& operator=(const HomaEndpoint&) = delete;
@@ -89,7 +87,6 @@ class HomaEndpoint {
   std::uint64_t checksum_drops() const { return checksum_drops_; }
   std::size_t outstanding_messages() const { return outgoing_.size(); }
   sim::SimTime srtt() const { return rtt_.srtt; }
-  const HomaConfig& config() const { return cfg_; }
   net::Host& host() { return host_; }
 
  private:
@@ -122,16 +119,15 @@ class HomaEndpoint {
   void emit_ack(const net::Packet& data);
   void send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset,
                   std::uint8_t prio);
-  /// Re-rank the active set and extend grants for the top `overcommit`.
+  /// Re-rank the active set and extend grants for the top kOvercommit.
   void issue_grants();
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);
   sim::SimTime rto(const OutMsg& msg) const {
-    return rtt_.rto(cfg_.min_rto, cfg_.max_rto, msg.backoff);
+    return rtt_.rto(kMinRto, kMaxRto, msg.backoff);
   }
 
   net::Host& host_;
-  HomaConfig cfg_;
   sim::Simulator& sim_;
 
   // --- Sender.

@@ -29,6 +29,11 @@
 
 namespace mtp::transport {
 
+/// Retransmission-timeout bounds MTP and TCP share. Homa keeps its own
+/// ceiling (HomaEndpoint::kMaxRto).
+inline constexpr sim::SimTime kMinRto = sim::SimTime::microseconds(200);
+inline constexpr sim::SimTime kMaxRto = sim::SimTime::milliseconds(100);
+
 /// Smoothed RTT and RTT variance from Karn-filtered samples (RFC 6298 with
 /// alpha = 1/8, beta = 1/4). Callers feed only samples from packets that were
 /// never retransmitted.

@@ -6,21 +6,18 @@
 namespace mtp::transport {
 
 MptcpSession::MptcpSession(TcpStack& stack, net::NodeId dst,
-                           proto::PortNum dst_port, std::int64_t bytes,
-                           MptcpConfig cfg, DoneFn done)
+                           proto::PortNum dst_port, std::int64_t bytes, DoneFn done)
     : stack_(stack),
       dst_(dst),
       dst_port_(dst_port),
-      cfg_(cfg),
       sim_(stack.host().simulator()),
       total_bytes_(bytes),
       remaining_(bytes),
       started_at(stack.host().simulator().now()),
       done_(std::move(done)) {
   assert(bytes > 0 && "empty messages are not a thing");
-  const int n = std::max(1, cfg_.subflows);
-  subs_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) open_subflow();
+  subs_.reserve(kSubflows);
+  for (int i = 0; i < kSubflows; ++i) open_subflow();
 }
 
 MptcpSession::~MptcpSession() { sim_.timers().cancel(penalty_timer_); }
@@ -50,7 +47,7 @@ void MptcpSession::wire(std::size_t idx) {
     check_delivered();
   };
   conn.on_timeout = [this, idx] {
-    subs_[idx].penalized_until = sim_.now() + cfg_.penalty;
+    subs_[idx].penalized_until = sim_.now() + kPenalty;
   };
   conn.ca_increase = [this, idx](std::int64_t acked) {
     return lia_increase(idx, acked);
@@ -64,7 +61,7 @@ void MptcpSession::feed() {
   const sim::SimTime now = sim_.now();
   auto eligible = [&](const Subflow& sf) {
     return sf.established && !sf.closed &&
-           sf.conn->send_buffer_bytes() < cfg_.chunk_bytes;
+           sf.conn->send_buffer_bytes() < kChunkBytes;
   };
   bool skipped_penalized = false;
   sim::SimTime earliest_penalty;
@@ -93,7 +90,7 @@ void MptcpSession::feed() {
           continue;
         }
       }
-      const std::int64_t chunk = std::min(cfg_.chunk_bytes, remaining_);
+      const std::int64_t chunk = std::min(kChunkBytes, remaining_);
       sf.conn->send(chunk);
       sf.assigned += chunk;
       remaining_ -= chunk;
@@ -156,7 +153,7 @@ void MptcpSession::on_subflow_closed(std::size_t idx) {
     }
   }
   if (!any_open) {
-    if (!closing_ && remaining_ > 0 && respawns_ < cfg_.max_respawns) {
+    if (!closing_ && remaining_ > 0 && respawns_ < kMaxRespawns) {
       // Every path died mid-message: try again on a fresh subflow (fresh
       // ephemeral port, likely a different ECMP path).
       ++respawns_;
@@ -183,7 +180,6 @@ void MptcpSession::finish() {
 }
 
 double MptcpSession::lia_increase(std::size_t idx, std::int64_t acked) const {
-  const auto& cfg = stack_.config();
   const Subflow& self = subs_[idx];
   if (!self.conn) return 0.0;
   const double w_i = std::max(1.0, self.conn->cwnd_bytes());
@@ -200,11 +196,11 @@ double MptcpSession::lia_increase(std::size_t idx, std::int64_t acked) const {
     best = std::max(best, w / (rtt * rtt));
     sum_wr += w / rtt;
   }
-  const double reno = static_cast<double>(cfg.mss) * static_cast<double>(acked) / w_i;
+  const double reno = static_cast<double>(kTcpMss) * static_cast<double>(acked) / w_i;
   if (total <= 0.0 || sum_wr <= 0.0) return reno;
   const double alpha = total * best / (sum_wr * sum_wr);
   const double coupled =
-      alpha * static_cast<double>(cfg.mss) * static_cast<double>(acked) / total;
+      alpha * static_cast<double>(kTcpMss) * static_cast<double>(acked) / total;
   return std::min(coupled, reno);
 }
 

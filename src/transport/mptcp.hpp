@@ -12,7 +12,7 @@
 // capacity shifts away from congested subflows. Slow start and loss response
 // stay per-subflow (the hooks touch only the CA increment).
 //
-// Scheduling: round-robin in chunk_bytes units over established subflows
+// Scheduling: round-robin in kChunkBytes units over established subflows
 // with room in their send buffer, skipping subflows inside a post-RTO
 // penalty window when an unpenalized alternative exists (the classic
 // penalizing scheduler that keeps a path-flap from head-of-line-blocking the
@@ -32,17 +32,6 @@
 
 namespace mtp::transport {
 
-struct MptcpConfig {
-  int subflows = 4;
-  /// Scheduler granularity: bytes handed to one subflow per round-robin turn.
-  std::int64_t chunk_bytes = 16'000;
-  /// Post-RTO penalty: how long a timed-out subflow is skipped while an
-  /// unpenalized alternative exists.
-  sim::SimTime penalty = sim::SimTime::milliseconds(1);
-  /// Respawn budget when every subflow has aborted with bytes still owed.
-  int max_respawns = 4;
-};
-
 /// One message in flight over N coupled subflows. Completion (delivery of
 /// all bytes and close of every subflow, or exhaustion of the respawn
 /// budget) fires `done` exactly once.
@@ -50,8 +39,18 @@ class MptcpSession {
  public:
   using DoneFn = std::function<void(sim::SimTime fct, std::int64_t bytes)>;
 
+  /// Subflows opened per message.
+  static constexpr int kSubflows = 4;
+  /// Scheduler granularity: bytes handed to one subflow per round-robin turn.
+  static constexpr std::int64_t kChunkBytes = 16'000;
+  /// Post-RTO penalty: how long a timed-out subflow is skipped while an
+  /// unpenalized alternative exists.
+  static constexpr sim::SimTime kPenalty = sim::SimTime::milliseconds(1);
+  /// Respawn budget when every subflow has aborted with bytes still owed.
+  static constexpr int kMaxRespawns = 4;
+
   MptcpSession(TcpStack& stack, net::NodeId dst, proto::PortNum dst_port,
-               std::int64_t bytes, MptcpConfig cfg, DoneFn done);
+               std::int64_t bytes, DoneFn done);
   ~MptcpSession();
   MptcpSession(const MptcpSession&) = delete;
   MptcpSession& operator=(const MptcpSession&) = delete;
@@ -88,7 +87,6 @@ class MptcpSession {
   TcpStack& stack_;
   net::NodeId dst_;
   proto::PortNum dst_port_;
-  MptcpConfig cfg_;
   sim::Simulator& sim_;
   std::vector<Subflow> subs_;
   std::int64_t total_bytes_ = 0;

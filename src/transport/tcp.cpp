@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/logging.hpp"
 #include "telemetry/trace.hpp"
 
 namespace mtp::transport {
@@ -105,7 +104,7 @@ void TcpStack::on_packet(net::Packet&& pkt) {
     net::Packet ack;
     ack.src = host_.id();
     ack.dst = pkt.src;
-    ack.header_bytes = cfg_.header_bytes;
+    ack.header_bytes = kTcpHeaderBytes;
     ack.tc = cfg_.tc;
     proto::TcpHeader h;
     h.src_port = hdr.dst_port;
@@ -129,10 +128,9 @@ TcpConnection::TcpConnection(TcpStack& stack, net::NodeId peer, proto::PortNum l
       state_(active_open ? State::kSynSent : State::kSynRcvd) {
   name_ = stack.host().name() + ":" + std::to_string(local_port_) + "->" +
           std::to_string(peer_) + ":" + std::to_string(peer_port_);
-  const auto& cfg = stack_.config();
-  cwnd_ = static_cast<double>(cfg.init_cwnd_pkts) * cfg.mss;
+  cwnd_ = static_cast<double>(kTcpInitCwndPkts) * kTcpMss;
   ssthresh_ = 1e18;
-  rto_ = cfg.min_rto.scaled(10.0);  // conservative until the first RTT sample
+  rto_ = kMinRto.scaled(10.0);  // conservative until the first RTT sample
 }
 
 TcpConnection::~TcpConnection() { disarm_rto(); }
@@ -190,7 +188,6 @@ std::int64_t TcpConnection::effective_window() const {
 
 void TcpConnection::try_send() {
   if (state_ != State::kEstablished && state_ != State::kFinWait) return;
-  const auto& cfg = stack_.config();
   bool sent_any = false;
   while (true) {
     // In recovery, retransmitting SACK holes takes precedence over new data.
@@ -211,7 +208,7 @@ void TcpConnection::try_send() {
     const std::int64_t window_room = wnd - pipe();
     const std::uint64_t remaining = data_end - snd_nxt_;
     const std::uint32_t len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>({cfg.mss, remaining,
+        std::min<std::uint64_t>({kTcpMss, remaining,
                                  static_cast<std::uint64_t>(window_room)}));
     if (len == 0) break;
     emit_segment(snd_nxt_, len, /*retransmit=*/false);
@@ -240,7 +237,7 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len, bool retr
   pkt.src = stack_.host().id();
   pkt.dst = peer_;
   pkt.payload_bytes = len;
-  pkt.header_bytes = cfg.header_bytes;
+  pkt.header_bytes = kTcpHeaderBytes;
   pkt.ecn = cfg.uses_ecn() ? net::Ecn::kEct : net::Ecn::kNotEct;
   pkt.tc = cfg.tc;
   pkt.flow_hash = make_flow_hash(pkt.src, local_port_, peer_, peer_port_);
@@ -277,7 +274,7 @@ void TcpConnection::send_control(std::uint8_t flags, std::uint64_t seq) {
   pkt.src = stack_.host().id();
   pkt.dst = peer_;
   pkt.payload_bytes = 0;
-  pkt.header_bytes = cfg.header_bytes;
+  pkt.header_bytes = kTcpHeaderBytes;
   pkt.ecn = net::Ecn::kNotEct;  // control packets are not ECN-capable
   pkt.tc = cfg.tc;
   pkt.flow_hash = make_flow_hash(pkt.src, local_port_, peer_, peer_port_);
@@ -356,7 +353,7 @@ void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
 
   // --- Classic ECN congestion response: once per window of data.
   if (cfg.ecn && !cfg.dctcp && hdr.has(proto::kTcpEce) && snd_una_ >= ecn_recover_) {
-    ssthresh_ = std::max(static_cast<double>(flight()) / 2.0, 2.0 * cfg.mss);
+    ssthresh_ = std::max(static_cast<double>(flight()) / 2.0, 2.0 * kTcpMss);
     cwnd_ = ssthresh_;
     ecn_recover_ = snd_nxt_;
     cwr_pending_ = true;
@@ -418,7 +415,7 @@ void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
       } else if (ca_increase) {
         cwnd_ += ca_increase(acked);
       } else {
-        cwnd_ += static_cast<double>(cfg.mss) * static_cast<double>(acked) / cwnd_;
+        cwnd_ += static_cast<double>(kTcpMss) * static_cast<double>(acked) / cwnd_;
       }
     }
 
@@ -444,7 +441,7 @@ void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
       recover_ = snd_nxt_;
       high_retx_ = snd_una_;
       retx_inflight_ = 0;
-      ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * cfg.mss);
+      ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kTcpMss);
       cwnd_ = ssthresh_;
       if (snd_una_ >= data_end_seq() && fin_sent_) {
         send_control(proto::kTcpFin | proto::kTcpAck, snd_una_);
@@ -463,14 +460,13 @@ void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
 // it now instead of stalling until the RTO.
 void TcpConnection::maybe_rescue_retransmit() {
   if (!rtt_.valid || snd_una_ >= data_end_seq()) return;
-  const sim::SimTime threshold = std::max(rtt_.srtt * 2, stack_.config().min_rto / 2);
+  const sim::SimTime threshold = std::max(rtt_.srtt * 2, kMinRto / 2);
   if (simulator().now() - last_una_tx_at_ < threshold) return;
-  const auto& cfg = stack_.config();
   std::uint64_t hole_end = data_end_seq();
   const auto it = sacked_.upper_bound(snd_una_);
   if (it != sacked_.end()) hole_end = std::min(hole_end, it->first);
   const std::uint32_t len = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(cfg.mss, hole_end - snd_una_));
+      std::min<std::uint64_t>(kTcpMss, hole_end - snd_una_));
   emit_segment(snd_una_, len, /*retransmit=*/true);
   retx_inflight_ += len;
 }
@@ -507,7 +503,6 @@ void TcpConnection::recompute_sacked_bytes() {
 }
 
 std::optional<TcpConnection::Hole> TcpConnection::next_hole() const {
-  const auto& cfg = stack_.config();
   const std::uint64_t limit = std::min({recover_, snd_nxt_, data_end_seq()});
   std::uint64_t start = std::max(snd_una_, high_retx_);
   // Skip over SACKed ranges covering `start`.
@@ -527,7 +522,7 @@ std::optional<TcpConnection::Hole> TcpConnection::next_hole() const {
   const std::uint64_t hole_end =
       it == sacked_.end() ? limit : std::min(it->first, limit);
   const std::uint32_t len =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(cfg.mss, hole_end - start));
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(kTcpMss, hole_end - start));
   return Hole{start, len};
 }
 
@@ -552,14 +547,13 @@ void TcpConnection::fill_sack(proto::TcpHeader& hdr) const {
 }
 
 void TcpConnection::dctcp_window_end() {
-  const auto& cfg = stack_.config();
   if (dctcp_acked_total_ > 0) {
     const double f = static_cast<double>(dctcp_acked_ce_) /
                      static_cast<double>(dctcp_acked_total_);
-    dctcp_alpha_ = (1.0 - cfg.dctcp_g) * dctcp_alpha_ + cfg.dctcp_g * f;
+    dctcp_alpha_ = (1.0 - kTcpDctcpG) * dctcp_alpha_ + kTcpDctcpG * f;
     if (dctcp_acked_ce_ > 0) {
       cwnd_ = std::max(cwnd_ * (1.0 - dctcp_alpha_ / 2.0),
-                       static_cast<double>(cfg.mss));
+                       static_cast<double>(kTcpMss));
       ssthresh_ = cwnd_;
     }
   }
@@ -651,11 +645,10 @@ void TcpConnection::maybe_close() {
 }
 
 void TcpConnection::rtt_sample(sim::SimTime sample) {
-  const auto& cfg = stack_.config();
   rtt_.sample(sample);
   rto_ = rtt_.srtt + rtt_.rttvar * 4;
-  rto_ = std::max(rto_, cfg.min_rto);
-  rto_ = std::min(rto_, cfg.max_rto);
+  rto_ = std::max(rto_, kMinRto);
+  rto_ = std::min(rto_, kMaxRto);
 }
 
 void TcpConnection::rto_fire(void* self, std::uint64_t) {
@@ -682,7 +675,6 @@ void TcpConnection::disarm_rto() {
 }
 
 void TcpConnection::on_rto() {
-  const auto& cfg = stack_.config();
   ++timeouts_;
   ++stack_.timeouts_;
   if (on_timeout) on_timeout();
@@ -697,7 +689,7 @@ void TcpConnection::on_rto() {
     ev.value = static_cast<std::uint64_t>(flight());
     telemetry::trace().record(ev);
   }
-  if (++consecutive_timeouts_ > cfg.max_consecutive_timeouts) {
+  if (++consecutive_timeouts_ > kTcpMaxConsecutiveTimeouts) {
     // Peer unreachable (or gone mid-close): abort instead of retrying
     // forever — otherwise the simulation never quiesces.
     state_ = State::kClosed;
@@ -730,8 +722,8 @@ void TcpConnection::on_rto() {
 
   // Timeout: multiplicative decrease, go-back-N from snd_una_. The SACK
   // scoreboard is discarded (receiver reneging is legal; be safe).
-  ssthresh_ = std::max(static_cast<double>(flight()) / 2.0, 2.0 * cfg.mss);
-  cwnd_ = cfg.mss;
+  ssthresh_ = std::max(static_cast<double>(flight()) / 2.0, 2.0 * kTcpMss);
+  cwnd_ = kTcpMss;
   in_recovery_ = false;
   dup_acks_ = 0;
   sacked_.clear();
@@ -744,7 +736,7 @@ void TcpConnection::on_rto() {
     snd_nxt_ = snd_una_;
     fin_sent_ = false;  // FIN (if sent) must also be retransmitted in order
     const std::uint32_t len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(cfg.mss, end - snd_nxt_));
+        std::min<std::uint64_t>(kTcpMss, end - snd_nxt_));
     emit_segment(snd_nxt_, len, /*retransmit=*/true);
     snd_nxt_ += len;
   } else if (fin_sent_) {

@@ -29,22 +29,22 @@
 
 namespace mtp::transport {
 
+inline constexpr std::uint32_t kTcpMss = 1000;         ///< payload bytes per segment
+inline constexpr std::uint32_t kTcpHeaderBytes = 40;  ///< accounted TCP/IP header overhead
+inline constexpr std::int64_t kTcpInitCwndPkts = 10;
+/// Abort the connection after this many consecutive timeouts with no
+/// forward progress (a peer that vanished mid-close would otherwise keep
+/// the retransmission timer alive forever).
+inline constexpr int kTcpMaxConsecutiveTimeouts = 12;
+/// DCTCP's alpha EWMA gain.
+inline constexpr double kTcpDctcpG = 1.0 / 16.0;
+
 struct TcpConfig {
-  std::uint32_t mss = 1000;  ///< payload bytes per segment
-  std::uint32_t header_bytes = 40;  ///< accounted TCP/IP header overhead
-  std::int64_t init_cwnd_pkts = 10;
   /// Receive-buffer limit; the advertised window is this minus unread bytes.
   std::int64_t rcv_buf_bytes = std::int64_t{1} << 40;
-  sim::SimTime min_rto = sim::SimTime::microseconds(200);
-  sim::SimTime max_rto = sim::SimTime::milliseconds(100);
-  /// Abort the connection after this many consecutive timeouts with no
-  /// forward progress (a peer that vanished mid-close would otherwise keep
-  /// the retransmission timer alive forever).
-  int max_consecutive_timeouts = 12;
 
   bool ecn = false;    ///< ECT on data, classic ECE/CWR response
   bool dctcp = false;  ///< DCTCP: per-packet ECE echo + alpha-based reduction (implies ecn)
-  double dctcp_g = 1.0 / 16.0;
 
   /// Traffic class stamped on every packet this stack emits (DSCP-style
   /// tenant marking; per-TC switch policies key on it).

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <variant>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -86,62 +86,12 @@ class SizeDist {
   Variant dist_;
 };
 
-/// Open-loop Poisson message generator: draws exponential inter-arrival
-/// times targeting `offered_load` of `capacity`, samples a size, and calls
-/// `send(bytes)`. Stop by destroying or calling stop().
-class PoissonGenerator {
- public:
-  using SendFn = std::function<void(std::int64_t bytes)>;
-
-  PoissonGenerator(sim::Simulator& simulator, sim::Rng& rng, SizeDist sizes,
-                   sim::Bandwidth capacity, double offered_load, SendFn send)
-      : sim_(simulator),
-        rng_(rng),
-        sizes_(std::move(sizes)),
-        send_(std::move(send)) {
-    const double bytes_per_sec =
-        static_cast<double>(capacity.bits_per_sec()) / 8.0 * offered_load;
-    mean_interarrival_ = sim::SimTime::from_seconds(sizes_.mean() / bytes_per_sec);
-  }
-
-  void start() {
-    stopped_ = false;
-    schedule_next();
-  }
-  void stop() {
-    stopped_ = true;
-    sim_.cancel(next_);
-  }
-
-  std::uint64_t messages_sent() const { return sent_; }
-  sim::SimTime mean_interarrival() const { return mean_interarrival_; }
-
- private:
-  void schedule_next() {
-    next_ = sim_.schedule(rng_.exponential_time(mean_interarrival_), [this] {
-      if (stopped_) return;
-      ++sent_;
-      send_(sizes_.sample(rng_));
-      schedule_next();
-    });
-  }
-
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  SizeDist sizes_;
-  SendFn send_;
-  sim::SimTime mean_interarrival_;
-  sim::EventId next_;
-  bool stopped_ = true;
-  std::uint64_t sent_ = 0;
-};
-
-/// Precomputed open-loop arrival schedule, replayed by a single cursor
-/// event. Benches used to park one scheduled event per message upfront —
-/// at 100k+ concurrent messages that is 100k live heap slots and closures
-/// before the first packet moves. A schedule is one flat vector (16 bytes
-/// per arrival) and exactly one pending simulator event at any moment, so
-/// generating load does not allocate per arrival during the run.
+/// Precomputed open-loop arrival schedule: one flat vector (16 bytes per
+/// arrival), replayed by KeyedReplay with exactly one pending simulator event
+/// at any moment, so generating load does not allocate per arrival during
+/// the run. (Parking one scheduled event per message upfront costs 100k live
+/// heap slots and closures at 100k+ concurrent messages before the first
+/// packet moves.)
 class ArrivalSchedule {
  public:
   struct Arrival {
@@ -150,23 +100,6 @@ class ArrivalSchedule {
     std::uint32_t bytes = 0;
   };
   using SendFn = std::function<void(const Arrival&)>;
-
-  /// Poisson arrivals over [0, horizon): one aggregate exponential process
-  /// with each arrival assigned uniformly to a source. Statistically
-  /// identical to `sources` independent thinned processes.
-  static ArrivalSchedule poisson(sim::Rng& rng, const SizeDist& sizes,
-                                 std::uint32_t sources, sim::SimTime mean_interarrival,
-                                 sim::SimTime horizon) {
-    ArrivalSchedule s;
-    sim::SimTime t = rng.exponential_time(mean_interarrival);
-    while (t < horizon) {
-      const std::uint32_t src =
-          sources <= 1 ? 0 : static_cast<std::uint32_t>(rng.uniform_int(0, sources - 1));
-      s.add(t, src, sizes.sample(rng));
-      t += rng.exponential_time(mean_interarrival);
-    }
-    return s;
-  }
 
   /// Append one arrival. Times must be non-decreasing (replay asserts).
   void add(sim::SimTime at, std::uint32_t src, std::int64_t bytes) {
@@ -178,31 +111,8 @@ class ArrivalSchedule {
   bool empty() const { return arrivals_.empty(); }
   const std::vector<Arrival>& arrivals() const { return arrivals_; }
 
-  /// Replay from the beginning on `simulator`. Arrivals that share a
-  /// timestamp are delivered inside one event.
-  void start(sim::Simulator& simulator, SendFn send) {
-    send_ = std::move(send);
-    cursor_ = 0;
-    schedule_next(simulator);
-  }
-
-  std::size_t replayed() const { return cursor_; }
-
  private:
-  void schedule_next(sim::Simulator& simulator) {
-    if (cursor_ >= arrivals_.size()) return;
-    simulator.schedule_at(arrivals_[cursor_].at, [this, &simulator] {
-      const sim::SimTime now = simulator.now();
-      while (cursor_ < arrivals_.size() && arrivals_[cursor_].at == now) {
-        send_(arrivals_[cursor_++]);
-      }
-      schedule_next(simulator);
-    });
-  }
-
   std::vector<Arrival> arrivals_;
-  std::size_t cursor_ = 0;
-  SendFn send_;
 };
 
 /// One long bulk transfer, declared to ScenarioBuilder::bulk_transfer().
@@ -240,9 +150,9 @@ inline std::vector<BulkTransfer> bulk_ring(std::uint32_t hosts, std::uint32_t co
 
 /// Shard-invariant replay of a subset of an ArrivalSchedule.
 ///
-/// Unlike ArrivalSchedule::start() — which chains plain FIFO events and
-/// batches same-timestamp arrivals — every arrival here executes as its own
-/// *keyed* event at (arrival.at, kArrivalKeyBase | schedule index). The
+/// Every arrival executes as its own *keyed* event at (arrival.at,
+/// kArrivalKeyBase | schedule index), never batched with same-timestamp
+/// arrivals into one plain FIFO event. The
 /// tie-break position among same-timestamp events is derived from the
 /// schedule, not from when the cursor event happened to be scheduled, so S
 /// replays over S disjoint subsets (one per shard, each on its own
@@ -292,38 +202,6 @@ class KeyedReplay {
   std::vector<std::size_t> picks_;  ///< global schedule indices, ascending
   std::size_t cursor_ = 0;
   SendFn send_;
-};
-
-/// Closed-loop generator: keeps exactly `concurrency` messages outstanding;
-/// the owner must call on_complete() when one finishes.
-class ClosedLoopGenerator {
- public:
-  using SendFn = std::function<void(std::int64_t bytes)>;
-
-  ClosedLoopGenerator(sim::Rng& rng, SizeDist sizes, std::size_t concurrency, SendFn send)
-      : rng_(rng), sizes_(std::move(sizes)), concurrency_(concurrency), send_(std::move(send)) {}
-
-  void start() {
-    for (std::size_t i = 0; i < concurrency_; ++i) launch();
-  }
-  void on_complete() {
-    if (!stopped_) launch();
-  }
-  void stop() { stopped_ = true; }
-  std::uint64_t messages_sent() const { return sent_; }
-
- private:
-  void launch() {
-    ++sent_;
-    send_(sizes_.sample(rng_));
-  }
-
-  sim::Rng& rng_;
-  SizeDist sizes_;
-  std::size_t concurrency_;
-  SendFn send_;
-  bool stopped_ = false;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace mtp::workload

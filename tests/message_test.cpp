@@ -184,11 +184,11 @@ TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {
 
 // Destroying an endpoint mid-run must leave nothing behind that still points
 // at it: no armed retransmit timer and no host packet handler.
-template <class Endpoint, class Config>
+template <class Endpoint>
 void destroy_mid_run() {
   mtp::testing::HostPair t;
-  auto sender = std::make_unique<Endpoint>(*t.a, Config{});
-  auto receiver = std::make_unique<Endpoint>(*t.b, Config{});
+  auto sender = std::make_unique<Endpoint>(*t.a);
+  auto receiver = std::make_unique<Endpoint>(*t.b);
   sender->send_message(t.b->id(), 200'000);
   t.sim().run(4_us);  // first packets have reached the receiver
   ASSERT_GT(receiver->acks_sent(), 0u);
@@ -204,11 +204,11 @@ void destroy_mid_run() {
 }
 
 TEST(EndpointTeardown, MtpEndpointDestroyedMidRun) {
-  destroy_mid_run<core::MtpEndpoint, core::MtpConfig>();
+  destroy_mid_run<core::MtpEndpoint>();
 }
 
 TEST(EndpointTeardown, HomaEndpointDestroyedMidRun) {
-  destroy_mid_run<HomaEndpoint, HomaConfig>();
+  destroy_mid_run<HomaEndpoint>();
 }
 
 }  // namespace

@@ -148,6 +148,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MtpMessageSizes,
                          ::testing::Values(1, 999, 1000, 1001, 16'384, 250'000,
                                            2'000'000));
 
+// The CC windows count the endpoint's own mss: a sender that sets only
+// MtpConfig::mss opens with kInitWindowPkts packets of that size.
+TEST(MtpTransport, FirstWindowCountsTheEndpointMss) {
+  HostPair t;  // b runs no endpoint, so no ACK ever comes back
+  MtpConfig cfg;
+  cfg.mss = 1500;
+  MtpEndpoint src(*t.a, cfg);
+  src.send_message(t.b->id(), 100'000);
+  t.sim().run(500_us);  // before the first retransmission timeout (5 x kMinRto)
+  EXPECT_EQ(src.pkts_sent(), static_cast<std::uint64_t>(kInitWindowPkts));
+}
+
 TEST(MtpTransport, PreservesMessageMetadata) {
   MtpPair p;
   std::optional<ReceivedMessage> got;

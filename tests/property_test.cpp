@@ -28,7 +28,6 @@ TEST_P(MssSweep, ExactDeliveryAndCompletion) {
   HostPair t;
   MtpConfig cfg;
   cfg.mss = mss;
-  cfg.cc.mss = mss;
   MtpEndpoint src(*t.a, cfg);
   MtpEndpoint dst(*t.b, cfg);
   std::int64_t got = 0;
@@ -157,7 +156,7 @@ TEST_P(CcFuzz, WindowAlwaysWithinBounds) {
       cc->on_loss(rng.bernoulli(0.5) ? LossKind::kTimeout : LossKind::kTrim);
     }
     ASSERT_GE(cc->window_bytes(), static_cast<std::int64_t>(cfg.mss));
-    ASSERT_LE(cc->window_bytes(), cfg.max_window_bytes);
+    ASSERT_LE(cc->window_bytes(), kMaxWindowBytes);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
@@ -596,46 +595,6 @@ TEST(EmpiricalCdf, RejectsMalformedKnots) {
   EXPECT_THROW(EmpiricalCdf({{0, 0.0}}), std::invalid_argument);
   EXPECT_THROW(EmpiricalCdf({{0, 0.1}, {1, 1.0}}), std::invalid_argument);
   EXPECT_THROW(EmpiricalCdf({{0, 0.0}, {1, 0.5}, {0.5, 1.0}}), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- logging
-
-TEST(Log, MarkTruncatedLeavesShortMessagesAlone) {
-  char buf[32] = "short message";
-  const auto v = Log::mark_truncated(buf, sizeof(buf), 13);
-  EXPECT_EQ(v, "short message");
-}
-
-TEST(Log, MarkTruncatedAppendsMarkerOnOverflow) {
-  char buf[32];
-  const int len = std::snprintf(buf, sizeof(buf), "%s", std::string(100, 'x').c_str());
-  const auto v = Log::mark_truncated(buf, sizeof(buf), len);
-  EXPECT_EQ(v.size(), sizeof(buf) - 1);
-  EXPECT_NE(v.find("...[truncated]"), std::string_view::npos);
-  EXPECT_EQ(v.substr(0, 5), "xxxxx");  // prefix preserved
-}
-
-TEST(Log, MtpLogMarksTruncatedMessages) {
-  const LogLevel saved = Log::level();
-  Log::set_level(LogLevel::kInfo);
-
-  // Overflow the macro's 512-byte buffer; the emitted line must carry the
-  // truncation marker instead of being silently cut.
-  const std::string huge(1000, 'y');
-  testing::internal::CaptureStderr();
-  MTP_INFO(SimTime::zero(), "test", "%s", huge.c_str());
-  const std::string out = testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("...[truncated]"), std::string::npos);
-  EXPECT_LT(out.size(), huge.size());
-
-  // A message that fits is emitted verbatim, no marker.
-  testing::internal::CaptureStderr();
-  MTP_INFO(SimTime::zero(), "test", "fits fine");
-  const std::string ok = testing::internal::GetCapturedStderr();
-  EXPECT_NE(ok.find("fits fine"), std::string::npos);
-  EXPECT_EQ(ok.find("...[truncated]"), std::string::npos);
-
-  Log::set_level(saved);
 }
 
 }  // namespace

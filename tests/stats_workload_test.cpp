@@ -178,57 +178,6 @@ TEST(SizeDist, EmpiricalSampler) {
   EXPECT_NEAR(d.mean(), 1500.0, 1e-9);
 }
 
-TEST(PoissonGenerator, HitsTargetLoad) {
-  sim::Simulator simulator;
-  sim::Rng rng(4);
-  std::int64_t sent_bytes = 0;
-  PoissonGenerator gen(simulator, rng, SizeDist::fixed(10'000),
-                       sim::Bandwidth::gbps(10), 0.5,
-                       [&](std::int64_t b) { sent_bytes += b; });
-  gen.start();
-  simulator.run(10_ms);
-  gen.stop();
-  // 50% of 10G over 10ms = 6.25 MB; Poisson noise within ~10%.
-  EXPECT_NEAR(static_cast<double>(sent_bytes), 6.25e6, 0.8e6);
-  EXPECT_GT(gen.messages_sent(), 500u);
-}
-
-TEST(PoissonGenerator, StopHaltsArrivals) {
-  sim::Simulator simulator;
-  sim::Rng rng(5);
-  int n = 0;
-  PoissonGenerator gen(simulator, rng, SizeDist::fixed(1000), sim::Bandwidth::gbps(10),
-                       0.5, [&](std::int64_t) { ++n; });
-  gen.start();
-  simulator.run(100_us);
-  gen.stop();
-  const int at_stop = n;
-  simulator.run(1_ms);
-  EXPECT_EQ(n, at_stop);
-}
-
-TEST(ClosedLoopGenerator, MaintainsConcurrency) {
-  sim::Rng rng(6);
-  int outstanding = 0, peak = 0, sent = 0;
-  ClosedLoopGenerator gen(rng, SizeDist::fixed(1000), 4, [&](std::int64_t) {
-    ++outstanding;
-    ++sent;
-    peak = std::max(peak, outstanding);
-  });
-  gen.start();
-  EXPECT_EQ(sent, 4);
-  for (int i = 0; i < 10; ++i) {
-    --outstanding;
-    gen.on_complete();
-  }
-  EXPECT_EQ(sent, 14);
-  EXPECT_EQ(peak, 4);
-  gen.stop();
-  --outstanding;
-  gen.on_complete();
-  EXPECT_EQ(sent, 14);
-}
-
 TEST(SizeDistPresets, WebSearchShape) {
   sim::Rng rng(8);
   auto d = SizeDist::web_search();
