@@ -11,14 +11,20 @@
 
 namespace mtp::stats {
 
+/// Exact nearest-rank percentile over an already-sorted sample set. p in
+/// [0, 100].
+inline double sorted_percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) throw std::invalid_argument("percentile: empty sample set");
+  if (p < 0 || p > 100) throw std::invalid_argument("percentile: p out of range");
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+  return sorted[rank == 0 ? 0 : rank - 1];
+}
+
 /// Exact percentile over a sample set (nearest-rank). p in [0, 100].
 inline double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) throw std::invalid_argument("percentile: empty sample set");
-  if (p < 0 || p > 100) throw std::invalid_argument("percentile: p out of range");
   std::sort(samples.begin(), samples.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(samples.size())));
-  return samples[rank == 0 ? 0 : rank - 1];
+  return sorted_percentile(samples, p);
 }
 
 inline double mean(const std::vector<double>& samples) {
@@ -114,14 +120,7 @@ class FctRecorder {
   std::int64_t total_bytes() const { return total_bytes_; }
 
   /// Nearest-rank percentile over all samples, via the cached sorted view.
-  double percentile_us(double p) const {
-    if (fct_us_.empty()) throw std::invalid_argument("FctRecorder: empty sample set");
-    if (p < 0 || p > 100) throw std::invalid_argument("FctRecorder: p out of range");
-    const auto& s = sorted();
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(s.size())));
-    return s[rank == 0 ? 0 : rank - 1];
-  }
+  double percentile_us(double p) const { return sorted_percentile(sorted(), p); }
 
   /// FCT summary restricted to one message-size bucket.
   struct SizeSlice {
@@ -145,8 +144,8 @@ class FctRecorder {
     std::sort(xs.begin(), xs.end());
     out.count = xs.size();
     out.mean_us = mean(xs);
-    out.p50_us = percentile(xs, 50);
-    out.p99_us = percentile(xs, 99);
+    out.p50_us = sorted_percentile(xs, 50);
+    out.p99_us = sorted_percentile(xs, 99);
     out.max_us = xs.back();
     return out;
   }
