@@ -7,7 +7,9 @@
 //   - MsgKey and Tombstones: a receiver's message identity and its bounded
 //     memory of messages it has finished with;
 //   - Reassembly: which packets of an incoming message have arrived;
-//   - make_reply and make_data: the ACK and data packet skeletons;
+//   - mtp_header_bytes: the accounted size of every MTP header;
+//   - make_reply, make_busy_reject and make_data: the ACK, busy-reject and
+//     data packet skeletons;
 //   - OutboundMessage and complete_outbound: a sender's per-message record
 //     and its retirement.
 //
@@ -23,9 +25,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_wheel.hpp"
+#include "telemetry/trace.hpp"
 
 namespace mtp::transport {
 
@@ -146,6 +150,20 @@ struct Reassembly {
   bool complete() const { return received == total_pkts; }
 };
 
+/// Accounted fixed MTP header + IP overhead per packet.
+inline constexpr std::uint32_t kMtpBaseHeaderBytes = 64;
+
+/// Accounted wire size of an MTP header: the fixed part plus 5 B per excluded
+/// pathlet, 14 B per echoed path-feedback TLV and 12 B per SACK or NACK entry.
+/// Data packets, ACKs and busy-rejects, from hosts and devices alike, are
+/// billed by this one rule.
+inline std::uint32_t mtp_header_bytes(const proto::MtpHeader& h) {
+  return kMtpBaseHeaderBytes +
+         static_cast<std::uint32_t>(h.path_exclude().size() * 5 +
+                                    h.ack_path_feedback().size() * 14 +
+                                    (h.sack().size() + h.nack().size()) * 12);
+}
+
 /// Reply skeleton for `data`, sent by `self`: an ACK back to the sender with
 /// ports swapped, the message fields copied, the reverse 4-tuple's flow hash,
 /// and the data packet's TC and priority. Callers add SACK/NACK lists, path
@@ -168,6 +186,33 @@ inline net::Packet make_reply(const net::Packet& data, net::NodeId self) {
   hdr.msg_len_bytes = dh.msg_len_bytes;
   hdr.msg_len_pkts = dh.msg_len_pkts;
   hdr.pkt_num = dh.pkt_num;
+  return p;
+}
+
+/// Busy-reject of `data` by `self` (an MTP receiver or an in-network device):
+/// a reply whose overload block carries `flags`, recorded as a kBusy trace
+/// event. The sender aborts the message. Callers keep their own counters.
+inline net::Packet make_busy_reject(const net::Packet& data, net::Node& self,
+                                    std::uint8_t flags) {
+  net::Packet p = make_reply(data, self.id());
+  p.mtp().overload.ensure().flags = flags;
+  p.header_bytes = mtp_header_bytes(p.mtp());
+  if (telemetry::TraceSink::enabled()) {
+    const auto& dh = data.mtp();
+    telemetry::TraceEvent ev;
+    ev.t = self.simulator().now();
+    ev.type = telemetry::TraceEventType::kBusy;
+    ev.component = self.name();
+    ev.src = p.src;
+    ev.dst = p.dst;
+    ev.msg_id = dh.msg_id;
+    ev.pkt_num = dh.pkt_num;
+    ev.bytes = data.size_bytes();
+    ev.tc = data.tc;
+    ev.flow = p.flow_hash;
+    ev.value = flags;
+    telemetry::trace().record(ev);
+  }
   return p;
 }
 
