@@ -289,6 +289,7 @@ class LinkHopProbe {
       ++hops_;
       out_port(0)->send(std::move(pkt));
     }
+    void send(net::Packet&& pkt) override { out_port(0)->send(std::move(pkt)); }
 
    private:
     std::uint64_t& hops_;

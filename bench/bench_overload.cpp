@@ -159,7 +159,7 @@ StormResult run_storm(bool defended, bool load, bool crash, unsigned shards) {
         s.schedule_at(SimTime::nanoseconds(t), [cl, ep, sl, &digest, i, server_host] {
           cl->call(server_host->id(), 80, "work", 512,
                    [ep, sl, &digest, i](const RpcReply& r) {
-                     const SimTime now = ep->host().simulator().now();
+                     const SimTime now = ep->node().simulator().now();
                      if (r.ok && now >= kWindowStart && now < kWindowEnd) {
                        ++sl->ok_in_window;
                      }
@@ -180,7 +180,7 @@ StormResult run_storm(bool defended, bool load, bool crash, unsigned shards) {
       s.schedule_at(SimTime::nanoseconds(t), [&prober, ep, &probe, server_host] {
         prober.call(server_host->id(), 80, "probe", 512,
                     [ep, &probe](const RpcReply& r) {
-                      const SimTime now = ep->host().simulator().now();
+                      const SimTime now = ep->node().simulator().now();
                       if (r.ok && now >= kWindowStart && now < kWindowEnd) {
                         probe.ok_latency_ns.push_back(r.latency.ns());
                       }

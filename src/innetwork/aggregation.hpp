@@ -39,7 +39,7 @@ class AggregationOffload final : public net::IngressProcessor {
   static constexpr sim::SimTime kStragglerTimeout = sim::SimTime::milliseconds(2);
 
   AggregationOffload(net::Switch& sw, Config cfg)
-      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw, {}), guard_(cfg.shed) {
+      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw), guard_(cfg.shed) {
     metrics_ = telemetry::MetricRegistry::global().add(
         "aggregation", sw_.name(),
         [this](std::vector<telemetry::MetricSample>& out) {
@@ -76,7 +76,7 @@ class AggregationOffload final : public net::IngressProcessor {
     for (auto& [round, r] : rounds_) sw_.simulator().cancel(r.timeout);
     rounds_.clear();
     rx_.clear();
-    tx_.clear();
+    tx_.abandon_all();
   }
   void restart() { online_ = true; }
 
@@ -84,9 +84,7 @@ class AggregationOffload final : public net::IngressProcessor {
     if (!online_) return false;  // crashed: gradients pass through unaggregated
     if (!pkt.is_mtp()) return false;
     const auto& hdr = pkt.mtp();
-    if (hdr.is_ack()) {
-      return pkt.dst == sw_.id() && tx_.handle_ack(pkt);
-    }
+    if (hdr.is_ack()) return false;  // ACKs of our aggregates reach tx_
     if (pkt.dst != cfg_.server || hdr.dst_port != cfg_.service_port) return false;
     if (pkt.src == sw_.id()) return false;  // our own aggregate
     // Retransmission of a shed gradient: re-reject, never silently drop.
@@ -100,7 +98,7 @@ class AggregationOffload final : public net::IngressProcessor {
       // low-priority contributions are busy-rejected so workers stop
       // retransmitting into an overloaded aggregator.
       const std::uint8_t shed = guard_.decide(
-          rounds_.size() + rx_.partials() + tx_.outstanding(), hdr.priority,
+          rounds_.size() + rx_.partials() + tx_.outstanding_messages(), hdr.priority,
           hdr.deadline_ns(), sw_.simulator().now());
       if (shed != 0) {
         rx_.busy_reject(pkt, shed);
@@ -156,20 +154,21 @@ class AggregationOffload final : public net::IngressProcessor {
     } else {
       ++rounds_completed_;
     }
-    DeviceSender::SendOptions opts;
+    core::MessageOptions opts;
     opts.tc = r.tc;
     opts.src_port = r.src_port;
     opts.dst_port = cfg_.service_port;
     opts.app = net::AppData{"grad:" + std::to_string(round),
                             "agg:" + std::to_string(r.contributions)};
-    tx_.send(cfg_.server, std::max<std::int64_t>(1, r.gradient_bytes), std::move(opts));
+    tx_.send_message(cfg_.server, std::max<std::int64_t>(1, r.gradient_bytes),
+                     std::move(opts));
     bytes_out_ += r.gradient_bytes;
   }
 
   net::Switch& sw_;
   Config cfg_;
   DeviceReceiver rx_;
-  DeviceSender tx_;
+  core::MtpEndpoint tx_;
   overload::ShedGuard guard_;
   telemetry::Registration metrics_;
   std::unordered_map<std::uint64_t, Round> rounds_;

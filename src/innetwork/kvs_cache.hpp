@@ -37,7 +37,7 @@ class KvsCache final : public net::IngressProcessor {
   };
 
   KvsCache(net::Switch& sw, Config cfg)
-      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw, {}), guard_(cfg.shed) {
+      : sw_(sw), cfg_(cfg), rx_(sw, {}), tx_(sw), guard_(cfg.shed) {
     metrics_ = telemetry::MetricRegistry::global().add(
         "kvs_cache", sw_.name(), [this](std::vector<telemetry::MetricSample>& out) {
           using telemetry::MetricKind;
@@ -58,7 +58,7 @@ class KvsCache final : public net::IngressProcessor {
     map_.clear();
     lru_.clear();
     rx_.clear();
-    tx_.clear();
+    tx_.abandon_all();
   }
 
   /// Come back empty; the cache re-warms from responses (if learning is on).
@@ -67,6 +67,7 @@ class KvsCache final : public net::IngressProcessor {
   bool online() const { return online_; }
   std::uint64_t crashes() const { return crashes_; }
   const DeviceReceiver& receiver() const { return rx_; }
+  const core::MtpEndpoint& sender() const { return tx_; }
   const overload::ShedGuard& shed_guard() const { return guard_; }
 
   /// Preload a key (value modelled by size; contents by the string).
@@ -84,10 +85,8 @@ class KvsCache final : public net::IngressProcessor {
     if (!pkt.is_mtp()) return false;
     const auto& hdr = pkt.mtp();
 
-    // ACKs addressed to this switch belong to our injected responses.
-    if (hdr.is_ack()) {
-      return pkt.dst == sw_.id() && tx_.handle_ack(pkt);
-    }
+    // ACKs of our responses reach tx_ through the switch.
+    if (hdr.is_ack()) return false;
 
     // Backend responses flowing back: learn hot keys, pass through. Never
     // learn from a corrupted response — a poisoned entry would be served to
@@ -116,7 +115,7 @@ class KvsCache final : public net::IngressProcessor {
       // if they would miss through (serving them downstream is wasted work),
       // and past the watermark low-priority fresh requests are busy-rejected.
       const std::uint8_t shed =
-          guard_.decide(rx_.partials() + tx_.outstanding(), hdr.priority,
+          guard_.decide(rx_.partials() + tx_.outstanding_messages(), hdr.priority,
                         hdr.deadline_ns(), sw_.simulator().now());
       if (shed != 0) {
         rx_.busy_reject(pkt, shed);
@@ -139,7 +138,7 @@ class KvsCache final : public net::IngressProcessor {
       if (it == map_.end()) return true;  // evicted while the request flowed in
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      DeviceSender::SendOptions opts;
+      core::MessageOptions opts;
       opts.tc = done->tc;
       opts.priority = done->priority;
       opts.src_port = cfg_.service_port;
@@ -150,8 +149,8 @@ class KvsCache final : public net::IngressProcessor {
       const std::string reply_key =
           !done->app->value.empty() ? done->app->value : done->app->key;
       opts.app = net::AppData{reply_key, it->second.entry.value};
-      tx_.send(done->src, std::max<std::int64_t>(1, it->second.entry.value_bytes),
-               std::move(opts));
+      tx_.send_message(done->src, std::max<std::int64_t>(1, it->second.entry.value_bytes),
+                       std::move(opts));
     }
     return true;
   }
@@ -184,7 +183,7 @@ class KvsCache final : public net::IngressProcessor {
   net::Switch& sw_;
   Config cfg_;
   DeviceReceiver rx_;
-  DeviceSender tx_;
+  core::MtpEndpoint tx_;
   overload::ShedGuard guard_;
   std::unordered_map<std::string, Slot> map_;
   std::list<std::string> lru_;

@@ -4,8 +4,9 @@
 // serialization, preprocessing — changing the message's size and packet
 // count. TCP cannot support this (sequence numbers break); MTP can because
 // messages are processed atomically: the offload terminates the original
-// message (ACKing its packets so the sender completes) and injects the
-// transformed message toward the destination under its own reliability.
+// message (ACKing its packets so the sender completes) and sends the
+// transformed message toward the destination from the switch's own MTP
+// endpoint, under the same reliability the hosts use.
 //
 // Buffering is bounded per the paper's requirement: the first packet's
 // Msg Len header field lets the device refuse (pass through) any message
@@ -29,14 +30,13 @@ class MutationOffload final : public net::IngressProcessor {
     /// Only messages addressed to this port are transformed; 0 = all.
     proto::PortNum match_port = 0;
     DeviceReceiver::Config receiver;
-    DeviceSender::Config sender;
   };
 
   MutationOffload(net::Switch& sw, Config cfg, TransformFn transform = {})
       : sw_(sw),
         cfg_(cfg),
         rx_(sw, cfg.receiver),
-        tx_(sw, cfg.sender),
+        tx_(sw),
         transform_(transform ? std::move(transform) : [](const DeviceMessage& m) {
           return std::max<std::int64_t>(1, m.bytes / 2);
         }) {}
@@ -48,9 +48,7 @@ class MutationOffload final : public net::IngressProcessor {
   bool process(net::Packet& pkt, net::Switch&) override {
     if (!pkt.is_mtp()) return false;
     const auto& hdr = pkt.mtp();
-    if (hdr.is_ack()) {
-      return pkt.dst == sw_.id() && tx_.handle_ack(pkt);
-    }
+    if (hdr.is_ack()) return false;  // ACKs of our messages reach tx_
     if (cfg_.match_port != 0 && hdr.dst_port != cfg_.match_port) return false;
     if (pkt.src == sw_.id()) return false;        // our own injections
     if (!rx_.admissible(hdr)) return false;       // over budget: hands off
@@ -61,7 +59,7 @@ class MutationOffload final : public net::IngressProcessor {
       ++mutated_;
       bytes_in_ += done->bytes;
       bytes_out_ += new_bytes;
-      DeviceSender::SendOptions opts;
+      core::MessageOptions opts;
       opts.tc = done->tc;
       opts.priority = done->priority;
       opts.src_port = done->src_port;
@@ -70,7 +68,7 @@ class MutationOffload final : public net::IngressProcessor {
       net::AppData app = done->app.value_or(net::AppData{});
       if (app.key.empty()) app.key = "from:" + std::to_string(done->src);
       opts.app = std::move(app);
-      tx_.send(done->dst, new_bytes, std::move(opts));
+      tx_.send_message(done->dst, new_bytes, std::move(opts));
     }
     return true;  // consumed (either buffered or completed)
   }
@@ -79,7 +77,7 @@ class MutationOffload final : public net::IngressProcessor {
   net::Switch& sw_;
   Config cfg_;
   DeviceReceiver rx_;
-  DeviceSender tx_;
+  core::MtpEndpoint tx_;
   TransformFn transform_;
   std::uint64_t mutated_ = 0;
   std::int64_t bytes_in_ = 0;

@@ -38,7 +38,7 @@ class BulkSender {
     const auto chunks = static_cast<std::uint32_t>((bytes + mss - 1) / mss);
     auto state = std::make_shared<BlobState>();
     state->remaining = chunks;
-    state->started = ep_.host().simulator().now();
+    state->started = ep_.node().simulator().now();
     state->done = std::move(done);
     for (std::uint32_t c = 0; c < chunks; ++c) {
       const std::int64_t off = static_cast<std::int64_t>(c) * mss;
@@ -49,7 +49,7 @@ class BulkSender {
       opts.app = net::AppData{
           "blob:" + std::to_string(blob),
           std::to_string(off) + "/" + std::to_string(bytes)};
-      auto* simulator = &ep_.host().simulator();
+      auto* simulator = &ep_.node().simulator();
       ep_.send_message(dst_, len, std::move(opts),
                        [state, blob, simulator](proto::MsgId, sim::SimTime) {
                          if (--state->remaining == 0 && state->done) {

@@ -236,10 +236,10 @@ void Stream::fail(StreamError e) {
 // ------------------------------------------------------------- StreamMux ---
 
 StreamMux::StreamMux(core::MtpEndpoint& ep, proto::PortNum port, StreamConfig cfg)
-    : ep_(ep), sim_(ep.host().simulator()), port_(port), cfg_(cfg) {
+    : ep_(ep), sim_(ep.node().simulator()), port_(port), cfg_(cfg) {
   ep_.listen(port_, [this](const core::ReceivedMessage& m) { on_message(m); });
   metrics_ = telemetry::MetricRegistry::global().add(
-      "stream", ep_.host().name(), [this](std::vector<telemetry::MetricSample>& out) {
+      "stream", ep_.node().name(), [this](std::vector<telemetry::MetricSample>& out) {
         using telemetry::MetricKind;
         const Stats s = stats();
         out.push_back({"segments_sent", MetricKind::kCounter,
@@ -628,8 +628,8 @@ void StreamMux::trace_stream(telemetry::TraceEventType type, net::NodeId peer,
   telemetry::TraceEvent ev;
   ev.t = sim_.now();
   ev.type = type;
-  ev.component = ep_.host().name();
-  ev.src = ep_.host().id();
+  ev.component = ep_.node().name();
+  ev.src = ep_.node().id();
   ev.dst = peer;
   ev.msg_id = stream_id;
   ev.pkt_num = seq;

@@ -11,10 +11,8 @@
 
 namespace mtp::net {
 
-class Host : public Node {
+class Host final : public Node {
  public:
-  using Handler = std::function<void(Packet&&)>;
-
   Host(sim::Simulator& simulator, NodeId id, std::string name)
       : Node(simulator, id, std::move(name)) {
     metrics_ = telemetry::MetricRegistry::global().add(
@@ -29,7 +27,7 @@ class Host : public Node {
   /// Transmit toward pkt.dst: the route table picks the uplink; unknown
   /// destinations use the first attached link (single-homed hosts never need
   /// routes; a dual-homed middlebox host adds one per peer).
-  void send(Packet&& pkt) {
+  void send(Packet&& pkt) override {
     assert(num_out_ports() > 0 && "host has no uplink");
     PortIndex port = 0;
     auto it = routes_.find(pkt.dst);
@@ -40,7 +38,6 @@ class Host : public Node {
   void add_route(NodeId dst, PortIndex port) { routes_[dst] = port; }
 
   void set_tcp_handler(Handler h) { tcp_ = std::move(h); }
-  void set_mtp_handler(Handler h) { mtp_ = std::move(h); }
   void set_udp_handler(proto::PortNum port, Handler h) { udp_[port] = std::move(h); }
 
   void receive(Packet&& pkt, PortIndex /*in_port*/) override {
@@ -69,7 +66,6 @@ class Host : public Node {
 
  private:
   Handler tcp_;
-  Handler mtp_;
   std::unordered_map<proto::PortNum, Handler> udp_;
   std::unordered_map<NodeId, PortIndex> routes_;
   std::uint64_t unhandled_ = 0;

@@ -1,7 +1,10 @@
-// Node base class: anything with an address that can receive packets.
+// Node base class: anything with an address that can send and receive
+// packets. Hosts and switches alike may run an MTP endpoint (devices send
+// and acknowledge messages from their switch), so the MTP handler lives here.
 #pragma once
 
 #include <cassert>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,8 +23,15 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
+  using Handler = std::function<void(Packet&&)>;
+
   /// Deliver a packet that arrived on `in_port`.
   virtual void receive(Packet&& pkt, PortIndex in_port) = 0;
+  /// Transmit a packet this node originates toward pkt.dst.
+  virtual void send(Packet&& pkt) = 0;
+
+  /// Where MTP packets addressed to this node go: its MTP endpoint.
+  void set_mtp_handler(Handler h) { mtp_ = std::move(h); }
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -40,6 +50,7 @@ class Node {
 
  protected:
   sim::Simulator& sim_;
+  Handler mtp_;
 
  private:
   NodeId id_;

@@ -92,13 +92,20 @@ class Switch : public Node {
 
   void add_ingress(std::shared_ptr<IngressProcessor> p) { ingress_.push_back(std::move(p)); }
 
-  /// Forward a packet the switch itself originates (cache hits, proxied
-  /// traffic). Skips ingress processing to avoid loops.
-  void inject(Packet&& pkt) { forward(std::move(pkt)); }
+  /// Forward a packet the switch itself originates (device ACKs, replies and
+  /// messages). Skips ingress processing to avoid loops.
+  void send(Packet&& pkt) override { forward(std::move(pkt)); }
 
+  /// Ingress processors see the packet first. An MTP packet addressed to the
+  /// switch that they all decline goes to the switch's MTP endpoint (the ACKs
+  /// of its devices' messages); everything else is forwarded.
   void receive(Packet&& pkt, PortIndex /*in_port*/) override {
     for (auto& proc : ingress_) {
       if (proc->process(pkt, *this)) return;
+    }
+    if (pkt.dst == id() && mtp_ && pkt.is_mtp()) {
+      mtp_(std::move(pkt));
+      return;
     }
     forward(std::move(pkt));
   }

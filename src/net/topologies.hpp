@@ -80,8 +80,15 @@ class LeafSpine {
       }
     }
     // Routing. Leaf: local hosts go down; remote hosts go up any spine.
-    // Spine: every host goes down to its leaf.
+    // Spine: every host goes down to its leaf. Leaves are addressed like
+    // hosts, so a device on one hears the ACKs of the messages it sends.
     for (int l = 0; l < cfg.leaves; ++l) {
+      for (int m = 0; m < cfg.leaves; ++m) {
+        if (m == l) continue;
+        for (int s = 0; s < cfg.spines; ++s) {
+          leaves_[l]->add_route(leaves_[m]->id(), static_cast<PortIndex>(hosts_at(l) + s));
+        }
+      }
       for (std::size_t hi = 0; hi < hosts_.size(); ++hi) {
         if (host_leaf_[hi] == l) {
           leaves_[l]->add_route(
@@ -99,6 +106,9 @@ class LeafSpine {
       for (std::size_t hi = 0; hi < hosts_.size(); ++hi) {
         spines_[s]->add_route(hosts_[hi]->id(),
                               static_cast<PortIndex>(host_leaf_[hi]));
+      }
+      for (int l = 0; l < cfg.leaves; ++l) {
+        spines_[s]->add_route(leaves_[l]->id(), static_cast<PortIndex>(l));
       }
     }
   }

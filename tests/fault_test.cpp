@@ -385,16 +385,16 @@ TEST(RecoveryEdge, RepeatedTimeoutsExcludePathletAndRerouteAroundBlackhole) {
   b.listen(80, [&](const ReceivedMessage&) { ++deliveries; });
 
   // Learn the path (all traffic currently rides spine0, the first uplink).
-  a.send_message(b.host().id(), 5'000, {.dst_port = 80});
+  a.send_message(b.node().id(), 5'000, {.dst_port = 80});
   net.simulator().run(1_ms);
   ASSERT_EQ(deliveries, 1);
-  const auto learned = a.current_path(b.host().id());
+  const auto learned = a.current_path(b.node().id());
   ASSERT_FALSE(learned.empty());
 
   // Fail the far side of spine0's path and send another message.
   ls.spine(0)->out_port(1)->set_up(false);
   const std::uint64_t spine1_before = ls.uplink(0, 1)->stats().pkts_delivered;
-  a.send_message(b.host().id(), 5'000, {.dst_port = 80});
+  a.send_message(b.node().id(), 5'000, {.dst_port = 80});
   net.simulator().run(200_ms);
 
   EXPECT_EQ(deliveries, 2);  // rerouted and delivered despite the blackhole

@@ -1,12 +1,12 @@
 // Unit tests for the shared message core (transport/message.hpp) and for the
 // endpoints built on it: tombstone eviction, the reply and data builders, the
-// sender record, DeviceSender's bounds check, and endpoint teardown mid-run.
+// sender record, the SACK/NACK bounds check of a device's endpoint, and
+// endpoint teardown mid-run.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "helpers.hpp"
-#include "innetwork/device_endpoint.hpp"
 #include "mtp/endpoint.hpp"
 #include "transport/homa.hpp"
 #include "transport/message.hpp"
@@ -152,12 +152,12 @@ TEST(OutboundMessage, KarnBitSurvivesAResend) {
 
 TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {
   mtp::testing::HostPair t;
-  innetwork::DeviceSender tx(*t.sw, {});
+  core::MtpEndpoint tx(*t.sw);  // a device's endpoint on its switch
   int data_at_b = 0;
   t.b->set_mtp_handler([&](net::Packet&& pkt) {
     if (!pkt.mtp().is_ack()) ++data_at_b;
   });
-  const proto::MsgId id = tx.send(t.b->id(), 2'000, {});  // 2 packets
+  const proto::MsgId id = tx.send_message(t.b->id(), 2'000);  // 2 packets
   t.sim().run(100_us);
   ASSERT_EQ(data_at_b, 2);
 
@@ -171,15 +171,14 @@ TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {
     h.nack() = std::move(nacks);
     return p;
   };
-  // Known message, stray packet numbers: consumed, but nothing is sacked,
-  // resent or clocked out.
-  EXPECT_TRUE(tx.handle_ack(ack({{id, 2}, {id, 99}}, {{id, 5}})));
+  // Known message, stray packet numbers: nothing is sacked or resent.
+  t.sw->receive(ack({{id, 2}, {id, 99}}, {{id, 5}}), 1);
   t.sim().run(200_us);
   EXPECT_EQ(data_at_b, 2);
-  EXPECT_EQ(tx.outstanding(), 1u);
+  EXPECT_EQ(tx.outstanding_messages(), 1u);
 
-  EXPECT_TRUE(tx.handle_ack(ack({{id, 0}, {id, 1}}, {})));
-  EXPECT_EQ(tx.outstanding(), 0u);
+  t.sw->receive(ack({{id, 0}, {id, 1}}, {}), 1);
+  EXPECT_EQ(tx.outstanding_messages(), 0u);
 }
 
 // Destroying an endpoint mid-run must leave nothing behind that still points

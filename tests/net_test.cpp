@@ -37,6 +37,7 @@ class SinkNode : public Node {
     arrival_times.push_back(sim_.now());
     pkts.push_back(std::move(pkt));
   }
+  void send(Packet&&) override {}  // a sink originates nothing
   std::vector<Packet> pkts;
   std::vector<SimTime> arrival_times;
 };
