@@ -61,7 +61,8 @@ run_chaos() {
   # with exactly-once / integrity / quiescence invariants, run under ASan so
   # recovery paths are also leak- and UB-checked. Fixed seeds: a failure here
   # reproduces with `build-asan/tests/chaos_test`. The Device, KvsCache and
-  # MutationOffload cases cover the devices' indexed per-packet sender state.
+  # MutationOffload cases cover device messages sent on a switch's
+  # MtpEndpoint, including crash, restart and ACKs routed to the switch.
   cmake --preset asan -S "$repo"
   cmake --build --preset asan -j "$jobs" --target chaos_test fault_test device_test \
     innetwork_test message_test overload_test
