@@ -34,9 +34,7 @@ double run_mtp_lb_policy(const std::string& policy, int messages) {
                       std::make_unique<net::DropTailQueue>(q));
   net.connect_simplex(*rcv, *sw, sim::Bandwidth::gbps(100), 1_us,
                       std::make_unique<net::DropTailQueue>(q));
-  sw->add_route(snd->id(), 0);
-  sw->add_route(rcv->id(), 1);
-  sw->add_route(rcv->id(), 2);
+  net.build_routes();  // rcv: [1 us path, 2 us path]
   if (policy == "ecmp") {
     sw->set_policy(std::make_unique<net::EcmpPolicy>());
   } else if (policy == "spray") {
@@ -80,8 +78,7 @@ OverheadResult run_overhead(std::uint32_t ack_coalesce, std::uint32_t selective_
                         {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
   net.connect(*sw, *b, sim::Bandwidth::gbps(10), 2_us,
               {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   up.forward->set_pathlet({.id = 1,
                            .feedback = proto::FeedbackType::kEcn,
                            .selective_every = selective_every});

@@ -46,27 +46,6 @@ using namespace mtp::scenario;
 
 namespace {
 
-struct Rig {
-  net::Network net;
-  std::vector<net::Host*> senders;
-  net::Host* receiver;
-  net::Switch* sw;
-
-  Rig() {
-    const net::DropTailQueue::Config q{.capacity_pkts = 128, .ecn_threshold_pkts = 20};
-    sw = net.add_switch("sw");
-    receiver = net.add_host("recv");
-    for (int i = 0; i < 4; ++i) {
-      net::Host* h = net.add_host("h" + std::to_string(i));
-      senders.push_back(h);
-      net.connect(*h, *sw, sim::Bandwidth::gbps(100), 1_us, q);
-      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
-    }
-    net.connect(*sw, *receiver, sim::Bandwidth::gbps(100), 1_us, q);
-    sw->add_route(receiver->id(), 4);
-  }
-};
-
 struct FlowCase {
   std::string name;
   bool per_message = false;
@@ -104,7 +83,8 @@ void summarize(Result& r, const stats::ThroughputMeter& meter, sim::SimTime dura
 }
 
 Result run_scenario(const FlowCase& sc, sim::SimTime duration) {
-  Rig rig;
+  net::Network net;
+  const Topology rig = topo::incast(4)(net);
   transport::TcpConfig cfg;
   cfg.dctcp = true;
   std::vector<std::unique_ptr<transport::TcpStack>> stacks;
@@ -143,7 +123,7 @@ Result run_scenario(const FlowCase& sc, sim::SimTime duration) {
     for (auto& f : next) f();
   }
 
-  rig.net.simulator().run(duration);
+  net.simulator().run(duration);
 
   Result r;
   r.name = sc.name;
@@ -237,11 +217,10 @@ TopologyFn sharded_incast(int senders) {
       net::Host* h = net.add_host("h" + std::to_string(i));
       t.senders.push_back(h);
       net.connect(*h, *sw, sim::Bandwidth::gbps(100), 1_us, q);
-      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
     }
     net.set_build_shard(0);
     auto down = net.connect(*sw, *rcv, sim::Bandwidth::gbps(100), 1_us, q);
-    sw->add_route(rcv->id(), static_cast<net::PortIndex>(senders));
+    net.build_routes();
     t.receiver = rcv;
     t.lb_switches = {sw};
     t.paths = {down.forward};

@@ -204,8 +204,7 @@ double idle_message_bytes(int count) {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *b, sim::Bandwidth::gbps(100), 1_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   core::MtpEndpoint src(*a, {});
   core::MtpEndpoint dst(*b, {});
   dst.listen(80, [](const core::ReceivedMessage&) {});
@@ -237,8 +236,7 @@ double idle_connection_bytes(int count) {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *b, sim::Bandwidth::gbps(100), 1_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   transport::TcpStack src(*a, {});
   transport::TcpStack dst(*b, {});
   std::vector<std::shared_ptr<transport::TcpConnection>> opened, accepted;

@@ -40,8 +40,7 @@ bool check_mtp_data_mutation() {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *b, sim::Bandwidth::gbps(100), 1_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   auto offload = std::make_shared<innetwork::MutationOffload>(
       *sw, innetwork::MutationOffload::Config{.match_port = 7000});
   sw->add_ingress(offload);
@@ -66,8 +65,7 @@ bool check_mtp_low_buffering() {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, sim::Bandwidth::gbps(100), 1_us, {.capacity_pkts = 2048});
   net.connect(*sw, *b, sim::Bandwidth::gbps(100), 1_us, {.capacity_pkts = 2048});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   innetwork::MutationOffload::Config cfg{.match_port = 7000};
   cfg.receiver.max_message_bytes = 64'000;
   auto offload = std::make_shared<innetwork::MutationOffload>(*sw, cfg);
@@ -95,9 +93,7 @@ bool check_mtp_inter_message_independence() {
   net.connect(*client, *sw, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r1, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r2, sim::Bandwidth::gbps(100), 1_us);
-  sw->add_route(client->id(), 0);
-  sw->add_route(r1->id(), 1);
-  sw->add_route(r2->id(), 2);
+  net.build_routes();
   sw->add_ingress(std::make_shared<innetwork::L7LoadBalancer>(
       innetwork::L7LoadBalancer::Config{.virtual_service = 999,
                                         .replicas = {r1->id(), r2->id()}}));
@@ -130,8 +126,7 @@ bool check_mtp_multi_algorithm_cc() {
   d1.forward->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
   d2.forward->set_pathlet({.id = 2, .feedback = proto::FeedbackType::kRate,
                            .rcp_rtt = sim::SimTime::microseconds(10)});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   core::MtpEndpoint src(*a, {});
   core::MtpEndpoint dst(*b, {});
   dst.listen(80, [](const core::ReceivedMessage&) {});

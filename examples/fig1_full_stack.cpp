@@ -37,7 +37,6 @@ int main() {
   std::vector<net::Host*> replicas;
   net.connect(*client_host, *tor, sim::Bandwidth::gbps(100), 1_us,
               {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
-  tor->add_route(client_host->id(), 0);
   std::vector<net::Link*> replica_links;
   for (int i = 0; i < 3; ++i) {
     net::Host* r = net.add_host("replica" + std::to_string(i));
@@ -48,8 +47,8 @@ int main() {
     // (3a) each replica link is its own pathlet with ECN feedback.
     d.forward->set_pathlet({.id = static_cast<proto::PathletId>(10 + i),
                             .feedback = proto::FeedbackType::kEcn});
-    tor->add_route(r->id(), static_cast<net::PortIndex>(1 + i));
   }
+  net.build_routes();
 
   // (1) the cache fronts the *virtual service address*. Ingress processors
   // run in registration order, so the cache is added first: it must see

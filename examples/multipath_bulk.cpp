@@ -38,8 +38,7 @@ int main() {
   }
   net.connect_simplex(*dst_host, *fabric, sim::Bandwidth::gbps(100), 1_us,
                       std::make_unique<net::DropTailQueue>());
-  fabric->add_route(src_host->id(), 0);
-  for (int i = 0; i < 4; ++i) fabric->add_route(dst_host->id(), 1 + i);
+  net.build_routes();  // dst: the four paths
   fabric->set_policy(std::make_unique<net::SprayPolicy>());
 
   core::MtpEndpoint tx(*src_host, {});

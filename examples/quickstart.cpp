@@ -26,8 +26,7 @@ int main() {
                         {.capacity_pkts = 128, .ecn_threshold_pkts = 20});
   net.connect(*sw, *bob, sim::Bandwidth::gbps(100), 1_us,
               {.capacity_pkts = 128, .ecn_threshold_pkts = 20});
-  sw->add_route(alice->id(), 0);
-  sw->add_route(bob->id(), 1);
+  net.build_routes();
 
   // Give the uplink a pathlet so the endpoints learn per-resource
   // congestion state (DCTCP-style ECN feedback here).

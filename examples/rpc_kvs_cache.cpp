@@ -31,8 +31,7 @@ int main() {
   // 2 us client<->switch hop.
   net.connect(*client, *tor, sim::Bandwidth::gbps(100), 1_us);
   net.connect(*tor, *backend, sim::Bandwidth::gbps(100), 50_us);
-  tor->add_route(client->id(), 0);
-  tor->add_route(backend->id(), 1);
+  net.build_routes();
 
   auto cache = std::make_shared<innetwork::KvsCache>(
       *tor, innetwork::KvsCache::Config{.backend = backend->id(),

@@ -39,11 +39,10 @@ struct AggRig {
       net::Host* w = net.add_host("w" + std::to_string(i));
       workers.push_back(w);
       net.connect(*w, *sw, Bandwidth::gbps(100), 1_us);
-      sw->add_route(w->id(), static_cast<net::PortIndex>(i));
     }
     auto d = net.connect(*sw, *server, Bandwidth::gbps(100), 1_us);
     to_server = d.forward;
-    sw->add_route(server->id(), static_cast<net::PortIndex>(n_workers));
+    net.build_routes();
     if (with_offload) {
       agg = std::make_shared<innetwork::AggregationOffload>(
           *sw, innetwork::AggregationOffload::Config{
@@ -215,9 +214,7 @@ TEST(LinkFailure, MessageAwareLbRoutesAroundDeadPath) {
   net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
   auto p1 = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
   auto p2 = net.connect(*sw, *b, Bandwidth::gbps(100), 2_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
-  sw->add_route(b->id(), 2);
+  net.build_routes();  // b: [p1, p2]
   sw->set_policy(std::make_unique<net::MessageAwarePolicy>());
 
   MtpEndpoint src(*a, {});
@@ -241,8 +238,7 @@ TEST(LinkFailure, AutoExclusionKicksInAfterRepeatedTimeouts) {
   auto up = net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
   auto down = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
   up.forward->set_pathlet({.id = 5, .feedback = proto::FeedbackType::kEcn});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   core::MtpConfig cfg;
   cfg.auto_exclude_after_losses = 2;
   cfg.exclude_duration = 100_ms;

@@ -9,6 +9,7 @@
 #include "innetwork/kvs_cache.hpp"
 #include "innetwork/mutation_offload.hpp"
 #include "mtp/endpoint.hpp"
+#include "net/fat_tree.hpp"
 #include "net/topologies.hpp"
 #include "proto/wire.hpp"
 
@@ -53,8 +54,7 @@ struct SwitchRig {
     b = net.add_host("b");
     net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
     net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
-    sw->add_route(a->id(), 0);
-    sw->add_route(b->id(), 1);
+    net.build_routes();
   }
 };
 
@@ -353,6 +353,30 @@ TEST(KvsCache, ClientsInOtherRacksAckTheLeafsReplies) {
   EXPECT_EQ(net.simulator().pending_events(), 0u);
 }
 
+TEST(KvsCache, ClientsInOtherPodsAckTheEdgesReplies) {
+  // The cache sits on the backend's edge switch; the client is a pod away.
+  // Its ACKs are addressed to that edge and climb to a core, which must
+  // route the edge's id down, or the reply would be retransmitted forever.
+  net::Network net;
+  net::FatTree ft(net, {.k = 4});
+  net::Host* backend_host = ft.host(1, 0, 0);
+  MtpEndpoint client(*ft.host(0, 0, 0));
+  MtpEndpoint backend(*backend_host);
+  auto cache = std::make_shared<KvsCache>(
+      *ft.edge(1, 0), KvsCache::Config{.backend = backend_host->id(), .service_port = 80});
+  ft.edge(1, 0)->add_ingress(cache);
+  cache->put("k", "v", 20'000);
+  int replies = 0;
+  client.listen(9000, [&](const ReceivedMessage&) { ++replies; });
+  client.send_message(backend_host->id(), 100,
+                      {.src_port = 9000, .dst_port = 80, .app = net::AppData{"k", ""}});
+  net.simulator().run(50_ms);
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(cache->sender().outstanding_messages(), 0u);
+  EXPECT_EQ(cache->sender().pkts_retransmitted(), 0u);
+  EXPECT_EQ(net.simulator().pending_events(), 0u);
+}
+
 TEST(MutationOffload, SurvivesLossOnBothSides) {
   // Tiny queues upstream and downstream of the offload: packets drop in
   // both the original and the re-emitted message; everything still lands.
@@ -362,8 +386,7 @@ TEST(MutationOffload, SurvivesLossOnBothSides) {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, Bandwidth::gbps(100), 1_us, {.capacity_pkts = 6});
   net.connect(*sw, *b, Bandwidth::gbps(100), 1_us, {.capacity_pkts = 6});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   auto offload =
       std::make_shared<MutationOffload>(*sw, MutationOffload::Config{.match_port = 7000});
   sw->add_ingress(offload);

@@ -584,7 +584,7 @@ TEST(DeviceReceiver, NacksCorruptedPacketsAndNeverAccumulatesThem) {
   net::Switch* sw = net.add_switch("dev");
   net::Host* h = net.add_host("h");
   net.connect(*sw, *h, Bandwidth::gbps(10), 1_us);
-  sw->add_route(h->id(), 0);
+  net.build_routes();
   innetwork::DeviceReceiver rx(*sw, {});
 
   net::Packet bad = mtp_data_pkt(0, 1);

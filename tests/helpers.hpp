@@ -51,8 +51,7 @@ struct HostPair {
     auto d2 = net.connect(*sw, *b, bw, delay, qcfg);
     a_to_sw = d1.forward;
     sw_to_b = d2.forward;
-    sw->add_route(a->id(), 0);  // port 0: back toward a
-    sw->add_route(b->id(), 1);  // port 1: toward b
+    net.build_routes();
   }
 
   sim::Simulator& sim() { return net.simulator(); }
@@ -77,11 +76,10 @@ struct Dumbbell {
       net::Host* h = net.add_host("h" + std::to_string(i));
       senders.push_back(h);
       net.connect(*h, *sw, bw, delay, qcfg);
-      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
     }
     auto d = net.connect(*sw, *receiver, bw, delay, qcfg);
     bottleneck = d.forward;
-    sw->add_route(receiver->id(), static_cast<net::PortIndex>(n));
+    net.build_routes();
   }
 
   sim::Simulator& sim() { return net.simulator(); }

@@ -461,9 +461,7 @@ TEST(L7LoadBalancer, SpreadsRequestsAcrossReplicas) {
   net.connect(*client, *sw, Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r1, Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r2, Bandwidth::gbps(100), 1_us);
-  sw->add_route(client->id(), 0);
-  sw->add_route(r1->id(), 1);
-  sw->add_route(r2->id(), 2);
+  net.build_routes();
   const net::NodeId virtual_id = 1000;
   sw->add_ingress(std::make_shared<L7LoadBalancer>(L7LoadBalancer::Config{
       .virtual_service = virtual_id, .replicas = {r1->id(), r2->id()}}));
@@ -501,8 +499,7 @@ TEST(TrimmingNdp, NacksTriggerFastRetransmitWithoutTimeouts) {
                           TrimmingQueue::Config{.capacity_pkts = 16}));
   net.connect_simplex(*b, *sw, Bandwidth::gbps(10), 1_us,
                       std::make_unique<net::DropTailQueue>());
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
 
   MtpEndpoint src(*a, {});
   MtpEndpoint dst(*b, {});
@@ -524,14 +521,13 @@ TEST(TrimmingNdp, IncastDigestMatchesRecorded) {
   for (int i = 0; i < 4; ++i) {
     senders.push_back(net.add_host("h" + std::to_string(i)));
     net.connect(*senders.back(), *sw, Bandwidth::gbps(100), 1_us, {.capacity_pkts = 1024});
-    sw->add_route(senders.back()->id(), static_cast<net::PortIndex>(i));
   }
   net.connect_simplex(*sw, *rcv, Bandwidth::gbps(10), 1_us,
                       std::make_unique<TrimmingQueue>(
                           TrimmingQueue::Config{.capacity_pkts = 16}));
   net.connect_simplex(*rcv, *sw, Bandwidth::gbps(10), 1_us,
                       std::make_unique<net::DropTailQueue>());
-  sw->add_route(rcv->id(), 4);
+  net.build_routes();
 
   std::vector<std::unique_ptr<MtpEndpoint>> eps;
   for (net::Host* h : senders) eps.push_back(std::make_unique<MtpEndpoint>(*h, core::MtpConfig{}));
@@ -582,9 +578,7 @@ TEST(BulkChannel, SurvivesLossAndSpraying) {
   net.connect(*a, *sw, Bandwidth::gbps(100), 1_us, {.capacity_pkts = 64});
   net.connect(*sw, *b, Bandwidth::gbps(10), 1_us, {.capacity_pkts = 16});
   net.connect(*sw, *b, Bandwidth::gbps(10), 2_us, {.capacity_pkts = 16});
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
-  sw->add_route(b->id(), 2);
+  net.build_routes();  // b: [first sw->b link, second]
   sw->set_policy(std::make_unique<net::SprayPolicy>());
 
   MtpEndpoint src(*a, {});

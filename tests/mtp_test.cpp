@@ -344,10 +344,7 @@ TEST(MtpExclusion, MessageAwareSwitchAvoidsExcludedPathlet) {
   auto p2 = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
   p1.forward->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
   p2.forward->set_pathlet({.id = 2, .feedback = proto::FeedbackType::kEcn});
-  sw->add_route(a->id(), 0);
-  // Switch out-ports: 0 = back toward a, 1 = first sw->b link, 2 = second.
-  sw->add_route(b->id(), 1);
-  sw->add_route(b->id(), 2);
+  net.build_routes();  // b: [p1, p2]
   sw->set_policy(std::make_unique<net::MessageAwarePolicy>());
 
   MtpEndpoint src(*a, {});

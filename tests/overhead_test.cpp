@@ -147,8 +147,7 @@ TEST(StrictPriorityQueue, HighPriorityMessageCutsFctUnderCongestion) {
                               .per_level_capacity_pkts = 1024}));
   net.connect_simplex(*b, *sw, Bandwidth::gbps(10), 1_us,
                       std::make_unique<net::DropTailQueue>());
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   MtpEndpoint src(*a, {});
   MtpEndpoint dst(*b, {});
   std::vector<std::uint8_t> completion_order;

@@ -112,8 +112,7 @@ RunResult run_transfer(std::int64_t msg_bytes) {
   auto* sw = net.add_switch("sw");
   net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   core::MtpEndpoint src(*a, {});
   core::MtpEndpoint dst(*b, {});
   dst.listen(80, [](const core::ReceivedMessage&) {});

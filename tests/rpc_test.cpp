@@ -118,9 +118,7 @@ TEST(Rpc, CallsSpreadAcrossReplicasThroughL7Lb) {
   net.connect(*client_host, *sw, Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r1, Bandwidth::gbps(100), 1_us);
   net.connect(*sw, *r2, Bandwidth::gbps(100), 1_us);
-  sw->add_route(client_host->id(), 0);
-  sw->add_route(r1->id(), 1);
-  sw->add_route(r2->id(), 2);
+  net.build_routes();
   const net::NodeId service = 500;
   sw->add_ingress(std::make_shared<innetwork::L7LoadBalancer>(
       innetwork::L7LoadBalancer::Config{.virtual_service = service,

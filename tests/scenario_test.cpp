@@ -266,11 +266,10 @@ TopologyFn slow_incast(proto::FeedbackType feedback) {
       net::Host* h = net.add_host("h" + std::to_string(i));
       t.senders.push_back(h);
       net.connect(*h, *sw, sim::Bandwidth::gbps(100), 1_us, q);
-      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
     }
     auto down = net.connect(*sw, *rcv, sim::Bandwidth::gbps(1), 1_us, q);
     down.forward->set_pathlet({.id = 1, .feedback = feedback});
-    sw->add_route(rcv->id(), 4);
+    net.build_routes();
     t.receiver = rcv;
     t.lb_switches = {sw};
     t.paths = {down.forward};

@@ -114,8 +114,7 @@ std::pair<std::int64_t, std::uint64_t> ping(unsigned shards) {
   auto* b = net.add_host("b");
   net.connect(*a, *sw, Bandwidth::gbps(10), 1_us);
   net.connect(*sw, *b, Bandwidth::gbps(10), 2_us);
-  sw->add_route(a->id(), 0);
-  sw->add_route(b->id(), 1);
+  net.build_routes();
   core::MtpEndpoint ea(*a, {});
   core::MtpEndpoint eb(*b, {});
   eb.listen(80, [](const core::ReceivedMessage&) {});

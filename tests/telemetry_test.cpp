@@ -252,8 +252,7 @@ TEST_F(TelemetryTest, TwoHostTransferProducesOrderedEvents) {
   net::Switch* sw = net.add_switch("tor");
   net.connect(*alice, *sw, sim::Bandwidth::gbps(100), 1_us, {.capacity_pkts = 128});
   net.connect(*sw, *bob, sim::Bandwidth::gbps(100), 1_us, {.capacity_pkts = 128});
-  sw->add_route(alice->id(), 0);
-  sw->add_route(bob->id(), 1);
+  net.build_routes();
 
   core::MtpEndpoint tx(*alice, {});
   core::MtpEndpoint rx(*bob, {});

@@ -148,11 +148,10 @@ TopologyFn sharded_incast(int senders) {
       net::Host* h = net.add_host("h" + std::to_string(i));
       t.senders.push_back(h);
       net.connect(*h, *sw, sim::Bandwidth::gbps(100), 1_us, q);
-      sw->add_route(h->id(), static_cast<net::PortIndex>(i));
     }
     net.set_build_shard(0);
     auto down = net.connect(*sw, *rcv, sim::Bandwidth::gbps(100), 1_us, q);
-    sw->add_route(rcv->id(), static_cast<net::PortIndex>(senders));
+    net.build_routes();
     t.receiver = rcv;
     t.lb_switches = {sw};
     t.paths = {down.forward};
