@@ -13,7 +13,7 @@ MtpEndpoint::MtpEndpoint(net::Node& node, MtpConfig cfg)
     : node_(node), cfg_(cfg), sim_(node.simulator()) {
   cfg_.cc.mss = cfg_.mss;  // packets and CC windows count the same mss
   node_.set_mtp_handler([this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
-  paths_.push_back({proto::kDefaultPathlet});  // PathIndex 0 = default path
+  paths_.push_back({{proto::kDefaultPathlet}, {}});  // PathIndex 0 = default path
   // Retransmission timers live on the simulator's shared timer wheel, one
   // per message with in-flight packets — an idle endpoint leaves the event
   // queue empty (simulations can run to quiescence).
@@ -67,7 +67,7 @@ MtpEndpoint::MtpEndpoint(net::Node& node, MtpConfig cfg)
 MtpEndpoint::~MtpEndpoint() {
   // Timers and the node handler hold a raw `this`; the simulator may outlive
   // the endpoint.
-  for (auto& [id, msg] : outgoing_) sim_.timers().cancel(msg.retx_timer);
+  outgoing_.for_each([this](OutgoingMessage& msg) { sim_.timers().cancel(msg.retx_timer); });
   node_.set_mtp_handler({});
 }
 
@@ -77,18 +77,21 @@ proto::MsgId MtpEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
                                        MessageOptions opts, DoneFn on_delivered) {
   assert(bytes > 0 && "empty messages are not a thing in MTP");
   const proto::MsgId id = next_msg_id_++;
-  OutgoingMessage msg;
+  OutgoingMessage& msg = outgoing_.insert(id);
   msg.id = id;
   msg.dst = dst;
-  msg.opts = std::move(opts);
+  msg.opts = {opts.priority, opts.tc, opts.src_port, opts.dst_port, opts.deadline};
+  if (opts.app || opts.stream) {
+    msg.pkt0 = std::make_unique<Packet0Payload>(
+        Packet0Payload{std::move(opts.app), std::move(opts.stream)});
+  }
   msg.packetize(bytes, cfg_.mss);
   msg.started_at = sim_.now();
   msg.done = std::move(on_delivered);
-  OutgoingMessage& slot = outgoing_.emplace(id, std::move(msg)).first->second;
   if (cfg_.scheduling == MtpConfig::Scheduling::kSrpt) {
     srpt_order_.push_back(id);
   } else {
-    enqueue_send(slot, /*urgent=*/false);
+    enqueue_send(msg, /*urgent=*/false);
   }
   pump();
   return id;
@@ -118,9 +121,13 @@ void MtpEndpoint::enqueue_send(OutgoingMessage& msg, bool urgent) {
   // SRPT re-derives its service order from srpt_order_ each pump and never
   // drains the group queues, so don't grow them.
   if (cfg_.scheduling == MtpConfig::Scheduling::kSrpt) return;
+  if (!msg.group) msg.group = &group_for(msg);
+  SendGroup& g = *msg.group;
+  // A retransmission changes the message's next packet even when the
+  // message is queued already.
+  if (urgent) g.unpark();
   if (msg.send_queued) return;
   msg.send_queued = true;
-  SendGroup& g = group_for(msg);
   if (urgent) {
     g.q.push_front(msg.id);
   } else {
@@ -140,10 +147,19 @@ void MtpEndpoint::exclude_pathlet(proto::PathletId pathlet, sim::SimTime duratio
   // keep charging (and capping traffic to) a path it just asked the network
   // to stop using.
   for (auto it = current_path_.begin(); it != current_path_.end();) {
-    const auto& pathlets = paths_[it->second];
-    const bool crosses =
-        std::find(pathlets.begin(), pathlets.end(), pathlet) != pathlets.end();
-    it = crosses ? current_path_.erase(it) : ++it;
+    const auto& pathlets = paths_[it->second].pathlets;
+    if (std::find(pathlets.begin(), pathlets.end(), pathlet) != pathlets.end()) {
+      path_changed(it->first);
+      it = current_path_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void MtpEndpoint::path_changed(net::NodeId dst) {
+  for (const auto& g : groups_) {
+    if (g->dst == dst) g->unpark();
   }
 }
 
@@ -160,27 +176,31 @@ std::vector<proto::PathRef> MtpEndpoint::active_exclusions() {
   return out;
 }
 
-void MtpEndpoint::penalize(proto::PathletId pathlet, proto::TrafficClassId tc,
-                           LossKind kind) {
+void MtpEndpoint::penalize(PathIndex path, proto::TrafficClassId tc, LossKind kind) {
   const sim::SimTime gap =
       rtt_.valid ? std::max(rtt_.srtt * 2, kRetxScanPeriod) : transport::kMinRto;
-  CcState& st = cc_[CcKey{pathlet, tc}];
-  if (st.decreased_once && sim_.now() - st.last_decrease < gap) return;
-  st.last_decrease = sim_.now();
-  st.decreased_once = true;
-  if (!st.algo) st.algo = make_cc(proto::FeedbackType::kNone, cfg_.cc);
-  st.algo->on_loss(kind);
-  if (cfg_.auto_exclude_after_losses > 0 && kind == LossKind::kTimeout &&
-      ++consecutive_losses_[pathlet] >= cfg_.auto_exclude_after_losses) {
-    exclude_pathlet(pathlet, cfg_.exclude_duration);
-    consecutive_losses_[pathlet] = 0;
+  const std::span<CcState* const> states = cc_states(path, tc);
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    CcState& st = *states[i];
+    if (st.decreased_once && sim_.now() - st.last_decrease < gap) continue;
+    st.last_decrease = sim_.now();
+    st.decreased_once = true;
+    cc(st, proto::FeedbackType::kNone).on_loss(kind);
+    // A virtual pathlet is this endpoint's own stand-in for an unknown path:
+    // no switch knows its id, so excluding it would only grow every header.
+    const proto::PathletId pathlet = paths_[path].pathlets[i];
+    if (cfg_.auto_exclude_after_losses > 0 && kind == LossKind::kTimeout &&
+        (pathlet & kVirtualPathletFlag) == 0 &&
+        ++consecutive_losses_[pathlet] >= cfg_.auto_exclude_after_losses) {
+      exclude_pathlet(pathlet, cfg_.exclude_duration);
+      consecutive_losses_[pathlet] = 0;
+    }
   }
 }
 
-PathletCc& MtpEndpoint::cc(proto::PathletId pathlet, proto::TrafficClassId tc,
-                           proto::FeedbackType type_hint) {
-  CcState& st = cc_[CcKey{pathlet, tc}];
+PathletCc& MtpEndpoint::cc(CcState& st, proto::FeedbackType type_hint) {
   if (!st.algo) st.algo = make_cc(type_hint, cfg_.cc);
+  ++st.wakes;
   return *st.algo;
 }
 
@@ -193,43 +213,50 @@ const PathletCc* MtpEndpoint::pathlet_cc(proto::PathletId id,
 MtpEndpoint::PathIndex MtpEndpoint::intern_path(
     const std::vector<proto::PathletId>& pathlets) {
   for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (paths_[i] == pathlets) return static_cast<PathIndex>(i);
+    if (paths_[i].pathlets == pathlets) return static_cast<PathIndex>(i);
   }
-  paths_.push_back(pathlets);
+  paths_.push_back({pathlets, {}});
   return static_cast<PathIndex>(paths_.size() - 1);
+}
+
+std::span<MtpEndpoint::CcState* const> MtpEndpoint::cc_states(PathIndex path,
+                                                              proto::TrafficClassId tc) {
+  Path& p = paths_[path];
+  const std::size_t n = p.pathlets.size();
+  const std::size_t first = tc * n;
+  if (p.states.size() < first + n) p.states.resize(first + n);
+  if (n > 0 && p.states[first] == nullptr) {
+    // A fresh state (no algo, nothing in flight) admits exactly what a
+    // missing one did: up to the initial window.
+    for (std::size_t i = 0; i < n; ++i) p.states[first + i] = &cc_[CcKey{p.pathlets[i], tc}];
+  }
+  return {p.states.data() + first, n};
 }
 
 std::vector<proto::PathletId> MtpEndpoint::current_path(net::NodeId dst) const {
   auto it = current_path_.find(dst);
   if (it == current_path_.end()) return {};
-  return paths_[it->second];
+  return paths_[it->second].pathlets;
 }
 
-bool MtpEndpoint::admit(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes) {
-  for (const proto::PathletId p : paths_[path]) {
-    auto it = cc_.find(CcKey{p, tc});
-    if (it == cc_.end()) {
-      if (bytes > cfg_.cc.init_window_bytes()) return false;
-      continue;
-    }
-    const CcState& st = it->second;
+MtpEndpoint::CcState* MtpEndpoint::admit(PathIndex path, proto::TrafficClassId tc,
+                                         std::int64_t bytes) {
+  for (CcState* st : cc_states(path, tc)) {
     const std::int64_t wnd =
-        st.algo ? st.algo->window_bytes() : cfg_.cc.init_window_bytes();
-    if (st.inflight + bytes > wnd) return false;
+        st->algo ? st->algo->window_bytes() : cfg_.cc.init_window_bytes();
+    if (st->inflight + bytes > wnd) return st;
   }
-  return true;
+  return nullptr;
 }
 
 void MtpEndpoint::charge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes) {
-  for (const proto::PathletId p : paths_[path]) cc_[CcKey{p, tc}].inflight += bytes;
+  for (CcState* st : cc_states(path, tc)) st->inflight += bytes;
 }
 
 void MtpEndpoint::uncharge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes) {
-  for (const proto::PathletId p : paths_[path]) {
-    auto it = cc_.find(CcKey{p, tc});
-    if (it != cc_.end()) {
-      it->second.inflight = std::max<std::int64_t>(0, it->second.inflight - bytes);
-    }
+  for (CcState* st : cc_states(path, tc)) {
+    st->inflight = std::max<std::int64_t>(0, st->inflight - bytes);
+    ++st->wakes;
   }
 }
 
@@ -238,24 +265,57 @@ void MtpEndpoint::pump() {
     pump_srpt();
     return;
   }
+  check_parked();
   // Serve groups in priority order; inside a group, drain messages FIFO
-  // until one is window-blocked — every message behind it shares the same
-  // (dst-derived path, tc) admission budget, so it would block too. A parked
-  // message keeps send_queued and is retried when its group's window frees.
+  // until one is blocked — every message behind it shares the same
+  // (dst-derived path, tc) admission budget, so it would block too. A blocked
+  // message keeps send_queued and is retried at a later pump; if a pathlet
+  // window refused it, its group parks (see SendGroup).
   for (const auto& gp : groups_) {
     SendGroup& g = *gp;
+    if (g.parked()) continue;
+    g.unpark();
     while (!g.q.empty()) {
-      auto it = outgoing_.find(g.q.front());
-      if (it == outgoing_.end()) {  // completed since it queued
+      OutgoingMessage* msg = outgoing_.find(g.q.front());
+      if (msg == nullptr) {  // completed since it queued
         g.q.pop_front();
         continue;
       }
-      OutgoingMessage& msg = it->second;
-      if (!service_msg(msg)) break;
-      msg.send_queued = false;
+      CcState* full = nullptr;
+      if (!service_msg(*msg, full)) {
+        if (full) g.park(*full);
+        break;
+      }
+      msg->send_queued = false;
       g.q.pop_front();
     }
   }
+}
+
+void MtpEndpoint::check_parked() {
+#ifndef NDEBUG
+  for (const auto& g : groups_) {
+    if (!g->parked()) continue;
+    // Re-derive what service_msg would try first, without side effects.
+    const OutgoingMessage* msg = nullptr;
+    for (const proto::MsgId id : g->q) {
+      if ((msg = outgoing_.find(id)) != nullptr) break;
+    }
+    assert(msg != nullptr && "a parked group has a message to send");
+    std::uint32_t pkt = msg->next_unsent;
+    for (const std::uint32_t r : msg->retx_queue) {
+      if (msg->state(r) == PktState::kLost) {
+        pkt = r;
+        break;
+      }
+    }
+    assert(pkt < msg->total_pkts && "a parked group's front message has a packet to send");
+    auto path = current_path_.find(g->dst);
+    assert(path != current_path_.end() && "a parked group's destination has a path");
+    const bool refused = admit(path->second, g->tc, msg->pkt_len(pkt, cfg_.mss)) != nullptr;
+    assert(refused && "a parked group's front packet is not admissible");
+  }
+#endif
 }
 
 /// Shortest remaining processing time: fewest unacknowledged packets first;
@@ -271,8 +331,8 @@ void MtpEndpoint::pump_srpt() {
   order.assign(srpt_order_.begin(), srpt_order_.end());
   if (order.size() > 1) {
     std::stable_sort(order.begin(), order.end(), [this](proto::MsgId a, proto::MsgId b) {
-      const OutgoingMessage& ma = outgoing_.at(a);
-      const OutgoingMessage& mb = outgoing_.at(b);
+      const OutgoingMessage& ma = *outgoing_.find(a);
+      const OutgoingMessage& mb = *outgoing_.find(b);
       if (ma.opts.priority != mb.opts.priority) {
         return ma.opts.priority > mb.opts.priority;
       }
@@ -280,13 +340,14 @@ void MtpEndpoint::pump_srpt() {
     });
   }
   for (const proto::MsgId id : order) {
-    auto it = outgoing_.find(id);
-    if (it == outgoing_.end()) continue;
-    service_msg(it->second);
+    OutgoingMessage* msg = outgoing_.find(id);
+    if (msg == nullptr) continue;
+    CcState* full = nullptr;
+    service_msg(*msg, full);
   }
 }
 
-bool MtpEndpoint::service_msg(OutgoingMessage& msg) {
+bool MtpEndpoint::service_msg(OutgoingMessage& msg, CcState*& full) {
   // Retransmissions first: they unblock message completion.
   while (!msg.retx_queue.empty()) {
     const std::uint32_t pkt = msg.retx_queue.front();
@@ -294,17 +355,18 @@ bool MtpEndpoint::service_msg(OutgoingMessage& msg) {
       msg.retx_queue.pop_front();
       continue;
     }
-    if (!try_send_pkt(msg, pkt, /*is_retx=*/true)) return false;
+    if (!try_send_pkt(msg, pkt, /*is_retx=*/true, full)) return false;
     msg.retx_queue.pop_front();
   }
   while (msg.next_unsent < msg.total_pkts) {
-    if (!try_send_pkt(msg, msg.next_unsent, /*is_retx=*/false)) return false;
+    if (!try_send_pkt(msg, msg.next_unsent, /*is_retx=*/false, full)) return false;
     ++msg.next_unsent;
   }
   return true;
 }
 
-bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_retx) {
+bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_retx,
+                               CcState*& full) {
   auto path_it = current_path_.find(msg.dst);
   if (path_it == current_path_.end()) {
     // No feedback learned yet: use a per-destination default pathlet. One
@@ -317,8 +379,8 @@ bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_
   }
   const PathIndex path = path_it->second;
   const std::int64_t bytes = msg.pkt_len(pkt, cfg_.mss);
-  if (!admit(path, msg.opts.tc, bytes)) return false;
-  if (!grant_admit(msg.dst, bytes)) return false;
+  full = admit(path, msg.opts.tc, bytes);
+  if (full != nullptr || !grant_admit(msg.dst, bytes)) return false;
   charge(path, msg.opts.tc, bytes);
   grant_charge(msg.dst, bytes);
   msg.charged_path(pkt) = path;
@@ -335,9 +397,14 @@ bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_
 void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt) {
   net::Packet p = transport::make_data(node_.id(), msg, pkt, cfg_.mss, msg.opts.priority);
   auto& hdr = p.mtp();
-  hdr.path_exclude() = active_exclusions();
-  if (pkt == 0 && msg.opts.app) p.app = *msg.opts.app;
-  if (pkt == 0 && msg.opts.stream) hdr.stream = *msg.opts.stream;
+  if (!excluded_until_.empty()) {  // the header's list box only when needed
+    std::vector<proto::PathRef> excluded = active_exclusions();
+    if (!excluded.empty()) hdr.path_exclude() = std::move(excluded);
+  }
+  if (pkt == 0 && msg.pkt0) {
+    if (msg.pkt0->app) p.app = *msg.pkt0->app;
+    if (msg.pkt0->stream) hdr.stream = *msg.pkt0->stream;
+  }
   if (pkt == 0 && msg.opts.deadline.ns() > 0) {
     hdr.overload.ensure().deadline_ns =
         static_cast<std::uint64_t>(msg.opts.deadline.ns());
@@ -355,9 +422,9 @@ void MtpEndpoint::retx_fire(void* self, std::uint64_t id) {
 /// old O(outstanding-messages) periodic retx_scan: each message wakes only
 /// when its own oldest in-flight packet may have timed out.
 void MtpEndpoint::on_retx_timer(proto::MsgId id) {
-  auto it = outgoing_.find(id);
-  if (it == outgoing_.end()) return;  // completed between arm and fire
-  OutgoingMessage& msg = it->second;
+  OutgoingMessage* found = outgoing_.find(id);
+  if (found == nullptr) return;  // completed between arm and fire
+  OutgoingMessage& msg = *found;
   const sim::SimTime deadline = rto();
   const sim::SimTime now = sim_.now();
   bool any_lost = false;
@@ -390,9 +457,7 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
       ev.value = static_cast<std::uint64_t>(deadline.ns());
       telemetry::trace().record(ev);
     }
-    for (const proto::PathletId p : paths_[msg.charged_path(pkt)]) {
-      penalize(p, msg.opts.tc, LossKind::kTimeout);
-    }
+    penalize(msg.charged_path(pkt), msg.opts.tc, LossKind::kTimeout);
   }
   if (!msg.inflight_fifo.empty()) {
     // The surviving front packet defines the next deadline. (If everything
@@ -702,14 +767,19 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
     std::vector<proto::PathletId> pathlets;
     pathlets.reserve(hdr.ack_path_feedback().size());
     for (const auto& pf : hdr.ack_path_feedback()) pathlets.push_back(pf.pathlet);
-    current_path_[pkt.src] = intern_path(pathlets);
+    const PathIndex path = intern_path(pathlets);
+    auto [it, fresh] = current_path_.try_emplace(pkt.src, path);
+    if (fresh || it->second != path) {
+      it->second = path;
+      path_changed(pkt.src);
+    }
   }
 
   auto handle_entries = [&](const std::vector<proto::SackEntry>& entries, bool is_nack) {
     for (const auto& e : entries) {
-      auto it = outgoing_.find(e.msg_id);
-      if (it == outgoing_.end()) continue;
-      OutgoingMessage& msg = it->second;
+      OutgoingMessage* found = outgoing_.find(e.msg_id);
+      if (found == nullptr) continue;
+      OutgoingMessage& msg = *found;
       if (e.pkt_num >= msg.total_pkts) continue;
       const std::int64_t bytes = msg.pkt_len(e.pkt_num, cfg_.mss);
 
@@ -720,9 +790,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
           grant_uncharge(msg.dst, bytes);
           msg.retx_queue.push_back(e.pkt_num);
           enqueue_send(msg, /*urgent=*/true);
-          for (const proto::PathletId p : paths_[msg.charged_path(e.pkt_num)]) {
-            penalize(p, msg.opts.tc, LossKind::kTrim);
-          }
+          penalize(msg.charged_path(e.pkt_num), msg.opts.tc, LossKind::kTrim);
         }
         continue;
       }
@@ -732,6 +800,11 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
       if (prev == PktState::kInflight) {
         uncharge(msg.charged_path(e.pkt_num), msg.opts.tc, bytes);
         grant_uncharge(msg.dst, bytes);
+      } else if (prev == PktState::kLost) {
+        // Its queued retransmission is moot: the message's next packet
+        // changes, or, if this was its last lost packet, the message
+        // completes below and its group gets a new front.
+        front_changed(msg);
       }
       msg.set_state(e.pkt_num, PktState::kSacked);
       ++msg.sacked;
@@ -743,20 +816,18 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
 
       // Feed pathlet algorithms: feedback TLVs first, then the ack credit.
       for (const auto& pf : hdr.ack_path_feedback()) {
-        PathletCc& algo = cc(pf.pathlet, pf.tc, pf.feedback.type);
-        algo.on_feedback(pf.feedback, bytes);
+        cc(cc_[CcKey{pf.pathlet, pf.tc}], pf.feedback.type).on_feedback(pf.feedback, bytes);
         consecutive_losses_[pf.pathlet] = 0;
       }
       if (hdr.ack_path_feedback().empty()) {
         // No pathlet info on this path: evolve whatever the packet was
         // charged to (the per-destination virtual pathlet).
-        for (const proto::PathletId p : paths_[msg.charged_path(e.pkt_num)]) {
-          cc(p, msg.opts.tc, proto::FeedbackType::kNone)
-              .on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
+        for (CcState* st : cc_states(msg.charged_path(e.pkt_num), msg.opts.tc)) {
+          cc(*st, proto::FeedbackType::kNone).on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
         }
       } else {
         for (const auto& pf : hdr.ack_path_feedback()) {
-          cc(pf.pathlet, pf.tc, pf.feedback.type)
+          cc(cc_[CcKey{pf.pathlet, pf.tc}], pf.feedback.type)
               .on_ack(bytes, karn_valid ? rtt : rtt_.srtt);
         }
       }
@@ -803,17 +874,20 @@ void MtpEndpoint::grant_uncharge(net::NodeId dst, std::int64_t bytes) {
 /// packets are uncharged from their pathlets (they will never be SACKed) and
 /// the DoneFn is dropped unfired — on_rejected is the completion signal.
 void MtpEndpoint::abort_outgoing(proto::MsgId id, bool expired) {
-  auto it = outgoing_.find(id);
-  if (it == outgoing_.end()) return;  // duplicate reject, already aborted
-  release(it->second);
-  const net::NodeId dst = it->second.dst;
+  OutgoingMessage* msg = outgoing_.find(id);
+  if (msg == nullptr) return;  // duplicate reject, already aborted
+  release(*msg);
+  front_changed(*msg);
+  const net::NodeId dst = msg->dst;
   ++msgs_rejected_;
-  outgoing_.erase(it);
+  outgoing_.erase(id);
   if (on_rejected) on_rejected(id, dst, expired);
 }
 
 void MtpEndpoint::abandon_all() {
-  for (auto& [id, msg] : outgoing_) release(msg);
+  outgoing_.for_each([this](OutgoingMessage& msg) { release(msg); });
+  // Every parked group wakes: it parked on a state with bytes in flight, and
+  // release() just uncharged all of them.
   outgoing_.clear();  // queued ids of dropped messages are skipped by pump()
 }
 

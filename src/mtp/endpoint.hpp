@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -229,6 +230,8 @@ class MtpEndpoint {
     bool empty() const { return head_ == q_.size(); }
     std::size_t size() const { return q_.size() - head_; }
     std::uint32_t front() const { return q_[head_]; }
+    const std::uint32_t* begin() const { return q_.data() + head_; }
+    const std::uint32_t* end() const { return q_.data() + q_.size(); }
     void push_back(std::uint32_t v) { q_.push_back(v); }
     void pop_front() {
       if (++head_ == q_.size()) {  // drained: restart at the buffer's front
@@ -242,12 +245,31 @@ class MtpEndpoint {
     std::size_t head_ = 0;
   };
 
-  /// Shared message core plus MTP's retransmit FIFOs and send-queue flag.
-  struct OutgoingMessage : transport::OutboundMessage<MessageOptions> {
+  /// MessageOptions without the packet-0 payloads: what every packet of a
+  /// message needs.
+  struct SendOptions {
+    std::uint8_t priority = 0;
+    proto::TrafficClassId tc = 0;
+    proto::PortNum src_port = 0;
+    proto::PortNum dst_port = 0;
+    sim::SimTime deadline;
+  };
+  /// The packet-0 payloads, boxed so that only messages carrying one pay for
+  /// them: inline, they took 160 B of every record.
+  struct Packet0Payload {
+    std::optional<net::AppData> app;
+    std::optional<proto::StreamHeader> stream;
+  };
+  struct SendGroup;
+
+  /// Shared message core plus MTP's retransmit FIFOs and send-queue state.
+  struct OutgoingMessage : transport::OutboundMessage<SendOptions> {
     PktFifo retx_queue;
     /// Packet numbers in transmission order; the front is always the oldest
     /// in-flight packet, so expiry checks are O(1) until a loss.
     PktFifo inflight_fifo;
+    std::unique_ptr<Packet0Payload> pkt0;  ///< null unless app or stream is set
+    SendGroup* group = nullptr;  ///< its send queue, once first enqueued
     /// True while the message sits in its SendGroup queue (has packets to
     /// send but may be window-blocked). Guards against double-enqueue.
     bool send_queued = false;
@@ -255,6 +277,9 @@ class MtpEndpoint {
     /// The path a packet was charged to, kept in its PktMeta aux field.
     PathIndex& charged_path(std::uint32_t pkt) { return pkts[pkt].aux; }
   };
+  // Every outstanding message pays for this record (k=8 bursts keep 51k of
+  // them); a field added here shows in bytes_per_idle_msg (bench_scale).
+  static_assert(sizeof(OutgoingMessage) == 208, "OutgoingMessage changed size");
 
   struct IncomingMessage : transport::Reassembly {
     std::uint32_t gap_checked = 0;  ///< packets below this were gap-NACKed once
@@ -278,12 +303,15 @@ class MtpEndpoint {
   void emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
                 std::vector<proto::SackEntry>&& nacks);
   void flush_acks();
+  struct CcState;
   void pump();
   void pump_srpt();
   /// Send msg's pending retransmissions then unsent packets while admission
-  /// allows. Returns false if it stopped window-blocked with work remaining.
-  bool service_msg(OutgoingMessage& msg);
-  bool try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_retx);
+  /// allows. Returns false if it stopped blocked with work remaining; `full`
+  /// is then the pathlet state whose window refused the packet, or null if
+  /// the overload grant did.
+  bool service_msg(OutgoingMessage& msg, CcState*& full);
+  bool try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_retx, CcState*& full);
   void send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt);
   void on_retx_timer(proto::MsgId id);
   static void retx_fire(void* self, std::uint64_t id);  ///< wheel trampoline
@@ -291,14 +319,21 @@ class MtpEndpoint {
     return rtt_.rto(transport::kMinRto, transport::kMaxRto, rto_backoff_);
   }
 
-  PathletCc& cc(proto::PathletId pathlet, proto::TrafficClassId tc,
-                proto::FeedbackType type_hint);
-  /// Apply on_loss at most once per RTT per (pathlet, TC).
-  void penalize(proto::PathletId pathlet, proto::TrafficClassId tc, LossKind kind);
+  /// The algorithm of `st`, created from `type_hint` if it has none yet. The
+  /// caller is about to update it, so groups parked on `st` wake.
+  PathletCc& cc(CcState& st, proto::FeedbackType type_hint);
+  /// Apply on_loss at most once per RTT to each (pathlet, TC) of `path`.
+  void penalize(PathIndex path, proto::TrafficClassId tc, LossKind kind);
   PathIndex intern_path(const std::vector<proto::PathletId>& pathlets);
-  bool admit(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
+  /// The CcState of each pathlet of `path` for `tc`, in path order.
+  std::span<CcState* const> cc_states(PathIndex path, proto::TrafficClassId tc);
+  /// The first state on `path` whose window cannot take `bytes` more, or
+  /// null if the packet is admitted.
+  CcState* admit(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
   void charge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
   void uncharge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
+  /// Record that `dst` now sends on a different path (or none).
+  void path_changed(net::NodeId dst);
   std::vector<proto::PathRef> active_exclusions();
 
   // --- mtp::overload: receiver grants pace the sender per destination, and
@@ -318,48 +353,91 @@ class MtpEndpoint {
   MtpConfig cfg_;
   sim::Simulator& sim_;
 
-  /// Everything the sender tracks per (pathlet, TC), in one map so the
-  /// admit/charge/uncharge hot path does a single hash lookup (three separate
-  /// maps before). `algo` is created lazily on first feedback/ack/loss;
-  /// `last_decrease` rate-limits multiplicative decreases — losses within
-  /// one RTT are a single congestion event and must cut the window once.
+  /// Everything the sender tracks per (pathlet, TC). Each interned path
+  /// keeps pointers to its states (Path::states), so admit/charge/uncharge do
+  /// no lookup. A state with no `algo` admits up to the initial window; the
+  /// algorithm is created on first feedback/ack/loss. `last_decrease`
+  /// rate-limits multiplicative decreases — losses within one RTT are a
+  /// single congestion event and must cut the window once. `wakes` counts
+  /// the changes that may let a refused packet fit (an uncharge, an algorithm
+  /// update); a SendGroup parked on the state sleeps until it moves.
   struct CcState {
     std::unique_ptr<PathletCc> algo;
     std::int64_t inflight = 0;
     sim::SimTime last_decrease;
+    std::uint32_t wakes = 0;
     bool decreased_once = false;
+  };
+
+  /// An interned path: its pathlets and their CcStates, pathlets.size() per
+  /// TC at index tc * pathlets.size() (null until that TC is first used).
+  struct Path {
+    std::vector<proto::PathletId> pathlets;
+    std::vector<CcState*> states;
   };
 
   /// Pending-send queue for one (dst, tc, priority) bucket. Admission is
   /// per-(path, tc) and a message's path is a pure function of its
   /// destination, so when the front of a group is window-blocked the rest of
-  /// the group is too: pump() parks the whole group after one failed admit
-  /// and moves on. That makes a pump cost O(groups + packets actually sent)
+  /// the group is too: pump() stops the group after one failed admit and
+  /// moves on. That makes a pump cost O(groups + packets actually sent)
   /// instead of O(all queued messages) — the property that keeps 100k
   /// concurrent messages serviceable (the old global scan re-sorted and
   /// re-visited every parked message on every ack).
+  ///
+  /// A group whose front packet did not fit a pathlet window also parks on
+  /// the CcState that refused it, and pump() skips it until one of these
+  /// happens: that state wakes (an uncharge, or an algorithm update from
+  /// feedback, an ack or a loss); the destination's current path changes;
+  /// or the front packet changes (an urgent enqueue, a lost packet SACKed
+  /// late, or the front message being aborted). A parked front message
+  /// still has a lost packet to resend, so it completes only through a late
+  /// SACK of its last lost packet, which wakes the group; abandon_all()
+  /// uncharges every packet in flight, which wakes every parked group.
+  /// Invariant: a parked group's front packet is not admissible. It holds
+  /// because nothing else loosens admission — charging only tightens it — so
+  /// the skipped attempt would have failed, and pump() sends exactly what a
+  /// scan of every group would. check_parked() asserts it on every pump.
+  /// Groups blocked by an overload grant do not park; SRPT has no groups.
   struct SendGroup {
     net::NodeId dst;
     proto::TrafficClassId tc = 0;
     std::uint8_t priority = 0;
     std::deque<proto::MsgId> q;  ///< FIFO; retransmit-bearing messages jump the line
+    const CcState* parked_on = nullptr;
+    std::uint32_t parked_wakes = 0;  ///< parked_on->wakes when it parked
+
+    bool parked() const { return parked_on && parked_on->wakes == parked_wakes; }
+    void park(const CcState& st) {
+      parked_on = &st;
+      parked_wakes = st.wakes;
+    }
+    void unpark() { parked_on = nullptr; }
   };
   SendGroup& group_for(const OutgoingMessage& msg);
   /// Queue msg for pump service. `urgent` puts it at the front of its group
   /// (retransmissions unblock completion, mirroring the old retx-first rule).
   void enqueue_send(OutgoingMessage& msg, bool urgent);
+  /// msg's next packet to send may have changed: wake its group.
+  static void front_changed(OutgoingMessage& msg) {
+    if (msg.group) msg.group->unpark();
+  }
+  /// Asserts the parked-group invariant (a no-op under NDEBUG).
+  void check_parked();
 
   // --- Sender.
   proto::MsgId next_msg_id_ = 1;
-  std::unordered_map<proto::MsgId, OutgoingMessage> outgoing_;
+  transport::OutboundRing<OutgoingMessage> outgoing_;
   /// Groups ordered by (priority desc, creation); few in practice. Stable
   /// pointers — indexed by group_index_.
   std::vector<std::unique_ptr<SendGroup>> groups_;
   std::unordered_map<std::uint64_t, SendGroup*> group_index_;
   std::vector<proto::MsgId> srpt_order_;  ///< SRPT only: ids in arrival order
   std::vector<proto::MsgId> pump_order_;  ///< pump_srpt() scratch (reused)
+  /// Never erased: paths keep pointers to the states (map nodes are stable).
   std::unordered_map<CcKey, CcState, CcKeyHash> cc_;
-  std::vector<std::vector<proto::PathletId>> paths_;  ///< interned path table
+  std::vector<Path> paths_;  ///< interned path table
+  /// Sparse: a dense per-destination table grows as hosts² over a fleet.
   std::unordered_map<net::NodeId, PathIndex> current_path_;
   std::unordered_map<proto::PathletId, sim::SimTime> excluded_until_;
   std::unordered_map<proto::PathletId, int> consecutive_losses_;

@@ -10,8 +10,8 @@
 //   - mtp_header_bytes: the accounted size of every MTP header;
 //   - make_reply, make_busy_reject and make_data: the ACK, busy-reject and
 //     data packet skeletons;
-//   - OutboundMessage and complete_outbound: a sender's per-message record
-//     and its retirement.
+//   - OutboundMessage, OutboundRing and complete_outbound: a sender's
+//     per-message record, the table that finds it by id, and its retirement.
 //
 // The arithmetic (and its order) is what the recorded completion digests were
 // produced with; changing a constant or an operation order moves every
@@ -19,9 +19,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -288,6 +290,85 @@ struct OutboundMessage {
     const sim::SimTime floor = sim.now() + sim.timers().granularity();
     retx_timer = sim.timers().arm(std::max(deadline, floor), fn, owner, id);
   }
+};
+
+/// A sender's outgoing messages, found by id without hashing. A sender issues
+/// ids in order, so the table is a ring covering the ids from the oldest
+/// outstanding message to the newest: a lookup is one subtraction and one
+/// array read. Each record is its own allocation, so a Msg& stays valid while
+/// other messages come and go, and a finished message's memory goes back to
+/// the allocator at once, for any endpoint to reuse. The ring costs 8 B per
+/// id in its span, including finished ids behind an older message that is
+/// still outstanding, and it never shrinks.
+template <class Msg>
+class OutboundRing {
+ public:
+  using mapped_type = Msg;
+
+  std::size_t size() const { return live_; }
+  bool contains(proto::MsgId id) const { return at(id) != nullptr; }
+  Msg* find(proto::MsgId id) { return at(id); }
+
+  /// A fresh record for `id`, which must follow every id inserted before it
+  /// with no gap.
+  Msg& insert(proto::MsgId id) {
+    if (span_ == 0) base_ = id;
+    assert(id == base_ + span_);
+    if (span_ == ring_.size()) grow();
+    std::unique_ptr<Msg>& cell = ring_[(head_ + span_) & (ring_.size() - 1)];
+    cell = std::make_unique<Msg>();
+    ++span_;
+    ++live_;
+    return *cell;
+  }
+
+  /// Destroy `id`'s record.
+  void erase(proto::MsgId id) {
+    if (at(id) == nullptr) return;
+    ring_[(head_ + (id - base_)) & (ring_.size() - 1)].reset();
+    --live_;
+    while (span_ > 0 && !ring_[head_]) {  // advance past finished ids
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      ++base_;
+      --span_;
+    }
+  }
+
+  /// Call f(Msg&) on every record, in id order.
+  template <class F>
+  void for_each(F&& f) {
+    for (std::size_t i = 0; i < span_; ++i) {
+      if (Msg* m = ring_[(head_ + i) & (ring_.size() - 1)].get()) f(*m);
+    }
+  }
+
+  void clear() {
+    for (std::size_t i = 0; i < span_; ++i) ring_[(head_ + i) & (ring_.size() - 1)].reset();
+    span_ = 0;
+    live_ = 0;
+  }
+
+ private:
+  Msg* at(proto::MsgId id) const {
+    if (id - base_ >= span_) return nullptr;  // below base_ wraps to a huge offset
+    return ring_[(head_ + (id - base_)) & (ring_.size() - 1)].get();
+  }
+
+  /// Double the ring (power-of-two capacity), unrolling it to start at 0.
+  void grow() {
+    std::vector<std::unique_ptr<Msg>> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+    for (std::size_t i = 0; i < span_; ++i) {
+      bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+    }
+    ring_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<std::unique_ptr<Msg>> ring_;
+  std::size_t head_ = 0;   ///< ring_ position of base_
+  proto::MsgId base_ = 0;  ///< oldest id in the span
+  std::size_t span_ = 0;   ///< ids [base_, base_ + span_) are covered
+  std::size_t live_ = 0;   ///< records held
 };
 
 /// Retire a fully acknowledged message: cancel its timer, erase it from

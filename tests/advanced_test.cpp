@@ -271,6 +271,48 @@ TEST(LinkFailure, AutoExclusionKicksInAfterRepeatedTimeouts) {
   EXPECT_TRUE(saw_exclusion);
 }
 
+TEST(LinkFailure, AutoExclusionNeverExcludesAVirtualPathlet) {
+  // Same dying path as above. Once pathlet 5 is excluded the sender charges
+  // the destination's virtual pathlet (high bit set), which keeps timing out.
+  // No switch knows a virtual id, so it must never ride in Path Exclude.
+  net::Network net;
+  auto* a = net.add_host("a");
+  auto* b = net.add_host("b");
+  auto* sw = net.add_switch("sw");
+  auto up = net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
+  auto down = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
+  up.forward->set_pathlet({.id = 5, .feedback = proto::FeedbackType::kEcn});
+  net.build_routes();
+  class ExcludeLog : public net::IngressProcessor {
+   public:
+    bool process(net::Packet& pkt, net::Switch&) override {
+      if (!pkt.is_mtp()) return false;
+      for (const proto::PathRef& r : pkt.mtp().path_exclude()) ids.push_back(r.pathlet);
+      return false;
+    }
+    std::vector<proto::PathletId> ids;
+  };
+  auto log = std::make_shared<ExcludeLog>();
+  sw->add_ingress(log);
+  core::MtpConfig cfg;
+  cfg.auto_exclude_after_losses = 2;
+  cfg.exclude_duration = 100_ms;
+  MtpEndpoint src(*a, cfg);
+  MtpEndpoint dst(*b, cfg);
+  dst.listen(80, [](const ReceivedMessage&) {});
+  src.send_message(b->id(), 50'000, {.dst_port = 80});
+  net.simulator().run(1_ms);
+  down.forward->set_up(false);
+  src.send_message(b->id(), 50'000, {.dst_port = 80});
+  net.simulator().run(60_ms);
+  src.send_message(b->id(), 1'000, {.dst_port = 80});
+  net.simulator().run(70_ms);
+  ASSERT_FALSE(log->ids.empty());  // pathlet 5 was excluded
+  for (const proto::PathletId id : log->ids) {
+    EXPECT_EQ(id, 5u) << "excluded pathlet " << id;
+  }
+}
+
 // ------------------------------------------------------------- flowlets
 
 TEST(Flowlet, SticksWithinBurstSwitchesAcrossGaps) {

@@ -4,6 +4,7 @@
 // endpoint teardown mid-run.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "helpers.hpp"
@@ -148,6 +149,59 @@ TEST(OutboundMessage, KarnBitSurvivesAResend) {
   m.set_state(1, PktState::kSacked);
   EXPECT_TRUE(m.retransmitted(1));
   EXPECT_FALSE(m.retransmitted(0));
+}
+
+// OutboundRing against a std::map model: ids inserted in order, erased in a
+// random order (so the ring wraps, grows past finished ids held behind an
+// old one, and advances its base), with lookups of live, finished and
+// never-issued ids after every step.
+TEST(OutboundRing, MatchesMapModel) {
+  using Msg = OutboundMessage<TestOptions>;
+  OutboundRing<Msg> ring;
+  std::map<proto::MsgId, std::int64_t> model;  // id -> total_bytes
+  sim::Rng rng(7);
+  proto::MsgId next = 1;
+  std::vector<Msg*> addrs(1, nullptr);  // by id: a record must never move
+  for (int step = 0; step < 20'000; ++step) {
+    const bool add = model.empty() || (model.size() < 300 && rng.uniform_int(0, 1) == 0);
+    if (add) {
+      Msg& m = ring.insert(next);
+      EXPECT_EQ(m.total_bytes, 0);  // handed out fresh, even from a reused slot
+      m.id = next;
+      m.total_bytes = static_cast<std::int64_t>(next) * 3;
+      m.pkts.resize(2);
+      model[next] = m.total_bytes;
+      addrs.push_back(&m);
+      ++next;
+    } else {
+      // Mostly the oldest (as completions tend to go), sometimes any.
+      auto it = model.begin();
+      if (rng.uniform_int(0, 3) != 0) {
+        std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1));
+      }
+      ring.erase(it->first);
+      model.erase(it);
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    const auto probe = static_cast<proto::MsgId>(rng.uniform_int(0, static_cast<std::int64_t>(next)));
+    Msg* found = ring.find(probe);
+    auto m = model.find(probe);
+    ASSERT_EQ(found != nullptr, m != model.end()) << "id " << probe;
+    if (found != nullptr) {
+      EXPECT_EQ(found, addrs[probe]);
+      EXPECT_EQ(found->total_bytes, m->second);
+    }
+  }
+  std::vector<proto::MsgId> seen;
+  ring.for_each([&](Msg& msg) { seen.push_back(msg.id); });
+  std::vector<proto::MsgId> want;
+  for (const auto& [id, bytes] : model) want.push_back(id);
+  EXPECT_EQ(seen, want);  // id order
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.find(want.empty() ? 1 : want.front()), nullptr);
+  ring.insert(next);  // a cleared ring restarts at any next id
+  EXPECT_NE(ring.find(next), nullptr);
 }
 
 TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {

@@ -394,5 +394,288 @@ TEST(MtpRtt, SrttTracksPath) {
   EXPECT_LT(p.src.srtt().us(), 100.0);
 }
 
+// ----------------------------------------------------------- parked groups
+//
+// A send group whose front packet did not fit a pathlet window parks, and
+// pump() skips it until something that can change that verdict happens (see
+// MtpEndpoint::SendGroup). Each rig below parks a group, then makes its front
+// packet admissible through exactly one kind of event, with every ACK held
+// back so that no uncharge wakes the group instead. The woken packet must
+// leave at once. (Debug builds also assert, on every pump, that no parked
+// group's front packet is admissible.)
+
+/// Switch ingress hook: logs every data packet it forwards, drops chosen
+/// ones, and holds every packet bound to `held_dst` while `hold` is set.
+class Gate : public net::IngressProcessor {
+ public:
+  struct Seen {
+    proto::MsgId msg;
+    std::uint32_t pkt;
+    SimTime at;
+  };
+
+  bool process(net::Packet& pkt, net::Switch& sw) override {
+    if (!pkt.is_mtp()) return false;
+    const proto::MtpHeader& h = pkt.mtp();
+    if (hold && pkt.dst == held_dst) {
+      held.push_back(std::move(pkt));
+      return true;
+    }
+    if (h.is_ack()) return false;
+    log.push_back({h.msg_id, h.pkt_num, sw.simulator().now()});
+    auto drop = std::find(drops.begin(), drops.end(), std::pair{h.msg_id, h.pkt_num});
+    if (drop == drops.end()) return false;
+    drops.erase(drop);
+    return true;
+  }
+
+  /// Forward the held packets that `pred` picks; keep the rest held.
+  template <class Pred>
+  void release(net::Switch& sw, Pred pred) {
+    std::vector<net::Packet> keep;
+    for (net::Packet& p : held) {
+      if (pred(p)) {
+        sw.send(std::move(p));
+      } else {
+        keep.push_back(std::move(p));
+      }
+    }
+    held = std::move(keep);
+  }
+
+  /// When packet `pkt` of `msg` first crossed the switch on or after `from`
+  /// (SimTime::max() if it never did).
+  SimTime sent_at(proto::MsgId msg, std::uint32_t pkt, SimTime from = SimTime::zero()) const {
+    for (const Seen& s : log) {
+      if (s.msg == msg && s.pkt == pkt && s.at >= from) return s.at;
+    }
+    return SimTime::max();
+  }
+
+  std::vector<Seen> log;
+  std::vector<std::pair<proto::MsgId, std::uint32_t>> drops;  ///< each dropped once
+  bool hold = false;
+  net::NodeId held_dst = net::kInvalidNode;
+  std::vector<net::Packet> held;
+};
+
+/// a -- sw -- {b, c} at 100 Gbps, 1 us per link. With `pathlets`, links
+/// a->sw, sw->b and sw->c carry ECN-feedback pathlets 5, 6 and 7, so a learns
+/// the paths {5, 6} and {5, 7}; without, a charges virtual pathlets only.
+struct ParkFabric {
+  net::Network net;
+  net::Host* a;
+  net::Host* b;
+  net::Host* c;
+  net::Switch* sw;
+  net::Link* a_sw;
+  std::shared_ptr<Gate> gate = std::make_shared<Gate>();
+
+  explicit ParkFabric(bool pathlets) {
+    a = net.add_host("a");
+    b = net.add_host("b");
+    c = net.add_host("c");
+    sw = net.add_switch("sw");
+    const net::DropTailQueue::Config q{.capacity_pkts = 1024, .ecn_threshold_pkts = 0};
+    a_sw = net.connect(*a, *sw, Bandwidth::gbps(100), 1_us, q).forward;
+    auto sb = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us, q);
+    auto sc = net.connect(*sw, *c, Bandwidth::gbps(100), 1_us, q);
+    if (pathlets) {
+      a_sw->set_pathlet({.id = 5, .feedback = proto::FeedbackType::kEcn});
+      sb.forward->set_pathlet({.id = 6, .feedback = proto::FeedbackType::kEcn});
+      sc.forward->set_pathlet({.id = 7, .feedback = proto::FeedbackType::kEcn});
+    }
+    net.build_routes();
+    gate->held_dst = a->id();
+    sw->add_ingress(gate);
+  }
+};
+
+struct ParkRig : ParkFabric {
+  MtpEndpoint src;
+  MtpEndpoint to_b;
+  MtpEndpoint to_c;
+
+  explicit ParkRig(bool pathlets, MtpConfig src_cfg = {}, MtpConfig dst_cfg = {})
+      : ParkFabric(pathlets), src(*a, src_cfg), to_b(*b, dst_cfg), to_c(*c, dst_cfg) {
+    to_b.listen_any([](const ReceivedMessage&) {});
+    to_c.listen_any([](const ReceivedMessage&) {});
+  }
+
+  proto::MsgId send(const net::Host* dst, std::int64_t bytes, std::uint8_t priority = 0,
+                    SimTime deadline = SimTime::zero()) {
+    return src.send_message(dst->id(), bytes, {.priority = priority, .deadline = deadline});
+  }
+  void run(SimTime until) { net.simulator().run(until); }
+  void release_all() {
+    gate->hold = false;
+    gate->release(*sw, [](const net::Packet&) { return true; });
+  }
+};
+
+// Eight 1,300 B messages fill a fresh 10,000 B window but the last packet
+// (7 x 1,300 + 1,000 > 10,000) and leave 900 B of headroom.
+constexpr int kFillMsgs = 8;
+constexpr std::int64_t kFillBytes = 1'300;
+
+/// The first of `ids` whose packet 0 has not crossed the switch.
+proto::MsgId first_unsent(const Gate& gate, const std::vector<proto::MsgId>& ids) {
+  for (const proto::MsgId id : ids) {
+    if (gate.sent_at(id, 0) == SimTime::max()) return id;
+  }
+  return 0;
+}
+
+TEST(MtpParkedGroups, UrgentRetransmitOfASmallerLastPacketWakesItsGroup) {
+  ParkRig r(/*pathlets=*/true);
+  r.send(r.b, 1'000);  // learn the path {5, 6}
+  r.run(50_us);
+  // A 1,200 B message whose 200 B last packet is lost, charged to {5, 6}.
+  const proto::MsgId lossy = r.send(r.b, 1'200);
+  r.gate->drops.push_back({lossy, 1});
+  r.run(80_us);
+  // Excluding pathlet 5 moves b to its virtual pathlet; the fill parks there.
+  r.gate->hold = true;
+  r.src.exclude_pathlet(5, 100_ms);
+  std::vector<proto::MsgId> fill;
+  for (int i = 0; i < kFillMsgs; ++i) fill.push_back(r.send(r.b, kFillBytes));
+  r.run(90_us);
+  ASSERT_EQ(first_unsent(*r.gate, fill), fill.back());
+  // The lost packet times out: its uncharge lands on {5, 6}, not on the
+  // virtual pathlet, so only the urgent enqueue can wake the group. The
+  // 200 B retransmission fits the 900 B of headroom and leaves at once.
+  r.run(1_ms);
+  SimTime fill_retx = SimTime::max();
+  for (const Gate::Seen& s : r.gate->log) {
+    if (s.at > 100_us && s.msg != lossy) fill_retx = std::min(fill_retx, s.at);
+  }
+  ASSERT_LT(fill_retx.ns(), SimTime::max().ns());
+  // Timers fire on 10 us wheel ticks: the retransmission leaves at least a
+  // tick before any fill packet times out and uncharges the virtual pathlet.
+  EXPECT_LE(r.gate->sent_at(lossy, 1, 100_us).ns(), (fill_retx - 10_us).ns());
+  r.release_all();
+  r.run(20_ms);
+  EXPECT_EQ(r.src.outstanding_messages(), 0u);
+}
+
+TEST(MtpParkedGroups, ExclusionWakesGroupsOfTheDestination) {
+  ParkRig r(/*pathlets=*/true);
+  r.send(r.b, 1'000);  // learn {5, 6}
+  r.run(50_us);
+  r.gate->hold = true;
+  std::vector<proto::MsgId> fill;
+  for (int i = 0; i < 2 * kFillMsgs; ++i) fill.push_back(r.send(r.b, kFillBytes));
+  r.run(60_us);
+  const proto::MsgId first_parked = first_unsent(*r.gate, fill);
+  ASSERT_NE(first_parked, 0u);
+  // Excluding pathlet 5 drops b's path; the group must retry on the fresh
+  // virtual pathlet right away, not when the held packets time out.
+  r.src.exclude_pathlet(5, 100_ms);
+  r.send(r.c, 100);  // pumps: b's group must be awake by now
+  r.run(1_ms);
+  EXPECT_LT(r.gate->sent_at(first_parked, 0).ns(), (70_us).ns());
+  r.release_all();
+  r.run(20_ms);
+  EXPECT_EQ(r.src.outstanding_messages(), 0u);
+}
+
+TEST(MtpParkedGroups, AutoExclusionFromPenalizeWakesOtherDestinations) {
+  MtpConfig cfg;
+  cfg.auto_exclude_after_losses = 1;
+  cfg.exclude_duration = 100_ms;
+  ParkRig r(/*pathlets=*/true, cfg);
+  // Warm up: pathlet 5 (shared) gets a larger window than 6 (b's last hop).
+  r.send(r.b, 1'000);
+  r.send(r.c, 1'000);
+  r.send(r.c, 1'000);
+  r.run(50_us);
+  r.gate->hold = true;
+  // One packet to c, charged to {5, 7}, whose ACK never comes back.
+  const proto::MsgId to_c = r.send(r.c, 1'000);
+  r.run(80_us);
+  // The fill to b parks on pathlet 6, which the packet to c does not touch.
+  std::vector<proto::MsgId> fill;
+  for (int i = 0; i < 2 * kFillMsgs; ++i) fill.push_back(r.send(r.b, kFillBytes));
+  r.run(90_us);
+  const proto::MsgId first_parked = first_unsent(*r.gate, fill);
+  ASSERT_NE(first_parked, 0u);
+  // c's packet times out first: penalize excludes pathlet 5, which drops
+  // b's path too, so b's group must retry on its virtual pathlet then.
+  r.run(1_ms);
+  const SimTime c_retx = r.gate->sent_at(to_c, 0, 100_us);
+  ASSERT_LT(c_retx.ns(), SimTime::max().ns());
+  // The same 10 us timer tick as c's retransmission, not the fill's own
+  // timeout a tick later.
+  EXPECT_LT(r.gate->sent_at(first_parked, 0).ns(), (c_retx + 10_us).ns());
+  r.release_all();
+  r.run(20_ms);
+  EXPECT_EQ(r.src.outstanding_messages(), 0u);
+}
+
+TEST(MtpParkedGroups, FrontMessageSackedWhileLostWakesItsGroup) {
+  ParkRig r(/*pathlets=*/false);
+  r.gate->hold = true;
+  SimTime front_done = SimTime::max();
+  const proto::MsgId front = r.src.send_message(
+      r.b->id(), 1'000, {}, [&](proto::MsgId, SimTime) { front_done = r.net.simulator().now(); });
+  r.run(5_us);
+  // From now on a->sw stamps pathlet 5; `front` crossed it unstamped.
+  r.a_sw->set_pathlet({.id = 5, .feedback = proto::FeedbackType::kEcn});
+  r.send(r.b, 3'000, /*priority=*/1);
+  r.run(20_us);
+  r.gate->release(*r.sw, [&](const net::Packet& p) { return p.mtp().msg_id != front; });
+  r.run(900_us);  // b's path is {5}, whose window grew to 13,000 B
+  // Ten 1,400 B messages of another group fill pathlet 5 but 400 B.
+  for (int i = 0; i < 10; ++i) r.send(r.b, 1'400, /*priority=*/1);
+  // ~1 ms: `front` times out on its virtual pathlet; its 1,000 B
+  // retransmission does not fit pathlet 5, and a 100 B message queues
+  // behind it.
+  r.run(1'020_us);
+  ASSERT_EQ(r.gate->sent_at(front, 0, 1_ms).ns(), SimTime::max().ns());
+  const proto::MsgId small = r.send(r.b, 100);
+  r.run(1'050_us);
+  ASSERT_EQ(r.gate->sent_at(small, 0).ns(), SimTime::max().ns());
+  // The first transmission's ACK arrives late and without feedback: the
+  // lost packet is SACKed and `front` completes, updating only its virtual
+  // pathlet. The 100 B message is the new head, and it fits.
+  r.gate->release(*r.sw, [&](const net::Packet& p) { return p.mtp().msg_id == front; });
+  r.run(1'080_us);
+  ASSERT_LT(front_done.ns(), SimTime::max().ns());
+  EXPECT_LT(r.gate->sent_at(small, 0).ns(), (front_done + 2_us).ns());
+  r.release_all();
+  r.run(20_ms);
+  EXPECT_EQ(r.src.outstanding_messages(), 0u);
+}
+
+TEST(MtpParkedGroups, AbortedFrontMessageWakesItsGroup) {
+  MtpConfig rx;
+  rx.overload.enabled = true;  // b busy-rejects messages past their deadline
+  ParkRig r(/*pathlets=*/false, {}, rx);
+  r.gate->hold = true;
+  SimTime rejected_at = SimTime::max();
+  r.src.on_rejected = [&](proto::MsgId, net::NodeId, bool) {
+    rejected_at = r.net.simulator().now();
+  };
+  const proto::MsgId front = r.send(r.b, 1'000, 0, /*deadline=*/1_ns);
+  r.run(10_us);
+  r.send(r.b, 4'500, /*priority=*/1);  // another group, same window
+  // ~1 ms: `front` times out; the loss halves the window to 5,000 B, and its
+  // 1,000 B retransmission does not fit beside the 4,500 B in flight.
+  r.run(1'100_us);
+  ASSERT_EQ(r.gate->sent_at(front, 0, 1_ms).ns(), SimTime::max().ns());
+  const proto::MsgId small = r.send(r.b, 100);
+  r.run(1'200_us);
+  ASSERT_EQ(r.gate->sent_at(small, 0).ns(), SimTime::max().ns());
+  // The busy-reject of the first transmission aborts `front`, which has
+  // nothing in flight to uncharge: only the abort can wake the group.
+  r.gate->release(*r.sw, [&](const net::Packet& p) { return p.mtp().msg_id == front; });
+  r.run(1'300_us);
+  ASSERT_LT(rejected_at.ns(), SimTime::max().ns());
+  EXPECT_LT(r.gate->sent_at(small, 0).ns(), (rejected_at + 2_us).ns());
+  r.release_all();
+  r.run(20_ms);
+  EXPECT_EQ(r.src.outstanding_messages(), 0u);
+}
+
 }  // namespace
 }  // namespace mtp::core
