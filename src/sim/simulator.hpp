@@ -7,7 +7,7 @@
 //
 // The hot path is allocation-free (docs/perf.md): callbacks are sim::Task
 // (small-buffer optimized, no heap for anything up to a captured Packet) and
-// the queue is a vector-backed 4-ary min-heap of 24-byte entries whose Tasks
+// the queue is a vector-backed binary min-heap of 24-byte entries whose Tasks
 // live in recycled side slots. Cancellation is O(1) and lazy: it flips a flag
 // in the event's slot, and the entry is discarded when it reaches the top of
 // the heap. EventIds carry a slot generation, so cancelling an event that
@@ -172,6 +172,7 @@ class Simulator {
     std::uint64_t seq;   ///< tie-break: canonical key, or kFifoBit | counter
     std::uint32_t slot;  ///< index into slots_
   };
+  static_assert(sizeof(HeapEntry) == 24);
 
   struct Slot {
     Task task;
@@ -185,10 +186,15 @@ class Simulator {
   // feet). Stability is what lets run() invoke tasks in place: one
   // move-construct at schedule() and one destroy after execution, nothing
   // else touches the capture state.
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+  //
+  // (when, seq) compared as one unsigned 128-bit key: `when` is never
+  // negative (nothing is scheduled before time 0), so its bits sort like
+  // the signed value, and the compare compiles to cmp/sbb with no branch.
+  __extension__ typedef unsigned __int128 Key;
+  static Key key(const HeapEntry& e) {
+    return (static_cast<Key>(static_cast<std::uint64_t>(e.when.ns())) << 64) | e.seq;
   }
+  static bool before(const HeapEntry& a, const HeapEntry& b) { return key(a) < key(b); }
 
   std::uint32_t acquire_slot() {
     const std::uint32_t idx = slots_.acquire();
@@ -222,7 +228,7 @@ class Simulator {
   void pop_top();
 
   SimTime now_;
-  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap on (when, seq)
+  std::vector<HeapEntry> heap_;  ///< binary min-heap on (when, seq)
   SlotPool<Slot> slots_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -8,6 +8,7 @@
 #include <deque>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -206,29 +207,48 @@ TEST(Simulator, CancelDoesNotLeakPendingEntries) {
 }
 
 // Fuzz the schedule/cancel/run interleaving against a trivial oracle: a
-// sorted list of (time, seq) pairs with cancellation flags. Execution order
-// must match the oracle exactly — timestamp order, FIFO within a timestamp,
-// cancelled events skipped.
+// sorted list of events with cancellation flags. Execution order must match
+// the oracle exactly — timestamp order; at one timestamp, keyed events by
+// ascending key before FIFO events in scheduling order; cancelled events
+// skipped. About a third of the events are keyed, with keys drawn so that
+// their order differs from their scheduling order, and many share a
+// timestamp. The last rounds run just below SimTime::max(), where the heap's
+// 128-bit (when, seq) key has no headroom left; events at exactly max() never
+// run, since run()'s bound is exclusive.
 TEST(Simulator, FuzzScheduleCancelMatchesOracle) {
   Rng rng(0xC0FFEE);
   Simulator sim;
   struct Expected {
     std::int64_t when_ns;
-    std::uint64_t seq;
+    bool fifo;             ///< FIFO events run after keyed ones at one time
+    std::uint64_t order;   ///< the key, or the FIFO scheduling index
+    std::uint64_t tag;
     bool cancelled = false;
   };
   std::vector<Expected> oracle;
   std::vector<EventId> ids;
   std::vector<std::uint64_t> executed;
-  std::uint64_t seq = 0;
-  for (int round = 0; round < 50; ++round) {
-    const std::int64_t base = sim.now().ns();
+  std::uint64_t tag_seq = 0;
+  const std::int64_t kMax = SimTime::max().ns();
+  for (int round = 0; round < 70; ++round) {
+    // Rounds 50+ jump just below the end of time.
+    const std::int64_t base = round < 50 ? sim.now().ns()
+                                         : std::max(sim.now().ns(), kMax - 20'000);
     for (int i = 0; i < 40; ++i) {
-      const std::int64_t when = base + rng.uniform_int(0, 500);
-      const std::uint64_t tag = seq++;
-      ids.push_back(sim.schedule_at(SimTime::nanoseconds(when),
-                                    [&executed, tag] { executed.push_back(tag); }));
-      oracle.push_back({when, tag});
+      std::int64_t when = base + rng.uniform_int(0, 60) * 8;  // frequent ties
+      if (round >= 50 && rng.uniform_int(0, 9) == 0) when = kMax;
+      const std::uint64_t tag = tag_seq++;
+      auto fn = [&executed, tag] { executed.push_back(tag); };
+      if (rng.uniform_int(0, 2) == 0) {
+        // Unique key whose high bits are random: key order != schedule order.
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)) << 24) | tag;
+        ids.push_back(sim.schedule_keyed_at(SimTime::nanoseconds(when), key, fn));
+        oracle.push_back({when, false, key, tag});
+      } else {
+        ids.push_back(sim.schedule_at(SimTime::nanoseconds(when), fn));
+        oracle.push_back({when, true, tag, tag});
+      }
     }
     // Cancel a random ~25% of everything scheduled so far (idempotent:
     // already-run and already-cancelled ids are hit too).
@@ -237,31 +257,35 @@ TEST(Simulator, FuzzScheduleCancelMatchesOracle) {
       if (!oracle[i].cancelled && oracle[i].when_ns >= sim.now().ns()) {
         // Only not-yet-executed events are actually cancellable; the oracle
         // mirrors that by checking against the clock at cancel time.
-        bool already_ran = false;
-        for (const std::uint64_t tag : executed) {
-          if (tag == oracle[i].seq) {
-            already_ran = true;
-            break;
-          }
-        }
+        const bool already_ran =
+            std::find(executed.begin(), executed.end(), oracle[i].tag) != executed.end();
         if (!already_ran) oracle[i].cancelled = true;
       }
     }
-    sim.run(SimTime::nanoseconds(base + rng.uniform_int(0, 600)));
+    const std::int64_t until = base + rng.uniform_int(0, 600);
+    sim.run(SimTime::nanoseconds(std::min(until, kMax - 1)));
   }
   sim.run();
 
   std::vector<Expected> live;
+  std::size_t at_max = 0;
   for (const auto& e : oracle) {
-    if (!e.cancelled) live.push_back(e);
+    if (e.cancelled) continue;
+    if (e.when_ns == kMax) {
+      ++at_max;
+    } else {
+      live.push_back(e);
+    }
   }
-  std::stable_sort(live.begin(), live.end(), [](const Expected& a, const Expected& b) {
-    if (a.when_ns != b.when_ns) return a.when_ns < b.when_ns;
-    return a.seq < b.seq;
+  std::sort(live.begin(), live.end(), [](const Expected& a, const Expected& b) {
+    return std::tie(a.when_ns, a.fifo, a.order) < std::tie(b.when_ns, b.fifo, b.order);
   });
+  ASSERT_GT(at_max, 0u);
+  EXPECT_EQ(sim.next_event_time(), SimTime::max());
+  EXPECT_GE(sim.pending_events(), at_max);  // plus cancelled ones not yet popped
   ASSERT_EQ(executed.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(executed[i], live[i].seq) << "divergence at position " << i;
+    EXPECT_EQ(executed[i], live[i].tag) << "divergence at position " << i;
   }
 }
 
