@@ -9,10 +9,12 @@
 //    contract, docs/perf.md);
 //  - a --smoke mode that runs a fixed workload and prints machine-readable
 //    `events_per_sec=` / `allocs_per_event=` / `switch_forward_ns=` /
-//    `link_hop_ns=` lines for scripts/check.sh to compare against the
-//    recorded baseline in BENCH_core.json.
+//    `link_hop_ns=` / `heap_op_ns=` / `mtp_ack_ns=` lines for
+//    scripts/check.sh to compare against the recorded baseline in
+//    BENCH_core.json.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -310,6 +312,130 @@ void BM_LinkHop(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkHop)->Unit(benchmark::kMillisecond);
 
+// Event-heap churn: 1,024 pending events, each of which schedules its
+// successor 0-1,008 ns ahead on a 16 ns grid (so timestamps often tie), from
+// a fixed table in which about half the events are keyed and half FIFO. Each
+// event is one pop and one push, with no other work: heap_op_ns is the wall
+// time per heap operation.
+class HeapProbe {
+ public:
+  static constexpr int kPending = 1024;
+
+  HeapProbe() {
+    std::mt19937_64 rng(3);
+    for (Step& s : steps_) {
+      s.delay = sim::SimTime::nanoseconds(static_cast<std::int64_t>(rng() % 64) * 16);
+      s.keyed = (rng() & 1) != 0;
+    }
+    for (int i = 0; i < kPending; ++i) next();
+  }
+
+  /// Runs at least `events` more events; returns how many ran.
+  std::uint64_t run(std::uint64_t events) {
+    const std::uint64_t before = sim_.events_executed();
+    while (sim_.events_executed() - before < events) sim_.run(sim_.now() + 1_us);
+    return sim_.events_executed() - before;
+  }
+
+ private:
+  struct Step {
+    sim::SimTime delay;
+    bool keyed = false;
+  };
+
+  void next() {
+    const Step& s = steps_[cursor_++ % steps_.size()];
+    if (s.keyed) {
+      sim_.schedule_keyed_at(sim_.now() + s.delay, ++key_, [this] { next(); });
+    } else {
+      sim_.schedule_at(sim_.now() + s.delay, [this] { next(); });
+    }
+  }
+
+  sim::Simulator sim_;
+  std::array<Step, 4096> steps_;
+  std::size_t cursor_ = 0;
+  std::uint64_t key_ = 0;
+};
+
+void BM_HeapOp(benchmark::State& state) {
+  HeapProbe probe;
+  std::uint64_t events = 0;
+  for (auto _ : state) events += probe.run(10'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(2 * events));  // push + pop
+}
+BENCHMARK(BM_HeapOp);
+
+// The MTP sender's ACK path at k8_burst's per-host load: one endpoint sends
+// 25 ten-packet messages to each of 16 destinations, and every data packet
+// is SACKed by an ACK of its own, handed straight to the sender's host. A
+// sink node swallows the data. Each round drains the (1.6 Tbps) link, then
+// delivers the ACKs for everything that arrived; windows open by slow start,
+// so each ACK serves one send group while the other destinations' groups
+// sit window-blocked. Only the ACK deliveries are timed: SACK bookkeeping,
+// uncharge, window update, completion, and the pump that sends the next
+// packets.
+class MtpAckProbe {
+ public:
+  static constexpr int kDsts = 16;
+  static constexpr int kMsgsPerDst = 25;
+
+  /// One burst from a fresh endpoint; returns the ACKs delivered and adds
+  /// the time spent delivering them to `ns`.
+  static std::uint64_t burst(double& ns) {
+    using Clock = std::chrono::steady_clock;
+    net::Network net;
+    net::Host* a = net.add_host("a");
+    Sink sink(net.simulator());
+    net.connect_simplex(*a, sink, sim::Bandwidth::gbps(1600), 1_us,
+                        std::make_unique<net::DropTailQueue>(
+                            net::DropTailQueue::Config{.capacity_pkts = 1 << 14}));
+    core::MtpEndpoint src(*a, {});
+    for (int m = 0; m < kMsgsPerDst; ++m) {
+      for (int d = 0; d < kDsts; ++d) {
+        src.send_message(static_cast<net::NodeId>(100 + d), 10'000, {.dst_port = 80});
+      }
+    }
+    std::uint64_t acks = 0;
+    std::vector<net::Packet> batch;
+    while (src.outstanding_messages() > 0) {
+      net.simulator().run(net.simulator().now() + 20_us);
+      batch.clear();
+      for (const net::Packet& d : sink.data) {
+        net::Packet ack = transport::make_reply(d, d.dst);
+        ack.mtp().sack() = {{d.mtp().msg_id, d.mtp().pkt_num}};
+        ack.header_bytes = transport::mtp_header_bytes(ack.mtp());
+        batch.push_back(std::move(ack));
+      }
+      sink.data.clear();
+      if (batch.empty()) break;  // nothing in flight: cannot make progress
+      const auto t0 = Clock::now();
+      for (net::Packet& ack : batch) a->receive(std::move(ack), 0);
+      ns += std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+      acks += batch.size();
+    }
+    return acks;
+  }
+
+ private:
+  class Sink : public net::Node {
+   public:
+    explicit Sink(sim::Simulator& s) : Node(s, 1'000'000, "sink") {}
+    void receive(net::Packet&& pkt, net::PortIndex) override { data.push_back(std::move(pkt)); }
+    void send(net::Packet&&) override {}
+    std::vector<net::Packet> data;
+  };
+};
+
+void BM_MtpAck(benchmark::State& state) {
+  std::uint64_t acks = 0;
+  double ns = 0.0;
+  for (auto _ : state) acks += MtpAckProbe::burst(ns);
+  state.SetItemsProcessed(static_cast<std::int64_t>(acks));
+  state.counters["ack_ns"] = benchmark::Counter(ns / static_cast<double>(acks));
+}
+BENCHMARK(BM_MtpAck)->Unit(benchmark::kMillisecond);
+
 // One end-to-end MTP transfer over host -> switch -> host; the workload
 // behind BM_EndToEndMtpTransfer and the --smoke probe. Returns the number of
 // simulator events executed.
@@ -353,8 +479,8 @@ BENCHMARK(BM_EndToEndMtpTransfer)->Unit(benchmark::kMicrosecond);
 // --smoke: fixed workload, machine-readable output, no benchmark machinery.
 // scripts/check.sh compares events_per_sec against BENCH_core.json (>25%
 // regression fails) and bounds allocs_per_event on the pure-scheduler churn;
-// switch_forward_ns and link_hop_ns are recorded in BENCH_core.json's
-// history, not gated.
+// switch_forward_ns, link_hop_ns, heap_op_ns and mtp_ack_ns are recorded in
+// BENCH_core.json's history, not gated.
 int smoke_main() {
   using Clock = std::chrono::steady_clock;
 
@@ -412,11 +538,36 @@ int smoke_main() {
     if (attempt == 0 || ns < best_hop_ns) best_hop_ns = ns;
   }
 
+  // Heap probe: best-of-3 mean nanoseconds per heap operation, 2M events
+  // (4M operations) each.
+  HeapProbe heap;
+  double best_heap_ns = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const auto t0 = Clock::now();
+    const std::uint64_t events = heap.run(2'000'000);
+    const std::chrono::duration<double, std::nano> dt = Clock::now() - t0;
+    const double ns = dt.count() / static_cast<double>(2 * events);
+    if (attempt == 0 || ns < best_heap_ns) best_heap_ns = ns;
+  }
+
+  // MTP ACK probe: best-of-3 mean nanoseconds per ACK, 20 bursts (80k
+  // ACKs) each.
+  double best_ack_ns = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    double ns = 0.0;
+    std::uint64_t acks = 0;
+    for (int i = 0; i < 20; ++i) acks += MtpAckProbe::burst(ns);
+    const double per_ack = ns / static_cast<double>(acks);
+    if (attempt == 0 || per_ack < best_ack_ns) best_ack_ns = per_ack;
+  }
+
   std::printf("events_per_sec=%.0f\n", best_events_per_sec);
   std::printf("allocs_per_event=%.6f\n",
               static_cast<double>(churn_allocs) / static_cast<double>(churn_events));
   std::printf("switch_forward_ns=%.2f\n", best_forward_ns);
   std::printf("link_hop_ns=%.2f\n", best_hop_ns);
+  std::printf("heap_op_ns=%.2f\n", best_heap_ns);
+  std::printf("mtp_ack_ns=%.2f\n", best_ack_ns);
   return 0;
 }
 
