@@ -39,36 +39,39 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Each replacement is noinline: inlined into its callers, g++ sees `new[]`
+// (which forwards to `::operator new`) paired with `free` and reports
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
-void* operator new(std::size_t n, std::align_val_t al) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(al);
   if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return ::operator new(n, t);
 }
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 using namespace mtp;
 using namespace mtp::sim::literals;

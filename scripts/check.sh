@@ -4,6 +4,7 @@
 #   check.sh [asan]        sanitizer gate: full test suite under ASan/UBSan
 #   check.sh tsan          thread gate: ParallelSweep tests under TSan
 #   check.sh chaos         robustness gate: fixed-seed chaos schedules under ASan
+#   check.sh werror        warnings gate: the whole tree builds with -Werror
 #   check.sh bench-smoke   perf gate: bench_micro_core --smoke vs BENCH_core.json
 #   check.sh scale-smoke   scale gate: bench_scale --smoke vs BENCH_scale.json
 #   check.sh stream-smoke  stream gate: bench_stream_loss --smoke vs BENCH_scale.json
@@ -70,6 +71,14 @@ run_chaos() {
     -R 'Chaos|FaultInjector|RecoveryEdge|Impairment|Device|KvsCache|MutationOffload'
 }
 
+run_werror() {
+  # Every target (src, tests, benches, examples) built with -Wall -Wextra
+  # -Werror at -O2, where g++ warns about what it sees after inlining. The
+  # asan lane runs the suite; this lane only compiles.
+  cmake --preset werror -S "$repo"
+  cmake --build --preset werror -j "$jobs"
+}
+
 run_smoke() {
   # run_smoke <bench target> <BENCH file>: build the bench, run its --smoke
   # mode and judge the key=value lines it prints against the file's gates for
@@ -86,18 +95,19 @@ case "$mode" in
   asan) run_asan ;;
   tsan) run_tsan ;;
   chaos) run_chaos ;;
+  werror) run_werror ;;
   bench-smoke) run_smoke bench_micro_core BENCH_core.json ;;
   scale-smoke) run_smoke bench_scale BENCH_scale.json ;;
   stream-smoke) run_smoke bench_stream_loss BENCH_scale.json ;;
   overload-smoke) run_smoke bench_overload BENCH_scale.json ;;
   transport-smoke) run_smoke bench_fig3_short_flows BENCH_scale.json ;;
   all)
-    for m in asan tsan chaos bench-smoke scale-smoke stream-smoke overload-smoke transport-smoke; do
+    for m in asan tsan chaos werror bench-smoke scale-smoke stream-smoke overload-smoke transport-smoke; do
       "$0" "$m"
     done
     ;;
   *)
-    echo "usage: check.sh [asan|tsan|chaos|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|all]" >&2
+    echo "usage: check.sh [asan|tsan|chaos|werror|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|all]" >&2
     exit 2
     ;;
 esac

@@ -18,10 +18,12 @@ namespace mtp::innetwork {
 /// quantum so equal-demand TCs get equal bandwidth regardless of flow count.
 class WfqQueue final : public net::Queue {
  public:
+  /// Bytes of deficit each active class earns per round.
+  static constexpr std::int64_t kQuantumBytes = 1500;
+
   struct Config {
     std::size_t per_tc_capacity_pkts = 128;
     std::size_t ecn_threshold_pkts = 0;
-    std::int64_t quantum_bytes = 1500;
   };
 
   explicit WfqQueue(Config cfg) : cfg_(cfg) {}
@@ -58,7 +60,7 @@ class WfqQueue final : public net::Queue {
         continue;
       }
       if (!q.fresh_round) {
-        q.deficit += cfg_.quantum_bytes;
+        q.deficit += kQuantumBytes;
         q.fresh_round = true;
       }
       const auto head_size = stored(q.pkts.front()).size_bytes();
@@ -75,7 +77,7 @@ class WfqQueue final : public net::Queue {
       q.fresh_round = false;
       rr_ = static_cast<std::uint8_t>(rr_ + 1);
     }
-    // Quantum smaller than every head packet (misconfiguration): serve the
+    // No head packet fit within two quanta (jumbo packets): serve the
     // current class anyway rather than deadlock.
     for (std::size_t i = 0; i < queues_.size(); ++i) {
       TcQueue& q = queues_[(rr_ + i) % queues_.size()];
@@ -111,63 +113,6 @@ class WfqQueue final : public net::Queue {
   std::size_t pkts_ = 0;
   std::int64_t bytes_ = 0;
   std::uint8_t rr_ = 0;
-};
-
-/// Strict-priority queue over the packet's application-assigned priority
-/// (paper §3.1.1: "a priority ... describing the relative priority of
-/// parallel messages"). Higher priority values are served first; equal
-/// priorities stay FIFO. Capacity and ECN marking apply per priority level.
-class StrictPriorityQueue final : public net::Queue {
- public:
-  struct Config {
-    std::size_t per_level_capacity_pkts = 128;
-    std::size_t ecn_threshold_pkts = 0;
-  };
-
-  explicit StrictPriorityQueue(Config cfg) : cfg_(cfg) {}
-  ~StrictPriorityQueue() override { discard_all(); }
-
-  bool enqueue(net::Packet&& pkt) override {
-    auto& q = levels_[pkt.priority];
-    if (q.size() >= cfg_.per_level_capacity_pkts) {
-      note_tail_drop(pkt);
-      return false;
-    }
-    if (cfg_.ecn_threshold_pkts != 0 && q.size() >= cfg_.ecn_threshold_pkts &&
-        pkt.ecn != net::Ecn::kNotEct) {
-      pkt.ecn = net::Ecn::kCe;
-      ++stats_.ecn_marked;
-    }
-    bytes_ += pkt.size_bytes();
-    ++pkts_;
-    q.push_back(store(std::move(pkt)));
-    ++stats_.enqueued;
-    return true;
-  }
-
-  net::PacketHandle dequeue_handle() override {
-    if (pkts_ == 0) return net::kNoPacket;
-    for (int level = 255; level >= 0; --level) {
-      auto& q = levels_[static_cast<std::size_t>(level)];
-      if (q.empty()) continue;
-      const net::PacketHandle h = q.pop_front();
-      bytes_ -= stored(h).size_bytes();
-      --pkts_;
-      ++stats_.dequeued;
-      return h;
-    }
-    return net::kNoPacket;
-  }
-
-  std::size_t len_pkts() const override { return pkts_; }
-  std::int64_t len_bytes() const override { return bytes_; }
-  std::size_t level_len_pkts(std::uint8_t level) const { return levels_[level].size(); }
-
- private:
-  Config cfg_;
-  std::array<sim::RingBuffer<net::PacketHandle>, 256> levels_;
-  std::size_t pkts_ = 0;
-  std::int64_t bytes_ = 0;
 };
 
 /// NDP-style trimming queue: when the data queue is full, an arriving MTP

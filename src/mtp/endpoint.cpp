@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/link.hpp"
 #include "telemetry/trace.hpp"
 
 namespace mtp::core {
@@ -11,7 +12,6 @@ using transport::PktState;
 
 MtpEndpoint::MtpEndpoint(net::Node& node, MtpConfig cfg)
     : node_(node), cfg_(cfg), sim_(node.simulator()) {
-  cfg_.cc.mss = cfg_.mss;  // packets and CC windows count the same mss
   node_.set_mtp_handler([this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
   paths_.push_back({{proto::kDefaultPathlet}, {}});  // PathIndex 0 = default path
   // Retransmission timers live on the simulator's shared timer wheel, one
@@ -88,11 +88,8 @@ proto::MsgId MtpEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
   msg.packetize(bytes, cfg_.mss);
   msg.started_at = sim_.now();
   msg.done = std::move(on_delivered);
-  if (cfg_.scheduling == MtpConfig::Scheduling::kSrpt) {
-    srpt_order_.push_back(id);
-  } else {
-    enqueue_send(msg, /*urgent=*/false);
-  }
+  msg.group = &group_for(msg);
+  enqueue_send(msg, /*urgent=*/false);
   pump();
   return id;
 }
@@ -118,10 +115,6 @@ MtpEndpoint::SendGroup& MtpEndpoint::group_for(const OutgoingMessage& msg) {
 }
 
 void MtpEndpoint::enqueue_send(OutgoingMessage& msg, bool urgent) {
-  // SRPT re-derives its service order from srpt_order_ each pump and never
-  // drains the group queues, so don't grow them.
-  if (cfg_.scheduling == MtpConfig::Scheduling::kSrpt) return;
-  if (!msg.group) msg.group = &group_for(msg);
   SendGroup& g = *msg.group;
   // A retransmission changes the message's next packet even when the
   // message is queued already.
@@ -199,7 +192,7 @@ void MtpEndpoint::penalize(PathIndex path, proto::TrafficClassId tc, LossKind ki
 }
 
 PathletCc& MtpEndpoint::cc(CcState& st, proto::FeedbackType type_hint) {
-  if (!st.algo) st.algo = make_cc(type_hint, cfg_.cc);
+  if (!st.algo) st.algo = make_cc(type_hint, cfg_.mss);
   ++st.wakes;
   return *st.algo;
 }
@@ -243,7 +236,7 @@ MtpEndpoint::CcState* MtpEndpoint::admit(PathIndex path, proto::TrafficClassId t
                                          std::int64_t bytes) {
   for (CcState* st : cc_states(path, tc)) {
     const std::int64_t wnd =
-        st->algo ? st->algo->window_bytes() : cfg_.cc.init_window_bytes();
+        st->algo ? st->algo->window_bytes() : init_window_bytes(cfg_.mss);
     if (st->inflight + bytes > wnd) return st;
   }
   return nullptr;
@@ -261,10 +254,6 @@ void MtpEndpoint::uncharge(PathIndex path, proto::TrafficClassId tc, std::int64_
 }
 
 void MtpEndpoint::pump() {
-  if (cfg_.scheduling == MtpConfig::Scheduling::kSrpt) {
-    pump_srpt();
-    return;
-  }
   check_parked();
   // Serve groups in priority order; inside a group, drain messages FIFO
   // until one is blocked — every message behind it shares the same
@@ -316,35 +305,6 @@ void MtpEndpoint::check_parked() {
     assert(refused && "a parked group's front packet is not admissible");
   }
 #endif
-}
-
-/// Shortest remaining processing time: fewest unacknowledged packets first;
-/// application priority still dominates. Re-sorting by remaining work on
-/// every pump is inherently O(n log n) — SRPT keeps the old global-scan
-/// machinery and is not meant for six-digit message counts.
-void MtpEndpoint::pump_srpt() {
-  if (srpt_order_.empty()) return;
-  std::erase_if(srpt_order_, [this](proto::MsgId id) { return !outgoing_.contains(id); });
-  // `order` is a reused member scratch: pump runs once per received ack, and
-  // a fresh vector here was one malloc/free per call.
-  std::vector<proto::MsgId>& order = pump_order_;
-  order.assign(srpt_order_.begin(), srpt_order_.end());
-  if (order.size() > 1) {
-    std::stable_sort(order.begin(), order.end(), [this](proto::MsgId a, proto::MsgId b) {
-      const OutgoingMessage& ma = *outgoing_.find(a);
-      const OutgoingMessage& mb = *outgoing_.find(b);
-      if (ma.opts.priority != mb.opts.priority) {
-        return ma.opts.priority > mb.opts.priority;
-      }
-      return ma.total_pkts - ma.sacked < mb.total_pkts - mb.sacked;
-    });
-  }
-  for (const proto::MsgId id : order) {
-    OutgoingMessage* msg = outgoing_.find(id);
-    if (msg == nullptr) continue;
-    CcState* full = nullptr;
-    service_msg(*msg, full);
-  }
 }
 
 bool MtpEndpoint::service_msg(OutgoingMessage& msg, CcState*& full) {
@@ -488,19 +448,8 @@ void MtpEndpoint::on_packet(net::Packet&& pkt) {
     // sender's timer recovers.
     ++checksum_drops_;
     if (telemetry::TraceSink::enabled()) {
-      const auto& hdr = pkt.mtp();
-      telemetry::TraceEvent ev;
-      ev.t = sim_.now();
-      ev.type = telemetry::TraceEventType::kChecksumDrop;
-      ev.component = node_.name();
-      ev.src = pkt.src;
-      ev.dst = pkt.dst;
-      ev.msg_id = hdr.msg_id;
-      ev.pkt_num = hdr.pkt_num;
-      ev.bytes = pkt.size_bytes();
-      ev.tc = pkt.tc;
-      ev.flow = pkt.flow_hash;
-      telemetry::trace().record(ev);
+      telemetry::trace().record(net::packet_trace_event(
+          sim_.now(), telemetry::TraceEventType::kChecksumDrop, node_.name(), pkt));
     }
     if (!pkt.mtp().is_ack()) queue_ack(pkt, /*nack=*/true, {}, /*flush_now=*/true);
     return;
@@ -582,17 +531,8 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   p.header_bytes = transport::mtp_header_bytes(hdr);
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
-    telemetry::TraceEvent ev;
-    ev.t = sim_.now();
-    ev.type = telemetry::TraceEventType::kAck;
-    ev.component = node_.name();
-    ev.src = p.src;
-    ev.dst = p.dst;
-    ev.msg_id = hdr.msg_id;
-    ev.pkt_num = hdr.pkt_num;
-    ev.bytes = p.size_bytes();
-    ev.tc = p.tc;
-    ev.flow = p.flow_hash;
+    telemetry::TraceEvent ev =
+        net::packet_trace_event(sim_.now(), telemetry::TraceEventType::kAck, node_.name(), p);
     ev.value = hdr.sack().size();
     telemetry::trace().record(ev);
     for (const auto& n : hdr.nack()) {
@@ -611,10 +551,18 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
   const auto& hdr = pkt.mtp();
   const transport::MsgKey key{pkt.src, hdr.msg_id};
 
+  // Almost every packet belongs to a message already under reassembly. Such
+  // a message is in neither tombstone set (a key enters one only as it
+  // leaves incoming_ or instead of entering it, and a tombstoned key is
+  // never admitted), and shedding only applies to fresh messages, so a hit
+  // skips all three lookups.
+  auto it = incoming_.find(key);
+  const bool fresh = it == incoming_.end();
+
   // Packet of a message this endpoint busy-rejected: re-reject to quench the
   // sender (mirrors the completed_ re-ACK). A rejected message must never be
   // partially reassembled, let alone delivered.
-  if (rejected_.contains(key)) {
+  if (fresh && rejected_.contains(key)) {
     send_busy_reject(pkt, proto::kOverloadBusy);
     return;
   }
@@ -628,38 +576,37 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
   }
 
   // Duplicate of an already-delivered message: re-ACK to quench the sender.
-  if (completed_.contains(key)) {
+  if (fresh && completed_.contains(key)) {
     queue_ack(pkt, /*nack=*/false, {}, /*flush_now=*/true);
     return;
   }
 
   if (!transport::Reassembly::well_formed(hdr)) return;
 
-  // Overload shedding — only for messages not yet under reassembly (an
-  // admitted message is a commitment: it completes). Deadline-expired work
-  // is shed first (serving it would be wasted — the metastable-failure
-  // fuel), then the watermark sheds low-priority fresh messages while the
-  // reassembly table is saturated. Both paths send an explicit kBusy reject,
-  // never a silent drop.
-  const auto& ov = cfg_.overload;
-  if (ov.enabled && !incoming_.contains(key)) {
-    const std::uint64_t dl = hdr.deadline_ns();
-    if (ov.shed_expired && dl != 0 &&
-        static_cast<std::uint64_t>(sim_.now().ns()) > dl) {
-      ++deadline_expiries_;
-      reject_message(key, pkt, proto::kOverloadBusy | proto::kOverloadExpired);
-      return;
-    }
-    if (ov.max_incoming_msgs != 0 && incoming_.size() >= ov.max_incoming_msgs &&
-        hdr.priority < ov.shed_below_priority) {
-      reject_message(key, pkt, proto::kOverloadBusy);
-      return;
-    }
-  }
-
-  auto [it, fresh] = incoming_.try_emplace(key);
-  IncomingMessage& msg = it->second;
   if (fresh) {
+    // Overload shedding — only for messages not yet under reassembly (an
+    // admitted message is a commitment: it completes). Deadline-expired
+    // work is shed first (serving it would be wasted — the metastable-
+    // failure fuel), then the watermark sheds low-priority fresh messages
+    // while the reassembly table is saturated. Both paths send an explicit
+    // kBusy reject, never a silent drop.
+    const auto& ov = cfg_.overload;
+    if (ov.enabled) {
+      const std::uint64_t dl = hdr.deadline_ns();
+      if (ov.shed_expired && dl != 0 &&
+          static_cast<std::uint64_t>(sim_.now().ns()) > dl) {
+        ++deadline_expiries_;
+        reject_message(key, pkt, proto::kOverloadBusy | proto::kOverloadExpired);
+        return;
+      }
+      if (ov.max_incoming_msgs != 0 && incoming_.size() >= ov.max_incoming_msgs &&
+          hdr.priority < ov.shed_below_priority) {
+        reject_message(key, pkt, proto::kOverloadBusy);
+        return;
+      }
+    }
+    it = incoming_.try_emplace(key).first;
+    IncomingMessage& msg = it->second;
     msg.start(hdr.msg_len_pkts);
     msg.total_bytes = static_cast<std::int64_t>(hdr.msg_len_bytes);
     msg.priority = hdr.priority;
@@ -668,6 +615,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     msg.dst_port = hdr.dst_port;
     msg.first_pkt_at = sim_.now();
   }
+  IncomingMessage& msg = it->second;
   if (pkt.app) msg.app = *pkt.app;
   if (hdr.has_stream()) msg.stream = *hdr.stream;
   if (hdr.deadline_ns() != 0) msg.deadline_ns = hdr.deadline_ns();

@@ -61,19 +61,11 @@ inline constexpr std::int64_t kUnsolicitedGrantBytes = 16000;
 
 struct MtpConfig {
   std::uint32_t mss = 1000;  ///< payload bytes per packet; also the CC's mss
-  CcConfig cc;
 
   /// Automatically exclude a pathlet after this many consecutive timeout
   /// losses on it (0 disables auto-exclusion).
   int auto_exclude_after_losses = 0;
   sim::SimTime exclude_duration = sim::SimTime::milliseconds(1);
-
-  /// Order in which the sender serves its outstanding messages.
-  enum class Scheduling {
-    kPriorityFifo,  ///< application priority, FIFO within a level (default)
-    kSrpt,          ///< shortest remaining message first (minimizes mean FCT)
-  };
-  Scheduling scheduling = Scheduling::kPriorityFifo;
 
   /// ACK coalescing (paper §4 "Packet Header Overheads": feedback can be
   /// aggregated): batch up to this many SACKs per source into one ACK.
@@ -269,7 +261,7 @@ class MtpEndpoint {
     /// in-flight packet, so expiry checks are O(1) until a loss.
     PktFifo inflight_fifo;
     std::unique_ptr<Packet0Payload> pkt0;  ///< null unless app or stream is set
-    SendGroup* group = nullptr;  ///< its send queue, once first enqueued
+    SendGroup* group = nullptr;  ///< its send queue, set by send_message
     /// True while the message sits in its SendGroup queue (has packets to
     /// send but may be window-blocked). Guards against double-enqueue.
     bool send_queued = false;
@@ -305,7 +297,6 @@ class MtpEndpoint {
   void flush_acks();
   struct CcState;
   void pump();
-  void pump_srpt();
   /// Send msg's pending retransmissions then unsent packets while admission
   /// allows. Returns false if it stopped blocked with work remaining; `full`
   /// is then the pathlet state whose window refused the packet, or null if
@@ -398,7 +389,7 @@ class MtpEndpoint {
   /// because nothing else loosens admission — charging only tightens it — so
   /// the skipped attempt would have failed, and pump() sends exactly what a
   /// scan of every group would. check_parked() asserts it on every pump.
-  /// Groups blocked by an overload grant do not park; SRPT has no groups.
+  /// Groups blocked by an overload grant do not park.
   struct SendGroup {
     net::NodeId dst;
     proto::TrafficClassId tc = 0;
@@ -419,9 +410,7 @@ class MtpEndpoint {
   /// (retransmissions unblock completion, mirroring the old retx-first rule).
   void enqueue_send(OutgoingMessage& msg, bool urgent);
   /// msg's next packet to send may have changed: wake its group.
-  static void front_changed(OutgoingMessage& msg) {
-    if (msg.group) msg.group->unpark();
-  }
+  static void front_changed(OutgoingMessage& msg) { msg.group->unpark(); }
   /// Asserts the parked-group invariant (a no-op under NDEBUG).
   void check_parked();
 
@@ -432,8 +421,6 @@ class MtpEndpoint {
   /// pointers — indexed by group_index_.
   std::vector<std::unique_ptr<SendGroup>> groups_;
   std::unordered_map<std::uint64_t, SendGroup*> group_index_;
-  std::vector<proto::MsgId> srpt_order_;  ///< SRPT only: ids in arrival order
-  std::vector<proto::MsgId> pump_order_;  ///< pump_srpt() scratch (reused)
   /// Never erased: paths keep pointers to the states (map nodes are stable).
   std::unordered_map<CcKey, CcState, CcKeyHash> cc_;
   std::vector<Path> paths_;  ///< interned path table

@@ -1,7 +1,6 @@
 // Stock forwarding policies (paper Figs 5 and 6 compare these).
 #pragma once
 
-#include <limits>
 #include <unordered_map>
 
 #include "net/switch.hpp"
@@ -53,53 +52,6 @@ class AlternatingPathPolicy final : public ForwardingPolicy {
 
  private:
   sim::SimTime period_;
-};
-
-/// Flowlet switching (CONGA/LetFlow-style): packets of a flow stick to a
-/// path while they come back-to-back; an idle gap longer than the flowlet
-/// timeout is a safe point to re-place the flow on the least-loaded path
-/// without reordering. A classic middle ground between ECMP and spraying.
-class FlowletPolicy final : public ForwardingPolicy {
- public:
-  explicit FlowletPolicy(sim::SimTime gap) : gap_(gap) {}
-
-  PortIndex select(const Packet& pkt, std::span<const PortIndex> c, Switch& sw) override {
-    const sim::SimTime now = sw.simulator().now();
-    auto [it, fresh] = table_.try_emplace(pkt.flow_hash);
-    Flowlet& f = it->second;
-    if (fresh || now - f.last_seen > gap_ || !sw.out_port(f.port)->is_up()) {
-      f.port = least_loaded(c, sw);
-      if (!fresh) ++flowlet_switches_;
-    }
-    f.last_seen = now;
-    return f.port;
-  }
-  std::string name() const override { return "flowlet"; }
-  std::uint64_t flowlet_switches() const { return flowlet_switches_; }
-
- private:
-  struct Flowlet {
-    sim::SimTime last_seen;
-    PortIndex port = 0;
-  };
-
-  static PortIndex least_loaded(std::span<const PortIndex> c, Switch& sw) {
-    PortIndex best = c.front();
-    std::int64_t best_backlog = std::numeric_limits<std::int64_t>::max();
-    for (const PortIndex port : c) {
-      if (!sw.out_port(port)->is_up()) continue;
-      const std::int64_t b = sw.out_port(port)->backlog_bytes();
-      if (b < best_backlog) {
-        best_backlog = b;
-        best = port;
-      }
-    }
-    return best;
-  }
-
-  sim::SimTime gap_;
-  std::unordered_map<std::uint64_t, Flowlet> table_;
-  std::uint64_t flowlet_switches_ = 0;
 };
 
 /// Message-aware load balancing (the MTP-enabled LB of Fig 6): each MTP

@@ -56,17 +56,12 @@ void Link::register_metrics() {
   });
 }
 
-telemetry::TraceEvent Link::trace_event(telemetry::TraceEventType type,
-                                        const Packet& pkt) const {
-  return trace_event_at(sim_.now(), type, pkt);
-}
-
-telemetry::TraceEvent Link::trace_event_at(sim::SimTime t, telemetry::TraceEventType type,
-                                           const Packet& pkt) const {
+telemetry::TraceEvent packet_trace_event(sim::SimTime t, telemetry::TraceEventType type,
+                                         const std::string& component, const Packet& pkt) {
   telemetry::TraceEvent ev;
   ev.t = t;
   ev.type = type;
-  ev.component = name_;
+  ev.component = component;
   ev.src = pkt.src;
   ev.dst = pkt.dst;
   ev.bytes = pkt.size_bytes();
@@ -79,10 +74,15 @@ telemetry::TraceEvent Link::trace_event_at(sim::SimTime t, telemetry::TraceEvent
   return ev;
 }
 
+telemetry::TraceEvent Link::trace_event(telemetry::TraceEventType type,
+                                        const Packet& pkt) const {
+  return packet_trace_event(sim_.now(), type, name_, pkt);
+}
+
 void Link::set_pathlet(PathletConfig cfg) {
   pathlet_.emplace(cfg, bandwidth_);
   if (cfg.feedback == proto::FeedbackType::kRate) {
-    rcp_task_ = std::make_unique<sim::PeriodicTask>(sim_, cfg.rcp_period, [this] {
+    rcp_task_ = std::make_unique<sim::PeriodicTask>(sim_, PathletState::kRcpPeriod, [this] {
       pathlet_->periodic_update(queue_->len_bytes());
     });
     rcp_task_->start();
@@ -102,8 +102,12 @@ void Link::set_up(bool up) {
   }
   if (!up_) {
     ++stats_.flaps;
-    while (queue_->dequeue().has_value()) {
-      ++stats_.pkts_dropped_down;  // discard queued packets on the flap
+    // Discard queued packets on the flap.
+    while (const std::optional<Packet> pkt = queue_->dequeue()) {
+      ++stats_.pkts_dropped_down;
+      if (telemetry::TraceSink::enabled()) {
+        telemetry::trace().record(trace_event(telemetry::TraceEventType::kDrop, *pkt));
+      }
     }
   } else {
     try_transmit();

@@ -35,6 +35,12 @@ struct LinkStats {
   std::uint64_t flaps = 0;               ///< down transitions seen by set_up()
 };
 
+/// The trace event for `pkt` at `t`, emitted by `component` (a link or node
+/// name). It reads only its arguments, so a receiving shard's worker thread
+/// may build one for a remote delivery.
+telemetry::TraceEvent packet_trace_event(sim::SimTime t, telemetry::TraceEventType type,
+                                         const std::string& component, const Packet& pkt);
+
 /// What an injected per-packet fault does to a packet entering the link.
 enum class FaultAction : std::uint8_t { kNone, kDrop, kCorrupt };
 
@@ -155,12 +161,6 @@ class Link {
   using RemoteSink =
       std::function<void(Packet&&, sim::SimTime deliver_at, std::uint64_t key)>;
   void set_remote_sink(RemoteSink sink) { remote_sink_ = std::move(sink); }
-
-  /// Build a trace event for this link at an explicit timestamp, touching
-  /// only immutable link state — safe to call from the receiving shard's
-  /// worker thread when a remote delivery executes.
-  telemetry::TraceEvent trace_event_at(sim::SimTime t, telemetry::TraceEventType type,
-                                       const Packet& pkt) const;
 
  private:
   void try_transmit();

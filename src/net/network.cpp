@@ -152,7 +152,7 @@ void Network::drain_into(unsigned shard) {
         [link, at = h.deliver_at, pkt = std::move(h.pkt)]() mutable {
           if (telemetry::TraceSink::enabled()) {
             telemetry::trace().record(
-                link->trace_event_at(at, telemetry::TraceEventType::kRx, pkt));
+                packet_trace_event(at, telemetry::TraceEventType::kRx, link->name(), pkt));
           }
           link->peer()->receive(std::move(pkt), link->peer_in_port());
         });

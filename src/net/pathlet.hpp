@@ -30,9 +30,7 @@ struct PathletConfig {
   /// control reacts immediately while quiet paths stay cheap.
   std::uint32_t selective_every = 1;
 
-  // --- RCP parameters (used when feedback == kRate).
-  /// Control-loop interval; also the averaging window for arrival rate.
-  sim::SimTime rcp_period = sim::SimTime::microseconds(10);
+  // --- RCP parameter (used when feedback == kRate).
   /// Estimate of the average RTT of flows crossing this pathlet.
   sim::SimTime rcp_rtt = sim::SimTime::microseconds(10);
 };
@@ -44,6 +42,8 @@ class PathletState {
  public:
   static constexpr double kRcpAlpha = 0.4;  ///< RCP gain on spare capacity
   static constexpr double kRcpBeta = 0.2;   ///< RCP gain on queue drain
+  /// RCP control-loop interval; also the averaging window for arrival rate.
+  static constexpr sim::SimTime kRcpPeriod = sim::SimTime::microseconds(10);
 
   PathletState(PathletConfig cfg, sim::Bandwidth capacity)
       : cfg_(cfg), capacity_(capacity), rcp_rate_(capacity) {}
@@ -56,7 +56,7 @@ class PathletState {
   /// to [1% C, C]. `queue_bytes` is the instantaneous backlog.
   void periodic_update(std::int64_t queue_bytes) {
     const double c = static_cast<double>(capacity_.bits_per_sec());
-    const double period_s = cfg_.rcp_period.sec();
+    const double period_s = kRcpPeriod.sec();
     const double y = static_cast<double>(arrived_bytes_) * 8.0 / period_s;  // arrival bits/s
     const double d = cfg_.rcp_rtt.sec();
     const double q_term = static_cast<double>(queue_bytes) * 8.0 / d;

@@ -128,6 +128,10 @@ class Switch : public Node {
     const std::span<const PortIndex> candidates = route_candidates(pkt.dst);
     if (candidates.empty()) {
       ++no_route_drops_;
+      if (telemetry::TraceSink::enabled()) {
+        telemetry::trace().record(
+            packet_trace_event(simulator().now(), telemetry::TraceEventType::kDrop, name(), pkt));
+      }
       return;
     }
     PortIndex port = candidates.front();

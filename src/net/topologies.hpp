@@ -3,7 +3,7 @@
 // LeafSpine builds the standard two-tier Clos fabric the paper's
 // load-balancing discussion assumes: every leaf connects to every spine, so
 // any inter-rack pair has `spines` equal-cost paths. Up-ports use the
-// fabric-wide forwarding policy (ECMP, spraying, flowlet, message-aware);
+// fabric-wide forwarding policy (ECMP, spraying, message-aware);
 // down-routing is deterministic (Network::build_routes; every host and leaf
 // is reachable from every host). Racks may be asymmetric: `hosts_at_leaf`
 // overrides the per-leaf host count (real pods are rarely uniform, and the

@@ -218,7 +218,8 @@ void Fleet<Endpoint>::build_endpoints(const TransportBuildContext& ctx, const Cf
   }
   if (!ctx.receiver) return;
   // The receiver is built from its host alone (MTP: the default config), so
-  // sender-side knobs (scheduling, pathlet CC tuning) cannot distort the sink.
+  // sender-side knobs (auto-exclusion, ACK coalescing) cannot distort the
+  // sink.
   rcv_ = std::make_unique<Endpoint>(*ctx.receiver);
   accept(*rcv_);
   if (auto* meter = ctx.meter) {

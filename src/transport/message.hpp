@@ -306,7 +306,6 @@ class OutboundRing {
   using mapped_type = Msg;
 
   std::size_t size() const { return live_; }
-  bool contains(proto::MsgId id) const { return at(id) != nullptr; }
   Msg* find(proto::MsgId id) { return at(id); }
 
   /// A fresh record for `id`, which must follow every id inserted before it

@@ -1,6 +1,6 @@
 // Advanced-feature tests: in-network gradient aggregation (ATP-style),
-// link-failure injection and failure-aware forwarding, flowlet switching,
-// the leaf-spine fabric builder, and SRPT message scheduling.
+// link-failure injection and failure-aware forwarding, the leaf-spine
+// fabric builder, and priority-FIFO message scheduling.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
@@ -313,42 +313,6 @@ TEST(LinkFailure, AutoExclusionNeverExcludesAVirtualPathlet) {
   }
 }
 
-// ------------------------------------------------------------- flowlets
-
-TEST(Flowlet, SticksWithinBurstSwitchesAcrossGaps) {
-  // Slow (1G) links so a loaded port keeps its backlog across the gap.
-  net::Network net;
-  auto* sw = net.add_switch("sw");
-  net::Host sink(net.simulator(), 50, "sink");
-  net.connect_simplex(*sw, sink, Bandwidth::gbps(1), 1_us,
-                      std::make_unique<net::DropTailQueue>(
-                          net::DropTailQueue::Config{.capacity_pkts = 1024}));
-  net.connect_simplex(*sw, sink, Bandwidth::gbps(1), 1_us,
-                      std::make_unique<net::DropTailQueue>(
-                          net::DropTailQueue::Config{.capacity_pkts = 1024}));
-  net::FlowletPolicy policy(50_us);
-  const std::vector<net::PortIndex> cands{0, 1};
-  net::Packet p;
-  p.flow_hash = 77;
-  p.dst = 50;
-
-  const auto first = policy.select(p, cands, *sw);
-  // Back-to-back packets: same port.
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(policy.select(p, cands, *sw), first);
-  // Load up the chosen port: 200 x 1500B at 1G takes 2.4ms to drain.
-  for (int i = 0; i < 200; ++i) {
-    net::Packet filler;
-    filler.dst = 50;
-    filler.payload_bytes = 1500;
-    sw->out_port(first)->send(std::move(filler));
-  }
-  net.simulator().run(10_us);  // still within the flowlet gap
-  EXPECT_EQ(policy.select(p, cands, *sw), first);
-  net.simulator().run(210_us);  // gap exceeded, backlog still present
-  EXPECT_NE(policy.select(p, cands, *sw), first);
-  EXPECT_GE(policy.flowlet_switches(), 1u);
-}
-
 // ------------------------------------------------------------ leaf-spine
 
 TEST(LeafSpine, AllPairsConnectivity) {
@@ -416,23 +380,7 @@ TEST(LeafSpine, MtpTransferAcrossFabricWithSpineFailure) {
   EXPECT_EQ(got, 2'000'000);
 }
 
-// ------------------------------------------------------------------ srpt
-
-TEST(SrptScheduling, ShortMessageOvertakesLongOne) {
-  testing::HostPair t(Bandwidth::gbps(1), 2_us);  // slow link: ordering matters
-  core::MtpConfig cfg;
-  cfg.scheduling = core::MtpConfig::Scheduling::kSrpt;
-  MtpEndpoint src(*t.a, cfg);
-  MtpEndpoint dst(*t.b, cfg);
-  std::vector<std::int64_t> completion_sizes;
-  dst.listen(80, [&](const ReceivedMessage& m) { completion_sizes.push_back(m.bytes); });
-  src.send_message(t.b->id(), 2'000'000, {.dst_port = 80});  // long first
-  t.sim().run(100_us);                                       // let it get going
-  src.send_message(t.b->id(), 20'000, {.dst_port = 80});     // then short
-  t.sim().run(500_ms);
-  ASSERT_EQ(completion_sizes.size(), 2u);
-  EXPECT_EQ(completion_sizes[0], 20'000);  // SRPT: short wins
-}
+// ------------------------------------------------------ message scheduling
 
 TEST(SrptScheduling, FifoLetsLongOneFinishFirst) {
   testing::HostPair t(Bandwidth::gbps(1), 2_us);

@@ -52,7 +52,7 @@ net::Packet mtp_data(net::NodeId src, net::NodeId dst, proto::MsgId msg,
 // pool that other packets already occupy (the shared-pool tests below).
 
 void wfq_equal_service(net::PacketPool* shared) {
-  WfqQueue q({.per_tc_capacity_pkts = 1000, .quantum_bytes = 1500});
+  WfqQueue q({.per_tc_capacity_pkts = 1000});
   if (shared != nullptr) q.bind_pool(*shared);
   // TC1 floods 8x more than TC2.
   for (int i = 0; i < 800; ++i) q.enqueue(mtp_data(1, 9, i, 0, 1, 1000, 1));

@@ -18,9 +18,10 @@ using sim::SimTime;
 
 // ------------------------------------------------- cc algorithm unit tests
 
+constexpr std::uint32_t kMss = 1000;
+
 TEST(DctcpCc, GrowsWithoutMarksShrinksWithMarks) {
-  CcConfig cfg;
-  DctcpCc cc(cfg);
+  DctcpCc cc(kMss);
   const auto w0 = cc.window_bytes();
   for (int i = 0; i < 20; ++i) {
     cc.on_feedback({proto::FeedbackType::kEcn, 0}, 1000);
@@ -39,15 +40,13 @@ TEST(DctcpCc, GrowsWithoutMarksShrinksWithMarks) {
 }
 
 TEST(DctcpCc, WindowNeverBelowOneMss) {
-  CcConfig cfg;
-  DctcpCc cc(cfg);
+  DctcpCc cc(kMss);
   for (int i = 0; i < 100; ++i) cc.on_loss(LossKind::kTimeout);
-  EXPECT_GE(cc.window_bytes(), static_cast<std::int64_t>(cfg.mss));
+  EXPECT_GE(cc.window_bytes(), static_cast<std::int64_t>(kMss));
 }
 
 TEST(RcpCc, WindowIsRateTimesRtt) {
-  CcConfig cfg;
-  RcpCc cc(cfg);
+  RcpCc cc(kMss);
   cc.on_feedback({proto::FeedbackType::kRate, 10'000'000'000}, 1000);  // 10 Gb/s
   cc.on_ack(1000, 10_us);
   // 10 Gb/s x 10us = 12500 bytes.
@@ -55,8 +54,7 @@ TEST(RcpCc, WindowIsRateTimesRtt) {
 }
 
 TEST(RcpCc, TracksRateChangesImmediately) {
-  CcConfig cfg;
-  RcpCc cc(cfg);
+  RcpCc cc(kMss);
   for (int i = 0; i < 50; ++i) {
     cc.on_feedback({proto::FeedbackType::kRate, 100'000'000'000}, 1000);
     cc.on_ack(1000, 10_us);
@@ -70,9 +68,7 @@ TEST(RcpCc, TracksRateChangesImmediately) {
 }
 
 TEST(SwiftCc, ShrinksAboveTargetDelayGrowsBelow) {
-  CcConfig cfg;
-  cfg.swift_target_delay = 30_us;
-  SwiftCc cc(cfg);
+  SwiftCc cc(kMss);  // delay target: kSwiftTargetDelay (30 us)
   const auto w0 = cc.window_bytes();
   for (int i = 0; i < 50; ++i) {
     cc.on_feedback({proto::FeedbackType::kDelay, 1'000}, 1000);  // 1us: below target
@@ -87,8 +83,7 @@ TEST(SwiftCc, ShrinksAboveTargetDelayGrowsBelow) {
 }
 
 TEST(AimdCc, HalvesOnLoss) {
-  CcConfig cfg;
-  AimdCc cc(cfg);
+  AimdCc cc(kMss);
   for (int i = 0; i < 30; ++i) cc.on_ack(1000, 10_us);
   const auto w = cc.window_bytes();
   cc.on_loss(LossKind::kTimeout);
@@ -96,11 +91,10 @@ TEST(AimdCc, HalvesOnLoss) {
 }
 
 TEST(CcFactory, MapsFeedbackTypeToAlgorithm) {
-  CcConfig cfg;
-  EXPECT_EQ(make_cc(proto::FeedbackType::kEcn, cfg)->name(), "dctcp");
-  EXPECT_EQ(make_cc(proto::FeedbackType::kRate, cfg)->name(), "rcp");
-  EXPECT_EQ(make_cc(proto::FeedbackType::kDelay, cfg)->name(), "swift");
-  EXPECT_EQ(make_cc(proto::FeedbackType::kNone, cfg)->name(), "aimd");
+  EXPECT_EQ(make_cc(proto::FeedbackType::kEcn, kMss)->name(), "dctcp");
+  EXPECT_EQ(make_cc(proto::FeedbackType::kRate, kMss)->name(), "rcp");
+  EXPECT_EQ(make_cc(proto::FeedbackType::kDelay, kMss)->name(), "swift");
+  EXPECT_EQ(make_cc(proto::FeedbackType::kNone, kMss)->name(), "aimd");
 }
 
 // --------------------------------------------------- message transport

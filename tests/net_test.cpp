@@ -443,7 +443,6 @@ TEST(PathletState, RcpRateConvergesTowardCapacityWhenIdle) {
 
 TEST(PathletState, RcpRateDropsUnderOverload) {
   PathletConfig cfg{.id = 1, .feedback = proto::FeedbackType::kRate};
-  cfg.rcp_period = 10_us;
   cfg.rcp_rtt = 10_us;
   PathletState st(cfg, Bandwidth::gbps(10));
   // Offer 2x capacity with a standing queue for a while.

@@ -92,16 +92,12 @@ TEST_P(CoalesceSweep, DeliveryIndependentOfAckBatching) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, CoalesceSweep, ::testing::Values(1, 2, 4, 16, 128));
 
-// ---- Invariant: every scheduling policy completes every message.
+// ---- Invariant: priority-FIFO scheduling completes every message.
 
-class SchedulingSweep : public ::testing::TestWithParam<MtpConfig::Scheduling> {};
-
-TEST_P(SchedulingSweep, MixedSizesAllComplete) {
+TEST(SchedulingSweep, MixedSizesAllComplete) {
   HostPair t(Bandwidth::gbps(10), 2_us);
-  MtpConfig cfg;
-  cfg.scheduling = GetParam();
-  MtpEndpoint src(*t.a, cfg);
-  MtpEndpoint dst(*t.b, cfg);
+  MtpEndpoint src(*t.a, {});
+  MtpEndpoint dst(*t.b, {});
   int done = 0;
   dst.listen(80, [](const ReceivedMessage&) {});
   sim::Rng rng(77);
@@ -115,10 +111,6 @@ TEST_P(SchedulingSweep, MixedSizesAllComplete) {
   EXPECT_EQ(done, 30);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, SchedulingSweep,
-                         ::testing::Values(MtpConfig::Scheduling::kPriorityFifo,
-                                           MtpConfig::Scheduling::kSrpt));
-
 // ---- Invariant: every CC algorithm keeps its window within sane bounds
 // under arbitrary interleavings of feedback, acks and losses.
 
@@ -126,8 +118,8 @@ class CcFuzz : public ::testing::TestWithParam<std::tuple<proto::FeedbackType, s
 
 TEST_P(CcFuzz, WindowAlwaysWithinBounds) {
   const auto [type, seed] = GetParam();
-  CcConfig cfg;
-  auto cc = make_cc(type, cfg);
+  constexpr std::uint32_t kMss = 1000;
+  auto cc = make_cc(type, kMss);
   sim::Rng rng(seed);
   for (int i = 0; i < 5000; ++i) {
     const double dice = rng.uniform();
@@ -155,7 +147,7 @@ TEST_P(CcFuzz, WindowAlwaysWithinBounds) {
     } else {
       cc->on_loss(rng.bernoulli(0.5) ? LossKind::kTimeout : LossKind::kTrim);
     }
-    ASSERT_GE(cc->window_bytes(), static_cast<std::int64_t>(cfg.mss));
+    ASSERT_GE(cc->window_bytes(), static_cast<std::int64_t>(kMss));
     ASSERT_LE(cc->window_bytes(), kMaxWindowBytes);
   }
 }

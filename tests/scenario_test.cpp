@@ -117,7 +117,7 @@ TEST(ScenarioBuilder, SenderTcsReachTheWire) {
 
 TEST(ScenarioBuilder, MtpConfigReachesEverySender) {
   core::MtpConfig cfg;
-  cfg.scheduling = core::MtpConfig::Scheduling::kSrpt;
+  cfg.ack_coalesce = 4;
   auto s = ScenarioBuilder()
                .seed(2)
                .topology(topo::incast(3))
@@ -127,12 +127,11 @@ TEST(ScenarioBuilder, MtpConfigReachesEverySender) {
                .build();
   for (std::size_t i = 0; i < s->num_senders(); ++i) {
     ASSERT_NE(s->mtp_sender(i), nullptr);
-    EXPECT_EQ(s->mtp_sender(i)->config().scheduling, core::MtpConfig::Scheduling::kSrpt);
+    EXPECT_EQ(s->mtp_sender(i)->config().ack_coalesce, 4u);
   }
   // The receiver keeps the default: sender knobs must not distort the sink.
   ASSERT_NE(s->mtp_receiver(), nullptr);
-  EXPECT_EQ(s->mtp_receiver()->config().scheduling,
-            core::MtpConfig::Scheduling::kPriorityFifo);
+  EXPECT_EQ(s->mtp_receiver()->config().ack_coalesce, 1u);
   s->run();
   EXPECT_EQ(s->fct().count(), 6u);
 }

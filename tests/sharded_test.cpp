@@ -310,7 +310,9 @@ TEST(ShardedTrace, MergedTraceIsTimeOrderedAndDeterministic) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(key(a[i]), key(b[i])) << "event " << i;
-    if (i) EXPECT_LE(a[i - 1].t.ns(), a[i].t.ns()) << "merge not time-ordered";
+    if (i) {
+      EXPECT_LE(a[i - 1].t.ns(), a[i].t.ns()) << "merge not time-ordered";
+    }
   }
 
   // Same event population as the serial run. Equal-timestamp events merge in

@@ -303,6 +303,68 @@ TEST_F(TelemetryTest, TwoHostTransferProducesOrderedEvents) {
   EXPECT_EQ(*snap.value("switch", "tor", "no_route_drops"), 0.0);
 }
 
+// -------------------------------------------------------------- drop sites
+
+/// alice - tor - bob at 1 Gb/s, routes built.
+struct DropRig {
+  net::Network net;
+  net::Host* alice = net.add_host("alice");
+  net::Host* bob = net.add_host("bob");
+  net::Switch* sw = net.add_switch("tor");
+  net::Link* uplink = nullptr;
+
+  DropRig() {
+    uplink = net.connect(*alice, *sw, sim::Bandwidth::gbps(1), 1_us, {.capacity_pkts = 64})
+                 .forward;
+    net.connect(*sw, *bob, sim::Bandwidth::gbps(1), 1_us, {.capacity_pkts = 64});
+    net.build_routes();
+  }
+
+  net::Packet packet(net::NodeId dst) const {
+    net::Packet p;
+    p.src = alice->id();
+    p.dst = dst;
+    p.payload_bytes = 1000;
+    return p;
+  }
+};
+
+TEST_F(TelemetryTest, NoRouteDropIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig;
+  const net::NodeId nowhere = 999;
+  ASSERT_TRUE(rig.sw->route_candidates(nowhere).empty());
+  for (int i = 0; i < 3; ++i) rig.sw->send(rig.packet(nowhere));
+  rig.sw->send(rig.packet(rig.bob->id()));  // routed: no drop
+
+  ASSERT_EQ(rig.sw->no_route_drops(), 3u);
+  EXPECT_EQ(trace().count(TraceEventType::kDrop), 3u);
+  for (const auto& ev : trace().events()) {
+    if (ev.type != TraceEventType::kDrop) continue;
+    EXPECT_EQ(ev.component, "tor");
+    EXPECT_EQ(ev.dst, nowhere);
+  }
+}
+
+TEST_F(TelemetryTest, LinkDownDiscardIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig;
+  // One packet starts serializing; the other nine wait in the queue.
+  for (int i = 0; i < 10; ++i) rig.uplink->send(rig.packet(rig.bob->id()));
+  const std::size_t queued = rig.uplink->queue().len_pkts();
+  ASSERT_EQ(queued, 9u);
+  ASSERT_EQ(trace().count(TraceEventType::kDrop), 0u);
+
+  rig.uplink->set_up(false);
+  ASSERT_EQ(rig.uplink->stats().pkts_dropped_down, queued);
+  EXPECT_EQ(trace().count(TraceEventType::kDrop), queued);
+  for (const auto& ev : trace().events()) {
+    if (ev.type != TraceEventType::kDrop) continue;
+    EXPECT_EQ(ev.component, "alice->tor");
+    EXPECT_EQ(ev.dst, rig.bob->id());
+  }
+}
+
 // ----------------------------------------------------------------- report
 
 TEST_F(TelemetryTest, RunReportRendersSectionsScalarsAndRegistry) {
