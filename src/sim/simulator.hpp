@@ -38,7 +38,8 @@ class TimerWheel;
 ///               after deliveries so a rate re-solve at time t sees every
 ///               packet that finished serializing at t, replica-identical
 ///               across shards because the seq counter advances identically
-///   2^61        timer-wheel bucket service (at most one per sim per time)
+///   2^61        timer-wheel service: at most one event per wheel, at its
+///               earliest pending bucket-wake tick (sim/timer_wheel.hpp)
 ///   [2^62, ...) workload arrival replay: base | arrival index
 /// History-independent tie-breaking is what makes a sharded run execute the
 /// exact per-shard event sequences of the serial run (sim/sharded/engine.hpp).

@@ -5,9 +5,15 @@
 // would dominate the simulator queue, and the old approach — one periodic
 // task sweeping every message — costs O(messages) per tick whether or not
 // anything expired. The wheel hashes each timer into a bucket by its
-// quantized deadline; arming and cancelling are O(1), and the wheel wakes
-// the simulator only at ticks that actually have timers due (an empty wheel
-// schedules nothing, so simulations still quiesce).
+// quantized deadline; arming and cancelling are O(1).
+//
+// The whole wheel holds at most one Simulator event: a keyed event
+// (kTimerWheelKey) at the earliest tick some bucket is due to be serviced.
+// Each bucket keeps its own wake tick, and the pending wake ticks live in a
+// small min-heap inside the wheel, so the simulator's event heap never
+// carries one entry per bucket: TCP re-arms an RTO on every ACK, and those
+// wakes would outnumber the packet events many times over (docs/perf.md).
+// An empty wheel schedules nothing, so simulations still quiesce.
 //
 // Semantics:
 //   - Deadlines are rounded UP to a multiple of `granularity`: a timer never
@@ -17,6 +23,10 @@
 //   - Timers that share a quantized tick fire in arm order (FIFO), mirroring
 //     both the simulator's same-timestamp ordering and the old sweep's
 //     iteration order over a recorded schedule.
+//   - A bucket is serviced at every wake tick it was given, even if every
+//     timer in it has been cancelled since: each service is one simulator
+//     event, so event counts and the quiescence time do not depend on how
+//     the wake ticks are stored.
 //   - Callbacks are a raw function pointer + owner + 64-bit argument rather
 //     than a sim::Task: a timer slot is 64 bytes, not 400, which is what
 //     keeps per-idle-message cost bounded at scale (docs/scale.md).
@@ -24,7 +34,10 @@
 //     (a no-op: the id is already released when the callback runs).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -92,7 +105,6 @@ class TimerWheel {
     unlink(bucket_of(t.tick), id.slot_);
     release_slot(id.slot_);
     --armed_count_;
-    // The bucket's wake event, if now moot, pops as a cheap no-op.
   }
 
   /// True while the timer is pending (not yet fired or cancelled).
@@ -107,8 +119,7 @@ class TimerWheel {
 
   /// The time an `arm(deadline, ...)` would actually fire at.
   SimTime fire_time(SimTime deadline) const {
-    return SimTime::nanoseconds(static_cast<std::int64_t>(tick_of(deadline)) *
-                                cfg_.granularity.ns());
+    return time_of(tick_of(deadline));
   }
 
  private:
@@ -128,10 +139,9 @@ class TimerWheel {
   struct Bucket {
     std::uint32_t head = kNull;
     std::uint32_t tail = kNull;
-    /// Earliest tick this bucket has a wake event scheduled for (kNoWake if
-    /// none). Lets arm() skip rescheduling when an earlier wake is pending.
+    /// Earliest tick this bucket is due to be serviced at (kNoWake if none).
+    /// Lets arm() skip the tick heap when an earlier wake is pending.
     std::uint64_t wake_tick = kNoWake;
-    EventId wake_event;
   };
   static constexpr std::uint64_t kNoWake = ~std::uint64_t{0};
 
@@ -140,6 +150,10 @@ class TimerWheel {
     const std::int64_t g = cfg_.granularity.ns();
     if (ns < sim_.now().ns()) ns = sim_.now().ns();
     return static_cast<std::uint64_t>((ns + g - 1) / g);
+  }
+
+  SimTime time_of(std::uint64_t tick) const {
+    return SimTime::nanoseconds(static_cast<std::int64_t>(tick) * cfg_.granularity.ns());
   }
 
   std::size_t bucket_of(std::uint64_t tick) const { return tick % buckets_.size(); }
@@ -179,25 +193,61 @@ class TimerWheel {
     t.prev = t.next = kNull;
   }
 
-  /// Ensure bucket `b` has a wake event at or before `tick`. The wake is a
-  /// *keyed* event (kTimerWheelKey): a wake's position among same-timestamp
-  /// events must not depend on how often it was cancelled and rescheduled —
-  /// FIFO seq order would encode that history and break serial-vs-sharded
-  /// bit-identity. At most one wake exists per timestamp per wheel (a wake
-  /// time determines its tick, a tick its bucket), so a constant key is
-  /// collision-free.
+  /// Ensure bucket `b` is serviced at or before `tick`. A bucket whose wake
+  /// moves earlier leaves its old tick in `wake_ticks_`, skipped as stale
+  /// when it surfaces (it no longer equals its bucket's wake_tick).
   void wake_bucket(std::size_t b, std::uint64_t tick) {
     Bucket& bk = buckets_[b];
     if (bk.wake_tick <= tick) return;
-    sim_.cancel(bk.wake_event);
     bk.wake_tick = tick;
-    const SimTime when =
-        SimTime::nanoseconds(static_cast<std::int64_t>(tick) * cfg_.granularity.ns());
-    bk.wake_event = sim_.schedule_keyed_at(when, kTimerWheelKey, [this, b] { service_bucket(b); });
+    wake_ticks_.push_back(tick);
+    std::push_heap(wake_ticks_.begin(), wake_ticks_.end(), std::greater<>());
+    // Mid-service arms wait: service() schedules the next event once its
+    // callbacks are done, so the wheel never cancels its own event there.
+    if (tick < scheduled_tick_ && !servicing_) schedule_service(tick);
   }
 
-  /// Fire every timer in bucket `b` whose tick has arrived, then reschedule
-  /// the bucket's wake for its next pending round (if any).
+  bool stale(std::uint64_t tick) const { return buckets_[bucket_of(tick)].wake_tick != tick; }
+
+  void pop_stale_ticks() {
+    while (!wake_ticks_.empty() && stale(wake_ticks_.front())) pop_tick();
+  }
+
+  void pop_tick() {
+    std::pop_heap(wake_ticks_.begin(), wake_ticks_.end(), std::greater<>());
+    wake_ticks_.pop_back();
+  }
+
+  /// (Re)place the wheel's one simulator event at `tick`. The event is
+  /// *keyed* (kTimerWheelKey): its position among same-timestamp events must
+  /// not depend on how often it was cancelled and rescheduled — FIFO seq
+  /// order would encode that history and break serial-vs-sharded
+  /// bit-identity. A wheel has at most one event, so a constant key is
+  /// collision-free.
+  void schedule_service(std::uint64_t tick) {
+    sim_.cancel(event_);
+    scheduled_tick_ = tick;
+    event_ = sim_.schedule_keyed_at(time_of(tick), kTimerWheelKey, [this] { service(); });
+  }
+
+  /// Service the one bucket due now, then schedule the event for the next
+  /// pending wake tick (if any). Outside a service the top of `wake_ticks_`
+  /// is never stale: a wake that moves earlier pushes a smaller tick.
+  void service() {
+    event_ = EventId();
+    scheduled_tick_ = kNoWake;
+    assert(!wake_ticks_.empty() && time_of(wake_ticks_.front()) == sim_.now());
+    const std::uint64_t tick = wake_ticks_.front();
+    pop_tick();
+    servicing_ = true;
+    service_bucket(bucket_of(tick));
+    servicing_ = false;
+    pop_stale_ticks();
+    if (!wake_ticks_.empty()) schedule_service(wake_ticks_.front());
+  }
+
+  /// Fire every timer in bucket `b` whose tick has arrived, then record the
+  /// bucket's next pending round (if any).
   void service_bucket(std::size_t b) {
     Bucket& bk = buckets_[b];
     bk.wake_tick = kNoWake;
@@ -237,6 +287,11 @@ class TimerWheel {
   std::vector<std::uint32_t> free_;
   std::vector<Bucket> buckets_;
   std::vector<Due> due_;  ///< scratch, reused across ticks
+  /// Min-heap of bucket wake ticks, stale entries included (see wake_bucket).
+  std::vector<std::uint64_t> wake_ticks_;
+  EventId event_;                          ///< the wheel's one simulator event
+  std::uint64_t scheduled_tick_ = kNoWake;  ///< tick of event_, kNoWake if none
+  bool servicing_ = false;
   std::size_t armed_count_ = 0;
 };
 

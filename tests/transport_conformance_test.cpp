@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 
 #include "helpers.hpp"
 #include "scenario/scenario.hpp"
+#include "workload/workload.hpp"
 
 namespace mtp::scenario {
 namespace {
@@ -277,6 +279,41 @@ TEST_P(TransportConformance, MetricsMatchRecorded) {
 TEST(TransportZoo, EcnRigSeparatesDctcpFromTcp) {
   EXPECT_NE(recorded("tcp")->ecn, recorded("dctcp")->ecn);
   EXPECT_NE(ecn_run("tcp"), ecn_run("dctcp"));
+}
+
+// A closed-loop incast (16 senders, 1-64 KB messages, one receiver) on the
+// TCP family re-arms an RTO on nearly every ACK. The timer wheel holds one
+// simulator event however many buckets those arms touch, so the event heap
+// holds the in-flight link deliveries and little else: sampled every 10 us,
+// it stays within 2 entries per link plus 2.
+TEST(TransportZoo, TcpIncastHeapStaysNearLinkCount) {
+  for (const char* name : {"dctcp", "mptcp"}) {
+    SCOPED_TRACE(name);
+    constexpr int kSenders = 16;
+    auto s = ScenarioBuilder().seed(3).topology(topo::incast(kSenders)).transport(name).build();
+    const workload::SizeDist sizes = workload::SizeDist::bounded_pareto(1'000, 64'000, 1.2);
+    sim::Rng rng(11);
+    sim::Simulator& sim = s->simulator();
+    const sim::SimTime span = 3_ms;
+    int completed = 0;
+    std::function<void(int)> send_next = [&](int i) {
+      if (sim.now() >= span) return;
+      s->sender(static_cast<std::size_t>(i)).send_message(
+          sizes.sample(rng), [&, i](sim::SimTime, std::int64_t) {
+            ++completed;
+            send_next(i);
+          });
+    };
+    for (int i = 0; i < kSenders; ++i) send_next(i);
+    const std::size_t bound = 2 * s->network().link_count() + 2;
+    std::size_t max_pending = 0;
+    for (sim::SimTime t = 10_us; t <= span + 10_ms; t += 10_us) {
+      s->run(t);
+      max_pending = std::max(max_pending, sim.pending_events());
+    }
+    EXPECT_GT(completed, 1'000);
+    EXPECT_LE(max_pending, bound) << "links: " << s->network().link_count();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, TransportConformance,
