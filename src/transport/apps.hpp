@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "stats/stats.hpp"
 #include "transport/tcp.hpp"
@@ -13,13 +12,15 @@
 namespace mtp::transport {
 
 /// Accepts connections on a port and counts delivered bytes into an optional
-/// ThroughputMeter. One sink can serve many connections.
+/// ThroughputMeter. One sink can serve many connections. It keeps none of
+/// them: the stack owns each connection until it closes, so a long run of
+/// short connections does not accumulate closed ones.
 class TcpSink {
  public:
   TcpSink(TcpStack& stack, proto::PortNum port, stats::ThroughputMeter* meter = nullptr)
       : meter_(meter) {
     stack.listen(port, [this, &stack](std::shared_ptr<TcpConnection> conn) {
-      conns_.push_back(conn);
+      ++accepted_;
       conn->on_data = [this, &stack](std::int64_t bytes) {
         total_ += bytes;
         if (meter_) meter_->record(stack.host().simulator().now(), bytes);
@@ -28,12 +29,12 @@ class TcpSink {
   }
 
   std::int64_t bytes_received() const { return total_; }
-  std::size_t connections_accepted() const { return conns_.size(); }
+  std::size_t connections_accepted() const { return accepted_; }
 
  private:
   stats::ThroughputMeter* meter_;
   std::int64_t total_ = 0;
-  std::vector<std::shared_ptr<TcpConnection>> conns_;
+  std::size_t accepted_ = 0;
 };
 
 /// Opens one connection and streams `bytes` (or endless data when bytes < 0).

@@ -691,7 +691,9 @@ void TcpConnection::on_rto() {
   }
   if (++consecutive_timeouts_ > kTcpMaxConsecutiveTimeouts) {
     // Peer unreachable (or gone mid-close): abort instead of retrying
-    // forever — otherwise the simulation never quiesces.
+    // forever — otherwise the simulation never quiesces. The stack may hold
+    // the only reference, so keep this connection alive through on_closed.
+    const auto self = shared_from_this();
     state_ = State::kClosed;
     disarm_rto();
     stack_.remove(TcpStack::ConnKey{peer_, peer_port_, local_port_});
