@@ -42,29 +42,34 @@ class Host final : public Node {
 
   void receive(Packet&& pkt, PortIndex /*in_port*/) override {
     if (pkt.dst != id()) {
-      ++misdelivered_;  // not addressed to this host: drop
+      discard(pkt, misdelivered_);  // not addressed to this host
       return;
     }
     if (pkt.is_tcp()) {
-      if (tcp_) tcp_(std::move(pkt));
-      return;
-    }
-    if (pkt.is_mtp()) {
-      if (mtp_) mtp_(std::move(pkt));
-      return;
-    }
-    if (pkt.is_udp()) {
+      if (tcp_) return tcp_(std::move(pkt));
+    } else if (pkt.is_mtp()) {
+      if (mtp_) return mtp_(std::move(pkt));
+    } else if (pkt.is_udp()) {
       auto it = udp_.find(pkt.udp().dst_port);
-      if (it != udp_.end()) it->second(std::move(pkt));
-      return;
+      if (it != udp_.end()) return it->second(std::move(pkt));
     }
-    ++unhandled_;
+    discard(pkt, unhandled_);  // no stack, an unbound UDP port, or an unknown kind
   }
 
+  /// Discards: misdelivered (addressed elsewhere) and unhandled (nothing
+  /// bound to take the packet). Each is counted and traced as a kDrop.
   std::uint64_t unhandled_packets() const { return unhandled_; }
   std::uint64_t misdelivered_packets() const { return misdelivered_; }
 
  private:
+  void discard(const Packet& pkt, std::uint64_t& counter) {
+    ++counter;
+    if (telemetry::TraceSink::enabled()) {
+      telemetry::trace().record(
+          packet_trace_event(simulator().now(), telemetry::TraceEventType::kDrop, name(), pkt));
+    }
+  }
+
   Handler tcp_;
   std::unordered_map<proto::PortNum, Handler> udp_;
   std::unordered_map<NodeId, PortIndex> routes_;

@@ -26,15 +26,28 @@ Registration MetricRegistry::add(std::string component, std::string instance,
   return Registration{this, id};
 }
 
+// Ids are issued in increasing order and compaction keeps the survivors in
+// order, so providers_ stays sorted by id: a binary search finds the slot,
+// and a removal only marks it dead. Compacting once dead slots exceed half
+// keeps teardown of a whole fabric (one provider per link, queue and
+// endpoint) linear overall instead of quadratic.
 void MetricRegistry::remove(std::uint64_t id) {
-  std::erase_if(providers_, [id](const Provider& p) { return p.id == id; });
+  auto it = std::lower_bound(providers_.begin(), providers_.end(), id,
+                             [](const Provider& p, std::uint64_t v) { return p.id < v; });
+  if (it == providers_.end() || it->id != id || !it->fn) return;
+  it->fn = nullptr;
+  if (++dead_ * 2 > providers_.size()) {
+    std::erase_if(providers_, [](const Provider& p) { return !p.fn; });
+    dead_ = 0;
+  }
 }
 
 RegistrySnapshot MetricRegistry::snapshot() const {
   RegistrySnapshot snap;
-  snap.providers.reserve(providers_.size());
+  snap.providers.reserve(provider_count());
   std::vector<MetricSample> scratch;
   for (const auto& p : providers_) {
+    if (!p.fn) continue;  // removed, not yet compacted
     scratch.clear();
     p.fn(scratch);
     ProviderSnapshot ps;

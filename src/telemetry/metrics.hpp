@@ -115,7 +115,7 @@ class MetricRegistry {
                                  MetricFn fn);
 
   RegistrySnapshot snapshot() const;
-  std::size_t provider_count() const { return providers_.size(); }
+  std::size_t provider_count() const { return providers_.size() - dead_; }
 
  private:
   friend class Registration;
@@ -125,9 +125,10 @@ class MetricRegistry {
     std::uint64_t id;
     std::string component;
     std::string instance;
-    MetricFn fn;
+    MetricFn fn;  ///< empty once removed (the slot waits for compaction)
   };
-  std::vector<Provider> providers_;
+  std::vector<Provider> providers_;  ///< registration order, ascending id
+  std::size_t dead_ = 0;             ///< removed slots still in providers_
   std::uint64_t next_id_ = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include "helpers.hpp"
 #include "stats/stats.hpp"
+#include "telemetry/trace.hpp"
 #include "transport/apps.hpp"
 #include "transport/tcp.hpp"
 #include "transport/udp.hpp"
@@ -331,12 +332,24 @@ TEST(Udp, DatagramsDeliveredWithoutConnection) {
   EXPECT_EQ(server.bytes_received(), 768);
 }
 
-TEST(Udp, NoHandlerMeansSilentDrop) {
+TEST(Udp, NoHandlerMeansCountedTracedDrop) {
+  telemetry::TraceSink::set_enabled(true);
+  telemetry::trace().clear();
   HostPair t;
   UdpSocket client(*t.a, 1234);
   client.send_to(t.b->id(), 99, 100);
   t.sim().run(1_ms);
-  EXPECT_EQ(t.b->unhandled_packets(), 0u);  // UDP demux without binding: dropped quietly
+  telemetry::TraceSink::set_enabled(false);
+  // UDP demux without binding: one unhandled discard, traced at the host.
+  EXPECT_EQ(t.b->unhandled_packets(), 1u);
+  std::size_t drops = 0;
+  for (const auto& ev : telemetry::trace().events()) {
+    if (ev.type != telemetry::TraceEventType::kDrop) continue;
+    ++drops;
+    EXPECT_EQ(ev.component, "b");
+  }
+  EXPECT_EQ(drops, 1u);
+  telemetry::trace().clear();
 }
 
 }  // namespace

@@ -86,6 +86,52 @@ TEST_F(TelemetryTest, RegistrationIsMovable) {
   EXPECT_EQ(reg.provider_count(), before);
 }
 
+TEST_F(TelemetryTest, SnapshotKeepsRegistrationOrderAcrossInterleavedRemovals) {
+  auto& reg = MetricRegistry::global();
+  const std::size_t before = reg.provider_count();
+  std::vector<Registration> regs;
+  std::vector<int> live;  // expected survivors, in registration order
+  auto add = [&](int v) {
+    regs.push_back(reg.add("order", "p" + std::to_string(v), [v](std::vector<MetricSample>& out) {
+      out.push_back({"v", MetricKind::kGauge, static_cast<double>(v)});
+    }));
+    live.push_back(v);
+  };
+  auto remove = [&](int v) {
+    regs[static_cast<std::size_t>(v)].reset();
+    std::erase(live, v);
+  };
+  auto check = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    EXPECT_EQ(reg.provider_count(), before + live.size());
+    std::vector<int> seen;
+    for (const auto& p : reg.snapshot().providers) {
+      if (p.component != "order") continue;
+      ASSERT_EQ(p.metrics.size(), 1u);
+      const int v = static_cast<int>(p.metrics[0].value);
+      EXPECT_EQ(p.instance, "p" + std::to_string(v));
+      seen.push_back(v);
+    }
+    EXPECT_EQ(seen, live);
+  };
+
+  for (int v = 0; v < 40; ++v) add(v);
+  for (int v = 0; v < 40; v += 3) remove(v);  // under half dead: no compaction
+  check("every third removed");
+  for (int v = 40; v < 50; ++v) add(v);
+  remove(45);
+  check("added after removals");
+  for (int v = 1; v < 40; v += 2) remove(v);  // crosses half: compacts
+  check("compacted");
+  remove(45);  // already removed: a no-op
+  for (int v = 50; v < 55; ++v) add(v);
+  for (int v = 40; v < 55; v += 4) remove(v);
+  check("added and removed after compaction");
+  regs.clear();
+  live.clear();
+  check("all removed");
+}
+
 TEST_F(TelemetryTest, SnapshotTotalSumsAcrossInstances) {
   auto& reg = MetricRegistry::global();
   auto mk = [&](const char* inst, double v) {
@@ -362,6 +408,33 @@ TEST_F(TelemetryTest, LinkDownDiscardIsTraced) {
     if (ev.type != TraceEventType::kDrop) continue;
     EXPECT_EQ(ev.component, "alice->tor");
     EXPECT_EQ(ev.dst, rig.bob->id());
+  }
+}
+
+TEST_F(TelemetryTest, HostDiscardIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig;  // bob has no TCP stack, no MTP endpoint and no UDP port bound
+  net::Packet tcp = rig.packet(rig.bob->id());
+  tcp.header = proto::TcpHeader{};
+  net::Packet mtp = rig.packet(rig.bob->id());
+  mtp.header = proto::MtpHeader{};
+  net::Packet udp = rig.packet(rig.bob->id());
+  udp.header = proto::UdpHeader{};
+  net::Packet unknown = rig.packet(rig.bob->id());
+  net::Packet misdelivered = rig.packet(rig.alice->id());
+  rig.bob->receive(std::move(tcp), 0);
+  rig.bob->receive(std::move(mtp), 0);
+  rig.bob->receive(std::move(udp), 0);
+  rig.bob->receive(std::move(unknown), 0);
+  rig.bob->receive(std::move(misdelivered), 0);
+
+  EXPECT_EQ(rig.bob->unhandled_packets(), 4u);
+  EXPECT_EQ(rig.bob->misdelivered_packets(), 1u);
+  EXPECT_EQ(trace().count(TraceEventType::kDrop), 5u);
+  for (const auto& ev : trace().events()) {
+    if (ev.type != TraceEventType::kDrop) continue;
+    EXPECT_EQ(ev.component, "bob");
+    EXPECT_EQ(ev.src, rig.alice->id());
   }
 }
 
