@@ -9,7 +9,7 @@
 //    contract, docs/perf.md);
 //  - a --smoke mode that runs a fixed workload and prints machine-readable
 //    `events_per_sec=` / `allocs_per_event=` / `switch_forward_ns=` /
-//    `link_hop_ns=` / `heap_op_ns=` / `mtp_ack_ns=` lines for
+//    `link_hop_ns=` / `heap_op_ns=` / `timer_wheel_ns=` / `mtp_ack_ns=` lines for
 //    scripts/check.sh to compare against the recorded baseline in
 //    BENCH_core.json.
 #include <benchmark/benchmark.h>
@@ -31,6 +31,7 @@
 #include "net/network.hpp"
 #include "proto/mtp_header.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer_wheel.hpp"
 
 namespace {
 // Counts every heap allocation in the process (benchmark library included).
@@ -369,6 +370,59 @@ void BM_HeapOp(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapOp);
 
+// Timer-wheel churn in the shape of a TCP incast: 16 link chains each deliver
+// an ACK every 120 ns (a 1,500 B packet at 100 Gb/s), round-robin over 64
+// connections, and every ACK cancels its connection's RTO and re-arms it
+// 0.2-2 ms ahead on the simulator's shared wheel, as TcpConnection::arm_rto
+// does. The timers almost never fire (each is pushed out long before its
+// deadline), but every bucket a re-arm touched is still serviced at its wake
+// tick. timer_wheel_ns is the wall time per ACK: one keyed link event popped
+// and pushed, one cancel and one arm.
+class TimerWheelProbe {
+ public:
+  static constexpr int kLinks = 16;
+  static constexpr int kConns = 64;
+
+  TimerWheelProbe() {
+    for (int l = 0; l < kLinks; ++l) deliver(l);
+  }
+
+  /// Runs at least `acks` more ACKs; returns how many ran.
+  std::uint64_t run(std::uint64_t acks) {
+    const std::uint64_t before = acks_;
+    while (acks_ - before < acks) sim_.run(sim_.now() + 1_us);
+    return acks_ - before;
+  }
+
+ private:
+  static void rto_fire(void*, std::uint64_t) {}
+
+  void deliver(int link) {
+    const std::uint64_t key = (static_cast<std::uint64_t>(link) << 40) | ++deliveries_;
+    sim_.schedule_keyed_at(sim_.now() + sim::SimTime::nanoseconds(120), key, [this, link] {
+      const int c = static_cast<int>(acks_++ % kConns);
+      sim::TimerWheel& wheel = sim_.timers();
+      wheel.cancel(rto_[c]);
+      rto_[c] = wheel.arm(sim_.now() + 200_us + sim::SimTime::microseconds(28 * c),
+                          &TimerWheelProbe::rto_fire, this, static_cast<std::uint64_t>(c));
+      deliver(link);
+    });
+  }
+
+  sim::Simulator sim_;
+  std::array<sim::TimerId, kConns> rto_{};
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t acks_ = 0;
+};
+
+void BM_TimerWheelRearm(benchmark::State& state) {
+  TimerWheelProbe probe;
+  std::uint64_t acks = 0;
+  for (auto _ : state) acks += probe.run(10'000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(acks));
+}
+BENCHMARK(BM_TimerWheelRearm);
+
 // The MTP sender's ACK path at k8_burst's per-host load: one endpoint sends
 // 25 ten-packet messages to each of 16 destinations, and every data packet
 // is SACKed by an ACK of its own, handed straight to the sender's host. A
@@ -482,8 +536,8 @@ BENCHMARK(BM_EndToEndMtpTransfer)->Unit(benchmark::kMicrosecond);
 // --smoke: fixed workload, machine-readable output, no benchmark machinery.
 // scripts/check.sh compares events_per_sec against BENCH_core.json (>25%
 // regression fails) and bounds allocs_per_event on the pure-scheduler churn;
-// switch_forward_ns, link_hop_ns, heap_op_ns and mtp_ack_ns are recorded in
-// BENCH_core.json's history, not gated.
+// switch_forward_ns, link_hop_ns, heap_op_ns, timer_wheel_ns and mtp_ack_ns
+// are recorded in BENCH_core.json's history, not gated.
 int smoke_main() {
   using Clock = std::chrono::steady_clock;
 
@@ -553,6 +607,18 @@ int smoke_main() {
     if (attempt == 0 || ns < best_heap_ns) best_heap_ns = ns;
   }
 
+  // Timer-wheel probe: best-of-3 mean nanoseconds per re-arming ACK, 2M
+  // ACKs each.
+  TimerWheelProbe wheel;
+  double best_wheel_ns = 0.0;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    const auto t0 = Clock::now();
+    const std::uint64_t acks = wheel.run(2'000'000);
+    const std::chrono::duration<double, std::nano> dt = Clock::now() - t0;
+    const double ns = dt.count() / static_cast<double>(acks);
+    if (attempt == 0 || ns < best_wheel_ns) best_wheel_ns = ns;
+  }
+
   // MTP ACK probe: best-of-3 mean nanoseconds per ACK, 20 bursts (80k
   // ACKs) each.
   double best_ack_ns = 0.0;
@@ -570,6 +636,7 @@ int smoke_main() {
   std::printf("switch_forward_ns=%.2f\n", best_forward_ns);
   std::printf("link_hop_ns=%.2f\n", best_hop_ns);
   std::printf("heap_op_ns=%.2f\n", best_heap_ns);
+  std::printf("timer_wheel_ns=%.2f\n", best_wheel_ns);
   std::printf("mtp_ack_ns=%.2f\n", best_ack_ns);
   return 0;
 }
