@@ -154,6 +154,41 @@ TEST_F(TelemetryTest, SnapshotJsonEscapesAndRenders) {
   EXPECT_NE(json.find("\"spins\":42"), std::string::npos);
 }
 
+// Byte-for-byte pin of the registry JSON a RunReport embeds: every provider
+// of a small MTP rig, in registration order, counters as integers and gauges
+// at full precision. Snapshot storage may change; this text may not.
+TEST_F(TelemetryTest, SnapshotJsonGoldenForMtpRig) {
+  net::Network net;
+  net::Host* alice = net.add_host("alice");
+  net::Host* bob = net.add_host("bob");
+  net::Switch* sw = net.add_switch("tor");
+  net.connect(*alice, *sw, sim::Bandwidth::gbps(10), 1_us, {.capacity_pkts = 16});
+  net.connect(*sw, *bob, sim::Bandwidth::gbps(10), 1_us, {.capacity_pkts = 16});
+  net.build_routes();
+  core::MtpEndpoint tx(*alice, {});
+  core::MtpEndpoint rx(*bob, {});
+  rx.listen(80, [](const core::ReceivedMessage&) {});
+  for (int i = 0; i < 3; ++i) tx.send_message(bob->id(), 20'000, {.dst_port = 80});
+  net.simulator().run(sim::SimTime::microseconds(20));
+
+  const std::string golden = R"json([
+    {"component":"host","instance":"alice","metrics":{"unhandled_packets":0,"misdelivered_packets":0}},
+    {"component":"host","instance":"bob","metrics":{"unhandled_packets":0,"misdelivered_packets":0}},
+    {"component":"switch","instance":"tor","metrics":{"no_route_drops":0}},
+    {"component":"link","instance":"alice->tor","metrics":{"pkts_delivered":23,"bytes_delivered":24472,"pkts_dropped_down":0,"pkts_dropped_fault":0,"pkts_corrupted":0,"flaps":0,"backlog_bytes":17024,"up":1,"fluid_reserved_bps":0}},
+    {"component":"queue","instance":"alice->tor","metrics":{"enqueued":39,"dequeued":24,"dropped":5,"ecn_marked":0,"bytes_dropped":5320,"tail_dropped":5,"policer_dropped":0,"overload_shed":0,"len_pkts":15,"len_bytes":15960}},
+    {"component":"link","instance":"tor->alice","metrics":{"pkts_delivered":18,"bytes_delivered":1368,"pkts_dropped_down":0,"pkts_dropped_fault":0,"pkts_corrupted":0,"flaps":0,"backlog_bytes":0,"up":1,"fluid_reserved_bps":0}},
+    {"component":"queue","instance":"tor->alice","metrics":{"enqueued":18,"dequeued":18,"dropped":0,"ecn_marked":0,"bytes_dropped":0,"tail_dropped":0,"policer_dropped":0,"overload_shed":0,"len_pkts":0,"len_bytes":0}},
+    {"component":"link","instance":"tor->bob","metrics":{"pkts_delivered":21,"bytes_delivered":22344,"pkts_dropped_down":0,"pkts_dropped_fault":0,"pkts_corrupted":0,"flaps":0,"backlog_bytes":1064,"up":1,"fluid_reserved_bps":0}},
+    {"component":"queue","instance":"tor->bob","metrics":{"enqueued":22,"dequeued":22,"dropped":0,"ecn_marked":0,"bytes_dropped":0,"tail_dropped":0,"policer_dropped":0,"overload_shed":0,"len_pkts":0,"len_bytes":0}},
+    {"component":"link","instance":"bob->tor","metrics":{"pkts_delivered":20,"bytes_delivered":1520,"pkts_dropped_down":0,"pkts_dropped_fault":0,"pkts_corrupted":0,"flaps":0,"backlog_bytes":0,"up":1,"fluid_reserved_bps":0}},
+    {"component":"queue","instance":"bob->tor","metrics":{"enqueued":20,"dequeued":20,"dropped":0,"ecn_marked":0,"bytes_dropped":0,"tail_dropped":0,"policer_dropped":0,"overload_shed":0,"len_pkts":0,"len_bytes":0}},
+    {"component":"mtp","instance":"alice","metrics":{"pkts_sent":44,"pkts_retransmitted":0,"acks_sent":0,"msgs_delivered":0,"outstanding_messages":3,"known_pathlets":1,"srtt_us":9.859,"checksum_drops":0,"rto_backoff":1,"excluded_pathlets":0}},
+    {"component":"mtp","instance":"bob","metrics":{"pkts_sent":0,"pkts_retransmitted":0,"acks_sent":20,"msgs_delivered":1,"outstanding_messages":0,"known_pathlets":0,"srtt_us":0,"checksum_drops":0,"rto_backoff":1,"excluded_pathlets":0}}
+  ])json";
+  EXPECT_EQ(MetricRegistry::global().snapshot().to_json(), golden);
+}
+
 // ------------------------------------------------------------------- sink
 
 TEST_F(TelemetryTest, EnabledFlagGatesInstrumentation) {
