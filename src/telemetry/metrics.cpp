@@ -53,10 +53,7 @@ RegistrySnapshot MetricRegistry::snapshot() const {
     ProviderSnapshot ps;
     ps.component = p.component;
     ps.instance = p.instance;
-    ps.metrics.reserve(scratch.size());
-    for (const auto& s : scratch) {
-      ps.metrics.push_back(MetricPoint{s.name, s.kind, s.value});
-    }
+    ps.metrics.assign(scratch.begin(), scratch.end());
     snap.providers.push_back(std::move(ps));
   }
   return snap;
@@ -68,7 +65,7 @@ std::optional<double> RegistrySnapshot::value(std::string_view component,
   for (const auto& p : providers) {
     if (p.component != component || p.instance != instance) continue;
     for (const auto& m : p.metrics) {
-      if (m.name == metric) return m.value;
+      if (std::string_view(m.name) == metric) return m.value;
     }
   }
   return std::nullopt;
@@ -80,7 +77,7 @@ double RegistrySnapshot::total(std::string_view component,
   for (const auto& p : providers) {
     if (p.component != component) continue;
     for (const auto& m : p.metrics) {
-      if (m.name == metric) sum += m.value;
+      if (std::string_view(m.name) == metric) sum += m.value;
     }
   }
   return sum;
@@ -112,7 +109,7 @@ std::string json_escape(std::string_view s) {
 namespace {
 
 /// Render a metric value: counters as integers, gauges shortest-round-trip.
-std::string format_value(const MetricPoint& m) {
+std::string format_value(const MetricSample& m) {
   char buf[64];
   if (m.kind == MetricKind::kCounter) {
     std::snprintf(buf, sizeof(buf), "%" PRId64, static_cast<std::int64_t>(m.value));

@@ -35,6 +35,8 @@ struct MetricSample {
   MetricKind kind;
   double value;
 };
+// One per metric point in a snapshot; docs/perf.md quotes the size.
+static_assert(sizeof(MetricSample) == 24, "MetricSample changed size; update docs/perf.md");
 
 /// Provider callback: append the component's current samples.
 using MetricFn = std::function<void(std::vector<MetricSample>&)>;
@@ -69,16 +71,13 @@ class Registration {
   std::uint64_t id_ = 0;
 };
 
-struct MetricPoint {
-  std::string name;
-  MetricKind kind = MetricKind::kCounter;
-  double value = 0;
-};
-
+/// One provider's samples at snapshot time. The names stay the static
+/// strings the provider appended: a snapshot copies no metric name, so a
+/// point costs 24 B however long its name is.
 struct ProviderSnapshot {
   std::string component;
   std::string instance;
-  std::vector<MetricPoint> metrics;
+  std::vector<MetricSample> metrics;  ///< sized exactly
 };
 
 /// Point-in-time capture of every registered provider. Benches stash one in
