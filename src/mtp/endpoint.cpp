@@ -287,8 +287,8 @@ void MtpEndpoint::check_parked() {
     if (!g->parked()) continue;
     // Re-derive what service_msg would try first, without side effects.
     const OutgoingMessage* msg = nullptr;
-    for (const proto::MsgId id : g->q) {
-      if ((msg = outgoing_.find(id)) != nullptr) break;
+    for (std::size_t i = 0; i < g->q.size(); ++i) {
+      if ((msg = outgoing_.find(g->q[i])) != nullptr) break;
     }
     assert(msg != nullptr && "a parked group has a message to send");
     std::uint32_t pkt = msg->next_unsent;

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_set>
@@ -29,6 +28,7 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_wheel.hpp"
 #include "telemetry/trace.hpp"
@@ -101,19 +101,20 @@ struct MsgKeyHash {
 
 /// Messages a receiver has finished with (delivered or rejected), so it can
 /// re-ACK or re-reject their retransmissions. Bounded: past `capacity` the
-/// oldest entry is forgotten first.
+/// oldest entry is forgotten first. Holds no memory until the first insert.
 class Tombstones {
  public:
-  explicit Tombstones(std::size_t capacity) : capacity_(capacity) {}
+  explicit Tombstones(std::size_t capacity) : capacity_(capacity) { assert(capacity > 0); }
 
   bool contains(const MsgKey& k) const { return !set_.empty() && set_.contains(k); }
   void insert(const MsgKey& k) {
     if (!set_.insert(k).second) return;
-    fifo_.push_back(k);
-    while (fifo_.size() > capacity_) {
+    // Evict before pushing, so a full set's ring never doubles past capacity.
+    if (fifo_.size() == capacity_) {
       set_.erase(fifo_.front());
       fifo_.pop_front();
     }
+    fifo_.push_back(k);
   }
   void clear() {
     set_.clear();
@@ -123,7 +124,7 @@ class Tombstones {
  private:
   std::size_t capacity_;
   std::unordered_set<MsgKey, MsgKeyHash> set_;
-  std::deque<MsgKey> fifo_;
+  sim::RingBuffer<MsgKey> fifo_;
 };
 
 /// Which packets of an incoming message have arrived.

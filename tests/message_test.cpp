@@ -39,6 +39,24 @@ TEST(Tombstones, EvictsOldestFirstAtCapacity) {
   EXPECT_TRUE(t.contains(d));
 }
 
+TEST(Tombstones, ForgetsTheOldestKPastCapacityInFifoOrder) {
+  constexpr std::uint32_t kCap = 8, kOver = 3;
+  Tombstones t(kCap);
+  for (std::uint32_t i = 0; i < kCap + kOver; ++i) t.insert({1, i});
+  for (std::uint32_t i = 0; i < kOver; ++i) EXPECT_FALSE(t.contains({1, i})) << i;
+  for (std::uint32_t i = kOver; i < kCap + kOver; ++i) EXPECT_TRUE(t.contains({1, i})) << i;
+  // Later inserts keep evicting in insertion order: the oldest survivor
+  // first, one per insert.
+  for (std::uint32_t n = 0; n < kCap; ++n) {
+    t.insert({2, n});
+    EXPECT_FALSE(t.contains({1, kOver + n})) << n;
+    if (n + 1 < kCap) {
+      EXPECT_TRUE(t.contains({1, kOver + n + 1})) << n;
+    }
+    EXPECT_TRUE(t.contains({2, n})) << n;
+  }
+}
+
 TEST(Tombstones, ClearEmptiesIt) {
   Tombstones t(4);
   t.insert({1, 1});
