@@ -225,16 +225,16 @@ void Link::finish_tx() {
   // deliveries are FIFO in time: serialization ends are strictly ordered
   // onto a fixed propagation delay.
   const sim::SimTime deliver_at = sim_.now() + delay_;
-  const std::uint64_t key = next_delivery_key();
+  const std::uint32_t seq = next_tx_seq();
   if (remote_sink_) {
     // Cross-shard hop: the packet leaves this shard's pool and the
     // receiving shard schedules the delivery, one event per packet.
     // Sender-side accounting (stats, kTx) is already done above.
-    remote_sink_(pool_.take(h), deliver_at, key);
+    remote_sink_(pool_.take(h), deliver_at, delivery_key(seq));
   } else {
     // Chained delivery (see InFlight): arm it now only if no earlier packet
     // is propagating; otherwise the predecessor's deliver_front arms it.
-    in_flight_.push_back(InFlight{deliver_at, key, h});
+    in_flight_.push_back(InFlight{deliver_at, seq, h});
     if (in_flight_.size() == 1) arm_delivery(in_flight_.front());
   }
   try_transmit();
@@ -252,8 +252,12 @@ void Link::deliver_front() {
   if (!in_flight_.empty()) arm_delivery(in_flight_.front());
   // The receiver moves the packet straight out of its slot (into the next
   // hop's slot, or its own storage); the slot is released only afterwards,
-  // so nothing the receiver sends can be handed this slot mid-move.
+  // so nothing the receiver sends can be handed this slot mid-move. A
+  // receiver that consumes a packet in place (an ACK's SACK lists, say)
+  // leaves its boxes in the slot: free them now, not at the slot's reuse.
   dst_->receive(std::move(pkt), dst_in_port_);
+  pkt.header = std::monostate{};
+  pkt.app.reset();
   pool_.release(f.pkt);
 }
 

@@ -192,19 +192,23 @@ class Link {
   /// strictly earlier — so every event popped before it would have popped
   /// before it anyway. A link holds one heap entry however many packets
   /// are on the wire.
+  ///
+  /// A cell stores the 28-bit tx counter, not the whole key: the uid half
+  /// is the link's own, so 16-byte cells rebuild the key when armed.
   struct InFlight {
     sim::SimTime deliver_at;  ///< serialization end + propagation
-    std::uint64_t key = 0;    ///< delivery key
+    std::uint32_t seq = 0;    ///< tx counter: the key's low 28 bits
     PacketHandle pkt = kNoPacket;
   };
+  // One cell per packet on a wire; docs/perf.md quotes the size.
+  static_assert(sizeof(InFlight) == 16, "Link::InFlight changed size; update docs/perf.md");
 
   void arm_delivery(const InFlight& f) {
-    sim_.schedule_keyed_at(f.deliver_at, f.key, [this] { deliver_front(); });
+    sim_.schedule_keyed_at(f.deliver_at, delivery_key(f.seq), [this] { deliver_front(); });
   }
 
-  std::uint64_t next_delivery_key() {
-    return (uid_ << 28) | (std::uint64_t{++tx_seq_} & 0x0fffffff);
-  }
+  std::uint64_t delivery_key(std::uint32_t seq) const { return (uid_ << 28) | seq; }
+  std::uint32_t next_tx_seq() { return ++tx_seq_ & 0x0fffffff; }
 
   sim::Simulator& sim_;
   std::uint64_t uid_;

@@ -127,6 +127,33 @@ TEST(MtpTransport, DeliversSingleMessageWithoutConnectionSetup) {
   EXPECT_EQ(p.src.outstanding_messages(), 0u);
 }
 
+// A receiver consumes an ACK in place, reading its SACK lists without
+// moving them out. The link frees what is left in the slot when the
+// delivery returns, so a released slot holds no header box or app payload.
+TEST(MtpTransport, ReleasedPoolSlotsHoldNoHeaderBoxes) {
+  MtpPair p;
+  int delivered = 0;
+  p.dst.listen(80, [&](const ReceivedMessage&) { ++delivered; });
+  for (int i = 0; i < 4; ++i) {
+    p.src.send_message(p.t.b->id(), 20'000,
+                       {.dst_port = 80, .app = net::AppData{"key", "value"}});
+  }
+  p.t.sim().run();
+  ASSERT_EQ(delivered, 4);
+  ASSERT_GT(p.dst.acks_sent(), 0u);
+  const net::PacketPool& pool = p.t.net.packet_pool(0);
+  ASSERT_EQ(pool.live(), 0u);
+  ASSERT_GT(pool.size(), 0u);
+  for (std::uint32_t i = 0; i < pool.size(); ++i) {
+    const net::Packet& pkt = pool[i];
+    EXPECT_FALSE(pkt.app) << "slot " << i;
+    if (!pkt.is_mtp()) continue;
+    EXPECT_FALSE(pkt.mtp().lists) << "slot " << i;
+    EXPECT_FALSE(pkt.mtp().stream) << "slot " << i;
+    EXPECT_FALSE(pkt.mtp().overload) << "slot " << i;
+  }
+}
+
 class MtpMessageSizes : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(MtpMessageSizes, DeliversExactly) {
