@@ -126,8 +126,6 @@ TcpConnection::TcpConnection(TcpStack& stack, net::NodeId peer, proto::PortNum l
       local_port_(local_port),
       peer_port_(peer_port),
       state_(active_open ? State::kSynSent : State::kSynRcvd) {
-  name_ = stack.host().name() + ":" + std::to_string(local_port_) + "->" +
-          std::to_string(peer_) + ":" + std::to_string(peer_port_);
   cwnd_ = static_cast<double>(kTcpInitCwndPkts) * kTcpMss;
   ssthresh_ = 1e18;
   rto_ = kMinRto.scaled(10.0);  // conservative until the first RTT sample

@@ -18,7 +18,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 
 #include "net/host.hpp"
@@ -107,7 +106,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   sim::SimTime srtt() const { return rtt_.srtt; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t timeouts() const { return timeouts_; }
-  const std::string& name() const { return name_; }
 
   /// Peer-advertised receive window (for tests).
   std::int64_t peer_rwnd() const { return peer_rwnd_; }
@@ -160,7 +158,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void transmit(net::Packet&& pkt);
 
   TcpStack& stack_;
-  std::string name_;
   net::NodeId peer_;
   proto::PortNum local_port_;
   proto::PortNum peer_port_;
