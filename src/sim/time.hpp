@@ -84,11 +84,22 @@ class Bandwidth {
   constexpr std::int64_t bits_per_sec() const { return bps_; }
   constexpr double gbit_per_sec() const { return static_cast<double>(bps_) / 1e9; }
 
-  /// Time to serialize `bytes` onto a link of this rate.
-  /// Uses __int128 internally: 1 GB at 1 bps would overflow int64 ns math.
+  /// Time to serialize `bytes` onto a link of this rate (ceil, in ns).
+  /// 64-bit math whenever bytes·8e9 + bps − 1 fits in an int64, which every
+  /// size below ~1.1 GB does at any rate; larger ones take the 128-bit path
+  /// (2 GB would overflow int64 ns math). Both paths round identically.
   constexpr SimTime serialization_delay(std::int64_t bytes) const {
-    const auto bits = static_cast<__int128>(bytes) * 8;
-    const auto ns = (bits * 1'000'000'000 + bps_ - 1) / bps_;  // ceil
+    std::int64_t bit_ns = 0;
+    if (!__builtin_mul_overflow(bytes, kBitNsPerByte, &bit_ns) &&
+        !__builtin_add_overflow(bit_ns, bps_ - 1, &bit_ns)) {
+      return SimTime::nanoseconds(bit_ns / bps_);
+    }
+    return serialization_delay_wide(bytes);
+  }
+
+  /// serialization_delay in 128-bit math, for every size.
+  constexpr SimTime serialization_delay_wide(std::int64_t bytes) const {
+    const auto ns = (static_cast<__int128>(bytes) * kBitNsPerByte + bps_ - 1) / bps_;
     return SimTime::nanoseconds(static_cast<std::int64_t>(ns));
   }
 
@@ -105,6 +116,7 @@ class Bandwidth {
 
  private:
   constexpr explicit Bandwidth(std::int64_t bps) : bps_(bps) {}
+  static constexpr std::int64_t kBitNsPerByte = 8 * 1'000'000'000LL;
   std::int64_t bps_ = 0;
 };
 
