@@ -14,7 +14,9 @@
 //  2. Idle-message footprint: park 100k admitted-but-window-limited
 //     messages on one endpoint and report net heap bytes per message (the
 //     compact PktMeta/PktFifo layout; the old two-deque layout burned
-//     ~1.2 KB per idle message in empty deque chunks alone).
+//     ~1.2 KB per idle message in empty deque chunks alone); the same for
+//     20k idle TCP connections; and the heap bytes per metric point of one
+//     registry snapshot of a k=8 fabric.
 //  3. Space-parallel speedup: the k=16 burst run on 1/2/4/8 sim::sharded
 //     shards (`--shards N` runs one shard count by itself). The completion
 //     digest — a sim::RunDigest with one cell per source host, so it is
@@ -259,6 +261,24 @@ double idle_connection_bytes(int count) {
   return static_cast<double>(after - before) / count;
 }
 
+/// Probe 2c: heap bytes one telemetry::RegistrySnapshot of a k=8 MTP fabric
+/// holds, per metric point. An end-of-run snapshot was the largest single
+/// block of a k=32 run's peak memory (docs/perf.md), so its per-point cost
+/// is gated: the provider labels are copied, the metric names are not.
+double snapshot_bytes_per_point() {
+  const auto s = scenario::ScenarioBuilder()
+                     .seed(7)
+                     .topology(scenario::topo::fat_tree({.k = 8}))
+                     .transport("mtp")
+                     .build();
+  const std::int64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  const telemetry::RegistrySnapshot snap = s->snapshot();
+  const std::int64_t after = g_heap_bytes.load(std::memory_order_relaxed);
+  std::size_t points = 0;
+  for (const auto& p : snap.providers) points += p.metrics.size();
+  return static_cast<double>(after - before) / static_cast<double>(points);
+}
+
 double peak_rss_mb() {
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);
@@ -302,6 +322,7 @@ int smoke_main() {
   }
   const double idle = idle_message_bytes(100'000);
   const double idle_conn = idle_connection_bytes(20'000);
+  const double snapshot_point = snapshot_bytes_per_point();
 
   // Probe 3 (sharded): digest equality at k=8 across 1/2/4 shards, then the
   // k=16 speedup pair. scripts/check.sh gates the digests unconditionally
@@ -349,6 +370,7 @@ int smoke_main() {
   std::printf("shard8_windows=%llu\n", static_cast<unsigned long long>(s8.windows));
   std::printf("shard_speedup=%.2f\n", s8.events_per_sec / s1.events_per_sec);
   std::printf("bytes_per_idle_conn=%.1f\n", idle_conn);
+  std::printf("snapshot_bytes_per_point=%.1f\n", snapshot_point);
   std::printf("hybrid_fct_delta_pct=%.2f\n", hybrid_delta);
   std::printf("hybrid_bulk_event_ratio=%.1f\n", hybrid_ratio);
   std::printf("hybrid_k32_hosts=%d\n", k32a.hosts);
