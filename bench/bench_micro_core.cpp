@@ -146,8 +146,8 @@ proto::MtpHeader typical_data_header() {
   h.pkt_num = 500;
   h.pkt_offset = 500'000;
   h.pkt_len = 1000;
-  h.path_feedback() = {{1, 0, {proto::FeedbackType::kEcn, 1}},
-                     {2, 0, {proto::FeedbackType::kRate, 40'000'000'000}}};
+  h.path_feedback().assign({{1, 0, {proto::FeedbackType::kEcn, 1}},
+                            {2, 0, {proto::FeedbackType::kRate, 40'000'000'000}}});
   return h;
 }
 
@@ -460,7 +460,7 @@ class MtpAckProbe {
       batch.clear();
       for (const net::Packet& d : sink.data) {
         net::Packet ack = transport::make_reply(d, d.dst);
-        ack.mtp().sack() = {{d.mtp().msg_id, d.mtp().pkt_num}};
+        ack.mtp().sack().assign({{d.mtp().msg_id, d.mtp().pkt_num}});
         ack.header_bytes = transport::mtp_header_bytes(ack.mtp());
         batch.push_back(std::move(ack));
       }

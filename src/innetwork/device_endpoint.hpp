@@ -137,12 +137,9 @@ class DeviceReceiver {
 
   /// Emit an ACK (or NACK) for a data packet, as an MTP receiver would.
   void ack(const net::Packet& data, bool nack) {
-    net::Packet p = transport::make_reply(data, sw_.id());
-    auto& hdr = p.mtp();
-    hdr.ack_path_feedback() = data.mtp().path_feedback();
-    (nack ? hdr.nack() : hdr.sack()).push_back({hdr.msg_id, hdr.pkt_num});
-    p.header_bytes = transport::mtp_header_bytes(hdr);
-    sw_.send(std::move(p));
+    const proto::SackEntry self[] = {{data.mtp().msg_id, data.mtp().pkt_num}};
+    sw_.send(nack ? transport::make_ack(data, sw_.id(), {}, self)
+                  : transport::make_ack(data, sw_.id(), self, {}));
   }
 
  private:

@@ -156,17 +156,15 @@ void MtpEndpoint::path_changed(net::NodeId dst) {
   }
 }
 
-std::vector<proto::PathRef> MtpEndpoint::active_exclusions() {
-  std::vector<proto::PathRef> out;
+void MtpEndpoint::stamp_exclusions(proto::MtpHeader& hdr) {
   for (auto it = excluded_until_.begin(); it != excluded_until_.end();) {
     if (it->second <= sim_.now()) {
       it = excluded_until_.erase(it);
     } else {
-      out.push_back({it->first, 0});
+      hdr.path_exclude().push_back({it->first, 0});
       ++it;
     }
   }
-  return out;
 }
 
 void MtpEndpoint::penalize(PathIndex path, proto::TrafficClassId tc, LossKind kind) {
@@ -357,10 +355,7 @@ bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_
 void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt) {
   net::Packet p = transport::make_data(node_.id(), msg, pkt, cfg_.mss, msg.opts.priority);
   auto& hdr = p.mtp();
-  if (!excluded_until_.empty()) {  // the header's list box only when needed
-    std::vector<proto::PathRef> excluded = active_exclusions();
-    if (!excluded.empty()) hdr.path_exclude() = std::move(excluded);
-  }
+  stamp_exclusions(hdr);
   if (pkt == 0 && msg.pkt0) {
     if (msg.pkt0->app) p.app = *msg.pkt0->app;
     if (msg.pkt0->stream) hdr.stream = *msg.pkt0->stream;
@@ -473,14 +468,13 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
   const bool immediate =
       flush_now || nack || !gap_nacks.empty() || cfg_.ack_coalesce <= 1;
   if (immediate && !pending_acks_.contains(data.src)) {
-    std::vector<proto::SackEntry> sacks;
-    std::vector<proto::SackEntry>& nacks = gap_nacks;
+    const proto::SackEntry self{dh.msg_id, dh.pkt_num};
     if (nack) {
-      nacks.insert(nacks.begin(), {dh.msg_id, dh.pkt_num});
+      gap_nacks.insert(gap_nacks.begin(), self);
+      emit_ack(data, {}, gap_nacks);
     } else {
-      sacks.push_back({dh.msg_id, dh.pkt_num});
+      emit_ack(data, {&self, 1}, gap_nacks);
     }
-    emit_ack(data, std::move(sacks), std::move(nacks));
     return;
   }
   auto& pa = pending_acks_[data.src];
@@ -494,7 +488,7 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
   // NACKs and completions flush immediately; otherwise batch to the
   // configured depth with a timer backstop.
   if (flush_now || !pa.nacks.empty() || pa.sacks.size() >= cfg_.ack_coalesce) {
-    emit_ack(pa.last_data, std::move(pa.sacks), std::move(pa.nacks));
+    emit_ack(pa.last_data, pa.sacks, pa.nacks);
     pending_acks_.erase(data.src);
     if (pending_acks_.empty() && ack_flush_task_->running()) ack_flush_task_->stop();
     return;
@@ -504,23 +498,16 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
 
 void MtpEndpoint::flush_acks() {
   for (auto& [src, pa] : pending_acks_) {
-    emit_ack(pa.last_data, std::move(pa.sacks), std::move(pa.nacks));
+    emit_ack(pa.last_data, pa.sacks, pa.nacks);
   }
   pending_acks_.clear();
   ack_flush_task_->stop();
 }
 
-void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
-                           std::vector<proto::SackEntry>&& nacks) {
-  net::Packet p = transport::make_reply(data, node_.id());
+void MtpEndpoint::emit_ack(const net::Packet& data, std::span<const proto::SackEntry> sacks,
+                           std::span<const proto::SackEntry> nacks) {
+  net::Packet p = transport::make_ack(data, node_.id(), sacks, nacks);
   auto& hdr = p.mtp();
-  // The receiver copies the data packet's accumulated path feedback into the
-  // ACK's feedback list — the core of pathlet congestion control. With
-  // coalescing, the freshest packet's feedback stands in for the batch
-  // (paper §4: "feedback can be aggregated").
-  hdr.ack_path_feedback() = data.mtp().path_feedback();
-  hdr.sack() = std::move(sacks);
-  hdr.nack() = std::move(nacks);
   if (cfg_.overload.enabled) {
     // Receiver-driven admission: stamp this endpoint's per-sender credit so
     // the sender paces new in-flight bytes to the receiver's service rate.
@@ -528,14 +515,13 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
         static_cast<std::uint64_t>(admission_.grant_bytes(sim_.now()));
     ++grants_issued_;
   }
-  p.header_bytes = transport::mtp_header_bytes(hdr);
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
     telemetry::TraceEvent ev =
         net::packet_trace_event(sim_.now(), telemetry::TraceEventType::kAck, node_.name(), p);
-    ev.value = hdr.sack().size();
+    ev.value = sacks.size();
     telemetry::trace().record(ev);
-    for (const auto& n : hdr.nack()) {
+    for (const auto& n : nacks) {
       telemetry::TraceEvent ne = ev;
       ne.type = telemetry::TraceEventType::kNack;
       ne.msg_id = n.msg_id;
@@ -723,7 +709,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
     }
   }
 
-  auto handle_entries = [&](const std::vector<proto::SackEntry>& entries, bool is_nack) {
+  auto handle_entries = [&](std::span<const proto::SackEntry> entries, bool is_nack) {
     for (const auto& e : entries) {
       OutgoingMessage* found = outgoing_.find(e.msg_id);
       if (found == nullptr) continue;

@@ -296,8 +296,8 @@ class MtpEndpoint {
   struct PendingAck;
   void queue_ack(const net::Packet& data, bool nack,
                  std::vector<proto::SackEntry> gap_nacks, bool flush_now);
-  void emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
-                std::vector<proto::SackEntry>&& nacks);
+  void emit_ack(const net::Packet& data, std::span<const proto::SackEntry> sacks,
+                std::span<const proto::SackEntry> nacks);
   void flush_acks();
   struct CcState;
   void pump();
@@ -329,7 +329,9 @@ class MtpEndpoint {
   void uncharge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
   /// Record that `dst` now sends on a different path (or none).
   void path_changed(net::NodeId dst);
-  std::vector<proto::PathRef> active_exclusions();
+  /// Append the pathlets still excluded to `hdr`'s Path Exclude list,
+  /// forgetting the expired ones.
+  void stamp_exclusions(proto::MtpHeader& hdr);
 
   // --- mtp::overload: receiver grants pace the sender per destination, and
   // busy-rejects abort outgoing messages instead of letting them time out.

@@ -254,7 +254,8 @@ void Link::deliver_front() {
   // hop's slot, or its own storage); the slot is released only afterwards,
   // so nothing the receiver sends can be handed this slot mid-move. A
   // receiver that consumes a packet in place (an ACK's SACK lists, say)
-  // leaves its boxes in the slot: free them now, not at the slot's reuse.
+  // leaves its heap blocks in the slot: free them now, not at the slot's
+  // reuse.
   dst_->receive(std::move(pkt), dst_in_port_);
   pkt.header = std::monostate{};
   pkt.app.reset();

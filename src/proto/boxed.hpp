@@ -2,16 +2,17 @@
 //
 // Packets are moved several times per hop (NIC ring -> queue -> link ->
 // receive), so every inline byte of header is paid for on every hop of every
-// packet. The variable-length lists (SACK/NACK, path feedback, app payload)
-// are empty on most packets in flight; Boxed keeps them behind a single
-// pointer so an idle field costs 8 bytes and a null check instead of a
-// 24-byte std::vector (or worse, five of them).
+// packet. Rarely-set fields (TCP SACK blocks, the stream and overload blocks,
+// the app payload) are empty on most packets in flight; Boxed keeps each
+// behind a single pointer so an idle field costs 8 bytes and a null check
+// instead of its inline size. (The five MTP header lists share one block of
+// their own, proto::HeaderLists in mtp_header.hpp.)
 //
 // Semantics: a deep-copying unique_ptr whose null state means "default
 // constructed T". Copies clone, moves steal, and equality compares contents —
 // a null box equals a box holding a default-constructed value, so a parsed
-// header with no list entries equals a built header whose lists were touched
-// but left empty.
+// header without the field equals a built header whose field was touched but
+// left default.
 #pragma once
 
 #include <memory>

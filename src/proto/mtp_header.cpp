@@ -1,8 +1,99 @@
 #include "proto/mtp_header.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <type_traits>
+
 #include "proto/wire.hpp"
 
 namespace mtp::proto {
+
+static_assert(sizeof(HeaderLists) == sizeof(void*));
+
+namespace {
+template <typename T>
+constexpr bool kBlockEntry = std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0 &&
+                             alignof(T) <= 8;
+static_assert(kBlockEntry<PathRef> && kBlockEntry<PathFeedback> && kBlockEntry<SackEntry>,
+              "HeaderLists stores entries with memcpy, each list 8-byte aligned");
+}  // namespace
+
+HeaderLists::HeaderLists(const HeaderLists& o) {
+  if (o.b_ == nullptr) return;
+  const std::size_t used = o.offset(kNumLists);
+  if (used == sizeof(Block)) return;  // every list empty: no block
+  b_ = static_cast<Block*>(::operator new(used));
+  std::memcpy(b_, o.b_, used);
+  b_->capacity = static_cast<std::uint32_t>(used);
+}
+
+HeaderLists& HeaderLists::operator=(const HeaderLists& o) {
+  if (this != &o) *this = HeaderLists(o);
+  return *this;
+}
+
+HeaderLists& HeaderLists::operator=(HeaderLists&& o) noexcept {
+  if (this != &o) {
+    reset();
+    b_ = std::exchange(o.b_, nullptr);
+  }
+  return *this;
+}
+
+void HeaderLists::reset() noexcept {
+  ::operator delete(b_);
+  b_ = nullptr;
+}
+
+void HeaderLists::reallocate(std::size_t capacity) {
+  auto* nb = static_cast<Block*>(::operator new(capacity));
+  if (b_ != nullptr) {
+    std::memcpy(nb, b_, offset(kNumLists));
+    ::operator delete(b_);
+  } else {
+    *nb = Block{};
+  }
+  nb->capacity = static_cast<std::uint32_t>(capacity);
+  b_ = nb;
+}
+
+void HeaderLists::reserve(const std::array<std::size_t, kNumLists>& counts) {
+  std::size_t want = sizeof(Block);
+  for (std::size_t i = 0; i < kNumLists; ++i) {
+    const std::size_t held = b_ != nullptr ? b_->count[i] : 0;
+    want += std::max(counts[i], held) * kEntrySize[i];
+  }
+  if (want == sizeof(Block)) return;
+  if (b_ == nullptr || want > b_->capacity) reallocate(want);
+}
+
+std::byte* HeaderLists::resize(std::size_t list, std::size_t n) {
+  if (n > UINT16_MAX) throw std::length_error("MTP header list longer than its 16-bit count");
+  const std::size_t size = kEntrySize[list];
+  const std::size_t old_n = b_ != nullptr ? b_->count[list] : 0;
+  const std::size_t used = b_ != nullptr ? offset(kNumLists) : sizeof(Block);
+  const std::size_t need = used - old_n * size + n * size;
+  if (b_ == nullptr || need > b_->capacity) {
+    reallocate(b_ == nullptr ? need : std::max<std::size_t>(need, 2 * b_->capacity));
+  }
+  auto* base = reinterpret_cast<std::byte*>(b_);
+  const std::size_t begin = offset(list);
+  const std::size_t tail = begin + old_n * size;  // the lists after this one
+  std::memmove(base + begin + n * size, base + tail, used - tail);
+  b_->count[list] = static_cast<std::uint16_t>(n);
+  return base + begin;
+}
+
+bool operator==(const HeaderLists& a, const HeaderLists& b) {
+  return std::ranges::equal(a.get<HeaderLists::kPathExclude>(),
+                            b.get<HeaderLists::kPathExclude>()) &&
+         std::ranges::equal(a.get<HeaderLists::kPathFeedback>(),
+                            b.get<HeaderLists::kPathFeedback>()) &&
+         std::ranges::equal(a.get<HeaderLists::kAckPathFeedback>(),
+                            b.get<HeaderLists::kAckPathFeedback>()) &&
+         std::ranges::equal(a.get<HeaderLists::kSack>(), b.get<HeaderLists::kSack>()) &&
+         std::ranges::equal(a.get<HeaderLists::kNack>(), b.get<HeaderLists::kNack>());
+}
 
 namespace {
 
@@ -14,7 +105,7 @@ constexpr std::size_t kPathRefSize = 4 + 1;          // PathletId + TC
 constexpr std::size_t kPathFeedbackSize = 4 + 1 + 1 + 8;  // + FeedbackType + value
 constexpr std::size_t kSackEntrySize = 8 + 4;        // MsgId + PktNum
 
-void put_path_refs(WireWriter& w, const std::vector<PathRef>& v) {
+void put_path_refs(WireWriter& w, std::span<const PathRef> v) {
   w.put<std::uint16_t>(static_cast<std::uint16_t>(v.size()));
   for (const auto& e : v) {
     w.put<std::uint32_t>(e.pathlet);
@@ -22,7 +113,7 @@ void put_path_refs(WireWriter& w, const std::vector<PathRef>& v) {
   }
 }
 
-void put_path_feedback(WireWriter& w, const std::vector<PathFeedback>& v) {
+void put_path_feedback(WireWriter& w, std::span<const PathFeedback> v) {
   w.put<std::uint16_t>(static_cast<std::uint16_t>(v.size()));
   for (const auto& e : v) {
     w.put<std::uint32_t>(e.pathlet);
@@ -32,7 +123,7 @@ void put_path_feedback(WireWriter& w, const std::vector<PathFeedback>& v) {
   }
 }
 
-void put_sack(WireWriter& w, const std::vector<SackEntry>& v) {
+void put_sack(WireWriter& w, std::span<const SackEntry> v) {
   w.put<std::uint16_t>(static_cast<std::uint16_t>(v.size()));
   for (const auto& e : v) {
     w.put<std::uint64_t>(e.msg_id);
@@ -40,31 +131,25 @@ void put_sack(WireWriter& w, const std::vector<SackEntry>& v) {
   }
 }
 
-// The get_* readers take the destination lazily: an empty list on the wire
-// must not allocate the header's list block.
-template <typename Ensure>
-bool get_path_refs(WireReader& r, Ensure ensure) {
+// The get_* readers append to the header's list; an empty list on the wire
+// allocates no block.
+template <std::size_t I>
+bool get_path_refs(WireReader& r, ListHandle<I> out) {
   const auto n = r.get<std::uint16_t>();
   if (!n) return false;
-  if (*n == 0) return true;
-  auto& v = ensure();
-  v.reserve(*n);
   for (std::uint16_t i = 0; i < *n; ++i) {
     const auto pathlet = r.get<std::uint32_t>();
     const auto tc = r.get<std::uint8_t>();
     if (!pathlet || !tc.has_value()) return false;
-    v.push_back({*pathlet, *tc});
+    out.push_back({*pathlet, *tc});
   }
   return true;
 }
 
-template <typename Ensure>
-bool get_path_feedback(WireReader& r, Ensure ensure) {
+template <std::size_t I>
+bool get_path_feedback(WireReader& r, ListHandle<I> out) {
   const auto n = r.get<std::uint16_t>();
   if (!n) return false;
-  if (*n == 0) return true;
-  auto& v = ensure();
-  v.reserve(*n);
   for (std::uint16_t i = 0; i < *n; ++i) {
     const auto pathlet = r.get<std::uint32_t>();
     const auto tc = r.get<std::uint8_t>();
@@ -72,23 +157,20 @@ bool get_path_feedback(WireReader& r, Ensure ensure) {
     const auto value = r.get<std::uint64_t>();
     if (!pathlet || !tc.has_value() || !type || !value) return false;
     if (*type > static_cast<std::uint8_t>(FeedbackType::kTrimmed)) return false;
-    v.push_back({*pathlet, *tc, Feedback{static_cast<FeedbackType>(*type), *value}});
+    out.push_back({*pathlet, *tc, Feedback{static_cast<FeedbackType>(*type), *value}});
   }
   return true;
 }
 
-template <typename Ensure>
-bool get_sack(WireReader& r, Ensure ensure) {
+template <std::size_t I>
+bool get_sack(WireReader& r, ListHandle<I> out) {
   const auto n = r.get<std::uint16_t>();
   if (!n) return false;
-  if (*n == 0) return true;
-  auto& v = ensure();
-  v.reserve(*n);
   for (std::uint16_t i = 0; i < *n; ++i) {
     const auto msg = r.get<std::uint64_t>();
     const auto pkt = r.get<std::uint32_t>();
     if (!msg || !pkt) return false;
-    v.push_back({*msg, *pkt});
+    out.push_back({*msg, *pkt});
   }
   return true;
 }
@@ -224,11 +306,11 @@ std::optional<MtpHeader> MtpHeader::parse(std::span<const std::uint8_t> in) {
   h.pkt_num = *pkt_num;
   h.pkt_offset = *pkt_off;
   h.pkt_len = *pkt_len;
-  if (!get_path_refs(r, [&]() -> auto& { return h.path_exclude(); })) return std::nullopt;
-  if (!get_path_feedback(r, [&]() -> auto& { return h.path_feedback(); })) return std::nullopt;
-  if (!get_path_feedback(r, [&]() -> auto& { return h.ack_path_feedback(); })) return std::nullopt;
-  if (!get_sack(r, [&]() -> auto& { return h.sack(); })) return std::nullopt;
-  if (!get_sack(r, [&]() -> auto& { return h.nack(); })) return std::nullopt;
+  if (!get_path_refs(r, h.path_exclude()) || !get_path_feedback(r, h.path_feedback()) ||
+      !get_path_feedback(r, h.ack_path_feedback()) || !get_sack(r, h.sack()) ||
+      !get_sack(r, h.nack())) {
+    return std::nullopt;
+  }
   // Stream block: presence byte, then the fixed fields + two u32 lists.
   const auto sp = r.get<std::uint8_t>();
   if (!sp.has_value() || *sp > 1) return std::nullopt;

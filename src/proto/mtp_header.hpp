@@ -12,9 +12,15 @@
 // pathlet congestion information reaches the sender (paper §3.1.1/§3.1.3).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "proto/boxed.hpp"
@@ -61,6 +67,134 @@ struct SackEntry {
   std::uint32_t pkt_num = 0;
   bool operator==(const SackEntry&) const = default;
   auto operator<=>(const SackEntry&) const = default;
+};
+
+template <std::size_t I>
+class ListHandle;
+
+/// The five variable-length lists of one MtpHeader, in one heap block.
+///
+/// The block is a 16-byte header (a 16-bit count per list and the block's
+/// byte capacity) followed by the entries, list after list in wire order
+/// with no gaps; spare capacity sits at the end. Every entry type is a
+/// multiple of 8 bytes, so each list starts aligned. Appending to a list
+/// moves the lists after it up by one entry; when the block is full it is
+/// reallocated at twice its size. No block is held until the first entry is
+/// written, so a one-SACK ACK costs one 32-byte block and a data packet
+/// without exclusions or feedback none.
+///
+/// Value semantics: copies clone (exactly sized; an empty block copies as
+/// none), moves steal, and equality compares contents, so a header without
+/// a block equals one whose lists were written and cleared.
+class HeaderLists {
+ public:
+  enum List : std::size_t {
+    kPathExclude,
+    kPathFeedback,
+    kAckPathFeedback,
+    kSack,
+    kNack,
+    kNumLists
+  };
+  template <std::size_t I>
+  using Entry = std::tuple_element_t<
+      I, std::tuple<PathRef, PathFeedback, PathFeedback, SackEntry, SackEntry>>;
+
+  HeaderLists() = default;
+  HeaderLists(const HeaderLists& o);
+  HeaderLists(HeaderLists&& o) noexcept : b_(std::exchange(o.b_, nullptr)) {}
+  HeaderLists& operator=(const HeaderLists& o);
+  HeaderLists& operator=(HeaderLists&& o) noexcept;
+  ~HeaderLists() { reset(); }
+
+  /// True while a block is held (a block whose lists were cleared included).
+  explicit operator bool() const { return b_ != nullptr; }
+
+  template <std::size_t I>
+  std::span<const Entry<I>> get() const {
+    if (b_ == nullptr) return {};
+    return {reinterpret_cast<const Entry<I>*>(bytes() + offset(I)), b_->count[I]};
+  }
+
+  /// Grows the block, if needed, to hold `counts[i]` entries in list i
+  /// (or the entries it already holds, if more), so lists written up to
+  /// those counts never reallocate. A block it allocates is exactly that
+  /// size.
+  void reserve(const std::array<std::size_t, kNumLists>& counts);
+
+  friend bool operator==(const HeaderLists& a, const HeaderLists& b);
+
+ private:
+  template <std::size_t>
+  friend class ListHandle;
+
+  struct Block {
+    std::uint16_t count[kNumLists];
+    std::uint32_t capacity;  ///< bytes, this header included
+  };
+  static_assert(sizeof(Block) == 16, "a multiple of 8 keeps the first list aligned");
+  static constexpr std::size_t kEntrySize[kNumLists] = {
+      sizeof(PathRef), sizeof(PathFeedback), sizeof(PathFeedback), sizeof(SackEntry),
+      sizeof(SackEntry)};
+
+  const std::byte* bytes() const { return reinterpret_cast<const std::byte*>(b_); }
+  /// Byte offset of list `list`'s first entry (of the free tail for
+  /// kNumLists).
+  std::size_t offset(std::size_t list) const {
+    std::size_t off = sizeof(Block);
+    for (std::size_t i = 0; i < list; ++i) off += b_->count[i] * kEntrySize[i];
+    return off;
+  }
+  void reset() noexcept;
+  void reallocate(std::size_t capacity);
+  /// Sets list `list` to `n` entries, keeping its first min(old, n), and
+  /// returns its first entry, allocating the block if none is held. The
+  /// caller writes any new entries.
+  std::byte* resize(std::size_t list, std::size_t n);
+
+  Block* b_ = nullptr;
+};
+
+/// Write access to list I of a header's HeaderLists: the vector-like subset
+/// the protocol code needs. Spans and pointers read from the list stay
+/// valid only until the next write to any of the header's lists.
+template <std::size_t I>
+class ListHandle {
+ public:
+  using value_type = HeaderLists::Entry<I>;
+
+  // NOLINTNEXTLINE(google-explicit-constructor): MtpHeader's accessors return `{lists}`
+  ListHandle(HeaderLists& lists) : lists_(&lists) {}
+
+  std::span<const value_type> view() const { return lists_->get<I>(); }
+  operator std::span<const value_type>() const { return view(); }
+  std::size_t size() const { return view().size(); }
+  bool empty() const { return view().empty(); }
+  const value_type* begin() const { return view().data(); }
+  const value_type* end() const { return view().data() + size(); }
+  const value_type& operator[](std::size_t i) const { return view()[i]; }
+  const value_type& front() const { return view().front(); }
+  const value_type& back() const { return view().back(); }
+
+  void push_back(const value_type& e) {
+    const value_type copy = e;  // `e` may sit in the block that resize moves
+    const std::size_t n = size();
+    std::memcpy(lists_->resize(I, n + 1) + n * sizeof(value_type), &copy, sizeof(value_type));
+  }
+  /// Replaces the list with `v`, which must not point into this header.
+  void assign(std::span<const value_type> v) {
+    if (v.empty()) return clear();
+    std::memcpy(lists_->resize(I, v.size()), v.data(), v.size_bytes());
+  }
+  void assign(std::initializer_list<value_type> v) {
+    assign(std::span<const value_type>(v.begin(), v.size()));
+  }
+  void clear() {
+    if (*lists_) lists_->resize(I, 0);
+  }
+
+ private:
+  HeaderLists* lists_;
 };
 
 /// Packet roles. DATA carries message payload; ACK carries SACK/NACK lists
@@ -139,37 +273,32 @@ struct MtpHeader {
 
   // --- Variable-length lists (pathlet CC + selective acknowledgement).
   //
-  // Boxed behind one pointer: most data packets in flight carry none of
-  // them, and the packet is moved on every hop, so the five lists would
-  // otherwise dominate sizeof(MtpHeader). Mutable accessors allocate the
-  // block on first touch; const accessors read empty lists for free.
-  struct Lists {
-    std::vector<PathRef> path_exclude;
-    std::vector<PathFeedback> path_feedback;
-    std::vector<PathFeedback> ack_path_feedback;
-    std::vector<SackEntry> sack;
-    std::vector<SackEntry> nack;
-    bool operator==(const Lists&) const = default;
-  };
-  Boxed<Lists> lists;
+  // All five live in one heap block behind one pointer (HeaderLists): most
+  // data packets in flight carry none of them, and the packet is moved on
+  // every hop, so inline lists would dominate sizeof(MtpHeader). Readers
+  // get spans (an empty list costs no block); writers get a ListHandle whose
+  // first append allocates the block.
+  HeaderLists lists;
 
-  std::vector<PathRef>& path_exclude() { return lists.ensure().path_exclude; }
-  const std::vector<PathRef>& path_exclude() const { return lists.view().path_exclude; }
+  std::span<const PathRef> path_exclude() const { return lists.get<HeaderLists::kPathExclude>(); }
+  ListHandle<HeaderLists::kPathExclude> path_exclude() { return {lists}; }
   /// Appended by devices en route.
-  std::vector<PathFeedback>& path_feedback() { return lists.ensure().path_feedback; }
-  const std::vector<PathFeedback>& path_feedback() const { return lists.view().path_feedback; }
-  /// Echoed by the receiver.
-  std::vector<PathFeedback>& ack_path_feedback() { return lists.ensure().ack_path_feedback; }
-  const std::vector<PathFeedback>& ack_path_feedback() const {
-    return lists.view().ack_path_feedback;
+  std::span<const PathFeedback> path_feedback() const {
+    return lists.get<HeaderLists::kPathFeedback>();
   }
-  std::vector<SackEntry>& sack() { return lists.ensure().sack; }
-  const std::vector<SackEntry>& sack() const { return lists.view().sack; }
-  std::vector<SackEntry>& nack() { return lists.ensure().nack; }
-  const std::vector<SackEntry>& nack() const { return lists.view().nack; }
+  ListHandle<HeaderLists::kPathFeedback> path_feedback() { return {lists}; }
+  /// Echoed by the receiver.
+  std::span<const PathFeedback> ack_path_feedback() const {
+    return lists.get<HeaderLists::kAckPathFeedback>();
+  }
+  ListHandle<HeaderLists::kAckPathFeedback> ack_path_feedback() { return {lists}; }
+  std::span<const SackEntry> sack() const { return lists.get<HeaderLists::kSack>(); }
+  ListHandle<HeaderLists::kSack> sack() { return {lists}; }
+  std::span<const SackEntry> nack() const { return lists.get<HeaderLists::kNack>(); }
+  ListHandle<HeaderLists::kNack> nack() { return {lists}; }
 
   // mtp::stream metadata, present only on stream traffic (packet 0 of the
-  // carrying message). Same boxing rationale as the lists above.
+  // carrying message). Boxed for the same reason as the lists above.
   Boxed<StreamHeader> stream;
   bool has_stream() const { return stream.has_value(); }
 

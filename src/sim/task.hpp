@@ -21,7 +21,7 @@ class Task {
  public:
   /// Inline capacity: sizeof(net::Packet) (144 bytes, pinned by a
   /// static_assert in link.cpp — the variable-length header lists ride
-  /// behind proto::Boxed pointers) plus a captured `this`, a SimTime, and
+  /// behind one proto::HeaderLists pointer) plus a captured `this`, a SimTime, and
   /// rounding slack. Keeping this tight matters beyond the no-heap
   /// contract: every scheduler slot carries a Task, so the inline buffer
   /// sets the slot stride the event heap walks.

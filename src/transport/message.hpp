@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -189,6 +190,26 @@ inline net::Packet make_reply(const net::Packet& data, net::NodeId self) {
   hdr.msg_len_bytes = dh.msg_len_bytes;
   hdr.msg_len_pkts = dh.msg_len_pkts;
   hdr.pkt_num = dh.pkt_num;
+  return p;
+}
+
+/// MTP ACK of `data` from `self`: the reply skeleton, the data packet's
+/// accumulated path feedback echoed into the ACK's feedback list (the core
+/// of pathlet congestion control; with coalescing the freshest packet's
+/// feedback stands in for the batch, paper §4: "feedback can be
+/// aggregated"), the given SACK and NACK lists, and the billed header size.
+/// The three lists share one block, sized once.
+inline net::Packet make_ack(const net::Packet& data, net::NodeId self,
+                            std::span<const proto::SackEntry> sacks,
+                            std::span<const proto::SackEntry> nacks) {
+  net::Packet p = make_reply(data, self);
+  auto& hdr = p.mtp();
+  const auto feedback = data.mtp().path_feedback();
+  hdr.lists.reserve({0, 0, feedback.size(), sacks.size(), nacks.size()});
+  hdr.ack_path_feedback().assign(feedback);
+  hdr.sack().assign(sacks);
+  hdr.nack().assign(nacks);
+  p.header_bytes = mtp_header_bytes(hdr);
   return p;
 }
 

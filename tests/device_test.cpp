@@ -105,7 +105,7 @@ TEST(DeviceReceiver, AckBillsTheSameHeaderAsAHostAck) {
   std::vector<net::Packet> acks;
   rig.a->set_mtp_handler([&](net::Packet&& pkt) { acks.push_back(std::move(pkt)); });
   net::Packet data = data_pkt(rig.a->id(), rig.b->id(), 3, 0, 1, 500);
-  data.mtp().path_feedback() = {{.pathlet = 7}, {.pathlet = 8}};
+  data.mtp().path_feedback().assign({{.pathlet = 7}, {.pathlet = 8}});
   rx.on_data(data);
   rig.b->receive(std::move(data), 0);
   rig.net.simulator().run();
@@ -137,8 +137,8 @@ net::Packet ack_to_switch(const SwitchRig& rig, net::NodeId src,
   p.dst = rig.sw->id();
   proto::MtpHeader& h = p.header.emplace<proto::MtpHeader>();
   h.type = proto::MtpPacketType::kAck;
-  h.sack() = std::move(sacks);
-  h.nack() = std::move(nacks);
+  h.sack().assign(sacks);
+  h.nack().assign(nacks);
   return p;
 }
 

@@ -1,16 +1,52 @@
 // Unit tests for the shared message core (transport/message.hpp) and for the
 // endpoints built on it: tombstone eviction, the reply and data builders, the
-// sender record, the SACK/NACK bounds check of a device's endpoint, and
-// endpoint teardown mid-run.
+// sender record, the SACK/NACK bounds check of a device's endpoint,
+// endpoint teardown mid-run, and the heap blocks one ACK holds.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 
 #include "helpers.hpp"
 #include "mtp/endpoint.hpp"
 #include "transport/homa.hpp"
 #include "transport/message.hpp"
+
+namespace {
+// Live heap blocks and bytes, kept by the replacement operator new/delete
+// below so a test can count what one packet holds.
+std::atomic<std::int64_t> g_live_blocks{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+
+void* counted_alloc(std::size_t n) {
+  void* raw = std::malloc(n + kSizeHeader);
+  if (raw == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(raw) = n;
+  g_live_blocks.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(n), std::memory_order_relaxed);
+  return static_cast<char*>(raw) + kSizeHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  void* raw = static_cast<char*>(p) - kSizeHeader;
+  g_live_blocks.fetch_sub(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
+                         std::memory_order_relaxed);
+  std::free(raw);
+}
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) { return counted_alloc(n); }
+[[gnu::noinline]] void* operator new[](std::size_t n) { return counted_alloc(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace mtp::transport {
 namespace {
@@ -239,8 +275,8 @@ TEST(DeviceSender, IgnoresSackOrNackPastTheLastPacket) {
     p.dst = t.sw->id();
     proto::MtpHeader& h = p.header.emplace<proto::MtpHeader>();
     h.type = proto::MtpPacketType::kAck;
-    h.sack() = std::move(sacks);
-    h.nack() = std::move(nacks);
+    h.sack().assign(sacks);
+    h.nack().assign(nacks);
     return p;
   };
   // Known message, stray packet numbers: nothing is sacked or resent.
@@ -280,6 +316,41 @@ TEST(EndpointTeardown, MtpEndpointDestroyedMidRun) {
 
 TEST(EndpointTeardown, HomaEndpointDestroyedMidRun) {
   destroy_mid_run<HomaEndpoint>();
+}
+
+// An ACK's lists live in one heap block: the first ACK of a one-packet
+// message, built by the receiver's own ACK path and parked at the sender's
+// host, holds one SACK and frees exactly one block of at most 32 bytes.
+template <class Endpoint>
+void one_sack_ack_holds_one_block() {
+  mtp::testing::HostPair t;
+  Endpoint sender(*t.a);
+  Endpoint receiver(*t.b);
+  std::vector<net::Packet> acks;
+  t.a->set_mtp_handler([&](net::Packet&& p) { acks.push_back(std::move(p)); });
+  sender.send_message(t.b->id(), 1'000);
+  t.sim().run(20_us);
+  ASSERT_EQ(acks.size(), 1u);
+  net::Packet ack = std::move(acks.front());
+  ASSERT_TRUE(ack.mtp().is_ack());
+  ASSERT_EQ(ack.mtp().sack().size(), 1u);
+  ASSERT_TRUE(ack.mtp().nack().empty());
+  ASSERT_TRUE(ack.mtp().ack_path_feedback().empty());
+  ASSERT_TRUE(ack.mtp().lists);
+
+  const std::int64_t blocks = g_live_blocks.load();
+  const std::int64_t bytes = g_live_bytes.load();
+  { const net::Packet gone = std::move(ack); }
+  EXPECT_EQ(blocks - g_live_blocks.load(), 1);
+  EXPECT_LE(bytes - g_live_bytes.load(), 32);
+}
+
+TEST(HeaderLists, OneSackMtpAckHoldsOneBlock) {
+  one_sack_ack_holds_one_block<core::MtpEndpoint>();
+}
+
+TEST(HeaderLists, OneSackHomaAckHoldsOneBlock) {
+  one_sack_ack_holds_one_block<HomaEndpoint>();
 }
 
 }  // namespace

@@ -22,12 +22,12 @@ MtpHeader sample_header() {
   h.pkt_num = 41;
   h.pkt_offset = 41'000;
   h.pkt_len = 1000;
-  h.path_exclude() = {{5, 1}, {9, 0}};
-  h.path_feedback() = {{5, 1, {FeedbackType::kEcn, 1}},
-                     {7, 1, {FeedbackType::kRate, 40'000'000'000}}};
-  h.ack_path_feedback() = {{5, 1, {FeedbackType::kDelay, 12'345}}};
-  h.sack() = {{12, 3}, {12, 4}};
-  h.nack() = {{13, 0}};
+  h.path_exclude().assign({{5, 1}, {9, 0}});
+  h.path_feedback().assign({{5, 1, {FeedbackType::kEcn, 1}},
+                            {7, 1, {FeedbackType::kRate, 40'000'000'000}}});
+  h.ack_path_feedback().assign({{5, 1, {FeedbackType::kDelay, 12'345}}});
+  h.sack().assign({{12, 3}, {12, 4}});
+  h.nack().assign({{13, 0}});
   return h;
 }
 
@@ -136,10 +136,133 @@ TEST(MtpHeader, AckOverheadIsModest) {
   // plus reasonable slack.
   MtpHeader ack;
   ack.type = MtpPacketType::kAck;
-  ack.ack_path_feedback() = {{1, 0, {FeedbackType::kEcn, 1}},
-                           {2, 0, {FeedbackType::kEcn, 0}}};
-  ack.sack() = {{100, 5}};
+  ack.ack_path_feedback().assign({{1, 0, {FeedbackType::kEcn, 1}},
+                                  {2, 0, {FeedbackType::kEcn, 0}}});
+  ack.sack().assign({{100, 5}});
   EXPECT_LE(ack.wire_size(), 100u);
+}
+
+// --- HeaderLists: the five lists share one heap block.
+
+// A header whose five lists hold `n` distinct entries each. The lists are
+// filled last first, so every append to an earlier list moves the lists
+// after it; n = 5 grows the block past its first regrowth.
+MtpHeader header_with_lists(std::uint32_t n) {
+  MtpHeader h;
+  h.msg_len_pkts = 1;
+  for (std::uint32_t i = 0; i < n; ++i) h.nack().push_back({900 + i, i});
+  for (std::uint32_t i = 0; i < n; ++i) h.sack().push_back({800 + i, i});
+  for (std::uint32_t i = 0; i < n; ++i) {
+    h.ack_path_feedback().push_back({700 + i, 1, {FeedbackType::kDelay, 70 + i}});
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    h.path_feedback().push_back({600 + i, 2, {FeedbackType::kRate, 60 + i}});
+  }
+  for (std::uint32_t i = 0; i < n; ++i) h.path_exclude().push_back({500 + i, 3});
+  return h;
+}
+
+void expect_lists(const MtpHeader& h, std::uint32_t n) {
+  ASSERT_EQ(h.path_exclude().size(), n);
+  ASSERT_EQ(h.path_feedback().size(), n);
+  ASSERT_EQ(h.ack_path_feedback().size(), n);
+  ASSERT_EQ(h.sack().size(), n);
+  ASSERT_EQ(h.nack().size(), n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(h.path_exclude()[i], (PathRef{500 + i, 3}));
+    EXPECT_EQ(h.path_feedback()[i], (PathFeedback{600 + i, 2, {FeedbackType::kRate, 60 + i}}));
+    EXPECT_EQ(h.ack_path_feedback()[i],
+              (PathFeedback{700 + i, 1, {FeedbackType::kDelay, 70 + i}}));
+    EXPECT_EQ(h.sack()[i], (SackEntry{800 + i, i}));
+    EXPECT_EQ(h.nack()[i], (SackEntry{900 + i, i}));
+  }
+}
+
+TEST(HeaderLists, RoundTripAtSizesZeroOneAndPastRegrowth) {
+  for (const std::uint32_t n : {0u, 1u, 5u}) {
+    SCOPED_TRACE(n);
+    const MtpHeader h = header_with_lists(n);
+    EXPECT_EQ(static_cast<bool>(h.lists), n > 0);
+    expect_lists(h, n);
+    std::vector<std::uint8_t> buf;
+    h.serialize(buf);
+    EXPECT_EQ(buf.size(), h.wire_size());
+    EXPECT_EQ(buf.size(), MtpHeader::kFixedSize + 12 + n * (5 + 14 + 14 + 12 + 12));
+    const auto parsed = MtpHeader::parse(buf);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(static_cast<bool>(parsed->lists), n > 0);
+    expect_lists(*parsed, n);
+    EXPECT_EQ(*parsed, h);
+  }
+}
+
+TEST(HeaderLists, ClearAndAssignKeepTheOtherLists) {
+  MtpHeader h = header_with_lists(3);
+  h.ack_path_feedback().clear();
+  h.sack().assign({{1, 2}});
+  EXPECT_TRUE(h.ack_path_feedback().empty());
+  EXPECT_EQ(h.sack().size(), 1u);
+  EXPECT_EQ(h.sack().front(), (SackEntry{1, 2}));
+  ASSERT_EQ(h.nack().size(), 3u);
+  EXPECT_EQ(h.nack().back(), (SackEntry{902, 2}));
+  ASSERT_EQ(h.path_feedback().size(), 3u);
+  EXPECT_EQ(h.path_feedback()[2].pathlet, 602u);
+  const std::vector<SackEntry> many(40, SackEntry{7, 7});
+  h.sack().assign(many);  // grows the block between path feedback and NACKs
+  EXPECT_EQ(h.sack().size(), 40u);
+  EXPECT_EQ(h.nack().front(), (SackEntry{900, 0}));
+  EXPECT_EQ(h.path_exclude().back(), (PathRef{502, 3}));
+}
+
+TEST(HeaderLists, ReserveKeepsListsLongerThanAsked) {
+  MtpHeader h = header_with_lists(3);
+  h.lists.reserve({0, 0, 1, 8, 0});  // fewer than held for four lists
+  expect_lists(h, 3);
+  for (std::uint32_t i = 0; i < 5; ++i) h.sack().push_back({1, i});
+  EXPECT_EQ(h.sack().size(), 8u);
+  EXPECT_EQ(h.sack()[2], (SackEntry{802, 2}));
+  EXPECT_EQ(h.nack()[2], (SackEntry{902, 2}));
+  h.sack().push_back(h.sack()[0]);  // an entry of the block itself
+  EXPECT_EQ(h.sack().back(), (SackEntry{800, 0}));
+}
+
+TEST(HeaderLists, CopyClonesAndMoveSteals) {
+  const MtpHeader original = header_with_lists(5);
+  MtpHeader copy = original;
+  EXPECT_EQ(copy, original);
+  copy.sack().push_back({1, 1});  // the copy owns its own block
+  EXPECT_NE(copy, original);
+  expect_lists(original, 5);
+
+  MtpHeader moved = std::move(copy);
+  EXPECT_FALSE(copy.lists);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.sack().size(), 6u);
+
+  MtpHeader assigned;
+  assigned.nack().push_back({9, 9});
+  assigned = original;  // copy-assigned over a block of its own
+  EXPECT_EQ(assigned, original);
+  assigned = std::move(moved);
+  EXPECT_FALSE(moved.lists);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.sack().size(), 6u);
+  EXPECT_EQ(assigned.sack().back(), (SackEntry{1, 1}));
+}
+
+TEST(HeaderLists, NoBlockEqualsAnEmptiedBlock) {
+  const MtpHeader none;
+  MtpHeader emptied;
+  emptied.sack().push_back({1, 2});
+  emptied.path_feedback().push_back({3, 0, {}});
+  emptied.sack().clear();
+  EXPECT_NE(none, emptied);
+  emptied.path_feedback().clear();
+  EXPECT_TRUE(emptied.lists);
+  EXPECT_FALSE(none.lists);
+  EXPECT_EQ(none, emptied);
+  EXPECT_EQ(emptied, none);
+  const MtpHeader copy = emptied;  // an emptied block copies as none
+  EXPECT_FALSE(copy.lists);
+  EXPECT_EQ(copy, none);
 }
 
 // --- Property sweep: random headers must round-trip exactly.
