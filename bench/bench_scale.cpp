@@ -42,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -288,9 +289,30 @@ double snapshot_bytes_per_point() {
   const std::int64_t before = g_heap_bytes.load(std::memory_order_relaxed);
   const telemetry::RegistrySnapshot snap = s->snapshot();
   const std::int64_t after = g_heap_bytes.load(std::memory_order_relaxed);
-  std::size_t points = 0;
-  for (const auto& p : snap.providers) points += p.metrics.size();
-  return static_cast<double>(after - before) / static_cast<double>(points);
+  return static_cast<double>(after - before) / static_cast<double>(snap.point_count());
+}
+
+/// Probe 2e: heap bytes a fresh telemetry::MetricRegistry holds per provider
+/// when `links` link/queue provider pairs register, as every fabric link
+/// does. Each pair shares one instance label of 19 characters, longer than
+/// a std::string keeps inline, so a label copied per provider would show.
+double registry_bytes_per_provider(int links) {
+  telemetry::MetricRegistry reg;  // empty: allocates on the first add
+  std::vector<telemetry::Registration> regs;
+  regs.reserve(2 * static_cast<std::size_t>(links));
+  const std::int64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  const int stats = 0;
+  auto fn = [p = &stats](std::vector<telemetry::MetricSample>& out) {
+    out.push_back({"v", telemetry::MetricKind::kGauge, static_cast<double>(*p)});
+  };
+  for (int i = 0; i < links; ++i) {
+    const std::string name = "host" + std::to_string(100'000 + i) + "->edge_sw";
+    regs.push_back(reg.add("link", name, fn));
+    regs.push_back(reg.add("queue", name, fn));
+  }
+  const std::int64_t after = g_heap_bytes.load(std::memory_order_relaxed);
+  if (reg.provider_count() != regs.size()) std::abort();
+  return static_cast<double>(after - before) / static_cast<double>(regs.size());
 }
 
 /// Probe 2d: heap bytes per parked MTP ACK. A receiving MtpEndpoint ACKs
@@ -394,6 +416,7 @@ int smoke_main() {
   const double idle_conn = idle_connection_bytes(20'000);
   const double snapshot_point = snapshot_bytes_per_point();
   const double parked_ack = parked_ack_bytes(20'000);
+  const double registry_provider = registry_bytes_per_provider(10'000);
 
   // Probe 3 (sharded): digest equality at k=8 across 1/2/4 shards, then the
   // k=16 speedup pair. scripts/check.sh gates the digests unconditionally
@@ -443,6 +466,7 @@ int smoke_main() {
   std::printf("bytes_per_idle_conn=%.1f\n", idle_conn);
   std::printf("snapshot_bytes_per_point=%.1f\n", snapshot_point);
   std::printf("bytes_per_parked_ack=%.1f\n", parked_ack);
+  std::printf("registry_bytes_per_provider=%.1f\n", registry_provider);
   std::printf("hybrid_fct_delta_pct=%.2f\n", hybrid_delta);
   std::printf("hybrid_bulk_event_ratio=%.1f\n", hybrid_ratio);
   std::printf("hybrid_k32_hosts=%d\n", k32a.hosts);

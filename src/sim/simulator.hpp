@@ -2,8 +2,11 @@
 //
 // A Simulator owns a timestamp-ordered queue of callbacks. Components
 // schedule work with schedule()/schedule_at() and may cancel pending events
-// through the returned EventId. Events at equal timestamps run in scheduling
-// order (FIFO), which makes runs fully deterministic.
+// through the returned EventId. Events at equal timestamps run in a fixed
+// order, which makes runs fully deterministic: first every event scheduled
+// with schedule_keyed_at(), in ascending key order, then the plain
+// schedule()/schedule_at() events in scheduling order (FIFO). The keyspace
+// comment below says which component owns which keys.
 //
 // The hot path is allocation-free (docs/perf.md): callbacks are sim::Task
 // (small-buffer optimized, no heap for anything up to a captured Packet) and

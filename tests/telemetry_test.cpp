@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <string>
+#include <thread>
 
 #include "mtp/endpoint.hpp"
 #include "net/network.hpp"
@@ -105,10 +107,12 @@ TEST_F(TelemetryTest, SnapshotKeepsRegistrationOrderAcrossInterleavedRemovals) {
     SCOPED_TRACE(phase);
     EXPECT_EQ(reg.provider_count(), before + live.size());
     std::vector<int> seen;
-    for (const auto& p : reg.snapshot().providers) {
+    const RegistrySnapshot snap = reg.snapshot();
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const ProviderView p = snap.provider(i);
       if (p.component != "order") continue;
-      ASSERT_EQ(p.metrics.size(), 1u);
-      const int v = static_cast<int>(p.metrics[0].value);
+      ASSERT_EQ(p.values.size(), 1u);
+      const int v = static_cast<int>(p.values[0]);
       EXPECT_EQ(p.instance, "p" + std::to_string(v));
       seen.push_back(v);
     }
@@ -152,6 +156,129 @@ TEST_F(TelemetryTest, SnapshotJsonEscapesAndRenders) {
   const std::string json = reg.snapshot().to_json();
   EXPECT_NE(json.find("\"quo\\\"te\""), std::string::npos);
   EXPECT_NE(json.find("\"spins\":42"), std::string::npos);
+}
+
+// A snapshot owns its labels: one taken on a thread reads the same after
+// the thread's registry (thread_local) and its providers are gone.
+TEST_F(TelemetryTest, SnapshotOutlivesTheThreadThatTookIt) {
+  RegistrySnapshot snap;
+  std::thread([&snap] {
+    auto& reg = MetricRegistry::global();  // this thread's own registry
+    const std::string inst = "a-label-longer-than-fifteen-chars";
+    Registration a = reg.add("widget", inst, [](std::vector<MetricSample>& out) {
+      out.push_back({"spins", MetricKind::kCounter, 3});
+      out.push_back({"load", MetricKind::kGauge, 0.5});
+    });
+    Registration b = reg.add("widget", "another-long-instance-label", [](std::vector<MetricSample>& out) {
+      out.push_back({"spins", MetricKind::kCounter, 4});
+    });
+    snap = reg.snapshot();
+  }).join();
+  EXPECT_EQ(snap.value("widget", "a-label-longer-than-fifteen-chars", "load"), 0.5);
+  EXPECT_EQ(snap.value("widget", "another-long-instance-label", "spins"), 4);
+  EXPECT_EQ(snap.total("widget", "spins"), 7);
+  EXPECT_EQ(snap.to_json(), R"json([
+    {"component":"widget","instance":"a-label-longer-than-fifteen-chars","metrics":{"spins":3,"load":0.5}},
+    {"component":"widget","instance":"another-long-instance-label","metrics":{"spins":4}}
+  ])json");
+}
+
+// Providers that append the same names and kinds share one schema, even
+// when the names come from different strings with the same text.
+TEST_F(TelemetryTest, SnapshotProvidersWithOneMetricListShareOneSchema) {
+  static const char kSpins[] = "spins";  // not the literal's storage
+  auto& reg = MetricRegistry::global();
+  auto mk = [&](const char* inst, const char* name, MetricKind kind) {
+    return reg.add("share", inst, [name, kind](std::vector<MetricSample>& out) {
+      out.push_back({name, kind, 1});
+      out.push_back({"load", MetricKind::kGauge, 2});
+    });
+  };
+  Registration a = mk("a", "spins", MetricKind::kCounter);
+  Registration b = mk("b", "spins", MetricKind::kCounter);
+  Registration c = mk("c", kSpins, MetricKind::kCounter);
+  Registration d = mk("d", "spins", MetricKind::kGauge);
+  const RegistrySnapshot snap = reg.snapshot();
+  std::map<std::string_view, const MetricName*> schema;
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    const ProviderView p = snap.provider(i);
+    if (p.component == "share") schema[p.instance] = p.metrics.data();
+  }
+  ASSERT_EQ(schema.size(), 4u);
+  EXPECT_EQ(schema["a"], schema["b"]);
+  EXPECT_EQ(schema["a"], schema["c"]);
+  EXPECT_NE(schema["a"], schema["d"]);  // same names, another kind
+  EXPECT_EQ(snap.total("share", "spins"), 4);
+}
+
+TEST_F(TelemetryTest, SnapshotReadsAProviderWhoseMetricListChanges) {
+  auto& reg = MetricRegistry::global();
+  bool grown = false;
+  Registration before = reg.add("shape", "before", [](std::vector<MetricSample>& out) {
+    out.push_back({"x", MetricKind::kCounter, 1});
+  });
+  Registration r = reg.add("shape", "changing", [&grown](std::vector<MetricSample>& out) {
+    if (grown) out.push_back({"extra", MetricKind::kGauge, 2.5});
+    out.push_back({"x", MetricKind::kCounter, grown ? 20.0 : 10.0});
+  });
+  Registration after = reg.add("shape", "after", [](std::vector<MetricSample>& out) {
+    out.push_back({"x", MetricKind::kCounter, 100});
+  });
+  const RegistrySnapshot small = reg.snapshot();
+  grown = true;
+  const RegistrySnapshot big = reg.snapshot();
+  EXPECT_EQ(small.value("shape", "changing", "x"), 10);
+  EXPECT_FALSE(small.value("shape", "changing", "extra").has_value());
+  EXPECT_EQ(small.total("shape", "x"), 111);
+  EXPECT_EQ(big.value("shape", "changing", "x"), 20);
+  EXPECT_EQ(big.value("shape", "changing", "extra"), 2.5);
+  EXPECT_EQ(big.value("shape", "after", "x"), 100);
+  EXPECT_EQ(big.total("shape", "x"), 121);
+  EXPECT_NE(big.to_json().find(
+                R"("instance":"changing","metrics":{"extra":2.5,"x":20}})"),
+            std::string::npos);
+}
+
+TEST_F(TelemetryTest, SnapshotRunsEachCallbackOnce) {
+  auto& reg = MetricRegistry::global();
+  int calls = 0;
+  Registration r = reg.add("counting", "c0", [&calls](std::vector<MetricSample>& out) {
+    ++calls;
+    out.push_back({"calls", MetricKind::kCounter, static_cast<double>(calls)});
+  });
+  const RegistrySnapshot first = reg.snapshot();
+  EXPECT_EQ(calls, 1);
+  const RegistrySnapshot second = reg.snapshot();
+  EXPECT_EQ(calls, 2);
+  // Reading a snapshot never polls a provider.
+  EXPECT_EQ(first.value("counting", "c0", "calls"), 1);
+  EXPECT_EQ(second.total("counting", "calls"), 2);
+  (void)second.to_json();
+  EXPECT_EQ(calls, 2);
+}
+
+// A sim::ParallelSweep worker registers a whole fabric per job and tears it
+// down again; labels of dead providers must not pile up in its registry.
+TEST_F(TelemetryTest, RegistryLabelStorageStaysBoundedAcrossRounds) {
+  MetricRegistry reg;  // fresh, as a worker's is at its first job
+  std::size_t bound = 0;
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<Registration> regs;
+    for (int i = 0; i < 10'000; ++i) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "round%02d-link%05d", round, i);  // new labels each round
+      regs.push_back(reg.add("link", name, [](std::vector<MetricSample>&) {}));
+    }
+    const std::size_t populated = reg.label_bytes();
+    if (round == 1) bound = populated;  // round 0 has not yet grown its free list
+    if (round > 1) {
+      EXPECT_LE(populated, bound);
+    }
+    regs.clear();
+    EXPECT_EQ(reg.provider_count(), 0u);
+    EXPECT_LE(reg.label_bytes(), populated);
+  }
 }
 
 // Byte-for-byte pin of the registry JSON a RunReport embeds: every provider
