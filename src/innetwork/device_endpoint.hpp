@@ -73,6 +73,10 @@ class DeviceReceiver {
     const transport::MsgKey key{pkt.src, hdr.msg_id};
     if (!pkt.checksum_ok()) {
       ++checksum_drops_;
+      if (telemetry::TraceSink::enabled()) {
+        telemetry::trace().record(net::packet_trace_event(
+            sw_.simulator().now(), telemetry::TraceEventType::kChecksumDrop, sw_.name(), pkt));
+      }
       ack(pkt, /*nack=*/true);
       return std::nullopt;
     }

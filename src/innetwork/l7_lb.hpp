@@ -19,7 +19,6 @@
 
 #include <string>
 
-#include "mtp/overload/breaker.hpp"
 #include "net/switch.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -31,20 +30,13 @@ class L7LoadBalancer final : public net::IngressProcessor {
     net::NodeId virtual_service = net::kInvalidNode;
     proto::PortNum service_port = 0;  ///< 0 = any port on the virtual node
     std::vector<net::NodeId> replicas;
-    /// Per-replica circuit breakers fed by busy-reject ACKs flowing back
-    /// through the switch: a replica shedding at a sustained rate is ejected
-    /// (breaker open), probed after a cooldown (half-open), and restored on
-    /// clean ACKs. Complements the manual set_replica_up() health bit.
-    bool breaker_enabled = false;
-    overload::CircuitBreaker::Config breaker;
     /// Metrics instance name (one balancer per switch is typical, but the
     /// balancer itself holds no switch reference, so the name is config).
     std::string name = "l7_lb";
   };
 
   explicit L7LoadBalancer(Config cfg)
-      : cfg_(cfg), outstanding_(cfg.replicas.size(), 0), up_(cfg.replicas.size(), true),
-        breakers_(cfg.replicas.size(), overload::CircuitBreaker(cfg.breaker)) {
+      : cfg_(cfg), outstanding_(cfg.replicas.size(), 0), up_(cfg.replicas.size(), true) {
     metrics_ = telemetry::MetricRegistry::global().add(
         "l7_lb", cfg_.name, [this](std::vector<telemetry::MetricSample>& out) {
           using telemetry::MetricKind;
@@ -52,40 +44,13 @@ class L7LoadBalancer final : public net::IngressProcessor {
                          static_cast<double>(assigned_)});
           out.push_back({"crashes", MetricKind::kCounter,
                          static_cast<double>(crashes_)});
-          std::uint64_t opens = 0, half_opens = 0, closes = 0;
-          for (const auto& b : breakers_) {
-            opens += b.opens();
-            half_opens += b.half_opens();
-            closes += b.closes();
-          }
-          out.push_back({"breaker_opens", MetricKind::kCounter,
-                         static_cast<double>(opens)});
-          out.push_back({"breaker_half_opens", MetricKind::kCounter,
-                         static_cast<double>(half_opens)});
-          out.push_back({"breaker_closes", MetricKind::kCounter,
-                         static_cast<double>(closes)});
         });
   }
 
-  bool process(net::Packet& pkt, net::Switch& sw) override {
+  bool process(net::Packet& pkt, net::Switch&) override {
     if (!online_) return false;  // crashed: requests reach the virtual node raw
     if (!pkt.is_mtp()) return false;
     const auto& hdr = pkt.mtp();
-    const sim::SimTime now = sw.simulator().now();
-    // Replica health observation: ACKs from a replica flowing back toward a
-    // client carry the overload verdict. Busy-rejects feed the replica's
-    // breaker; clean SACKs count as successes (and close half-open probes).
-    // The ACK itself is never consumed — it must reach the client.
-    if (cfg_.breaker_enabled && hdr.is_ack()) {
-      const std::size_t i = replica_index(pkt.src);
-      if (i != cfg_.replicas.size()) {
-        if (hdr.has_overload() && hdr.overload->busy()) {
-          breakers_[i].on_shed(now);
-        } else if (!hdr.sack().empty()) {
-          breakers_[i].on_success(now);
-        }
-      }
-    }
     if (hdr.is_ack() || pkt.dst != cfg_.virtual_service) return false;
     if (cfg_.service_port != 0 && hdr.dst_port != cfg_.service_port) return false;
     if (cfg_.replicas.empty()) return false;
@@ -96,7 +61,7 @@ class L7LoadBalancer final : public net::IngressProcessor {
     if (it != pinned_.end()) {
       idx = it->second;
     } else {
-      idx = pick(now);
+      idx = pick();
       outstanding_[idx] += static_cast<std::int64_t>(hdr.msg_len_bytes);
       if (hdr.msg_len_pkts > 1) pinned_.emplace(key, idx);
       ++assigned_;
@@ -122,14 +87,6 @@ class L7LoadBalancer final : public net::IngressProcessor {
   /// to the pick() rotation; its load estimate survived the ejection.
   void set_replica_up(std::size_t replica, bool up) { up_[replica] = up; }
   bool replica_up(std::size_t replica) const { return up_[replica]; }
-  /// The replica's circuit breaker (tests, experiments).
-  overload::CircuitBreaker& breaker(std::size_t replica) { return breakers_[replica]; }
-  /// Replicas currently pickable: manually up and breaker not open.
-  std::size_t healthy_replicas(sim::SimTime now) {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < up_.size(); ++i) n += available(i, now);
-    return n;
-  }
 
   /// Crash with state wipe: forget pins and load estimates, stop rewriting.
   /// In-flight multi-packet requests lose their pin — their remaining
@@ -157,31 +114,18 @@ class L7LoadBalancer final : public net::IngressProcessor {
     }
   };
 
-  std::size_t replica_index(net::NodeId node) const {
-    for (std::size_t i = 0; i < cfg_.replicas.size(); ++i) {
-      if (cfg_.replicas[i] == node) return i;
-    }
-    return cfg_.replicas.size();
-  }
-
-  /// Manually up AND breaker not open (half-open replicas get probe traffic;
-  /// their verdicts drive the next breaker transition).
-  bool available(std::size_t i, sim::SimTime now) {
-    return up_[i] && (!cfg_.breaker_enabled || breakers_[i].allow(now));
-  }
-
   // Least outstanding bytes among healthy replicas; ties break round-robin
   // so uniform single-packet workloads still spread. If every replica is
   // ejected, fall back to the overall best — delivering somewhere beats
   // blackholing at the virtual node.
-  std::size_t pick(sim::SimTime now) {
+  std::size_t pick() {
     const std::size_t n = outstanding_.size();
     std::size_t best = n;  // sentinel: no healthy replica seen yet
     std::size_t best_any = rr_ % n;
     for (std::size_t off = 0; off < n; ++off) {
       const std::size_t i = (rr_ + off) % n;
       if (outstanding_[i] < outstanding_[best_any]) best_any = i;
-      if (!available(i, now)) continue;
+      if (!up_[i]) continue;
       if (best == n || outstanding_[i] < outstanding_[best]) best = i;
     }
     if (best == n) best = best_any;
@@ -192,7 +136,6 @@ class L7LoadBalancer final : public net::IngressProcessor {
   Config cfg_;
   std::vector<std::int64_t> outstanding_;
   std::vector<bool> up_;
-  std::vector<overload::CircuitBreaker> breakers_;
   telemetry::Registration metrics_;
   std::unordered_map<Key, std::size_t, KeyHash> pinned_;
   std::uint64_t assigned_ = 0;

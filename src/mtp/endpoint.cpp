@@ -571,23 +571,16 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
 
   if (fresh) {
     // Overload shedding — only for messages not yet under reassembly (an
-    // admitted message is a commitment: it completes). Deadline-expired
-    // work is shed first (serving it would be wasted — the metastable-
-    // failure fuel), then the watermark sheds low-priority fresh messages
-    // while the reassembly table is saturated. Both paths send an explicit
-    // kBusy reject, never a silent drop.
-    const auto& ov = cfg_.overload;
-    if (ov.enabled) {
-      const std::uint64_t dl = hdr.deadline_ns();
-      if (ov.shed_expired && dl != 0 &&
-          static_cast<std::uint64_t>(sim_.now().ns()) > dl) {
-        ++deadline_expiries_;
-        reject_message(key, pkt, proto::kOverloadBusy | proto::kOverloadExpired);
-        return;
-      }
-      if (ov.max_incoming_msgs != 0 && incoming_.size() >= ov.max_incoming_msgs &&
-          hdr.priority < ov.shed_below_priority) {
-        reject_message(key, pkt, proto::kOverloadBusy);
+    // admitted message is a commitment: it completes). The shared rule
+    // (overload/shed_guard.hpp) counts the reassembly table as work. A shed
+    // is an explicit kBusy reject, never a silent drop.
+    if (cfg_.overload.enabled) {
+      const std::uint8_t shed =
+          overload::shed_verdict(cfg_.overload.shed, incoming_.size(), hdr.priority,
+                                 hdr.deadline_ns(), sim_.now());
+      if (shed != 0) {
+        if (shed & proto::kOverloadExpired) ++deadline_expiries_;
+        reject_message(key, pkt, shed);
         return;
       }
     }

@@ -34,6 +34,7 @@
 
 #include "mtp/cc_algorithm.hpp"
 #include "mtp/overload/admission.hpp"
+#include "mtp/overload/shed_guard.hpp"
 #include "net/node.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
@@ -80,13 +81,10 @@ struct MtpConfig {
     bool enabled = false;
     /// Receiver service-rate EWMA and grant sizing (see overload/admission).
     overload::AdmissionConfig admission;
-    /// Receiver watermark: above this many messages under reassembly, fresh
-    /// messages with priority < shed_below_priority are busy-rejected
-    /// (0 disables watermark shedding; grants still pace senders).
-    std::size_t max_incoming_msgs = 0;
-    std::uint8_t shed_below_priority = 1;
-    /// Busy-reject deadline-expired fresh messages instead of serving them.
-    bool shed_expired = true;
+    /// Busy-reject rule for fresh messages; the work it counts is messages
+    /// under reassembly. By default it sheds only deadline-expired messages:
+    /// the watermark and hard limit are off (grants still pace senders).
+    overload::ShedRule shed;
   };
   OverloadControl overload;
 };

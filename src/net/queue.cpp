@@ -30,8 +30,6 @@ void Queue::append_metrics(std::vector<telemetry::MetricSample>& out) const {
                  static_cast<double>(stats_.tail_dropped)});
   out.push_back({"policer_dropped", MetricKind::kCounter,
                  static_cast<double>(stats_.policer_dropped)});
-  out.push_back({"overload_shed", MetricKind::kCounter,
-                 static_cast<double>(stats_.overload_shed)});
   out.push_back({"len_pkts", MetricKind::kGauge, static_cast<double>(len_pkts())});
   out.push_back({"len_bytes", MetricKind::kGauge, static_cast<double>(len_bytes())});
 }

@@ -23,9 +23,9 @@ namespace mtp::net {
 
 /// Counters every queue maintains; exposed for tests and experiment probes.
 /// `dropped` is the total; every drop must also be attributed to exactly one
-/// of the split counters (tail / policer / overload shed) so bench tables
-/// can tell loss causes apart — the overload tests assert the sum matches,
-/// i.e. no queue ever discards a packet silently.
+/// of the split counters (tail / policer) so bench tables can tell loss
+/// causes apart — the overload tests assert the sum matches, i.e. no queue
+/// ever discards a packet silently.
 struct QueueStats {
   std::uint64_t enqueued = 0;
   std::uint64_t dequeued = 0;
@@ -34,7 +34,6 @@ struct QueueStats {
   std::uint64_t bytes_dropped = 0;
   std::uint64_t tail_dropped = 0;     ///< queue full at enqueue
   std::uint64_t policer_dropped = 0;  ///< fair-share policer verdict at ingress
-  std::uint64_t overload_shed = 0;    ///< explicit overload shed charged here
 };
 
 /// Abstract egress queue. enqueue() may mutate the packet (ECN marking,
@@ -80,18 +79,13 @@ class Queue {
   /// queue implementation — does not pull in the telemetry headers.
   virtual void append_metrics(std::vector<telemetry::MetricSample>& out) const;
 
-  /// Attribute a drop decided *outside* the queue (ingress policer verdict,
-  /// device overload shed) to this egress queue's loss accounting. The
-  /// packet never entered the queue; these exist so every discarded packet
-  /// shows up in exactly one split counter somewhere.
+  /// Attribute a drop decided *outside* the queue (the ingress policer's
+  /// verdict) to this egress queue's loss accounting. The packet never
+  /// entered the queue; this exists so every discarded packet shows up in
+  /// exactly one split counter somewhere.
   void note_policer_drop(const Packet& pkt) {
     ++stats_.dropped;
     ++stats_.policer_dropped;
-    stats_.bytes_dropped += pkt.size_bytes();
-  }
-  void note_overload_shed(const Packet& pkt) {
-    ++stats_.dropped;
-    ++stats_.overload_shed;
     stats_.bytes_dropped += pkt.size_bytes();
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "telemetry/trace.hpp"
+
 namespace mtp::transport {
 
 namespace {
@@ -175,6 +177,10 @@ void HomaEndpoint::on_packet(net::Packet&& pkt) {
     // Payload damaged in flight: count and drop, never deliver. The sender's
     // retransmission timer recovers.
     ++checksum_drops_;
+    if (telemetry::TraceSink::enabled()) {
+      telemetry::trace().record(net::packet_trace_event(
+          sim_.now(), telemetry::TraceEventType::kChecksumDrop, host_.name(), pkt));
+    }
     return;
   }
   if (pkt.mtp().is_ack()) {

@@ -64,16 +64,9 @@ void TcpStack::on_packet(net::Packet&& pkt) {
     // let normal loss recovery retransmit. Never surfaces to a connection.
     ++checksum_drops_;
     if (telemetry::TraceSink::enabled()) {
-      telemetry::TraceEvent ev;
-      ev.t = host_.simulator().now();
-      ev.type = telemetry::TraceEventType::kChecksumDrop;
-      ev.component = host_.name();
-      ev.src = pkt.src;
-      ev.dst = pkt.dst;
-      ev.bytes = pkt.size_bytes();
-      ev.tc = pkt.tc;
-      ev.flow = pkt.flow_hash;
-      telemetry::trace().record(ev);
+      telemetry::trace().record(net::packet_trace_event(
+          host_.simulator().now(), telemetry::TraceEventType::kChecksumDrop, host_.name(),
+          pkt));
     }
     return;
   }
