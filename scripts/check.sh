@@ -10,6 +10,7 @@
 #   check.sh stream-smoke  stream gate: bench_stream_loss --smoke vs BENCH_scale.json
 #   check.sh overload-smoke  overload gate: bench_overload --smoke vs BENCH_scale.json
 #   check.sh transport-smoke transport-zoo gate: bench_fig3_short_flows --smoke vs BENCH_scale.json
+#   check.sh coverage      census: src/ lines only the tests run, and lines nothing runs
 #   check.sh all           every gate in sequence
 #
 # The *-smoke modes judge the bench's --smoke output against the `gates` list
@@ -91,6 +92,36 @@ run_smoke() {
   python3 "$repo/scripts/gates.py" "$repo/$2" "$1" <<<"$out"
 }
 
+run_coverage() {
+  # Two passes over one gcov build (-O1 --coverage, build-coverage/): the
+  # ctest suite, then every bench (--smoke where it has one, its default run
+  # otherwise) and every example. scripts/coverage.py folds each pass's .gcda
+  # counters and prints, per src/ file, the lines only the tests ran and the
+  # lines neither pass ran. Not part of `all`: it is a census, not a gate.
+  local build="$repo/build-coverage" out="$repo/build-coverage/census"
+  cmake --preset coverage -S "$repo"
+  cmake --build --preset coverage -j "$jobs"
+  mkdir -p "$out"
+  python3 "$repo/scripts/coverage.py" reset "$build"
+  ctest --test-dir "$build" -j "$jobs" >"$out/ctest.log" || {
+    tail -20 "$out/ctest.log"
+    return 1
+  }
+  python3 "$repo/scripts/coverage.py" collect "$build" "$out/tests.json"
+  python3 "$repo/scripts/coverage.py" reset "$build"
+  local bin
+  for bin in "$build"/bench/bench_* "$build"/examples/*; do
+    [[ -f "$bin" && -x "$bin" ]] || continue
+    if grep -q -- "--smoke" "$repo/bench/$(basename "$bin").cpp" 2>/dev/null; then
+      MTP_REPORT_DIR="$out/reports" "$bin" --smoke >"$out/$(basename "$bin").log"
+    else
+      MTP_REPORT_DIR="$out/reports" "$bin" >"$out/$(basename "$bin").log"
+    fi
+  done
+  python3 "$repo/scripts/coverage.py" collect "$build" "$out/runs.json"
+  python3 "$repo/scripts/coverage.py" report "$out/tests.json" "$out/runs.json"
+}
+
 case "$mode" in
   asan) run_asan ;;
   tsan) run_tsan ;;
@@ -101,13 +132,14 @@ case "$mode" in
   stream-smoke) run_smoke bench_stream_loss BENCH_scale.json ;;
   overload-smoke) run_smoke bench_overload BENCH_scale.json ;;
   transport-smoke) run_smoke bench_fig3_short_flows BENCH_scale.json ;;
+  coverage) run_coverage ;;
   all)
     for m in asan tsan chaos werror bench-smoke scale-smoke stream-smoke overload-smoke transport-smoke; do
       "$0" "$m"
     done
     ;;
   *)
-    echo "usage: check.sh [asan|tsan|chaos|werror|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|all]" >&2
+    echo "usage: check.sh [asan|tsan|chaos|werror|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|coverage|all]" >&2
     exit 2
     ;;
 esac
