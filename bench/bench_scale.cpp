@@ -113,11 +113,13 @@ struct ScaleResult {
   std::uint64_t completed = 0;
   std::uint64_t peak_concurrent = 0;
   std::uint64_t events = 0;
+  std::uint64_t pkt_hops = 0;
   std::uint64_t windows = 0;
   std::uint64_t digest = 0;
   double wall_sec = 0;
   double sim_ms = 0;
   double events_per_sec = 0;
+  double hops_per_sec = 0;
 };
 
 /// Probes 1 and 3: burst `msgs_per_host` messages from every fat-tree host
@@ -196,6 +198,8 @@ ScaleResult run_fat_tree_burst(int k, int msgs_per_host,
   r.windows = s->windows();
   r.sim_ms = s->simulator().now().ms();
   r.events_per_sec = static_cast<double>(r.events) / r.wall_sec;
+  r.pkt_hops = s->network().pkt_hops();
+  r.hops_per_sec = static_cast<double>(r.pkt_hops) / r.wall_sec;
   return r;
 }
 
@@ -387,7 +391,7 @@ bool same_run(const ScaleResult& a, const ScaleResult& b) {
 }
 
 int smoke_main() {
-  // The wall-clock-rate floors (events_per_sec, shard1/shard8) are judged
+  // The wall-clock-rate floors (hops_per_sec, shard1/shard8) are judged
   // best-of-3, with the three configurations *interleaved* round-robin: a
   // noisy-neighbor burst on a shared CI box then degrades one sample of
   // each config instead of every sample of one config, so the per-config
@@ -407,9 +411,9 @@ int smoke_main() {
       s8 = c;
     } else {
       repeat_match = repeat_match && same_run(r, a) && same_run(s1, b) && same_run(s8, c);
-      if (a.events_per_sec > r.events_per_sec) r = a;
-      if (b.events_per_sec > s1.events_per_sec) s1 = b;
-      if (c.events_per_sec > s8.events_per_sec) s8 = c;
+      if (a.hops_per_sec > r.hops_per_sec) r = a;
+      if (b.hops_per_sec > s1.hops_per_sec) s1 = b;
+      if (c.hops_per_sec > s8.hops_per_sec) s8 = c;
     }
   }
   const double idle = idle_message_bytes(100'000);
@@ -447,10 +451,17 @@ int smoke_main() {
       f3.fct_delta_pct > f7.fct_delta_pct ? f3.fct_delta_pct : f7.fct_delta_pct;
   const double hybrid_ratio =
       f3.bulk_event_ratio < f7.bulk_event_ratio ? f3.bulk_event_ratio : f7.bulk_event_ratio;
-  double k32_best = k32a.events_per_sec;
-  if (k32b.events_per_sec > k32_best) k32_best = k32b.events_per_sec;
-  if (k32c.events_per_sec > k32_best) k32_best = k32c.events_per_sec;
+  // Best of the three k=32 runs by wall time (equal hop counts: same digest).
+  const scenario::hybrid::TenantIsolationResult* k32_best = &k32a;
+  for (const auto* k : {&k32b, &k32c}) {
+    if (k->hops_per_sec > k32_best->hops_per_sec) k32_best = k;
+  }
 
+  // The rates gated are packet hops per wall second: events per hop is an
+  // event-core design choice (a FIFO link settles serialization ends without
+  // an event), so an events rate would read fewer events as a slowdown. The
+  // events rates are printed for reference only.
+  std::printf("hops_per_sec=%.0f\n", r.hops_per_sec);
   std::printf("events_per_sec=%.0f\n", r.events_per_sec);
   std::printf("peak_concurrent_msgs=%llu\n",
               static_cast<unsigned long long>(r.peak_concurrent));
@@ -459,10 +470,14 @@ int smoke_main() {
   std::printf("peak_rss_mb=%.1f\n", peak_rss_mb());
   std::printf("shard_available_cores=%u\n", available_cores());
   std::printf("shard_digest_match=%d\n", shard_match ? 1 : 0);
+  std::printf("shard1_hops_per_sec=%.0f\n", s1.hops_per_sec);
+  std::printf("shard8_hops_per_sec=%.0f\n", s8.hops_per_sec);
   std::printf("shard1_events_per_sec=%.0f\n", s1.events_per_sec);
   std::printf("shard8_events_per_sec=%.0f\n", s8.events_per_sec);
   std::printf("shard8_windows=%llu\n", static_cast<unsigned long long>(s8.windows));
-  std::printf("shard_speedup=%.2f\n", s8.events_per_sec / s1.events_per_sec);
+  // Wall-time ratio: the sharded run keeps a finish event on every
+  // cross-shard link, so its events are not the serial run's events.
+  std::printf("shard_speedup=%.2f\n", s1.wall_sec / s8.wall_sec);
   std::printf("bytes_per_idle_conn=%.1f\n", idle_conn);
   std::printf("snapshot_bytes_per_point=%.1f\n", snapshot_point);
   std::printf("bytes_per_parked_ack=%.1f\n", parked_ack);
@@ -471,7 +486,8 @@ int smoke_main() {
   std::printf("hybrid_bulk_event_ratio=%.1f\n", hybrid_ratio);
   std::printf("hybrid_k32_hosts=%d\n", k32a.hosts);
   std::printf("hybrid_k32_digest_match=%d\n", k32_match ? 1 : 0);
-  std::printf("hybrid_k32_events_per_sec=%.0f\n", k32_best);
+  std::printf("hybrid_k32_hops_per_sec=%.0f\n", k32_best->hops_per_sec);
+  std::printf("hybrid_k32_events_per_sec=%.0f\n", k32_best->events_per_sec);
   return (shard_match && k32_match) ? 0 : 1;
 }
 
@@ -547,7 +563,9 @@ bool shard_speedup_main(const std::vector<unsigned>& shard_counts) {
     rs.push_back(run_fat_tree_burst(/*k=*/16, /*msgs_per_host=*/64,
                                     scenario::Forwarding::kEcmp, n));
   }
-  const double base = rs.front().events_per_sec;
+  // Speedup from wall time: cross-shard links keep a finish event per
+  // packet, so a sharded run executes more events than the serial one.
+  const double base_wall = rs.front().wall_sec;
   bool match = true;
   for (const ScaleResult& r : rs) {
     match = match && same_run(rs.front(), r);
@@ -556,7 +574,7 @@ bool shard_speedup_main(const std::vector<unsigned>& shard_counts) {
                stats::format("%llu", static_cast<unsigned long long>(r.windows)),
                stats::format("%.2f", r.wall_sec),
                stats::format("%.1f", r.events_per_sec / 1e6),
-               stats::format("%.2fx", r.events_per_sec / base),
+               stats::format("%.2fx", base_wall / r.wall_sec),
                stats::format("%016llx", static_cast<unsigned long long>(r.digest))});
     auto& sec = report.section(stats::format("shards_%u", r.shards));
     sec.add_scalar("shards", r.shards);
@@ -566,7 +584,7 @@ bool shard_speedup_main(const std::vector<unsigned>& shard_counts) {
     sec.add_scalar("completed_msgs", static_cast<double>(r.completed));
     sec.add_scalar("wall_sec", r.wall_sec);
     sec.add_scalar("events_per_sec", r.events_per_sec);
-    sec.add_scalar("speedup_vs_1", r.events_per_sec / base);
+    sec.add_scalar("speedup_vs_1", base_wall / r.wall_sec);
     sec.add_text("digest", stats::format("%016llx",
                                          static_cast<unsigned long long>(r.digest)));
   }

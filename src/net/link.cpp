@@ -25,7 +25,8 @@ static_assert(sizeof(Packet) == 144, "net::Packet changed size; update the docs"
 
 Link::~Link() {
   // Return every held slot: the pool may be shared and outlive this link.
-  if (tx_ != kNoPacket) (void)pool_.take(tx_);
+  // A lazy link's serializing packet is already in an in-flight cell.
+  if (tx_ != kNoPacket && !lazy_) (void)pool_.take(tx_);
   while (!in_flight_.empty()) (void)pool_.take(in_flight_.pop_front().pkt);
 }
 
@@ -33,6 +34,7 @@ void Link::register_metrics() {
   using telemetry::MetricKind;
   auto& registry = telemetry::MetricRegistry::global();
   link_metrics_ = registry.add("link", name_, [this](std::vector<telemetry::MetricSample>& out) {
+    settle();
     out.push_back({"pkts_delivered", MetricKind::kCounter,
                    static_cast<double>(stats_.pkts_delivered)});
     out.push_back({"bytes_delivered", MetricKind::kCounter,
@@ -52,6 +54,7 @@ void Link::register_metrics() {
                    static_cast<double>(fluid_reserved_bps_)});
   });
   queue_metrics_ = registry.add("queue", name_, [this](std::vector<telemetry::MetricSample>& out) {
+    settle();
     queue_->append_metrics(out);
   });
 }
@@ -83,6 +86,7 @@ void Link::set_pathlet(PathletConfig cfg) {
   pathlet_.emplace(cfg, bandwidth_);
   if (cfg.feedback == proto::FeedbackType::kRate) {
     rcp_task_ = std::make_unique<sim::PeriodicTask>(sim_, PathletState::kRcpPeriod, [this] {
+      settle();
       pathlet_->periodic_update(queue_->len_bytes());
     });
     rcp_task_->start();
@@ -91,6 +95,7 @@ void Link::set_pathlet(PathletConfig cfg) {
 
 void Link::set_up(bool up) {
   if (up == up_) return;
+  settle();
   up_ = up;
   if (telemetry::TraceSink::enabled()) {
     telemetry::TraceEvent ev;
@@ -110,12 +115,13 @@ void Link::set_up(bool up) {
       }
     }
   } else {
-    try_transmit();
+    try_transmit(sim_.now());
   }
 }
 
 void Link::send(Packet&& pkt) {
   assert(dst_ != nullptr && "Link::connect_to must be called before send");
+  settle();
   if (!up_) {
     ++stats_.pkts_dropped_down;
     if (telemetry::TraceSink::enabled()) {
@@ -173,7 +179,7 @@ void Link::send(Packet&& pkt) {
   } else if (!queue_->enqueue(std::move(pkt))) {
     return;
   }
-  try_transmit();
+  try_transmit(sim_.now());
 }
 
 void Link::stamp(Packet& pkt, sim::SimTime queue_delay) {
@@ -186,28 +192,36 @@ void Link::stamp(Packet& pkt, sim::SimTime queue_delay) {
       {pathlet_->config().id, hdr.tc, pathlet_->make_feedback(marked_here, queue_delay)});
 }
 
-void Link::try_transmit() {
+void Link::try_transmit(sim::SimTime t) {
   if (tx_ != kNoPacket) return;
   // The packet stays in its pool slot; only the handle leaves the queue.
   tx_ = queue_->dequeue_handle();
   if (tx_ == kNoPacket) return;
   const Packet& pkt = pool_[tx_];
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kDequeue, pkt));
+    telemetry::trace().record(
+        packet_trace_event(t, telemetry::TraceEventType::kDequeue, name_, pkt));
   }
   // Queueing delay (excluding this packet's own serialization time).
-  tx_qdelay_ = sim_.now() - pkt.hop_enqueued_at;
+  tx_qdelay_ = t - pkt.hop_enqueued_at;
   const std::uint32_t size = pkt.size_bytes();
   in_flight_bytes_ += size;
   // Serialization runs at the residual rate: line rate minus whatever the
   // fluid flow model has reserved on this link (bandwidth_ itself when no
   // reservation is active — the common case costs one load and a compare).
-  sim_.schedule(residual_bandwidth().serialization_delay(size), [this] { finish_tx(); });
+  tx_end_ = t + residual_bandwidth().serialization_delay(size);
+  if (lazy_) {
+    // On the wire now; the end is settled when someone next looks.
+    push_in_flight(tx_end_ + delay_, tx_);
+  } else {
+    sim_.schedule_keyed_at(tx_end_, finish_key(), [this] { finish_tx(); });
+  }
 }
 
 // Serialization finished: the wire has the whole packet. Exactly one
 // serialization runs at a time, and its packet is tx_.
 void Link::finish_tx() {
+  const sim::SimTime t = tx_end_;
   const PacketHandle h = tx_;
   tx_ = kNoPacket;
   Packet& pkt = pool_[h];
@@ -216,31 +230,31 @@ void Link::finish_tx() {
   stats_.pkts_delivered++;
   stats_.bytes_delivered += pkt.size_bytes();
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kTx, pkt));
+    telemetry::trace().record(
+        packet_trace_event(t, telemetry::TraceEventType::kTx, name_, pkt));
   }
   // Keyed delivery (key = link uid + tx counter): deliveries at equal
   // timestamps execute in link-uid order on every engine, which is what
   // keeps serial and sharded runs bit-identical — FIFO tie-breaking would
   // encode cross-shard scheduling history into the timeline. Per-link
   // deliveries are FIFO in time: serialization ends are strictly ordered
-  // onto a fixed propagation delay.
-  const sim::SimTime deliver_at = sim_.now() + delay_;
-  const std::uint32_t seq = next_tx_seq();
-  if (remote_sink_) {
-    // Cross-shard hop: the packet leaves this shard's pool and the
-    // receiving shard schedules the delivery, one event per packet.
-    // Sender-side accounting (stats, kTx) is already done above.
-    remote_sink_(pool_.take(h), deliver_at, delivery_key(seq));
-  } else {
-    // Chained delivery (see InFlight): arm it now only if no earlier packet
-    // is propagating; otherwise the predecessor's deliver_front arms it.
-    in_flight_.push_back(InFlight{deliver_at, seq, h});
-    if (in_flight_.size() == 1) arm_delivery(in_flight_.front());
+  // onto a fixed propagation delay. A lazy link pushed its cell at the start.
+  if (!lazy_) {
+    const sim::SimTime deliver_at = t + delay_;
+    if (remote_sink_) {
+      // Cross-shard hop: the packet leaves this shard's pool and the
+      // receiving shard schedules the delivery, one event per packet.
+      // Sender-side accounting (stats, kTx) is already done above.
+      remote_sink_(pool_.take(h), deliver_at, delivery_key(next_tx_seq()));
+    } else {
+      push_in_flight(deliver_at, h);
+    }
   }
-  try_transmit();
+  try_transmit(t);
 }
 
 void Link::deliver_front() {
+  settle();  // the front packet's end, at least, has happened
   const InFlight f = in_flight_.pop_front();
   Packet& pkt = pool_[f.pkt];
   if (telemetry::TraceSink::enabled()) {

@@ -6,6 +6,20 @@
 //
 // If the link carries a pathlet (set_pathlet), departing MTP data packets
 // get a (Path ID, TC, Feedback) TLV appended — see net/pathlet.hpp.
+//
+// Lazy departures. On a FIFO link a packet's serialization start and end are
+// fixed once its predecessor's end is known, so an end-of-serialization event
+// would carry no information. When such a link starts a packet it computes
+// the end, puts the packet on the wire (its in-flight cell) at once, and
+// schedules nothing more: one heap event per hop, the delivery. An end is
+// *settled* — stamp, stats, kTx, and the start of the next queued packet at
+// that end's time — by whatever next reads or writes the link, its queue or
+// its pathlet, at the rank the end's event would have had (a serialization
+// end ranks after every other keyed event at its timestamp and before every
+// FIFO one; sim/simulator.hpp). A link keeps one finish event per packet
+// when its queue is not FIFO, when its propagation delay is zero (the
+// delivery would rank before the end), or when it hands packets to another
+// shard (the handoff must happen at the end).
 #pragma once
 
 #include <functional>
@@ -61,6 +75,7 @@ class Link {
         pool_(pool == nullptr ? *own_pool_ : *pool),
         queue_(std::move(queue)) {
     queue_->bind_pool(pool_);
+    lazy_ = lazy_capable();
     register_metrics();
   }
   ~Link();
@@ -88,21 +103,35 @@ class Link {
   sim::Simulator& simulator() const { return sim_; }
   sim::Bandwidth bandwidth() const { return bandwidth_; }
   sim::SimTime propagation_delay() const { return delay_; }
-  Queue& queue() { return *queue_; }
-  const Queue& queue() const { return *queue_; }
-  const LinkStats& stats() const { return stats_; }
+  Queue& queue() {
+    settle();
+    return *queue_;
+  }
+  const Queue& queue() const {
+    settle();
+    return *queue_;
+  }
+  const LinkStats& stats() const {
+    settle();
+    return stats_;
+  }
   const PathletState* pathlet() const { return pathlet_ ? &*pathlet_ : nullptr; }
   Node* peer() const { return dst_; }
 
   /// Bytes currently committed to this link: in-queue plus in-serialization.
   /// Used by load-aware forwarding policies.
-  std::int64_t backlog_bytes() const { return queue_->len_bytes() + in_flight_bytes_; }
+  std::int64_t backlog_bytes() const {
+    settle();
+    return queue_->len_bytes() + in_flight_bytes_;
+  }
 
   /// Packets this link holds in its pool: queued, serializing, or
   /// propagating to a same-shard peer. A cross-shard packet leaves the pool
-  /// when its serialization ends.
+  /// when its serialization ends. A lazy link's serializing packet already
+  /// has its in-flight cell.
   std::size_t held_packets() const {
-    return queue_->len_pkts() + (tx_ != kNoPacket ? 1 : 0) + in_flight_.size();
+    settle();
+    return queue_->len_pkts() + (tx_ != kNoPacket && !lazy_ ? 1 : 0) + in_flight_.size();
   }
 
   /// Capacity reservation (sim::flow fluid bulk transfers). The reserved
@@ -114,6 +143,7 @@ class Link {
   /// them). Only the shard that owns the link may call this (the fluid
   /// model installs its apply hook on the owning replica only).
   void set_fluid_reserved(std::int64_t bps) {
+    settle();
     const std::int64_t cap = bandwidth_.bits_per_sec();
     fluid_reserved_bps_ = bps < 0 ? 0 : (bps > cap ? cap : bps);
   }
@@ -160,14 +190,33 @@ class Link {
   /// The sharded engine's drain schedules it on the receiving shard.
   using RemoteSink =
       std::function<void(Packet&&, sim::SimTime deliver_at, std::uint64_t key)>;
-  void set_remote_sink(RemoteSink sink) { remote_sink_ = std::move(sink); }
+  /// Wiring only: call before the first send().
+  void set_remote_sink(RemoteSink sink) {
+    remote_sink_ = std::move(sink);
+    lazy_ = lazy_capable();
+  }
 
  private:
-  void try_transmit();
+  bool lazy_capable() const {
+    return queue_->fifo() && delay_ > sim::SimTime::zero() && !remote_sink_;
+  }
+  /// Settle every serialization end that has happened for the running
+  /// event. Logically const: the link's observable state at now() does not
+  /// change, it is only brought up to date.
+  void settle() const {
+    while (lazy_ && tx_ != kNoPacket && sim_.passed(tx_end_, finish_key())) {
+      const_cast<Link*>(this)->finish_tx();
+    }
+  }
+  /// Start the next queued packet at `t` (now, or a settled end's time).
+  void try_transmit(sim::SimTime t);
+  /// The serializing packet's end, at tx_end_: the finish event of a link
+  /// that keeps one, or a settle.
   void finish_tx();
   void deliver_front();
   void stamp(Packet& pkt, sim::SimTime queue_delay);
   void register_metrics();
+  /// Trace event at now(); serialization records carry their own times.
   telemetry::TraceEvent trace_event(telemetry::TraceEventType type,
                                     const Packet& pkt) const;
 
@@ -184,11 +233,12 @@ class Link {
   /// counter only disambiguates events of *different* links.
   ///
   /// Deliveries are chained: only the front cell has an event in the heap.
-  /// finish_tx arms a packet's delivery when no earlier packet is
-  /// propagating; otherwise deliver_front arms it, at the cell's own
-  /// (deliver_at, key), when its predecessor leaves. The late insertion
-  /// cannot reorder anything: the heap pops in (when, seq) order, keyed
-  /// events do not consume the FIFO counter, and the predecessor runs
+  /// A cell is pushed when its packet's serialization starts (lazy link) or
+  /// ends (a link with finish events). The push arms the delivery when no
+  /// earlier packet is on the wire; otherwise deliver_front arms it, at the
+  /// cell's own (deliver_at, key), when its predecessor leaves. The late
+  /// insertion cannot reorder anything: the heap pops in (when, seq) order,
+  /// keyed events do not consume the FIFO counter, and the predecessor runs
   /// strictly earlier — so every event popped before it would have popped
   /// before it anyway. A link holds one heap entry however many packets
   /// are on the wire.
@@ -206,8 +256,13 @@ class Link {
   void arm_delivery(const InFlight& f) {
     sim_.schedule_keyed_at(f.deliver_at, delivery_key(f.seq), [this] { deliver_front(); });
   }
+  void push_in_flight(sim::SimTime deliver_at, PacketHandle h) {
+    in_flight_.push_back(InFlight{deliver_at, next_tx_seq(), h});
+    if (in_flight_.size() == 1) arm_delivery(in_flight_.front());
+  }
 
   std::uint64_t delivery_key(std::uint32_t seq) const { return (uid_ << 28) | seq; }
+  std::uint64_t finish_key() const { return sim::kFinishKeyBase | uid_; }
   std::uint32_t next_tx_seq() { return ++tx_seq_ & 0x0fffffff; }
 
   sim::Simulator& sim_;
@@ -222,9 +277,11 @@ class Link {
   Node* dst_ = nullptr;
   PortIndex dst_in_port_ = 0;
   PacketHandle tx_ = kNoPacket;  ///< the serializing packet, if any
+  sim::SimTime tx_end_;          ///< when its serialization ends
+  bool lazy_ = false;            ///< settles ends instead of scheduling them
   bool up_ = true;
   std::int64_t fluid_reserved_bps_ = 0;  ///< sim::flow capacity reservation
-  sim::RingBuffer<InFlight> in_flight_{8};  ///< propagating, front = next to deliver
+  sim::RingBuffer<InFlight> in_flight_{8};  ///< on the wire, front = next to deliver
   sim::SimTime tx_qdelay_;  ///< serializing packet's queueing delay, for the pathlet stamp
   std::int64_t in_flight_bytes_ = 0;
   RemoteSink remote_sink_;

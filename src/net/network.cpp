@@ -205,11 +205,14 @@ std::uint64_t Network::run(sim::SimTime until) {
 
   if (run_trace_on_) {
     // Deterministic merge: tag each event with its shard, stable-sort by
-    // (timestamp, shard). Per-shard streams are already time-ordered (sim
-    // time is monotone), so the result is a total order independent of
-    // thread scheduling. Note equal-timestamp events from *different* shards
-    // order by shard id here, not by the serial run's execution order —
-    // cross-shard-count trace comparisons must sort both sides the same way.
+    // (timestamp, shard). Per-shard streams are exactly time-stamped but not
+    // strictly time-ordered (a FIFO link records a packet's kTx and the next
+    // packet's kDequeue when it settles the serialization end, with the
+    // end's own time), so the sort is a real reorder, not just a merge; it
+    // is a total order independent of thread scheduling. Note equal-timestamp
+    // events from *different* shards order by shard id here, not by the
+    // serial run's execution order — cross-shard-count trace comparisons
+    // must sort both sides the same way.
     std::vector<std::pair<unsigned, std::size_t>> idx;  // (shard, pos)
     std::size_t total = 0;
     for (const auto& v : shard_events_) total += v.size();
@@ -230,6 +233,12 @@ std::uint64_t Network::run(sim::SimTime until) {
     shard_events_.assign(shards(), {});
   }
   return executed;
+}
+
+std::uint64_t Network::pkt_hops() const {
+  std::uint64_t hops = 0;
+  for (const Link* l : links_) hops += l->stats().pkts_delivered;
+  return hops;
 }
 
 std::size_t Network::unaccounted_packet_slots() const {

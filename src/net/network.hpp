@@ -132,6 +132,9 @@ class Network {
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
+  /// Packet hops so far: every link's transmitted packets, summed. The
+  /// work unit of a packet-level run, whatever the events per hop.
+  std::uint64_t pkt_hops() const;
 
   /// Every link in topology-construction order — the order is a function of
   /// the topology alone (not the shard count), so an index into this vector

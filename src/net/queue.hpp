@@ -69,6 +69,11 @@ class Queue {
   virtual std::int64_t len_bytes() const = 0;
   bool empty() const { return len_pkts() == 0; }
 
+  /// True if packets leave in arrival order. A Link over a FIFO queue
+  /// settles serialization ends lazily instead of scheduling one event per
+  /// packet (net/link.hpp); every other queue keeps its finish events.
+  virtual bool fifo() const { return false; }
+
   const QueueStats& stats() const { return stats_; }
 
   /// Telemetry provider: append this queue's counters and occupancy gauges.
@@ -161,6 +166,7 @@ class DropTailQueue : public Queue {
 
   std::size_t len_pkts() const override { return q_.size(); }
   std::int64_t len_bytes() const override { return bytes_; }
+  bool fifo() const override { return true; }
   const Config& config() const { return cfg_; }
 
  private:

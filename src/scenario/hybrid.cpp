@@ -204,6 +204,8 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
   r.events = s->run(50_ms);
   r.wall_sec = std::chrono::duration<double>(Clock::now() - t0).count();
   r.events_per_sec = static_cast<double>(r.events) / r.wall_sec;
+  r.pkt_hops = s->network().pkt_hops();
+  r.hops_per_sec = static_cast<double>(r.pkt_hops) / r.wall_sec;
   for (const ShardCount& d : done) r.fg_completed += d.completed;
   // Bulk completions, sorted by transfer index, fold in after the join: same
   // (index, ns) on every shard count or the digest differs.

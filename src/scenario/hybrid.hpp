@@ -45,8 +45,10 @@ struct TenantIsolationResult {
   int hosts = 0;
   unsigned shards = 1;
   std::uint64_t events = 0;
+  std::uint64_t pkt_hops = 0;
   double wall_sec = 0;
   double events_per_sec = 0;
+  double hops_per_sec = 0;
   std::size_t fg_sent = 0;
   std::size_t fg_completed = 0;
   std::size_t bulk_count = 0;

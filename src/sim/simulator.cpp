@@ -83,6 +83,7 @@ std::uint64_t Simulator::run(SimTime until) {
     }
     if (top.when >= until) break;
     now_ = top.when;
+    running_seq_ = top.seq;
     pop_top();
     // Execute in place: slot pages are address-stable, so the callback may
     // schedule freely (it cannot reuse this slot — it is not on the free
@@ -92,6 +93,7 @@ std::uint64_t Simulator::run(SimTime until) {
     ++executed_;
     ++executed_this_run;
   }
+  running_seq_ = 0;
   // If we stopped on `until`, advance the clock to it so back-to-back run()
   // calls observe contiguous time.
   if (until != SimTime::max() && now_ < until) now_ = until;

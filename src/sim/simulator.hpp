@@ -43,12 +43,18 @@ class TimerWheel;
 ///               across shards because the seq counter advances identically
 ///   2^61        timer-wheel service: at most one event per wheel, at its
 ///               earliest pending bucket-wake tick (sim/timer_wheel.hpp)
-///   [2^62, ...) workload arrival replay: base | arrival index
+///   [2^62, 2^62 | 2^61) workload arrival replay: base | arrival index
+///   [2^62 | 2^61, 2^63) link serialization ends: base | link uid — after
+///               every other keyed event at their timestamp and before every
+///               FIFO event. A link that keeps a finish event schedules it
+///               here; a FIFO link keeps none and settles its ends on demand,
+///               asking passed() whether one has happened (net/link.hpp)
 /// History-independent tie-breaking is what makes a sharded run execute the
 /// exact per-shard event sequences of the serial run (sim/sharded/engine.hpp).
 inline constexpr std::uint64_t kFlowKeyBase = std::uint64_t{1} << 60;
 inline constexpr std::uint64_t kTimerWheelKey = std::uint64_t{1} << 61;
 inline constexpr std::uint64_t kArrivalKeyBase = std::uint64_t{1} << 62;
+inline constexpr std::uint64_t kFinishKeyBase = (std::uint64_t{1} << 62) | (std::uint64_t{1} << 61);
 
 /// Handle to a scheduled event; used only for cancellation.
 /// Default-constructed ids are "null" and safe to cancel (a no-op).
@@ -137,6 +143,15 @@ class Simulator {
   /// Run until the event queue drains or `until` (exclusive upper bound on
   /// event timestamps) is reached. Returns the number of events executed.
   std::uint64_t run(SimTime until = SimTime::max());
+
+  /// Whether an event ranked (when, key) — `key` a schedule_keyed_at key —
+  /// has already run as seen from the running event: it is earlier in time,
+  /// or at the same time with a smaller key. Between run() calls nothing at
+  /// now() counts as run (run(until) stops before `until`). Lets a component
+  /// settle work it never scheduled exactly where the event would have run.
+  bool passed(SimTime when, std::uint64_t key) const {
+    return when < now_ || (when == now_ && key < running_seq_);
+  }
 
   /// Number of events executed so far (for micro-benchmarks and tests).
   std::uint64_t events_executed() const { return executed_; }
@@ -235,6 +250,7 @@ class Simulator {
   std::vector<HeapEntry> heap_;  ///< binary min-heap on (when, seq)
   SlotPool<Slot> slots_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t running_seq_ = 0;  ///< the running entry's seq; 0 outside run()
   std::uint64_t executed_ = 0;
   std::uint64_t next_link_uid_ = 0;
   std::unique_ptr<TimerWheel> timers_;  ///< lazy; see timers()

@@ -27,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/ring.hpp"
@@ -214,26 +215,17 @@ inline net::Packet make_ack(const net::Packet& data, net::NodeId self,
 }
 
 /// Busy-reject of `data` by `self` (an MTP receiver or an in-network device):
-/// a reply whose overload block carries `flags`, recorded as a kBusy trace
-/// event. The sender aborts the message. Callers keep their own counters.
+/// a reply whose overload block carries `flags`. The trace records one kBusy
+/// event for the rejected data packet, `value` = flags. The sender aborts the
+/// message. Callers keep their own counters.
 inline net::Packet make_busy_reject(const net::Packet& data, net::Node& self,
                                     std::uint8_t flags) {
   net::Packet p = make_reply(data, self.id());
   p.mtp().overload.ensure().flags = flags;
   p.header_bytes = mtp_header_bytes(p.mtp());
   if (telemetry::TraceSink::enabled()) {
-    const auto& dh = data.mtp();
-    telemetry::TraceEvent ev;
-    ev.t = self.simulator().now();
-    ev.type = telemetry::TraceEventType::kBusy;
-    ev.component = self.name();
-    ev.src = p.src;
-    ev.dst = p.dst;
-    ev.msg_id = dh.msg_id;
-    ev.pkt_num = dh.pkt_num;
-    ev.bytes = data.size_bytes();
-    ev.tc = data.tc;
-    ev.flow = p.flow_hash;
+    telemetry::TraceEvent ev = net::packet_trace_event(
+        self.simulator().now(), telemetry::TraceEventType::kBusy, self.name(), data);
     ev.value = flags;
     telemetry::trace().record(ev);
   }

@@ -1,17 +1,21 @@
 // Network-substrate tests: queue behaviour (drops, ECN), link timing
-// (serialization + propagation) and chained keyed deliveries, switch route
-// tables and forwarding policies, and pathlet feedback stamping.
+// (serialization + propagation), chained keyed deliveries and lazily settled
+// serialization ends, switch route tables and forwarding policies, and
+// pathlet feedback stamping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "mtp/endpoint.hpp"
 #include "net/forwarding.hpp"
 #include "net/network.hpp"
+#include "telemetry/trace.hpp"
 
 namespace mtp::net {
 namespace {
@@ -431,6 +435,193 @@ TEST(Link, DelayFeedbackReportsQueueingDelay) {
   // First packet: no queueing. Second waited one serialization time (800ns).
   EXPECT_EQ(sink.pkts[0].mtp().path_feedback()[0].feedback.value, 0u);
   EXPECT_EQ(sink.pkts[1].mtp().path_feedback()[0].feedback.value, 800u);
+}
+
+// ------------------------------------------------------- lazy departures
+//
+// A link over a FIFO queue settles serialization ends on demand instead of
+// scheduling them. A DropTailQueue that reports fifo() == false makes the
+// link keep one finish event per packet: the same packets, the same order,
+// through the eager path.
+
+class EagerDropTailQueue final : public DropTailQueue {
+ public:
+  using DropTailQueue::DropTailQueue;
+  bool fifo() const override { return false; }
+};
+
+std::unique_ptr<Queue> drop_tail(bool lazy, DropTailQueue::Config cfg = {}) {
+  if (lazy) return std::make_unique<DropTailQueue>(cfg);
+  return std::make_unique<EagerDropTailQueue>(cfg);
+}
+
+TEST(LazyDepartures, TimerAtASerializationEndSeesItFinished) {
+  // Two 1000 B packets at 10G: the first ends at 800 ns. A plain timer at
+  // exactly 800 ns, scheduled before either send, sees the first packet
+  // transmitted and the second serializing: serialization ends rank before
+  // every FIFO event at their timestamp. (When ends were FIFO events of
+  // their own, this timer ran first and saw nothing transmitted.)
+  for (const bool lazy : {true, false}) {
+    sim::Simulator sim;
+    SinkNode sink(sim, 1, "sink");
+    Link link(sim, "l", Bandwidth::gbps(10), 1_us, drop_tail(lazy));
+    link.connect_to(sink, 0);
+    bool fired = false;
+    sim.schedule_at(800_ns, [&] {
+      fired = true;
+      EXPECT_EQ(link.stats().pkts_delivered, 1u) << "lazy=" << lazy;
+      EXPECT_EQ(link.queue().len_pkts(), 0u) << "lazy=" << lazy;
+      EXPECT_EQ(link.backlog_bytes(), 1000) << "lazy=" << lazy;
+    });
+    link.send(make_pkt(0, 1, 1000));
+    link.send(make_pkt(0, 1, 1000));
+    sim.run();
+    EXPECT_TRUE(fired);
+    ASSERT_EQ(sink.arrival_times.size(), 2u);
+    EXPECT_EQ(sink.arrival_times[1], 1600_ns + 1_us);
+  }
+}
+
+TEST(LazyDepartures, FifoLinkKeepsOnlyItsDeliveryInTheHeap) {
+  // 64 back-to-back packets on a lazy link: one heap event (the front
+  // delivery) however many packets are serialized or on the wire. The same
+  // link over a non-FIFO queue also holds the running finish event.
+  for (const bool lazy : {true, false}) {
+    sim::Simulator sim;
+    SinkNode sink(sim, 1, "sink");
+    Link link(sim, "l", Bandwidth::gbps(100), 5_us, drop_tail(lazy));
+    link.connect_to(sink, 0);
+    for (int i = 0; i < 64; ++i) link.send(make_pkt(0, 1, 1250));  // 100 ns each
+    std::size_t max_pending = 0;
+    for (SimTime t = 50_ns; t < 12_us; t += 50_ns) {
+      sim.run(t);
+      max_pending = std::max(max_pending, sim.pending_events());
+    }
+    sim.run();
+    EXPECT_EQ(max_pending, lazy ? 1u : 2u);
+    EXPECT_EQ(sim.events_executed(), lazy ? 64u : 128u);
+    ASSERT_EQ(sink.pkts.size(), 64u);
+    EXPECT_EQ(sink.arrival_times.back(), 6400_ns + 5_us);
+  }
+}
+
+struct LazyRigResult {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  std::vector<std::string> trace;  // sorted by (t, record)
+};
+
+// Leaf-spine: three senders under leaf l0, one receiver under leaf l1, two
+// spines. l0 places messages with the message-aware policy (backlog reads),
+// its uplinks carry kRate pathlets (RCP ticks read the queue), and the
+// queues are small enough for ECN marks and tail drops. During the run a
+// fluid reservation on l1 -> r changes inside a busy period (once at the
+// flow model's keyed rank, twice as a plain event) and three links flap
+// with packets queued.
+LazyRigResult run_lazy_rig(bool lazy) {
+  telemetry::TraceSink& sink = telemetry::trace();
+  const std::size_t capacity = sink.capacity();
+  sink.set_capacity(1 << 20);
+  telemetry::TraceSink::set_enabled(true);
+
+  Network net;
+  Switch* l0 = net.add_switch("l0");
+  Switch* l1 = net.add_switch("l1");
+  Switch* m0 = net.add_switch("m0");
+  Switch* m1 = net.add_switch("m1");
+  Host* r = net.add_host("r");
+  std::vector<Host*> senders;
+  for (int i = 0; i < 3; ++i) senders.push_back(net.add_host("h" + std::to_string(i)));
+  const auto duplex = [&](Node& a, Node& b, Bandwidth bw, DropTailQueue::Config cfg) {
+    Link* fwd = net.connect_simplex(a, b, bw, 1_us, drop_tail(lazy, cfg));
+    net.connect_simplex(b, a, bw, 1_us, drop_tail(lazy, cfg));
+    return fwd;
+  };
+  const DropTailQueue::Config edge{.capacity_pkts = 64, .ecn_threshold_pkts = 8};
+  const DropTailQueue::Config core{.capacity_pkts = 12, .ecn_threshold_pkts = 4};
+  for (Host* h : senders) duplex(*h, *l0, Bandwidth::gbps(100), edge);
+  Link* up0 = duplex(*l0, *m0, Bandwidth::gbps(40), core);
+  Link* up1 = duplex(*l0, *m1, Bandwidth::gbps(40), core);
+  duplex(*m0, *l1, Bandwidth::gbps(40), core);
+  duplex(*m1, *l1, Bandwidth::gbps(40), core);
+  Link* down = duplex(*l1, *r, Bandwidth::gbps(25), core);
+  net.build_routes();
+  l0->set_policy(std::make_unique<MessageAwarePolicy>());
+  up0->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kRate});
+  up1->set_pathlet({.id = 2, .feedback = proto::FeedbackType::kRate});
+
+  sim::Simulator& sim = net.simulator();
+  sim::RunDigest d(1);
+  core::MtpEndpoint rx(*r, {});
+  rx.listen(80, [&](const core::ReceivedMessage& m) {
+    d.add(0, m.src);
+    d.add(0, m.msg_id);
+    d.add(0, static_cast<std::uint64_t>(m.bytes));
+    d.add(0, static_cast<std::uint64_t>(m.completed_at.ns()));
+  });
+  std::vector<std::unique_ptr<core::MtpEndpoint>> tx;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    tx.push_back(std::make_unique<core::MtpEndpoint>(*senders[i], core::MtpConfig{}));
+    for (int j = 0; j < 8; ++j) {
+      const SimTime at = SimTime::nanoseconds(static_cast<std::int64_t>(1300 * i + 4100 * j));
+      const std::int64_t bytes = 3000 + 7000 * ((i + j) % 4);
+      sim.schedule_at(at, [&, i, bytes] {
+        tx[i]->send_message(r->id(), bytes, {.dst_port = 80});
+      });
+    }
+  }
+  sim.schedule_keyed_at(12_us, sim::kFlowKeyBase | 1,
+                        [down] { down->set_fluid_reserved(15'000'000'000); });
+  for (const auto& [link, at] : {std::pair{up0, 14_us}, {down, 9_us}, {up1, 23_us}}) {
+    sim.schedule_at(at, [link] { link->set_up(false); });
+    sim.schedule_at(at + 700_ns, [link] { link->set_up(true); });
+  }
+  sim.schedule_at(21_us, [down] { down->set_fluid_reserved(5'000'000'000); });
+  sim.schedule_at(26_us, [down] { down->set_fluid_reserved(0); });
+
+  LazyRigResult out;
+  out.events = net.run(20_ms);
+  EXPECT_EQ(rx.msgs_delivered(), 24u) << "lazy=" << lazy;
+  for (const Link* l : net.links()) {
+    const LinkStats& st = l->stats();
+    const QueueStats& q = l->queue().stats();
+    for (const std::uint64_t v : {st.pkts_delivered, st.bytes_delivered, st.pkts_dropped_down,
+                                  q.enqueued, q.dequeued, q.dropped, q.ecn_marked}) {
+      d.add(0, v);
+    }
+  }
+  out.digest = d.value();
+  EXPECT_LT(sink.recorded(), sink.capacity());
+  std::vector<std::pair<std::int64_t, std::string>> rows;
+  for (const telemetry::TraceEvent& ev : sink.events()) {
+    rows.emplace_back(ev.t.ns(), telemetry::to_json(ev));
+  }
+  std::sort(rows.begin(), rows.end());
+  for (auto& row : rows) out.trace.push_back(std::move(row.second));
+
+  std::uint64_t drops = 0, marks = 0, pkts_dropped_down = 0;
+  for (const Link* l : net.links()) {
+    drops += l->queue().stats().tail_dropped;
+    marks += l->queue().stats().ecn_marked;
+    pkts_dropped_down += l->stats().pkts_dropped_down;
+  }
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(marks, 0u);
+  EXPECT_GT(pkts_dropped_down, 0u);  // the flap discarded queued packets
+  telemetry::TraceSink::set_enabled(false);
+  sink.set_capacity(capacity);
+  return out;
+}
+
+TEST(LazyDepartures, SettledEndsMatchFinishEventsExactly) {
+  const LazyRigResult lazy = run_lazy_rig(true);
+  const LazyRigResult eager = run_lazy_rig(false);
+  EXPECT_EQ(lazy.digest, eager.digest);
+  ASSERT_EQ(lazy.trace.size(), eager.trace.size());
+  for (std::size_t i = 0; i < lazy.trace.size(); ++i) {
+    ASSERT_EQ(lazy.trace[i], eager.trace[i]) << "record " << i;
+  }
+  EXPECT_LT(lazy.events, eager.events);
 }
 
 TEST(PathletState, RcpRateConvergesTowardCapacityWhenIdle) {

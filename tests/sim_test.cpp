@@ -115,6 +115,25 @@ TEST(Simulator, EqualTimestampsRunFifo) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(Simulator, PassedRanksAgainstTheRunningEvent) {
+  // A serialization end at 10 ns (key kFinishKeyBase | 5) has happened for
+  // a FIFO event and a later-keyed end at 10 ns, not for an earlier key or
+  // anything at 10 ns once run(10 ns) has returned.
+  Simulator sim;
+  const std::uint64_t end = kFinishKeyBase | 5;
+  std::vector<bool> seen;
+  sim.schedule_at(10_ns, [&] { seen.push_back(sim.passed(10_ns, end)); });
+  sim.schedule_keyed_at(10_ns, kFlowKeyBase, [&] { seen.push_back(sim.passed(10_ns, end)); });
+  sim.schedule_keyed_at(10_ns, kFinishKeyBase | 6, [&] { seen.push_back(sim.passed(10_ns, end)); });
+  sim.schedule_keyed_at(10_ns, 1, [&] { seen.push_back(sim.passed(9_ns, end)); });
+  sim.run(10_ns);
+  EXPECT_FALSE(sim.passed(10_ns, end));
+  EXPECT_TRUE(sim.passed(9_ns, end));
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, true}));
+  EXPECT_FALSE(sim.passed(10_ns, end));  // between runs, nothing at now() has
+}
+
 TEST(Simulator, NestedScheduling) {
   Simulator sim;
   int fired = 0;

@@ -745,6 +745,39 @@ TEST_F(TelemetryTest, ChecksumDropIsTracedAtEveryReceiver) {
   }
 }
 
+TEST_F(TelemetryTest, BusyRejectRecordsOneEventForTheRejectedPacket) {
+  // The kBusy event describes the data packet the node turned away, all of
+  // it: the sender, the rejecting destination, the message and packet, its
+  // size, class and flow, and the reject's flags.
+  TraceSink::set_enabled(true);
+  DropRig rig;
+  net::Packet data = rig.packet(rig.bob->id());
+  proto::MtpHeader h;
+  h.msg_id = 7;
+  h.pkt_num = 3;
+  h.msg_len_pkts = 5;
+  h.dst_port = 80;
+  h.src_port = 9;
+  data.header = h;
+  data.tc = 2;
+  data.flow_hash = 0xabc;
+  const net::Packet reply =
+      transport::make_busy_reject(data, *rig.bob, proto::kOverloadBusy);
+  EXPECT_EQ(reply.dst, rig.alice->id());
+  ASSERT_EQ(trace().size(), 1u);
+  const TraceEvent ev = trace().events().front();
+  EXPECT_EQ(ev.type, TraceEventType::kBusy);
+  EXPECT_EQ(ev.component, "bob");
+  EXPECT_EQ(ev.src, rig.alice->id());
+  EXPECT_EQ(ev.dst, rig.bob->id());
+  EXPECT_EQ(ev.msg_id, 7u);
+  EXPECT_EQ(ev.pkt_num, 3u);
+  EXPECT_EQ(ev.bytes, data.size_bytes());
+  EXPECT_EQ(ev.tc, 2);
+  EXPECT_EQ(ev.flow, 0xabcu);
+  EXPECT_EQ(ev.value, proto::kOverloadBusy);
+}
+
 // ----------------------------------------------------------------- report
 
 TEST_F(TelemetryTest, RunReportRendersSectionsScalarsAndRegistry) {
