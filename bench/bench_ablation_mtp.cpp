@@ -9,6 +9,8 @@
 //  C. Load-balancing granularity on the Fig 6 topology: message-aware
 //     placement vs per-packet spraying vs ECMP, all with MTP traffic —
 //     isolates the placement policy from the transport.
+//  D. Header and ACK overhead (§4): ACK coalescing and selective feedback
+//     stamping, scenario::run_overhead.
 #include <cstdio>
 
 #include "scenario/paper_figs.hpp"
@@ -60,56 +62,6 @@ double run_mtp_lb_policy(const std::string& policy, int messages) {
   }
   net.simulator().run();
   return fct.p99_us();
-}
-
-// D: header/ACK overhead knobs from the paper's §4 discussion.
-struct OverheadResult {
-  std::uint64_t acks = 0;
-  double avg_data_header_bytes = 0;
-  double fct_ms = 0;
-};
-
-OverheadResult run_overhead(std::uint32_t ack_coalesce, std::uint32_t selective_every) {
-  net::Network net(5);
-  net::Host* a = net.add_host("a");
-  net::Host* b = net.add_host("b");
-  net::Switch* sw = net.add_switch("sw");
-  auto up = net.connect(*a, *sw, sim::Bandwidth::gbps(10), 2_us,
-                        {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
-  net.connect(*sw, *b, sim::Bandwidth::gbps(10), 2_us,
-              {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
-  net.build_routes();
-  up.forward->set_pathlet({.id = 1,
-                           .feedback = proto::FeedbackType::kEcn,
-                           .selective_every = selective_every});
-  core::MtpConfig cfg;
-  cfg.ack_coalesce = ack_coalesce;
-  core::MtpEndpoint src(*a, cfg);
-  core::MtpEndpoint dst(*b, cfg);
-  dst.listen(80, [](const core::ReceivedMessage&) {});
-
-  // Sniff data-header wire sizes at the switch.
-  struct Sniffer : net::IngressProcessor {
-    std::uint64_t bytes = 0, pkts = 0;
-    bool process(net::Packet& pkt, net::Switch&) override {
-      if (pkt.is_mtp() && !pkt.mtp().is_ack()) {
-        bytes += pkt.mtp().wire_size();
-        ++pkts;
-      }
-      return false;
-    }
-  };
-  auto sniffer = std::make_shared<Sniffer>();
-  sw->add_ingress(sniffer);
-
-  OverheadResult r;
-  src.send_message(b->id(), 5'000'000, {.dst_port = 80},
-                   [&r](proto::MsgId, sim::SimTime fct) { r.fct_ms = fct.ms(); });
-  net.simulator().run(sim::SimTime::milliseconds(200));
-  r.acks = dst.acks_sent();
-  r.avg_data_header_bytes =
-      sniffer->pkts ? static_cast<double>(sniffer->bytes) / sniffer->pkts : 0;
-  return r;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Microbenchmarks of the substrate (google-benchmark): event-queue
-// operations, header serialization, queue datapaths, switch forwarding, and
-// end-to-end simulated-packet throughput. These guard the simulator's
-// performance — packet-level experiments execute tens of millions of events.
+// operations, queue datapaths, switch forwarding, and end-to-end
+// simulated-packet throughput. These guard the simulator's performance —
+// packet-level experiments execute tens of millions of events.
 //
 // Two extra facilities beyond plain google-benchmark:
 //  - a global operator new/delete counter, so the hot benchmarks report
@@ -135,45 +135,6 @@ void BM_SimulatorCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SimulatorCancel);
-
-proto::MtpHeader typical_data_header() {
-  proto::MtpHeader h;
-  h.src_port = 1234;
-  h.dst_port = 80;
-  h.msg_id = 424242;
-  h.msg_len_bytes = 1'000'000;
-  h.msg_len_pkts = 1000;
-  h.pkt_num = 500;
-  h.pkt_offset = 500'000;
-  h.pkt_len = 1000;
-  h.path_feedback().assign({{1, 0, {proto::FeedbackType::kEcn, 1}},
-                            {2, 0, {proto::FeedbackType::kRate, 40'000'000'000}}});
-  return h;
-}
-
-void BM_MtpHeaderSerialize(benchmark::State& state) {
-  const proto::MtpHeader h = typical_data_header();
-  std::vector<std::uint8_t> buf;
-  for (auto _ : state) {
-    buf.clear();
-    h.serialize(buf);
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(h.wire_size()));
-}
-BENCHMARK(BM_MtpHeaderSerialize);
-
-void BM_MtpHeaderParse(benchmark::State& state) {
-  const proto::MtpHeader h = typical_data_header();
-  std::vector<std::uint8_t> buf;
-  h.serialize(buf);
-  for (auto _ : state) {
-    auto parsed = proto::MtpHeader::parse(buf);
-    benchmark::DoNotOptimize(parsed);
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
-}
-BENCHMARK(BM_MtpHeaderParse);
 
 net::Packet make_pkt(proto::TrafficClassId tc) {
   net::Packet p;

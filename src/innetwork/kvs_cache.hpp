@@ -10,7 +10,7 @@
 //
 // This is exactly the use case TCP forecloses (§2.2): it works because each
 // request is an independent, self-describing message that the device can
-// parse and answer with bounded state.
+// read and answer with bounded state.
 #pragma once
 
 #include <list>

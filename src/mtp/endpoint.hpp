@@ -5,7 +5,7 @@
 //   - Messages are independent; no connection setup. send_message() packetizes
 //     and transmits immediately.
 //   - Every packet carries the message id, total length in bytes and packets,
-//     and its own number/offset — so any device can parse and make
+//     and its own number/offset — so any device can read it and make
 //     per-message decisions with bounded state.
 //   - Acknowledgement and retransmission are per (Msg ID, Pkt Num): receivers
 //     SACK every packet, NACK trimmed ones, and senders retransmit unacked

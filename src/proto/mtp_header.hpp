@@ -1,6 +1,6 @@
 // The MTP packet header (paper Figure 4).
 //
-// Layout, in order:
+// Fields, in the figure's order:
 //   SRC Port | DST Port | Msg ID | Msg Pri | Msg Len (bytes/pkts) | Pkt Num |
 //   Pkt Offset/Len (bytes) | Path Exclude list of (Path ID, TC) |
 //   Path Feedback list of (Path ID, TC, Feedback) |
@@ -10,6 +10,9 @@
 // Path Feedback starts empty and is appended by network devices en route;
 // the receiver copies it into ACK Path Feedback on the reply, which is how
 // pathlet congestion information reaches the sender (paper §3.1.1/§3.1.3).
+//
+// Packets carry this struct, never its bytes; transport::mtp_header_bytes
+// is the one rule for what it costs on the wire.
 #pragma once
 
 #include <array>
@@ -17,7 +20,6 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <optional>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -311,16 +313,6 @@ struct MtpHeader {
 
   bool is_ack() const { return type == MtpPacketType::kAck; }
   bool is_last_pkt() const { return msg_len_pkts != 0 && pkt_num + 1 == msg_len_pkts; }
-
-  /// Wire size in bytes of this header as laid out by serialize().
-  std::size_t wire_size() const;
-
-  /// Fixed portion size (everything before the variable-length lists).
-  static constexpr std::size_t kFixedSize =
-      2 + 2 + 1 + 8 + 1 + 1 + 8 + 4 + 4 + 8 + 4;  // see serialize()
-
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static std::optional<MtpHeader> parse(std::span<const std::uint8_t> in);
 
   bool operator==(const MtpHeader&) const = default;
 };

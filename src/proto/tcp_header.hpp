@@ -5,9 +5,8 @@
 // the paper's experiments).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "proto/boxed.hpp"
@@ -53,11 +52,6 @@ struct TcpHeader {
 
   bool has(TcpFlags f) const { return (flags & f) != 0; }
 
-  /// Fixed fields plus the SACK block count byte.
-  static constexpr std::size_t kFixedSize = 2 + 2 + 8 + 8 + 1 + 8 + 4 + 1;
-  std::size_t wire_size() const { return kFixedSize + sack().size() * 16; }
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static std::optional<TcpHeader> parse(std::span<const std::uint8_t> in);
   bool operator==(const TcpHeader&) const = default;
 };
 
@@ -66,9 +60,6 @@ struct UdpHeader {
   PortNum dst_port = 0;
   std::uint32_t length = 0;  ///< payload bytes
 
-  static constexpr std::size_t kWireSize = 2 + 2 + 4;
-  void serialize(std::vector<std::uint8_t>& out) const;
-  static std::optional<UdpHeader> parse(std::span<const std::uint8_t> in);
   bool operator==(const UdpHeader&) const = default;
 };
 

@@ -319,4 +319,47 @@ FaultRecoveryResult run_fault_recovery(const std::string& transport) {
   return res;
 }
 
+OverheadResult run_overhead(std::uint32_t ack_coalesce, std::uint32_t selective_every) {
+  net::Network net(5);
+  net::Host* a = net.add_host("a");
+  net::Host* b = net.add_host("b");
+  net::Switch* sw = net.add_switch("sw");
+  auto up = net.connect(*a, *sw, sim::Bandwidth::gbps(10), 2_us,
+                        {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
+  net.connect(*sw, *b, sim::Bandwidth::gbps(10), 2_us,
+              {.capacity_pkts = 256, .ecn_threshold_pkts = 40});
+  net.build_routes();
+  up.forward->set_pathlet({.id = 1,
+                           .feedback = proto::FeedbackType::kEcn,
+                           .selective_every = selective_every});
+  core::MtpConfig cfg;
+  cfg.ack_coalesce = ack_coalesce;
+  core::MtpEndpoint src(*a, cfg);
+  core::MtpEndpoint dst(*b, cfg);
+  dst.listen(80, [](const core::ReceivedMessage&) {});
+
+  // Sniff data-header sizes at the switch.
+  struct Sniffer : net::IngressProcessor {
+    std::uint64_t bytes = 0, pkts = 0;
+    bool process(net::Packet& pkt, net::Switch&) override {
+      if (pkt.is_mtp() && !pkt.mtp().is_ack()) {
+        bytes += transport::mtp_header_bytes(pkt.mtp());
+        ++pkts;
+      }
+      return false;
+    }
+  };
+  auto sniffer = std::make_shared<Sniffer>();
+  sw->add_ingress(sniffer);
+
+  OverheadResult r;
+  src.send_message(b->id(), 5'000'000, {.dst_port = 80},
+                   [&r](proto::MsgId, sim::SimTime fct) { r.fct_ms = fct.ms(); });
+  net.simulator().run(sim::SimTime::milliseconds(200));
+  r.acks = dst.acks_sent();
+  r.avg_data_header_bytes =
+      sniffer->pkts ? static_cast<double>(sniffer->bytes) / sniffer->pkts : 0;
+  return r;
+}
+
 }  // namespace mtp::scenario

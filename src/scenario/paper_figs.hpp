@@ -1,6 +1,6 @@
-// Paper-experiment runners (Figs 5/6/7 and fault recovery), built on
-// ScenarioBuilder so the figure benches, the ablation bench, and the
-// guardrail tests all run the same scenario definitions.
+// Paper-experiment runners (Figs 5/6/7, fault recovery and the §4
+// header-overhead ablation), shared so the figure benches, the ablation
+// bench, and the guardrail tests all run the same scenario definitions.
 #pragma once
 
 #include <string>
@@ -117,5 +117,21 @@ struct FaultRecoveryResult {
 ///   "mptcp" — coupled subflows ECMP-spread over both paths: survivors
 ///             carry the load, dead subflows wait out their RTO penalty
 FaultRecoveryResult run_fault_recovery(const std::string& transport);
+
+// ------------------------------------------------------ header overhead
+
+struct OverheadResult {
+  std::uint64_t acks = 0;             ///< ACK packets the receiver sent
+  double avg_data_header_bytes = 0;   ///< mean billed data header at the switch
+  double fct_ms = 0;
+};
+
+/// Header/ACK overhead knobs from the paper's §4 discussion: one 5 MB MTP
+/// transfer over a 10G host-switch-host path whose first hop is an ECN
+/// pathlet. `ack_coalesce` is MtpConfig::ack_coalesce; the pathlet stamps
+/// its feedback on one data packet in `selective_every`. The switch reads
+/// each data header's size with transport::mtp_header_bytes, after the
+/// pathlet's stamp.
+OverheadResult run_overhead(std::uint32_t ack_coalesce, std::uint32_t selective_every);
 
 }  // namespace mtp::scenario

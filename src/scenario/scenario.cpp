@@ -424,7 +424,7 @@ struct Scenario::PacedBulk {
     pkt.src = src->id();
     pkt.dst = dst;
     pkt.payload_bytes = payload;
-    pkt.header_bytes = 28;  // UDP + IP, like transport::UdpSocket
+    pkt.header_bytes = 28;  // 8 B UDP + 20 B IP
     pkt.flow_hash = mix64((std::uint64_t{index} << 32) ^ 0xb01cb01cULL);
     pkt.header = proto::UdpHeader{static_cast<proto::PortNum>(index), kBulkUdpPort,
                                   static_cast<std::uint16_t>(payload)};

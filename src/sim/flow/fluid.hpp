@@ -48,7 +48,7 @@ class FluidModel {
 
   struct Config {
     /// Flows may claim at most capacity * num/den of any conduit, so
-    /// packet-level traffic always keeps a residual to serialize into.
+    /// packet-level traffic always keeps a residual to transmit into.
     std::uint32_t capacity_num = 95;
     std::uint32_t capacity_den = 100;
   };

@@ -84,7 +84,7 @@ class Bandwidth {
   constexpr std::int64_t bits_per_sec() const { return bps_; }
   constexpr double gbit_per_sec() const { return static_cast<double>(bps_) / 1e9; }
 
-  /// Time to serialize `bytes` onto a link of this rate (ceil, in ns).
+  /// Serialization delay of `bytes` on a link of this rate (ceil, in ns).
   /// 64-bit math whenever bytes·8e9 + bps − 1 fits in an int64, which every
   /// size below ~1.1 GB does at any rate; larger ones take the 128-bit path
   /// (2 GB would overflow int64 ns math). Both paths round identically.

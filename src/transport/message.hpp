@@ -159,13 +159,15 @@ struct Reassembly {
 inline constexpr std::uint32_t kMtpBaseHeaderBytes = 64;
 
 /// Accounted wire size of an MTP header: the fixed part plus 5 B per excluded
-/// pathlet, 14 B per echoed path-feedback TLV and 12 B per SACK or NACK entry.
-/// Data packets, ACKs and busy-rejects, from hosts and devices alike, are
-/// billed by this one rule.
+/// pathlet, 14 B per path-feedback TLV (stamped en route or echoed) and 12 B
+/// per SACK or NACK entry. Data packets, ACKs and busy-rejects, from hosts and
+/// devices alike, are billed by this one rule, on a fresh header before any
+/// switch stamps it.
 inline std::uint32_t mtp_header_bytes(const proto::MtpHeader& h) {
   return kMtpBaseHeaderBytes +
          static_cast<std::uint32_t>(h.path_exclude().size() * 5 +
-                                    h.ack_path_feedback().size() * 14 +
+                                    (h.path_feedback().size() +
+                                     h.ack_path_feedback().size()) * 14 +
                                     (h.sack().size() + h.nack().size()) * 12);
 }
 

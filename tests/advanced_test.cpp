@@ -8,7 +8,6 @@
 #include "mtp/endpoint.hpp"
 #include "net/forwarding.hpp"
 #include "net/topologies.hpp"
-#include "transport/udp.hpp"
 
 namespace mtp {
 namespace {
@@ -166,24 +165,36 @@ TEST(Aggregation, InterleavedRoundsStaySeparate) {
 
 // --------------------------------------------------------- link failures
 
+/// A 100 B UDP datagram from `src` to port 40 of `dst`.
+net::Packet datagram(net::NodeId src, net::NodeId dst) {
+  net::Packet p;
+  p.src = src;
+  p.dst = dst;
+  p.payload_bytes = 100;
+  p.header_bytes = 28;  // UDP + IP
+  p.flow_hash = (static_cast<std::uint64_t>(src) << 32) ^ dst;
+  p.header = proto::UdpHeader{41, 40, 100};
+  return p;
+}
+
 TEST(LinkFailure, DownLinkBlackholesAndUpRestores) {
   testing::HostPair t;
-  transport::UdpSocket server(*t.b, 53);
-  transport::UdpSocket client(*t.a, 1000);
-  client.send_to(t.b->id(), 53, 100);
+  int received = 0;
+  t.b->set_udp_handler(40, [&](net::Packet&&) { ++received; });
+  t.a->send(datagram(t.a->id(), t.b->id()));
   t.sim().run(1_ms);
-  EXPECT_EQ(server.datagrams_received(), 1u);
+  EXPECT_EQ(received, 1);
 
   t.a_to_sw->set_up(false);
-  client.send_to(t.b->id(), 53, 100);
+  t.a->send(datagram(t.a->id(), t.b->id()));
   t.sim().run(2_ms);
-  EXPECT_EQ(server.datagrams_received(), 1u);  // blackholed
+  EXPECT_EQ(received, 1);  // blackholed
   EXPECT_EQ(t.a_to_sw->stats().pkts_dropped_down, 1u);
 
   t.a_to_sw->set_up(true);
-  client.send_to(t.b->id(), 53, 100);
+  t.a->send(datagram(t.a->id(), t.b->id()));
   t.sim().run(3_ms);
-  EXPECT_EQ(server.datagrams_received(), 2u);
+  EXPECT_EQ(received, 2);
 }
 
 TEST(LinkFailure, FlapDiscardsQueuedPackets) {
@@ -226,6 +237,44 @@ TEST(LinkFailure, MessageAwareLbRoutesAroundDeadPath) {
   net.simulator().run(200_ms);
   EXPECT_EQ(got, 5'000'000);
   EXPECT_GT(p2.forward->stats().pkts_delivered, 1000u);
+}
+
+TEST(LinkFailure, MessageAwareLbFallsBackToTheCheapestPathWhenNoneIsUsable) {
+  // Every path excluded or down: the policy falls back to all of them and
+  // still picks the cheapest, which here is not the first candidate.
+  net::Network net;
+  auto* a = net.add_host("a");
+  auto* b = net.add_host("b");
+  auto* sw = net.add_switch("sw");
+  net.connect(*a, *sw, Bandwidth::gbps(100), 1_us);
+  auto slow = net.connect(*sw, *b, Bandwidth::gbps(100), 2_us);
+  auto fast = net.connect(*sw, *b, Bandwidth::gbps(100), 1_us);
+  slow.forward->set_pathlet({.id = 7, .feedback = proto::FeedbackType::kEcn});
+  fast.forward->set_pathlet({.id = 8, .feedback = proto::FeedbackType::kEcn});
+  net.build_routes();  // b: [slow, fast]
+  sw->set_policy(std::make_unique<net::MessageAwarePolicy>());
+
+  proto::MsgId msg = 0;
+  auto send = [&](std::initializer_list<proto::PathRef> exclude) {
+    net::Packet p;
+    p.src = a->id();
+    p.dst = b->id();
+    p.payload_bytes = 100;
+    auto& hdr = p.header.emplace<proto::MtpHeader>();
+    hdr.msg_id = ++msg;
+    hdr.msg_len_pkts = 1;
+    hdr.path_exclude().assign(exclude);
+    a->send(std::move(p));
+    net.simulator().run();
+  };
+  send({{7, 0}, {8, 0}});  // both paths up, both excluded
+  EXPECT_EQ(fast.forward->stats().pkts_delivered, 1u);
+  EXPECT_EQ(slow.forward->stats().pkts_delivered, 0u);
+
+  slow.forward->set_up(false);
+  send({{8, 0}});  // the slow path down, the fast one excluded
+  EXPECT_EQ(fast.forward->stats().pkts_delivered, 2u);
+  EXPECT_EQ(slow.forward->stats().pkts_dropped_down, 0u);
 }
 
 TEST(LinkFailure, AutoExclusionKicksInAfterRepeatedTimeouts) {
@@ -318,18 +367,15 @@ TEST(LinkFailure, AutoExclusionNeverExcludesAVirtualPathlet) {
 TEST(LeafSpine, AllPairsConnectivity) {
   net::Network net;
   net::LeafSpine fabric(net, {.leaves = 3, .spines = 2, .hosts_per_leaf = 2});
-  std::vector<std::unique_ptr<transport::UdpSocket>> socks;
   int received = 0;
   for (auto* h : fabric.hosts()) {
-    socks.push_back(std::make_unique<transport::UdpSocket>(
-        *h, 40, [&](net::Packet&&) { ++received; }));
+    h->set_udp_handler(40, [&](net::Packet&&) { ++received; });
   }
   int sent = 0;
   for (auto* src : fabric.hosts()) {
-    transport::UdpSocket client(*src, 41);
     for (auto* dst : fabric.hosts()) {
       if (src == dst) continue;
-      client.send_to(dst->id(), 40, 100);
+      src->send(datagram(src->id(), dst->id()));
       ++sent;
     }
   }
@@ -341,25 +387,20 @@ TEST(LeafSpine, EcmpUsesAllSpines) {
   net::Network net;
   net::LeafSpine fabric(net, {.leaves = 2, .spines = 4, .hosts_per_leaf = 2},
                         [] { return std::make_unique<net::EcmpPolicy>(); });
-  transport::UdpSocket rx(*fabric.host(1, 0), 40);
-  transport::UdpSocket tx(*fabric.host(0, 0), 41);
+  std::uint64_t received = 0;
+  fabric.host(1, 0)->set_udp_handler(40, [&](net::Packet&&) { ++received; });
   sim::Rng rng(21);
   // Many flows (varying hash), paced so the host uplink queue never drops:
   // every spine uplink should carry traffic.
   for (int i = 0; i < 400; ++i) {
     net.simulator().schedule(SimTime::nanoseconds(i * 100), [&fabric, &rng] {
-      net::Packet p;
-      p.src = fabric.host(0, 0)->id();
-      p.dst = fabric.host(1, 0)->id();
-      p.payload_bytes = 100;
-      p.header_bytes = 28;
+      net::Packet p = datagram(fabric.host(0, 0)->id(), fabric.host(1, 0)->id());
       p.flow_hash = rng.next_u64();
-      p.header = proto::UdpHeader{41, 40, 100};
       fabric.host(0, 0)->send(std::move(p));
     });
   }
   net.simulator().run();
-  EXPECT_EQ(rx.datagrams_received(), 400u);
+  EXPECT_EQ(received, 400u);
   for (int s = 0; s < 4; ++s) {
     EXPECT_GT(fabric.uplink(0, s)->stats().pkts_delivered, 50u)
         << "spine " << s << " unused";

@@ -1,7 +1,6 @@
 // Unit tests for in-network device building blocks (DeviceReceiver, the
 // switch's own MTP endpoint and the messages devices send on it),
-// multi-packet device interactions under loss and crashes, host routing, and
-// the low-level wire reader/writer.
+// multi-packet device interactions under loss and crashes, and host routing.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
@@ -11,7 +10,6 @@
 #include "mtp/endpoint.hpp"
 #include "net/fat_tree.hpp"
 #include "net/topologies.hpp"
-#include "proto/wire.hpp"
 
 namespace mtp::innetwork {
 namespace {
@@ -430,34 +428,6 @@ TEST(HostRouting, RoutesByDestinationWithDefaultFirstPort) {
   net.simulator().run();
   EXPECT_EQ(at1, 1);
   EXPECT_EQ(at2, 1);
-}
-
-// -------------------------------------------------------------- wire r/w
-
-TEST(Wire, WriterReaderRoundTripMixedWidths) {
-  std::vector<std::uint8_t> buf;
-  proto::WireWriter w(buf);
-  w.put<std::uint8_t>(0xab);
-  w.put<std::uint16_t>(0x1234);
-  w.put<std::uint32_t>(0xdeadbeef);
-  w.put<std::uint64_t>(0x0123456789abcdefULL);
-  EXPECT_EQ(buf.size(), 15u);
-
-  proto::WireReader r(buf);
-  EXPECT_EQ(r.get<std::uint8_t>(), 0xab);
-  EXPECT_EQ(r.get<std::uint16_t>(), 0x1234);
-  EXPECT_EQ(r.get<std::uint32_t>(), 0xdeadbeefu);
-  EXPECT_EQ(r.get<std::uint64_t>(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_FALSE(r.get<std::uint8_t>().has_value());  // underrun -> nullopt
-}
-
-TEST(Wire, ReaderUnderrunDoesNotAdvance) {
-  std::vector<std::uint8_t> buf{1, 2};
-  proto::WireReader r(buf);
-  EXPECT_FALSE(r.get<std::uint32_t>().has_value());
-  EXPECT_EQ(r.position(), 0u);
-  EXPECT_EQ(r.get<std::uint16_t>(), 0x0201);
 }
 
 }  // namespace

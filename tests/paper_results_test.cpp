@@ -1,7 +1,8 @@
 // Guardrail tests for the paper's headline results: scaled-down versions of
-// the Fig 5/6/7 experiments with qualitative assertions, so a regression in
-// any protocol component that would change the paper's story fails CI —
-// not just the benchmarks' eyeballs.
+// the Fig 5/6/7 experiments, fault recovery and the §4 header-overhead
+// ablation with qualitative assertions, so a regression in any protocol
+// component that would change the paper's story fails CI — not just the
+// benchmarks' eyeballs.
 #include <gtest/gtest.h>
 
 #include "scenario/paper_figs.hpp"
@@ -76,6 +77,23 @@ TEST(PaperFaultRecovery, MtpRecoversStrictlyFasterThanTcpAcrossAFlap) {
   EXPECT_GE(tcp.recovery_us, kFaultFlapFor.us());        // blackholed throughout
   EXPECT_GT(mtp.during_fault_gbps, 0.8 * mtp.pre_fault_gbps);
   EXPECT_LT(tcp.during_fault_gbps, 1.0);
+}
+
+TEST(PaperHeaderOverhead, CoalescingCutsAcksAndSelectiveStampingShrinksHeaders) {
+  const OverheadResult base = run_overhead(/*ack_coalesce=*/1, /*selective_every=*/1);
+  const OverheadResult coalesced = run_overhead(8, 1);
+  const OverheadResult stamped = run_overhead(1, 10);
+  // 5 MB in 1000 B packets: one ACK per packet, or one per 8.
+  EXPECT_EQ(base.acks, 5000u);
+  EXPECT_EQ(coalesced.acks, 625u);
+  EXPECT_EQ(stamped.acks, 5000u);
+  // Neither knob costs completion time beyond the rows' 2% spread.
+  EXPECT_NEAR(coalesced.fct_ms, base.fct_ms, 0.02 * base.fct_ms);
+  EXPECT_NEAR(stamped.fct_ms, base.fct_ms, 0.02 * base.fct_ms);
+  // Stamping every packet bills one 14 B feedback TLV on each data header;
+  // stamping one in ten bills fewer.
+  EXPECT_DOUBLE_EQ(base.avg_data_header_bytes, transport::kMtpBaseHeaderBytes + 14);
+  EXPECT_LT(stamped.avg_data_header_bytes, base.avg_data_header_bytes);
 }
 
 }  // namespace

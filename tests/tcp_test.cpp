@@ -4,10 +4,8 @@
 
 #include "helpers.hpp"
 #include "stats/stats.hpp"
-#include "telemetry/trace.hpp"
 #include "transport/apps.hpp"
 #include "transport/tcp.hpp"
-#include "transport/udp.hpp"
 
 namespace mtp::transport {
 namespace {
@@ -319,37 +317,6 @@ TEST(TcpPerMessage, EachMessageCostsHandshakeAndSlowStart) {
   EXPECT_EQ(sink.bytes_received(), 10 * 16'384);
   // Base RTT is ~4us; handshake + transfer + FIN costs several RTTs.
   for (double f : fcts) EXPECT_GT(f, 8.0);
-}
-
-TEST(Udp, DatagramsDeliveredWithoutConnection) {
-  HostPair t;
-  UdpSocket server(*t.b, 53);
-  UdpSocket client(*t.a, 1234);
-  client.send_to(t.b->id(), 53, 512);
-  client.send_to(t.b->id(), 53, 256);
-  t.sim().run(1_ms);
-  EXPECT_EQ(server.datagrams_received(), 2u);
-  EXPECT_EQ(server.bytes_received(), 768);
-}
-
-TEST(Udp, NoHandlerMeansCountedTracedDrop) {
-  telemetry::TraceSink::set_enabled(true);
-  telemetry::trace().clear();
-  HostPair t;
-  UdpSocket client(*t.a, 1234);
-  client.send_to(t.b->id(), 99, 100);
-  t.sim().run(1_ms);
-  telemetry::TraceSink::set_enabled(false);
-  // UDP demux without binding: one unhandled discard, traced at the host.
-  EXPECT_EQ(t.b->unhandled_packets(), 1u);
-  std::size_t drops = 0;
-  for (const auto& ev : telemetry::trace().events()) {
-    if (ev.type != telemetry::TraceEventType::kDrop) continue;
-    ++drops;
-    EXPECT_EQ(ev.component, "b");
-  }
-  EXPECT_EQ(drops, 1u);
-  telemetry::trace().clear();
 }
 
 }  // namespace
