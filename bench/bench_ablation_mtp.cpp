@@ -13,6 +13,7 @@
 //     stamping, scenario::run_overhead.
 #include <cstdio>
 
+#include "net/forwarding.hpp"
 #include "scenario/paper_figs.hpp"
 #include "workload/workload.hpp"
 #include "stats/table.hpp"

@@ -28,6 +28,7 @@
 #include "innetwork/queues.hpp"
 #include "mtp/endpoint.hpp"
 #include "net/fat_tree.hpp"
+#include "net/forwarding.hpp"
 #include "net/network.hpp"
 #include "proto/mtp_header.hpp"
 #include "sim/simulator.hpp"

@@ -18,13 +18,16 @@
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
+# `cmake --preset` and `cmake --build --preset` read CMakePresets.json from the
+# current directory, so every step runs from the repo root.
+cd "$repo"
 jobs="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-asan}"
 
 run_asan() {
   # The full suite includes the `hybrid`-labelled flow_test (fluid bulk model
   # + packet/flow fidelity gates), so the asan lane covers it by construction.
-  cmake --preset asan -S "$repo"
+  cmake --preset asan
   cmake --build --preset asan -j "$jobs"
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs"
 }
@@ -45,7 +48,7 @@ run_tsan() {
   # overload_test's `overload` label covers mtp::overload (admission,
   # shedding, budgets); its OverloadChaosSharded cases run the metastable-
   # failure harness on worker shards and also match the -R filter.
-  cmake --preset tsan -S "$repo"
+  cmake --preset tsan
   # transport_conformance_test's `transport` label runs the whole zoo
   # (MTP/TCP/DCTCP/Homa/MPTCP) including the 1/2/4-shard digest cases, so
   # every transport's fleet also gets exercised on worker shards under TSan.
@@ -65,7 +68,7 @@ run_chaos() {
   # reproduces with `build-asan/tests/chaos_test`. The Device, KvsCache and
   # MutationOffload cases cover device messages sent on a switch's
   # MtpEndpoint, including crash, restart and ACKs routed to the switch.
-  cmake --preset asan -S "$repo"
+  cmake --preset asan
   cmake --build --preset asan -j "$jobs" --target chaos_test fault_test device_test \
     innetwork_test message_test overload_test
   ctest --test-dir "$repo/build-asan" --output-on-failure -j "$jobs" \
@@ -76,7 +79,7 @@ run_werror() {
   # Every target (src, tests, benches, examples) built with -Wall -Wextra
   # -Werror at -O2, where g++ warns about what it sees after inlining. The
   # asan lane runs the suite; this lane only compiles.
-  cmake --preset werror -S "$repo"
+  cmake --preset werror
   cmake --build --preset werror -j "$jobs"
 }
 
@@ -84,7 +87,7 @@ run_smoke() {
   # run_smoke <bench target> <BENCH file>: build the bench, run its --smoke
   # mode and judge the key=value lines it prints against the file's gates for
   # that bench (scripts/gates.py prints one OK/FAIL/INFO line per gate).
-  cmake --preset release -S "$repo"
+  cmake --preset release
   cmake --build --preset release -j "$jobs" --target "$1"
   local out
   out="$("$repo/build/bench/$1" --smoke)"
@@ -99,7 +102,7 @@ run_coverage() {
   # counters and prints, per src/ file, the lines only the tests ran and the
   # lines neither pass ran. Not part of `all`: it is a census, not a gate.
   local build="$repo/build-coverage" out="$repo/build-coverage/census"
-  cmake --preset coverage -S "$repo"
+  cmake --preset coverage
   cmake --build --preset coverage -j "$jobs"
   mkdir -p "$out"
   python3 "$repo/scripts/coverage.py" reset "$build"
@@ -135,7 +138,7 @@ case "$mode" in
   coverage) run_coverage ;;
   all)
     for m in asan tsan chaos werror bench-smoke scale-smoke stream-smoke overload-smoke transport-smoke; do
-      "$0" "$m"
+      "$repo/scripts/check.sh" "$m"
     done
     ;;
   *)

@@ -19,9 +19,14 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "net/topologies.hpp"
 
 namespace mtp::net {
+
+/// Link rates and switch queue of the canned fat-tree fabric.
+inline constexpr sim::Bandwidth kHostLinkBw = sim::Bandwidth::gbps(100);
+inline constexpr sim::Bandwidth kFabricLinkBw = sim::Bandwidth::gbps(100);
+inline constexpr DropTailQueue::Config kFabricQueue{.capacity_pkts = 256,
+                                                    .ecn_threshold_pkts = 40};
 
 class FatTree {
  public:

@@ -177,11 +177,7 @@ std::uint64_t Network::run(sim::SimTime until) {
       // contract), so the caller's own sink is untouched by the run.
       telemetry::TraceSink::set_enabled(run_trace_on_);
       if (!run_trace_on_) return;
-      telemetry::TraceSink& sink = telemetry::trace();
-      sink.set_capacity(run_trace_cap_);
-      sink.filter_message(run_filter_msg_);
-      sink.filter_node(run_filter_node_);
-      sink.filter_flow(run_filter_flow_);
+      telemetry::trace().set_capacity(run_trace_cap_);
     };
     cfg.on_worker_finish = [this](std::size_t shard) {
       if (run_trace_on_) shard_events_[shard] = telemetry::trace().events();
@@ -192,13 +188,7 @@ std::uint64_t Network::run(sim::SimTime until) {
   }
 
   run_trace_on_ = telemetry::TraceSink::enabled();
-  if (run_trace_on_) {
-    const telemetry::TraceSink& sink = telemetry::trace();
-    run_trace_cap_ = sink.capacity();
-    run_filter_msg_ = sink.message_filter();
-    run_filter_node_ = sink.node_filter();
-    run_filter_flow_ = sink.flow_filter();
-  }
+  if (run_trace_on_) run_trace_cap_ = telemetry::trace().capacity();
   shard_events_.assign(shards(), {});
 
   const std::uint64_t executed = engine_->run(until);

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -202,9 +201,6 @@ class Network {
   sim::SimTime engine_lookahead_ = sim::SimTime::zero();  ///< lookahead engine_ was built with
   bool run_trace_on_ = false;                 ///< caller's trace flag, per run
   std::size_t run_trace_cap_ = 0;             ///< caller's sink capacity
-  std::optional<std::uint64_t> run_filter_msg_;   ///< caller's filters, copied
-  std::optional<std::uint32_t> run_filter_node_;  ///< onto worker sinks
-  std::optional<std::uint64_t> run_filter_flow_;
   std::vector<std::vector<telemetry::TraceEvent>> shard_events_;
 };
 

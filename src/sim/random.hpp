@@ -1,14 +1,13 @@
 // Deterministic random-number generation for simulations.
 //
 // Every experiment takes an explicit seed so results are reproducible; the
-// distributions here (bounded Pareto, empirical CDF) are the ones the
-// paper's workloads need and are not in <random>.
+// bounded Pareto here is the message-size shape the paper's workloads need
+// and is not in <random>.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -134,60 +133,6 @@ class BoundedPareto {
 
  private:
   double lo_, hi_, alpha_;
-};
-
-/// Piecewise-linear empirical CDF: sample values by inverse-transform over
-/// (value, cumulative-probability) knots. This is how published workloads
-/// (web search, data mining) are usually specified.
-class EmpiricalCdf {
- public:
-  struct Knot {
-    double value;
-    double cdf;  // cumulative probability in [0, 1], non-decreasing
-  };
-
-  explicit EmpiricalCdf(std::vector<Knot> knots) : knots_(std::move(knots)) {
-    if (knots_.size() < 2) throw std::invalid_argument("EmpiricalCdf: need >= 2 knots");
-    if (knots_.front().cdf != 0.0 || knots_.back().cdf != 1.0) {
-      throw std::invalid_argument("EmpiricalCdf: cdf must span [0, 1]");
-    }
-    for (std::size_t i = 1; i < knots_.size(); ++i) {
-      if (knots_[i].cdf < knots_[i - 1].cdf || knots_[i].value < knots_[i - 1].value) {
-        throw std::invalid_argument("EmpiricalCdf: knots must be non-decreasing");
-      }
-    }
-  }
-
-  double sample(Rng& rng) const {
-    const double u = rng.uniform();
-    // Find the segment containing u and interpolate.
-    std::size_t i = 1;
-    while (i < knots_.size() - 1 && knots_[i].cdf < u) ++i;
-    const Knot& a = knots_[i - 1];
-    const Knot& b = knots_[i];
-    if (b.cdf == a.cdf) return b.value;
-    const double t = (u - a.cdf) / (b.cdf - a.cdf);
-    return a.value + t * (b.value - a.value);
-  }
-
-  std::int64_t sample_int(Rng& rng) const {
-    return static_cast<std::int64_t>(sample(rng));
-  }
-
-  double mean() const {
-    // Mean of the piecewise-linear density: sum of segment midpoints weighted
-    // by segment probability mass.
-    double m = 0;
-    for (std::size_t i = 1; i < knots_.size(); ++i) {
-      m += (knots_[i].cdf - knots_[i - 1].cdf) * (knots_[i].value + knots_[i - 1].value) / 2.0;
-    }
-    return m;
-  }
-
-  std::span<const Knot> knots() const { return knots_; }
-
- private:
-  std::vector<Knot> knots_;
 };
 
 }  // namespace mtp::sim

@@ -1,7 +1,6 @@
 #include "telemetry/trace.hpp"
 
 #include <array>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 
@@ -25,13 +24,6 @@ const char* to_string(TraceEventType t) {
   return i < kTypeNames.size() ? kTypeNames[i] : "?";
 }
 
-std::optional<TraceEventType> trace_event_type_from_string(std::string_view s) {
-  for (std::size_t i = 0; i < kTypeNames.size(); ++i) {
-    if (s == kTypeNames[i]) return static_cast<TraceEventType>(i);
-  }
-  return std::nullopt;
-}
-
 TraceSink& TraceSink::instance() {
   static thread_local TraceSink sink;
   return sink;
@@ -46,20 +38,9 @@ void TraceSink::clear() {
   ring_.clear();
   next_ = 0;
   recorded_ = 0;
-  suppressed_ = 0;
-}
-
-void TraceSink::clear_filters() {
-  msg_filter_.reset();
-  node_filter_.reset();
-  flow_filter_.reset();
 }
 
 void TraceSink::record(TraceEvent ev) {
-  if (!passes_filters(ev)) {
-    ++suppressed_;
-    return;
-  }
   ++recorded_;
   if (ring_.size() < cap_) {
     ring_.push_back(std::move(ev));
@@ -102,96 +83,6 @@ std::string to_json(const TraceEvent& ev) {
                 ev.src, ev.dst, ev.msg_id, ev.pkt_num, ev.bytes,
                 static_cast<unsigned>(ev.tc), ev.flow, ev.pathlet, ev.value);
   out += buf;
-  return out;
-}
-
-std::string TraceSink::to_jsonl() const {
-  std::string out;
-  for (const auto& ev : events()) {
-    out += to_json(ev);
-    out += '\n';
-  }
-  return out;
-}
-
-namespace {
-
-/// Locate `"key":` in a JSONL line and return a view starting at the value.
-std::optional<std::string_view> find_value(std::string_view line,
-                                           std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  return line.substr(pos + needle.size());
-}
-
-template <typename T>
-bool parse_number(std::string_view line, std::string_view key, T& out) {
-  const auto v = find_value(line, key);
-  if (!v) return false;
-  const char* begin = v->data();
-  const char* end = begin + v->size();
-  return std::from_chars(begin, end, out).ec == std::errc{};
-}
-
-/// Parse a quoted JSON string value (handles \" \\ \n \t \r escapes).
-bool parse_string(std::string_view line, std::string_view key, std::string& out) {
-  const auto v = find_value(line, key);
-  if (!v || v->empty() || (*v)[0] != '"') return false;
-  out.clear();
-  for (std::size_t i = 1; i < v->size(); ++i) {
-    const char c = (*v)[i];
-    if (c == '"') return true;
-    if (c == '\\' && i + 1 < v->size()) {
-      const char esc = (*v)[++i];
-      switch (esc) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        default: out += esc;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return false;  // unterminated
-}
-
-}  // namespace
-
-std::vector<TraceEvent> TraceSink::parse_jsonl(std::string_view text) {
-  std::vector<TraceEvent> out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    auto nl = text.find('\n', start);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(start, nl - start);
-    start = nl + 1;
-    if (line.empty()) continue;
-
-    TraceEvent ev;
-    std::int64_t t_ns = 0;
-    std::string type_name;
-    if (!parse_number(line, "t_ns", t_ns)) continue;
-    if (!parse_string(line, "type", type_name)) continue;
-    const auto type = trace_event_type_from_string(type_name);
-    if (!type) continue;
-    ev.t = sim::SimTime::nanoseconds(t_ns);
-    ev.type = *type;
-    parse_string(line, "component", ev.component);
-    parse_number(line, "src", ev.src);
-    parse_number(line, "dst", ev.dst);
-    parse_number(line, "msg_id", ev.msg_id);
-    parse_number(line, "pkt_num", ev.pkt_num);
-    parse_number(line, "bytes", ev.bytes);
-    unsigned tc = 0;
-    parse_number(line, "tc", tc);
-    ev.tc = static_cast<std::uint8_t>(tc);
-    parse_number(line, "flow", ev.flow);
-    parse_number(line, "pathlet", ev.pathlet);
-    parse_number(line, "value", ev.value);
-    out.push_back(std::move(ev));
-  }
   return out;
 }
 

@@ -2,18 +2,14 @@
 //
 // A bounded ring buffer of typed packet events. The hooks are always
 // compiled in, but the fast path is a single predictable branch on a static
-// flag so benchmarks pay ~nothing while tracing is off. When the ring fills, the oldest events are overwritten —
-// memory stays bounded no matter how long the experiment runs.
-//
-// Record-time filters restrict capture to one message, one node, or one
-// flow hash, so a long run can trace a single transfer without drowning in
-// background traffic.
+// flag so benchmarks pay ~nothing while tracing is off. When the ring fills,
+// the oldest events are overwritten — memory stays bounded no matter how long
+// the experiment runs. Consumers read the ring in-process (events(),
+// count()); to_json() renders one event for display.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -43,7 +39,6 @@ enum class TraceEventType : std::uint8_t {
 };
 
 const char* to_string(TraceEventType t);
-std::optional<TraceEventType> trace_event_type_from_string(std::string_view s);
 
 struct TraceEvent {
   sim::SimTime t;
@@ -78,17 +73,6 @@ class TraceSink {
   std::size_t capacity() const { return cap_; }
   void clear();
 
-  // --- Record-time filters; unset means match-all.
-  void filter_message(std::optional<std::uint64_t> msg_id) { msg_filter_ = msg_id; }
-  void filter_node(std::optional<std::uint32_t> node) { node_filter_ = node; }
-  void filter_flow(std::optional<std::uint64_t> flow) { flow_filter_ = flow; }
-  void clear_filters();
-  // Getters so the sharded engine can copy the main thread's filter config
-  // onto each worker's thread-local sink before a run.
-  std::optional<std::uint64_t> message_filter() const { return msg_filter_; }
-  std::optional<std::uint32_t> node_filter() const { return node_filter_; }
-  std::optional<std::uint64_t> flow_filter() const { return flow_filter_; }
-
   void record(TraceEvent ev);
 
   /// Events currently buffered, oldest first.
@@ -97,33 +81,15 @@ class TraceSink {
   /// Count of buffered events of one type.
   std::uint64_t count(TraceEventType type) const;
 
-  std::uint64_t recorded() const { return recorded_; }      ///< accepted (incl. overwritten)
-  std::uint64_t suppressed() const { return suppressed_; }  ///< rejected by a filter
-
-  /// One JSON object per line, oldest first (schema: docs/telemetry.md).
-  std::string to_jsonl() const;
-  /// Parse a JSONL export back into events (round-trip for tooling/tests).
-  /// Lines that are not valid trace events are skipped.
-  static std::vector<TraceEvent> parse_jsonl(std::string_view text);
+  std::uint64_t recorded() const { return recorded_; }  ///< recorded (incl. overwritten)
 
  private:
-  bool passes_filters(const TraceEvent& ev) const {
-    if (msg_filter_ && ev.msg_id != *msg_filter_) return false;
-    if (node_filter_ && ev.src != *node_filter_ && ev.dst != *node_filter_) return false;
-    if (flow_filter_ && ev.flow != *flow_filter_) return false;
-    return true;
-  }
-
   static inline thread_local bool enabled_ = false;
 
   std::size_t cap_ = 1 << 16;
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;  ///< overwrite cursor once the ring is full
   std::uint64_t recorded_ = 0;
-  std::uint64_t suppressed_ = 0;
-  std::optional<std::uint64_t> msg_filter_;
-  std::optional<std::uint32_t> node_filter_;
-  std::optional<std::uint64_t> flow_filter_;
 };
 
 /// Shorthand for the global sink.

@@ -1,9 +1,9 @@
 // Workload generation: message-size distributions and arrival processes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <variant>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -15,11 +15,9 @@ namespace mtp::workload {
 /// toward short messages as per [DCTCP]"; skewed() builds that shape.
 class SizeDist {
  public:
-  static SizeDist fixed(std::int64_t bytes) { return SizeDist{Fixed{bytes}}; }
   static SizeDist bounded_pareto(std::int64_t lo, std::int64_t hi, double alpha) {
     return SizeDist{sim::BoundedPareto(static_cast<double>(lo), static_cast<double>(hi), alpha)};
   }
-  static SizeDist empirical(sim::EmpiricalCdf cdf) { return SizeDist{std::move(cdf)}; }
 
   /// The paper's skewed mix over [lo, hi]: bounded Pareto with shape 1.2 —
   /// the majority of messages land within ~4x of `lo`, with a heavy tail.
@@ -27,63 +25,15 @@ class SizeDist {
     return bounded_pareto(lo, hi, 1.2);
   }
 
-  /// Web-search workload (DCTCP paper, Fig. 2 shape): mostly short queries
-  /// with a minority of multi-MB background transfers.
-  static SizeDist web_search() {
-    return empirical(sim::EmpiricalCdf({{6'000, 0.0},
-                                        {10'000, 0.15},
-                                        {20'000, 0.40},
-                                        {50'000, 0.60},
-                                        {200'000, 0.75},
-                                        {1'000'000, 0.90},
-                                        {5'000'000, 0.97},
-                                        {30'000'000, 1.0}}));
-  }
-
-  /// Data-mining workload (VL2/DCTCP literature): extreme skew — ~80% of
-  /// flows under 10 KB, but most *bytes* in 100 MB-scale shuffles.
-  static SizeDist data_mining() {
-    return empirical(sim::EmpiricalCdf({{100, 0.0},
-                                        {1'000, 0.50},
-                                        {10'000, 0.80},
-                                        {1'000'000, 0.95},
-                                        {10'000'000, 0.98},
-                                        {100'000'000, 1.0}}));
-  }
-
   std::int64_t sample(sim::Rng& rng) const {
-    return std::visit(
-        [&](const auto& d) -> std::int64_t {
-          using T = std::decay_t<decltype(d)>;
-          if constexpr (std::is_same_v<T, Fixed>) {
-            return d.bytes;
-          } else {
-            return std::max<std::int64_t>(1, d.sample_int(rng));
-          }
-        },
-        dist_);
+    return std::max<std::int64_t>(1, dist_.sample_int(rng));
   }
 
-  double mean() const {
-    return std::visit(
-        [](const auto& d) -> double {
-          using T = std::decay_t<decltype(d)>;
-          if constexpr (std::is_same_v<T, Fixed>) {
-            return static_cast<double>(d.bytes);
-          } else {
-            return d.mean();
-          }
-        },
-        dist_);
-  }
+  double mean() const { return dist_.mean(); }
 
  private:
-  struct Fixed {
-    std::int64_t bytes;
-  };
-  using Variant = std::variant<Fixed, sim::BoundedPareto, sim::EmpiricalCdf>;
-  explicit SizeDist(Variant v) : dist_(std::move(v)) {}
-  Variant dist_;
+  explicit SizeDist(sim::BoundedPareto d) : dist_(d) {}
+  sim::BoundedPareto dist_;
 };
 
 /// Precomputed open-loop arrival schedule: one flat vector (16 bytes per

@@ -1,13 +1,12 @@
 // Advanced-feature tests: in-network gradient aggregation (ATP-style),
-// link-failure injection and failure-aware forwarding, the leaf-spine
-// fabric builder, and priority-FIFO message scheduling.
+// link-failure injection and failure-aware forwarding, traffic across the
+// fat-tree fabric, and priority-FIFO message scheduling.
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
 #include "innetwork/aggregation.hpp"
 #include "mtp/endpoint.hpp"
 #include "net/forwarding.hpp"
-#include "net/topologies.hpp"
 
 namespace mtp {
 namespace {
@@ -362,11 +361,11 @@ TEST(LinkFailure, AutoExclusionNeverExcludesAVirtualPathlet) {
   }
 }
 
-// ------------------------------------------------------------ leaf-spine
+// ------------------------------------------------------------- fat-tree
 
-TEST(LeafSpine, AllPairsConnectivity) {
+TEST(FatTreeTraffic, AllPairsConnectivity) {
   net::Network net;
-  net::LeafSpine fabric(net, {.leaves = 3, .spines = 2, .hosts_per_leaf = 2});
+  net::FatTree fabric(net, {.k = 4});
   int received = 0;
   for (auto* h : fabric.hosts()) {
     h->set_udp_handler(40, [&](net::Packet&&) { ++received; });
@@ -380,43 +379,45 @@ TEST(LeafSpine, AllPairsConnectivity) {
     }
   }
   net.simulator().run();
-  EXPECT_EQ(received, sent);  // 6 hosts x 5 peers = 30 datagrams
+  EXPECT_EQ(received, sent);  // 16 hosts x 15 peers = 240 datagrams
 }
 
-TEST(LeafSpine, EcmpUsesAllSpines) {
+TEST(FatTreeTraffic, EcmpUsesBothEdgeUplinks) {
   net::Network net;
-  net::LeafSpine fabric(net, {.leaves = 2, .spines = 4, .hosts_per_leaf = 2},
-                        [] { return std::make_unique<net::EcmpPolicy>(); });
+  net::FatTree fabric(net, {.k = 4});
+  testing::set_fabric_policy<net::EcmpPolicy>(fabric);
+  net::Host* src = fabric.host(0, 0, 0);
+  net::Host* dst = fabric.host(1, 0, 0);
   std::uint64_t received = 0;
-  fabric.host(1, 0)->set_udp_handler(40, [&](net::Packet&&) { ++received; });
+  dst->set_udp_handler(40, [&](net::Packet&&) { ++received; });
   sim::Rng rng(21);
   // Many flows (varying hash), paced so the host uplink queue never drops:
-  // every spine uplink should carry traffic.
+  // the source edge should split them about evenly over its two uplinks.
   for (int i = 0; i < 400; ++i) {
-    net.simulator().schedule(SimTime::nanoseconds(i * 100), [&fabric, &rng] {
-      net::Packet p = datagram(fabric.host(0, 0)->id(), fabric.host(1, 0)->id());
+    net.simulator().schedule(SimTime::nanoseconds(i * 100), [src, dst, &rng] {
+      net::Packet p = datagram(src->id(), dst->id());
       p.flow_hash = rng.next_u64();
-      fabric.host(0, 0)->send(std::move(p));
+      src->send(std::move(p));
     });
   }
   net.simulator().run();
   EXPECT_EQ(received, 400u);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_GT(fabric.uplink(0, s)->stats().pkts_delivered, 50u)
-        << "spine " << s << " unused";
+  for (int a = 0; a < 2; ++a) {
+    EXPECT_GT(fabric.edge_uplink(0, 0, a)->stats().pkts_delivered, 150u)
+        << "uplink to aggregation " << a << " underused";
   }
 }
 
-TEST(LeafSpine, MtpTransferAcrossFabricWithSpineFailure) {
+TEST(FatTreeTraffic, MtpTransferAcrossFabricWithUplinkFailure) {
   net::Network net;
-  net::LeafSpine fabric(net, {.leaves = 2, .spines = 2, .hosts_per_leaf = 1},
-                        [] { return std::make_unique<net::MessageAwarePolicy>(); });
-  MtpEndpoint src(*fabric.host(0, 0), {});
-  MtpEndpoint dst(*fabric.host(1, 0), {});
+  net::FatTree fabric(net, {.k = 4});
+  testing::set_fabric_policy<net::MessageAwarePolicy>(fabric);
+  MtpEndpoint src(*fabric.host(0, 0, 0), {});
+  MtpEndpoint dst(*fabric.host(1, 0, 0), {});
   std::int64_t got = 0;
   dst.listen(80, [&](const ReceivedMessage& m) { got += m.bytes; });
-  src.send_message(fabric.host(1, 0)->id(), 2'000'000, {.dst_port = 80});
-  net.simulator().schedule(10_us, [&] { fabric.uplink(0, 0)->set_up(false); });
+  src.send_message(dst.node().id(), 2'000'000, {.dst_port = 80});
+  net.simulator().schedule(10_us, [&] { fabric.edge_uplink(0, 0, 0)->set_up(false); });
   net.simulator().run(500_ms);
   EXPECT_EQ(got, 2'000'000);
 }

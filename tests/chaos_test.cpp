@@ -1,5 +1,5 @@
 // Chaos harness: seeded random fault schedules (flaps + bursty impairment +
-// device crashes) over a leaf-spine fabric, checked against hard invariants:
+// device crashes) over a fat-tree fabric, checked against hard invariants:
 //
 //   - exactly-once application delivery (no loss, no duplicates),
 //   - payload integrity (no corrupted packet ever reaches an app or device),
@@ -24,7 +24,7 @@
 #include "innetwork/kvs_cache.hpp"
 #include "mtp/endpoint.hpp"
 #include "mtp/rpc.hpp"
-#include "net/topologies.hpp"
+#include "net/fat_tree.hpp"
 #include "sim/parallel.hpp"
 
 namespace mtp::fault {
@@ -67,18 +67,27 @@ void run_checking_slots(net::Network& net, ChaosResult& res) {
   res.live_slots = mtp::testing::live_packets(net);
 }
 
-// One chaos run: 48 random messages over a 2x2 leaf-spine while two uplinks
-// flap at random and a third runs a Gilbert-Elliott impairment. Everything —
-// workload and faults — derives from `seed`, so the whole run is a pure
-// function of it (the ParallelSweep determinism contract).
+// Message-aware forwarding on every edge and aggregation switch, and pathlet
+// ids with ECN feedback on the uplinks of pod 0's and pod 1's first edges
+// (the links the fault schedules hit), so senders learn and exclude them.
+void setup_chaos_fabric(const net::FatTree& ft) {
+  mtp::testing::set_fabric_policy<net::MessageAwarePolicy>(ft);
+  ft.edge_uplink(0, 0, 0)->set_pathlet({.id = 11, .feedback = proto::FeedbackType::kEcn});
+  ft.edge_uplink(0, 0, 1)->set_pathlet({.id = 12, .feedback = proto::FeedbackType::kEcn});
+  ft.edge_uplink(1, 0, 0)->set_pathlet({.id = 21, .feedback = proto::FeedbackType::kEcn});
+  ft.edge_uplink(1, 0, 1)->set_pathlet({.id = 22, .feedback = proto::FeedbackType::kEcn});
+}
+
+// One chaos run: 48 random messages between one host in each pod of a k=4
+// fat-tree while two edge uplinks flap at random and a third runs a
+// Gilbert-Elliott impairment. Everything — workload and faults — derives
+// from `seed`, so the whole run is a pure function of it (the ParallelSweep
+// determinism contract).
 ChaosResult run_chaos(std::uint64_t seed) {
   net::Network net(seed);
-  net::LeafSpine ls(net, {.leaves = 2, .spines = 2, .hosts_per_leaf = 2},
-                    [] { return std::make_unique<net::MessageAwarePolicy>(); });
-  ls.uplink(0, 0)->set_pathlet({.id = 11, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(0, 1)->set_pathlet({.id = 12, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(1, 0)->set_pathlet({.id = 21, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(1, 1)->set_pathlet({.id = 22, .feedback = proto::FeedbackType::kEcn});
+  net::FatTree ft(net, {.k = 4});
+  setup_chaos_fabric(ft);
+  const std::vector<net::Host*> hosts = mtp::testing::host_per_pod(ft);
 
   core::MtpConfig cfg;
   cfg.auto_exclude_after_losses = 2;
@@ -87,7 +96,7 @@ ChaosResult run_chaos(std::uint64_t seed) {
   ChaosResult res;
   sim::RunDigest digest(1);  // serial run: one cell in event order
   std::set<std::pair<net::NodeId, proto::MsgId>> seen;
-  for (net::Host* h : ls.hosts()) {
+  for (net::Host* h : hosts) {
     auto ep = std::make_unique<MtpEndpoint>(*h, cfg);
     ep->listen_any([&res, &seen, &digest](const ReceivedMessage& m) {
       ++res.delivered;
@@ -102,13 +111,13 @@ ChaosResult run_chaos(std::uint64_t seed) {
   // Faults: two flapping uplinks, one bursty-lossy/corrupting uplink. All
   // links are guaranteed healthy again by t = 3 ms.
   FaultInjector inj(net.simulator(), seed);
-  inj.random_flaps(*ls.uplink(0, 0), 200_us, 3_ms, /*mean_up=*/400_us,
+  inj.random_flaps(*ft.edge_uplink(0, 0, 0), 200_us, 3_ms, /*mean_up=*/400_us,
                    /*mean_down=*/150_us);
-  inj.random_flaps(*ls.uplink(1, 1), 250_us, 3_ms, 400_us, 150_us);
-  inj.impair_link(*ls.uplink(0, 1), {.p_good_to_bad = 0.01,
-                                     .p_bad_to_good = 0.1,
-                                     .bad_loss = 0.2,
-                                     .bad_corrupt = 0.2});
+  inj.random_flaps(*ft.edge_uplink(1, 0, 1), 250_us, 3_ms, 400_us, 150_us);
+  inj.impair_link(*ft.edge_uplink(0, 0, 1), {.p_good_to_bad = 0.01,
+                                             .p_bad_to_good = 0.1,
+                                             .bad_loss = 0.2,
+                                             .bad_corrupt = 0.2});
 
   // Workload: 48 messages between random host pairs over the first 2 ms.
   sim::Rng wl(mix64(seed ^ 0xabcdef));
@@ -119,7 +128,7 @@ ChaosResult run_chaos(std::uint64_t seed) {
     if (dst >= src) ++dst;  // uniform over the other three hosts
     const std::int64_t bytes = wl.uniform_int(1, 40'000);
     const SimTime at = SimTime::nanoseconds(wl.uniform_int(0, 2'000'000));
-    net::Host* to = ls.hosts()[dst];
+    net::Host* to = hosts[dst];
     MtpEndpoint* ep = eps[src].get();
     net.simulator().schedule_at(at, [ep, to, bytes, &res, &digest] {
       ++res.sent;
@@ -212,14 +221,9 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
   // 5 us fabric delay = 5 us conservative lookahead: wider windows keep the
   // barrier count civil on the CI box. (The timeline differs from run_chaos's
   // 1 us default, which is fine — sharded runs are compared to each other.)
-  net::LeafSpine ls(net,
-                    {.leaves = 4, .spines = 2, .hosts_per_leaf = 1,
-                     .link_delay = 5_us},
-                    [] { return std::make_unique<net::MessageAwarePolicy>(); });
-  ls.uplink(0, 0)->set_pathlet({.id = 11, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(0, 1)->set_pathlet({.id = 12, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(1, 0)->set_pathlet({.id = 21, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(1, 1)->set_pathlet({.id = 22, .feedback = proto::FeedbackType::kEcn});
+  net::FatTree ft(net, {.k = 4, .link_delay = 5_us});
+  setup_chaos_fabric(ft);
+  const std::vector<net::Host*> hosts = mtp::testing::host_per_pod(ft);
 
   core::MtpConfig cfg;
   cfg.auto_exclude_after_losses = 2;
@@ -236,8 +240,8 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
   sim::RunDigest digest(4);  ///< delivery + completion folds, one cell per host
 
   std::vector<std::unique_ptr<MtpEndpoint>> eps;
-  for (std::size_t h = 0; h < ls.hosts().size(); ++h) {
-    auto ep = std::make_unique<MtpEndpoint>(*ls.hosts()[h], cfg);
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    auto ep = std::make_unique<MtpEndpoint>(*hosts[h], cfg);
     ep->listen_any([s = &slot[h], &digest, h](const ReceivedMessage& m) {
       ++s->delivered;
       if (!s->seen.emplace(m.src, m.msg_id).second) ++s->duplicates;
@@ -249,12 +253,12 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
   }
 
   FaultInjector inj(net.simulator(), seed);
-  inj.random_flaps(*ls.uplink(0, 0), 200_us, 3_ms, 400_us, 150_us);
-  inj.random_flaps(*ls.uplink(1, 1), 250_us, 3_ms, 400_us, 150_us);
-  inj.impair_link(*ls.uplink(0, 1), {.p_good_to_bad = 0.01,
-                                     .p_bad_to_good = 0.1,
-                                     .bad_loss = 0.2,
-                                     .bad_corrupt = 0.2});
+  inj.random_flaps(*ft.edge_uplink(0, 0, 0), 200_us, 3_ms, 400_us, 150_us);
+  inj.random_flaps(*ft.edge_uplink(1, 0, 1), 250_us, 3_ms, 400_us, 150_us);
+  inj.impair_link(*ft.edge_uplink(0, 0, 1), {.p_good_to_bad = 0.01,
+                                             .p_bad_to_good = 0.1,
+                                             .bad_loss = 0.2,
+                                             .bad_corrupt = 0.2});
 
   sim::Rng wl(mix64(seed ^ 0xabcdef));
   const int kMessages = 48;
@@ -264,12 +268,12 @@ ChaosResult run_chaos_sharded(std::uint64_t seed, unsigned shards) {
     if (dst >= src) ++dst;
     const std::int64_t bytes = wl.uniform_int(1, 40'000);
     const SimTime at = SimTime::nanoseconds(wl.uniform_int(0, 2'000'000));
-    net::Host* to = ls.hosts()[dst];
+    net::Host* to = hosts[dst];
     MtpEndpoint* ep = eps[src].get();
     HostSlot* s = &slot[src];
     // The send fires on the sending host's own shard; the completion
     // callback therefore also runs there and folds into the same cell.
-    net.simulator(net.shard_of(*ls.hosts()[src]))
+    net.simulator(net.shard_of(*hosts[src]))
         .schedule_at(at, [ep, to, bytes, s, &digest, src] {
           ++s->sent;
           ep->send_message(to->id(), bytes, {.dst_port = 80},

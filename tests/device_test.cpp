@@ -9,7 +9,6 @@
 #include "innetwork/mutation_offload.hpp"
 #include "mtp/endpoint.hpp"
 #include "net/fat_tree.hpp"
-#include "net/topologies.hpp"
 
 namespace mtp::innetwork {
 namespace {
@@ -326,29 +325,6 @@ TEST(KvsCache, ReplyAfterRestartReachesAClientThatHeardAnEarlierOne) {
   ASSERT_EQ(rig.replies.size(), 2u);
   EXPECT_EQ(rig.replies[1].src, rig.t.sw->id());
   EXPECT_NE(rig.replies[1].msg_id, rig.replies[0].msg_id);
-}
-
-TEST(KvsCache, ClientsInOtherRacksAckTheLeafsReplies) {
-  // The cache sits on the backend's leaf; the client is a rack away. Its
-  // ACKs are addressed to that leaf and must be routed there, or the reply
-  // would be retransmitted forever.
-  net::Network net;
-  net::LeafSpine ls(net, {.leaves = 2, .spines = 2, .hosts_per_leaf = 1});
-  MtpEndpoint client(*ls.host(0, 0));
-  MtpEndpoint backend(*ls.host(1, 0));
-  auto cache = std::make_shared<KvsCache>(
-      *ls.leaf(1), KvsCache::Config{.backend = ls.host(1, 0)->id(), .service_port = 80});
-  ls.leaf(1)->add_ingress(cache);
-  cache->put("k", "v", 20'000);
-  int replies = 0;
-  client.listen(9000, [&](const ReceivedMessage&) { ++replies; });
-  client.send_message(ls.host(1, 0)->id(), 100,
-                      {.src_port = 9000, .dst_port = 80, .app = net::AppData{"k", ""}});
-  net.simulator().run(50_ms);
-  EXPECT_EQ(replies, 1);
-  EXPECT_EQ(cache->sender().outstanding_messages(), 0u);
-  EXPECT_EQ(cache->sender().pkts_retransmitted(), 0u);
-  EXPECT_EQ(net.simulator().pending_events(), 0u);
 }
 
 TEST(KvsCache, ClientsInOtherPodsAckTheEdgesReplies) {

@@ -15,7 +15,7 @@
 #include "mtp/endpoint.hpp"
 #include "mtp/rpc.hpp"
 #include "mtp/stream/stream.hpp"
-#include "net/topologies.hpp"
+#include "net/fat_tree.hpp"
 #include "telemetry/trace.hpp"
 #include "transport/tcp.hpp"
 
@@ -366,39 +366,44 @@ TEST(RecoveryEdge, SenderMuxCrashQuarantinesStreamsKeepingPointersValid) {
 }
 
 TEST(RecoveryEdge, RepeatedTimeoutsExcludePathletAndRerouteAroundBlackhole) {
-  // Leaf-spine with two spines. The spine0->leaf1 downlink fails — invisible
-  // to leaf0's forwarding policy, which keeps seeing a healthy uplink. Only
-  // the sender notices (timeouts), excludes the learned pathlet, and its
-  // Path Exclude list steers the switch onto spine1.
+  // Fat-tree k=4, sender in pod 0, receiver in pod 1. Aggregation 0 of pod
+  // 1 loses its downlink to the receiver's edge — invisible to the sender's
+  // edge, whose forwarding policy keeps seeing a healthy uplink to
+  // aggregation 0. Only the sender notices (timeouts), excludes the learned
+  // pathlet, and its Path Exclude list steers the edge onto aggregation 1.
   net::Network net(4);
-  net::LeafSpine ls(net, {.leaves = 2, .spines = 2, .hosts_per_leaf = 1},
-                    [] { return std::make_unique<net::MessageAwarePolicy>(); });
-  ls.uplink(0, 0)->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
-  ls.uplink(0, 1)->set_pathlet({.id = 2, .feedback = proto::FeedbackType::kEcn});
+  net::FatTree ft(net, {.k = 4});
+  mtp::testing::set_fabric_policy<net::MessageAwarePolicy>(ft);
+  net::Link* via_agg0 = ft.edge_uplink(0, 0, 0);
+  net::Link* via_agg1 = ft.edge_uplink(0, 0, 1);
+  via_agg0->set_pathlet({.id = 1, .feedback = proto::FeedbackType::kEcn});
+  via_agg1->set_pathlet({.id = 2, .feedback = proto::FeedbackType::kEcn});
 
   core::MtpConfig cfg;
   cfg.auto_exclude_after_losses = 2;
   cfg.exclude_duration = 20_ms;
-  MtpEndpoint a(*ls.host(0, 0), cfg);
-  MtpEndpoint b(*ls.host(1, 0), {});
+  MtpEndpoint a(*ft.host(0, 0, 0), cfg);
+  MtpEndpoint b(*ft.host(1, 0, 0), {});
   int deliveries = 0;
   b.listen(80, [&](const ReceivedMessage&) { ++deliveries; });
 
-  // Learn the path (all traffic currently rides spine0, the first uplink).
+  // Learn the path (all traffic currently rides aggregation 0, the first
+  // uplink).
   a.send_message(b.node().id(), 5'000, {.dst_port = 80});
   net.simulator().run(1_ms);
   ASSERT_EQ(deliveries, 1);
   const auto learned = a.current_path(b.node().id());
   ASSERT_FALSE(learned.empty());
 
-  // Fail the far side of spine0's path and send another message.
-  ls.spine(0)->out_port(1)->set_up(false);
-  const std::uint64_t spine1_before = ls.uplink(0, 1)->stats().pkts_delivered;
+  // Fail the far side of aggregation 0's paths (its port 0 faces edge 0)
+  // and send another message.
+  ft.agg(1, 0)->out_port(0)->set_up(false);
+  const std::uint64_t agg1_before = via_agg1->stats().pkts_delivered;
   a.send_message(b.node().id(), 5'000, {.dst_port = 80});
   net.simulator().run(200_ms);
 
   EXPECT_EQ(deliveries, 2);  // rerouted and delivered despite the blackhole
-  EXPECT_GT(ls.uplink(0, 1)->stats().pkts_delivered, spine1_before);
+  EXPECT_GT(via_agg1->stats().pkts_delivered, agg1_before);
 }
 
 TEST(RecoveryEdge, KvsCacheCrashMidRpcFailsOverToBackendExactlyOnce) {

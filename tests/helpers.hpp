@@ -2,7 +2,9 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
+#include "net/fat_tree.hpp"
 #include "net/forwarding.hpp"
 #include "net/network.hpp"
 #include "sim/random.hpp"
@@ -27,6 +29,26 @@ inline void fold_delivery(sim::RunDigest& d, net::NodeId src, std::uint64_t msg_
   d.add(0, msg_id);
   d.add(0, static_cast<std::uint64_t>(bytes));
   d.add(0, static_cast<std::uint64_t>(at.ns()));
+}
+
+/// Give every edge and aggregation switch of `ft` its own `Policy`, so a
+/// stateful policy shares no state across switches. Cores only route down.
+template <class Policy>
+void set_fabric_policy(const net::FatTree& ft) {
+  for (int p = 0; p < ft.k(); ++p) {
+    for (int i = 0; i < ft.k() / 2; ++i) {
+      ft.edge(p, i)->set_policy(std::make_unique<Policy>());
+      ft.agg(p, i)->set_policy(std::make_unique<Policy>());
+    }
+  }
+}
+
+/// Host 0 of edge 0 in each pod, pod order: k hosts that reach each other
+/// only across the cores, and land on k shards when the network has k.
+inline std::vector<net::Host*> host_per_pod(const net::FatTree& ft) {
+  std::vector<net::Host*> hosts;
+  for (int p = 0; p < ft.k(); ++p) hosts.push_back(ft.host(p, 0, 0));
+  return hosts;
 }
 
 /// host a -- switch -- host b, symmetric links.

@@ -19,7 +19,7 @@
 #include "mtp/overload/retry_budget.hpp"
 #include "mtp/overload/shed_guard.hpp"
 #include "mtp/rpc.hpp"
-#include "net/topologies.hpp"
+#include "net/fat_tree.hpp"
 #include "sim/random.hpp"
 
 namespace mtp {
@@ -478,10 +478,11 @@ TEST(OverloadRpc, HedgesAreBudgetGuardedAndExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded overload chaos harness on a sharded leaf-spine: RPC retry storms
-// around a server crash, raw traffic under receiver watermarks, and a shed-
-// guarded kvs cache — with all folds shard-local so the digest is a pure
-// function of the seed, independent of the shard count.
+// Seeded overload chaos harness on a sharded k=4 fat-tree, one host per pod
+// (three clients and a server): RPC retry storms around a server crash, raw
+// traffic under receiver watermarks, and a shed-guarded kvs cache — with all
+// folds shard-local so the digest is a pure function of the seed,
+// independent of the shard count.
 // ---------------------------------------------------------------------------
 
 struct OvChaosResult {
@@ -505,10 +506,10 @@ struct OvChaosResult {
 
 OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
   net::Network net(seed, shards);
-  net::LeafSpine ls(net, {.leaves = 4, .spines = 2, .hosts_per_leaf = 1,
-                          .link_delay = 5_us});
+  net::FatTree ft(net, {.k = 4, .link_delay = 5_us});
+  const std::vector<net::Host*> hosts = mtp::testing::host_per_pod(ft);
   const std::size_t kHosts = 4;
-  net::Host* server_host = ls.hosts()[3];
+  net::Host* server_host = hosts[3];
 
   MtpConfig client_cfg;
   client_cfg.overload.enabled = true;
@@ -541,7 +542,7 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
   std::vector<std::unordered_map<proto::MsgId, int>> msg_index(kHosts);
   for (std::size_t h = 0; h < kHosts; ++h) {
     auto ep = std::make_unique<MtpEndpoint>(
-        *ls.hosts()[h], h == 3 ? server_cfg : client_cfg);
+        *hosts[h], h == 3 ? server_cfg : client_cfg);
     ep->listen_any([&digest, h, &msg_slot](const ReceivedMessage& m) {
       if (!m.app) return;
       const std::string& key = m.app->key;
@@ -566,7 +567,7 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
     eps.push_back(std::move(ep));
   }
 
-  // Shed-guarded kvs cache on the server's leaf, fronting server port 81.
+  // Shed-guarded kvs cache on the server's edge, fronting server port 81.
   innetwork::KvsCache::Config kc;
   kc.backend = server_host->id();
   kc.service_port = 81;
@@ -575,9 +576,9 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
                       .high_watermark = 0,
                       .hard_limit = 1000,
                       .protect_priority = 1}};
-  auto cache = std::make_shared<innetwork::KvsCache>(*ls.leaf(3), kc);
+  auto cache = std::make_shared<innetwork::KvsCache>(*ft.edge(3, 0), kc);
   for (int k = 0; k < 4; ++k) cache->put("k" + std::to_string(k), "v", 3'000);
-  ls.leaf(3)->add_ingress(cache);
+  ft.edge(3, 0)->add_ingress(cache);
 
   // RPC: three clients against one server that crashes mid-run. Requests
   // are still ACKed by the transport while the app is down — the classic
@@ -615,7 +616,7 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
     const std::uint8_t pri = rng.bernoulli(0.5) ? 1 : 0;
     const SimTime at = SimTime::nanoseconds(rng.uniform_int(0, 3'000'000));
     RpcClient* cl = clients[c].get();
-    net.simulator(net.shard_of(*ls.hosts()[c]))
+    net.simulator(net.shard_of(*hosts[c]))
         .schedule_at(at, [cl, &digest, c, &cb, i, bytes, pri, server_host] {
           cl->call(server_host->id(), 80, "m", bytes,
                    [&digest, c, &cb, i](const RpcReply& r) {
@@ -635,10 +636,10 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
     msg_slot[i].priority = pri;
     const SimTime at = SimTime::nanoseconds(rng.uniform_int(0, 3'000'000));
     MtpEndpoint* ep = eps[src].get();
-    net::Host* to = ls.hosts()[dst];
+    net::Host* to = hosts[dst];
     auto* mi = &msg_index[src];
     auto* ms = &msg_slot[i];
-    net.simulator(net.shard_of(*ls.hosts()[src]))
+    net.simulator(net.shard_of(*hosts[src]))
         .schedule_at(at, [ep, to, bytes, pri, i, mi, ms] {
           MessageOptions opts;
           opts.priority = pri;
@@ -660,7 +661,7 @@ OvChaosResult run_overload_chaos(std::uint64_t seed, unsigned shards) {
     MtpEndpoint* ep = eps[src].get();
     auto* mi = &msg_index[src];
     auto* ms = &msg_slot[i];
-    net.simulator(net.shard_of(*ls.hosts()[src]))
+    net.simulator(net.shard_of(*hosts[src]))
         .schedule_at(at, [ep, key, pri, i, mi, ms, server_host] {
           MessageOptions opts;
           opts.priority = pri;

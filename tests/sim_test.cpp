@@ -701,30 +701,5 @@ TEST(BoundedPareto, RejectsBadParameters) {
   EXPECT_THROW(BoundedPareto(1, 10, 0), std::invalid_argument);
 }
 
-TEST(EmpiricalCdf, InterpolatesKnots) {
-  EmpiricalCdf cdf({{0, 0.0}, {100, 0.5}, {1000, 1.0}});
-  Rng rng(9);
-  int low = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = cdf.sample(rng);
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1000.0);
-    low += v <= 100.0;
-  }
-  EXPECT_NEAR(static_cast<double>(low) / n, 0.5, 0.03);
-}
-
-TEST(EmpiricalCdf, MeanOfPiecewiseLinear) {
-  EmpiricalCdf cdf({{0, 0.0}, {100, 1.0}});
-  EXPECT_DOUBLE_EQ(cdf.mean(), 50.0);
-}
-
-TEST(EmpiricalCdf, RejectsMalformedKnots) {
-  EXPECT_THROW(EmpiricalCdf({{0, 0.0}}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf({{0, 0.1}, {1, 1.0}}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf({{0, 0.0}, {1, 0.5}, {0.5, 1.0}}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mtp::sim

@@ -147,13 +147,6 @@ namespace {
 
 using namespace mtp::sim::literals;
 
-TEST(SizeDist, FixedAlwaysSame) {
-  sim::Rng rng(1);
-  auto d = SizeDist::fixed(16'384);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(d.sample(rng), 16'384);
-  EXPECT_DOUBLE_EQ(d.mean(), 16'384.0);
-}
-
 TEST(SizeDist, SkewedStaysInRangeAndSkews) {
   sim::Rng rng(2);
   auto d = SizeDist::skewed(10'000, 1'000'000'000);
@@ -165,46 +158,6 @@ TEST(SizeDist, SkewedStaysInRangeAndSkews) {
     small += v < 100'000;
   }
   EXPECT_GT(small, 4000);  // majority short (paper's workload shape)
-}
-
-TEST(SizeDist, EmpiricalSampler) {
-  sim::Rng rng(3);
-  auto d = SizeDist::empirical(sim::EmpiricalCdf({{1000, 0.0}, {2000, 1.0}}));
-  for (int i = 0; i < 100; ++i) {
-    const auto v = d.sample(rng);
-    EXPECT_GE(v, 1000);
-    EXPECT_LE(v, 2000);
-  }
-  EXPECT_NEAR(d.mean(), 1500.0, 1e-9);
-}
-
-TEST(SizeDistPresets, WebSearchShape) {
-  sim::Rng rng(8);
-  auto d = SizeDist::web_search();
-  int under_50k = 0, over_1m = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    const auto v = d.sample(rng);
-    EXPECT_GE(v, 6'000);
-    EXPECT_LE(v, 30'000'000);
-    under_50k += v <= 50'000;
-    over_1m += v > 1'000'000;
-  }
-  EXPECT_NEAR(under_50k, n * 60 / 100, n * 5 / 100);
-  EXPECT_NEAR(over_1m, n * 10 / 100, n * 3 / 100);
-}
-
-TEST(SizeDistPresets, DataMiningIsMoreExtreme) {
-  sim::Rng rng(9);
-  auto d = SizeDist::data_mining();
-  std::int64_t total = 0, big_bytes = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const auto v = d.sample(rng);
-    total += v;
-    if (v > 1'000'000) big_bytes += v;
-  }
-  // Most flows are tiny, but most *bytes* live in the elephant tail.
-  EXPECT_GT(static_cast<double>(big_bytes) / static_cast<double>(total), 0.7);
 }
 
 }  // namespace
