@@ -27,6 +27,7 @@
 #include <unordered_map>
 
 #include "mtp/endpoint.hpp"
+#include "net/drop.hpp"
 #include "net/switch.hpp"
 #include "transport/message.hpp"
 
@@ -72,11 +73,8 @@ class DeviceReceiver {
     const auto& hdr = pkt.mtp();
     const transport::MsgKey key{pkt.src, hdr.msg_id};
     if (!pkt.checksum_ok()) {
-      ++checksum_drops_;
-      if (telemetry::TraceSink::enabled()) {
-        telemetry::trace().record(net::packet_trace_event(
-            sw_.simulator().now(), telemetry::TraceEventType::kChecksumDrop, sw_.name(), pkt));
-      }
+      net::drop(checksum_drops_, net::DropReason::kChecksum, sw_.simulator().now(),
+                sw_.name(), pkt);
       ack(pkt, /*nack=*/true);
       return std::nullopt;
     }

@@ -14,6 +14,7 @@
 #include <array>
 #include <memory>
 
+#include "net/drop.hpp"
 #include "net/switch.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,7 +23,7 @@ namespace mtp::innetwork {
 class FairSharePolicer final : public net::IngressProcessor {
  public:
   struct Config {
-    /// Egress link being policed (for capacity and queue depth).
+    /// Egress link being policed (capacity, queue depth, drop count).
     net::Link* egress = nullptr;
   };
   /// Rate-estimation window.
@@ -40,16 +41,16 @@ class FairSharePolicer final : public net::IngressProcessor {
                                                 [this] { update(); });
     task_->start();
     metrics_ = telemetry::MetricRegistry::global().add(
-        "policer", cfg_.egress ? cfg_.egress->name() : "unattached",
+        "policer", cfg_.egress->name(),
         [this](std::vector<telemetry::MetricSample>& out) {
           using telemetry::MetricKind;
           out.push_back({"marked", MetricKind::kCounter, static_cast<double>(marked_)});
-          out.push_back({"dropped", MetricKind::kCounter, static_cast<double>(dropped_)});
+          out.push_back({"dropped", MetricKind::kCounter, static_cast<double>(dropped())});
           out.push_back({"fair_rate_bps", MetricKind::kGauge, fair_rate_bps_});
         });
   }
 
-  bool process(net::Packet& pkt, net::Switch&) override {
+  bool process(net::Packet& pkt, net::Switch& sw) override {
     auto& tc = tcs_[pkt.tc];
     tc.window_bytes += pkt.size_bytes();
     if (fair_rate_bps_ <= 0) return false;
@@ -65,11 +66,9 @@ class FairSharePolicer final : public net::IngressProcessor {
     if (tc.phase >= 1.0) {
       tc.phase -= 1.0;
       if (over >= kDropRatio || pkt.ecn == net::Ecn::kNotEct) {
-        ++dropped_;
-        // Attribute the loss to the policed egress queue's split counters —
-        // the packet never reaches it, but its drop must not be invisible
-        // to queue-level accounting.
+        // The egress queue counts the loss; the switch traces it.
         cfg_.egress->queue().note_policer_drop(pkt);
+        net::drop(net::DropReason::kPolicer, sim_.now(), sw.name(), pkt);
         return true;  // consume = drop
       }
       pkt.ecn = net::Ecn::kCe;
@@ -80,7 +79,7 @@ class FairSharePolicer final : public net::IngressProcessor {
 
   double fair_rate_gbps() const { return fair_rate_bps_ / 1e9; }
   std::uint64_t marked() const { return marked_; }
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return cfg_.egress->queue().stats().policer_dropped; }
   double tc_rate_gbps(proto::TrafficClassId tc) const { return tcs_[tc].rate_bps / 1e9; }
 
  private:
@@ -113,7 +112,6 @@ class FairSharePolicer final : public net::IngressProcessor {
   std::array<TcState, 256> tcs_{};
   double fair_rate_bps_ = 0;
   std::uint64_t marked_ = 0;
-  std::uint64_t dropped_ = 0;
   std::unique_ptr<sim::PeriodicTask> task_;
   telemetry::Registration metrics_;
 };

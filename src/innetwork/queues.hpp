@@ -33,7 +33,6 @@ class WfqQueue final : public net::Queue {
     auto& q = queues_[pkt.tc];
     if (q.pkts.size() >= cfg_.per_tc_capacity_pkts) {
       note_tail_drop(pkt);
-      ++q.dropped;
       return false;
     }
     if (cfg_.ecn_threshold_pkts != 0 && q.pkts.size() >= cfg_.ecn_threshold_pkts &&
@@ -97,14 +96,12 @@ class WfqQueue final : public net::Queue {
   std::size_t len_pkts() const override { return pkts_; }
   std::int64_t len_bytes() const override { return bytes_; }
   std::size_t tc_len_pkts(proto::TrafficClassId tc) const { return queues_[tc].pkts.size(); }
-  std::uint64_t tc_dropped(proto::TrafficClassId tc) const { return queues_[tc].dropped; }
 
  private:
   struct TcQueue {
     sim::RingBuffer<net::PacketHandle> pkts;
     std::int64_t bytes = 0;
     std::int64_t deficit = 0;
-    std::uint64_t dropped = 0;
     bool fresh_round = false;
   };
 
@@ -132,41 +129,27 @@ class TrimmingQueue final : public net::Queue {
   ~TrimmingQueue() override { discard_all(); }
 
   bool enqueue(net::Packet&& pkt) override {
-    const bool is_control = pkt.payload_bytes == 0;
-    if (is_control) {
-      if (control_.size() >= kControlCapacityPkts) {
+    if (pkt.payload_bytes != 0 && data_.size() >= cfg_.capacity_pkts) {
+      if (!pkt.is_mtp() || pkt.mtp().is_ack()) {
         note_tail_drop(pkt);
         return false;
       }
-      bytes_ += pkt.size_bytes();
-      control_.push_back(store(std::move(pkt)));
-      ++stats_.enqueued;
-      return true;
+      // Trim: drop the payload, keep the header, jump the queue.
+      pkt.payload_bytes = 0;
+      ++trimmed_;
     }
-    if (data_.size() >= cfg_.capacity_pkts) {
-      if (pkt.is_mtp() && !pkt.mtp().is_ack()) {
-        // Trim: drop the payload, keep the header, jump the queue.
-        pkt.payload_bytes = 0;
-        ++trimmed_;
-        if (control_.size() >= kControlCapacityPkts) {
-          note_tail_drop(pkt);
-          return false;
-        }
-        bytes_ += pkt.size_bytes();
-        control_.push_back(store(std::move(pkt)));
-        ++stats_.enqueued;
-        return true;
-      }
+    const bool control = pkt.payload_bytes == 0;
+    if (control && control_.size() >= kControlCapacityPkts) {
       note_tail_drop(pkt);
       return false;
     }
-    if (cfg_.ecn_threshold_pkts != 0 && data_.size() >= cfg_.ecn_threshold_pkts &&
+    if (!control && cfg_.ecn_threshold_pkts != 0 && data_.size() >= cfg_.ecn_threshold_pkts &&
         pkt.ecn != net::Ecn::kNotEct) {
       pkt.ecn = net::Ecn::kCe;
       ++stats_.ecn_marked;
     }
     bytes_ += pkt.size_bytes();
-    data_.push_back(store(std::move(pkt)));
+    (control ? control_ : data_).push_back(store(std::move(pkt)));
     ++stats_.enqueued;
     return true;
   }

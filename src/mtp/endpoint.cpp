@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/drop.hpp"
 #include "net/link.hpp"
 #include "telemetry/trace.hpp"
 
@@ -441,11 +442,7 @@ void MtpEndpoint::on_packet(net::Packet&& pkt) {
     // NACK like an NDP trim (header intact, payload gone) so the sender
     // retransmits in ~1 RTT; a corrupted ACK is simply dropped — the
     // sender's timer recovers.
-    ++checksum_drops_;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::trace().record(net::packet_trace_event(
-          sim_.now(), telemetry::TraceEventType::kChecksumDrop, node_.name(), pkt));
-    }
+    net::drop(checksum_drops_, net::DropReason::kChecksum, sim_.now(), node_.name(), pkt);
     if (!pkt.mtp().is_ack()) queue_ack(pkt, /*nack=*/true, {}, /*flush_now=*/true);
     return;
   }

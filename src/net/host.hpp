@@ -6,6 +6,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "net/drop.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 
@@ -42,7 +43,7 @@ class Host final : public Node {
 
   void receive(Packet&& pkt, PortIndex /*in_port*/) override {
     if (pkt.dst != id()) {
-      discard(pkt, misdelivered_);  // not addressed to this host
+      drop(misdelivered_, DropReason::kMisdelivered, simulator().now(), name(), pkt);
       return;
     }
     if (pkt.is_tcp()) {
@@ -53,23 +54,15 @@ class Host final : public Node {
       auto it = udp_.find(pkt.udp().dst_port);
       if (it != udp_.end()) return it->second(std::move(pkt));
     }
-    discard(pkt, unhandled_);  // no stack, an unbound UDP port, or an unknown kind
+    drop(unhandled_, DropReason::kUnhandled, simulator().now(), name(), pkt);
   }
 
   /// Discards: misdelivered (addressed elsewhere) and unhandled (nothing
-  /// bound to take the packet). Each is counted and traced as a kDrop.
+  /// bound to take the packet).
   std::uint64_t unhandled_packets() const { return unhandled_; }
   std::uint64_t misdelivered_packets() const { return misdelivered_; }
 
  private:
-  void discard(const Packet& pkt, std::uint64_t& counter) {
-    ++counter;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::trace().record(
-          packet_trace_event(simulator().now(), telemetry::TraceEventType::kDrop, name(), pkt));
-    }
-  }
-
   Handler tcp_;
   std::unordered_map<proto::PortNum, Handler> udp_;
   std::unordered_map<NodeId, PortIndex> routes_;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "net/drop.hpp"
+
 namespace mtp::net {
 
 namespace {
@@ -77,11 +79,6 @@ telemetry::TraceEvent packet_trace_event(sim::SimTime t, telemetry::TraceEventTy
   return ev;
 }
 
-telemetry::TraceEvent Link::trace_event(telemetry::TraceEventType type,
-                                        const Packet& pkt) const {
-  return packet_trace_event(sim_.now(), type, name_, pkt);
-}
-
 void Link::set_pathlet(PathletConfig cfg) {
   pathlet_.emplace(cfg, bandwidth_);
   if (cfg.feedback == proto::FeedbackType::kRate) {
@@ -109,10 +106,7 @@ void Link::set_up(bool up) {
     ++stats_.flaps;
     // Discard queued packets on the flap.
     while (const std::optional<Packet> pkt = queue_->dequeue()) {
-      ++stats_.pkts_dropped_down;
-      if (telemetry::TraceSink::enabled()) {
-        telemetry::trace().record(trace_event(telemetry::TraceEventType::kDrop, *pkt));
-      }
+      drop(stats_.pkts_dropped_down, DropReason::kLinkDown, sim_.now(), name_, *pkt);
     }
   } else {
     try_transmit(sim_.now());
@@ -123,10 +117,7 @@ void Link::send(Packet&& pkt) {
   assert(dst_ != nullptr && "Link::connect_to must be called before send");
   settle();
   if (!up_) {
-    ++stats_.pkts_dropped_down;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::trace().record(trace_event(telemetry::TraceEventType::kDrop, pkt));
-    }
+    drop(stats_.pkts_dropped_down, DropReason::kLinkDown, sim_.now(), name_, pkt);
     return;
   }
   // NIC checksum offload: the first link a packet crosses stamps the payload
@@ -138,16 +129,14 @@ void Link::send(Packet&& pkt) {
       case FaultAction::kNone:
         break;
       case FaultAction::kDrop:
-        ++stats_.pkts_dropped_fault;
-        if (telemetry::TraceSink::enabled()) {
-          telemetry::trace().record(trace_event(telemetry::TraceEventType::kDrop, pkt));
-        }
+        drop(stats_.pkts_dropped_fault, DropReason::kFault, sim_.now(), name_, pkt);
         return;
       case FaultAction::kCorrupt:
         pkt.corrupt();
         ++stats_.pkts_corrupted;
         if (telemetry::TraceSink::enabled()) {
-          telemetry::trace().record(trace_event(telemetry::TraceEventType::kCorrupt, pkt));
+          telemetry::trace().record(
+              packet_trace_event(sim_.now(), telemetry::TraceEventType::kCorrupt, name_, pkt));
         }
         break;
     }
@@ -158,19 +147,17 @@ void Link::send(Packet&& pkt) {
   pkt.hop_was_ce = pkt.ecn == Ecn::kCe;
   if (pathlet_) pathlet_->on_arrival(pkt.size_bytes());
   if (telemetry::TraceSink::enabled()) {
-    // The packet is consumed by enqueue() whether it is accepted, marked or
-    // dropped, so snapshot the event now and classify it from the queue's
-    // counter deltas afterwards. Works for every Queue subclass unchanged.
-    telemetry::TraceEvent ev = trace_event(telemetry::TraceEventType::kEnqueue, pkt);
-    const QueueStats before = queue_->stats();
-    const bool accepted = queue_->enqueue(std::move(pkt));
-    const QueueStats& after = queue_->stats();
-    if (!accepted) {
-      ev.type = telemetry::TraceEventType::kDrop;
-      telemetry::trace().record(ev);
+    // An accepted packet moves into the queue, so snapshot its event now and
+    // tell a mark from the queue's ecn_marked delta afterwards. A rejected
+    // packet stays in `pkt`; the queue counted the drop, the link traces it.
+    telemetry::TraceEvent ev =
+        packet_trace_event(sim_.now(), telemetry::TraceEventType::kEnqueue, name_, pkt);
+    const std::uint64_t marked = queue_->stats().ecn_marked;
+    if (!queue_->enqueue(std::move(pkt))) {
+      drop(DropReason::kQueueFull, sim_.now(), name_, pkt);
       return;
     }
-    if (after.ecn_marked > before.ecn_marked) {
+    if (queue_->stats().ecn_marked > marked) {
       telemetry::TraceEvent mark = ev;
       mark.type = telemetry::TraceEventType::kEcnMark;
       telemetry::trace().record(mark);
@@ -258,7 +245,8 @@ void Link::deliver_front() {
   const InFlight f = in_flight_.pop_front();
   Packet& pkt = pool_[f.pkt];
   if (telemetry::TraceSink::enabled()) {
-    telemetry::trace().record(trace_event(telemetry::TraceEventType::kRx, pkt));
+    telemetry::trace().record(
+        packet_trace_event(sim_.now(), telemetry::TraceEventType::kRx, name_, pkt));
   }
   // Arm the next propagating packet's delivery at its own time and key
   // before receive(), so a receiver that re-enters this link (e.g. a

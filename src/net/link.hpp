@@ -216,9 +216,6 @@ class Link {
   void deliver_front();
   void stamp(Packet& pkt, sim::SimTime queue_delay);
   void register_metrics();
-  /// Trace event at now(); serialization records carry their own times.
-  telemetry::TraceEvent trace_event(telemetry::TraceEventType type,
-                                    const Packet& pkt) const;
 
   /// A packet on the wire: serialization has ended and it propagates until
   /// deliver_at. The packet itself stays in its pool slot; the cell carries

@@ -22,7 +22,7 @@ void Queue::append_metrics(std::vector<telemetry::MetricSample>& out) const {
   using telemetry::MetricKind;
   out.push_back({"enqueued", MetricKind::kCounter, static_cast<double>(stats_.enqueued)});
   out.push_back({"dequeued", MetricKind::kCounter, static_cast<double>(stats_.dequeued)});
-  out.push_back({"dropped", MetricKind::kCounter, static_cast<double>(stats_.dropped)});
+  out.push_back({"dropped", MetricKind::kCounter, static_cast<double>(stats_.dropped())});
   out.push_back({"ecn_marked", MetricKind::kCounter, static_cast<double>(stats_.ecn_marked)});
   out.push_back({"bytes_dropped", MetricKind::kCounter,
                  static_cast<double>(stats_.bytes_dropped)});

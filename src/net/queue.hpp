@@ -22,22 +22,21 @@ struct MetricSample;
 namespace mtp::net {
 
 /// Counters every queue maintains; exposed for tests and experiment probes.
-/// `dropped` is the total; every drop must also be attributed to exactly one
-/// of the split counters (tail / policer) so bench tables can tell loss
-/// causes apart — the overload tests assert the sum matches, i.e. no queue
-/// ever discards a packet silently.
+/// A drop is counted by its cause (tail / policer); dropped() is their sum.
 struct QueueStats {
   std::uint64_t enqueued = 0;
   std::uint64_t dequeued = 0;
-  std::uint64_t dropped = 0;
   std::uint64_t ecn_marked = 0;
   std::uint64_t bytes_dropped = 0;
   std::uint64_t tail_dropped = 0;     ///< queue full at enqueue
   std::uint64_t policer_dropped = 0;  ///< fair-share policer verdict at ingress
+
+  std::uint64_t dropped() const { return tail_dropped + policer_dropped; }
 };
 
 /// Abstract egress queue. enqueue() may mutate the packet (ECN marking,
-/// trimming) and returns false if the packet was dropped entirely.
+/// trimming) and returns false if the packet was dropped entirely; a dropped
+/// packet is left in `pkt` (the Link traces it from there).
 ///
 /// An accepted packet moves into a slot of the queue's PacketPool and the
 /// queue keeps only its 4-byte handle (docs/perf.md, "Where packets wait").
@@ -86,19 +85,15 @@ class Queue {
 
   /// Attribute a drop decided *outside* the queue (the ingress policer's
   /// verdict) to this egress queue's loss accounting. The packet never
-  /// entered the queue; this exists so every discarded packet shows up in
-  /// exactly one split counter somewhere.
+  /// entered the queue.
   void note_policer_drop(const Packet& pkt) {
-    ++stats_.dropped;
     ++stats_.policer_dropped;
     stats_.bytes_dropped += pkt.size_bytes();
   }
 
  protected:
-  /// Queue-full drop at enqueue; subclasses must use this (not bare
-  /// ++stats_.dropped) so the tail split counter stays in step.
+  /// Queue-full drop at enqueue.
   void note_tail_drop(const Packet& pkt) {
-    ++stats_.dropped;
     ++stats_.tail_dropped;
     stats_.bytes_dropped += pkt.size_bytes();
   }

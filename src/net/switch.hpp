@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/drop.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 
@@ -127,11 +128,7 @@ class Switch : public Node {
   void forward(Packet&& pkt) {
     const std::span<const PortIndex> candidates = route_candidates(pkt.dst);
     if (candidates.empty()) {
-      ++no_route_drops_;
-      if (telemetry::TraceSink::enabled()) {
-        telemetry::trace().record(
-            packet_trace_event(simulator().now(), telemetry::TraceEventType::kDrop, name(), pkt));
-      }
+      drop(no_route_drops_, DropReason::kNoRoute, simulator().now(), name(), pkt);
       return;
     }
     PortIndex port = candidates.front();

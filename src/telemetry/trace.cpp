@@ -10,11 +10,10 @@ namespace mtp::telemetry {
 
 namespace {
 
-constexpr std::array<const char*, 19> kTypeNames = {
-    "enqueue",   "dequeue",          "drop",      "ecn_mark", "tx",
-    "rx",        "ack",              "nack",      "rto",      "pathlet_feedback",
-    "link_flap", "corrupt",          "checksum_drop", "crash", "fec_repair",
-    "stream_retx", "busy",           "shed",      "hedge",
+constexpr std::array<const char*, 18> kTypeNames = {
+    "enqueue", "dequeue", "drop", "ecn_mark", "tx", "rx",
+    "ack", "nack", "rto", "pathlet_feedback", "link_flap", "corrupt",
+    "crash", "fec_repair", "stream_retx", "busy", "shed", "hedge",
 };
 
 }  // namespace

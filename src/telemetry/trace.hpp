@@ -19,7 +19,7 @@ namespace mtp::telemetry {
 enum class TraceEventType : std::uint8_t {
   kEnqueue,          ///< packet accepted by an egress queue
   kDequeue,          ///< packet left the queue for the serializer
-  kDrop,             ///< packet discarded (queue full, link down, no route)
+  kDrop,             ///< packet discarded; value = net::DropReason (net/drop.hpp)
   kEcnMark,          ///< queue set the CE codepoint
   kTx,               ///< serialization onto the wire finished
   kRx,               ///< delivered to the receiving node
@@ -29,7 +29,6 @@ enum class TraceEventType : std::uint8_t {
   kPathletFeedback,  ///< sender consumed an echoed pathlet feedback TLV
   kLinkFlap,         ///< link went down (value=0) or came back up (value=1)
   kCorrupt,          ///< fault injection damaged a packet's payload
-  kChecksumDrop,     ///< receiver dropped a packet on checksum mismatch
   kCrash,            ///< device crashed (value=0) or restarted (value=1)
   kFecRepair,        ///< mtp::stream reconstructed a lost segment from parity
   kStreamRetx,       ///< mtp::stream fell back to a stream-level retransmit

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "telemetry/trace.hpp"
+#include "net/drop.hpp"
 
 namespace mtp::transport {
 
@@ -176,11 +176,7 @@ void HomaEndpoint::on_packet(net::Packet&& pkt) {
   if (!pkt.checksum_ok()) {
     // Payload damaged in flight: count and drop, never deliver. The sender's
     // retransmission timer recovers.
-    ++checksum_drops_;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::trace().record(net::packet_trace_event(
-          sim_.now(), telemetry::TraceEventType::kChecksumDrop, host_.name(), pkt));
-    }
+    net::drop(checksum_drops_, net::DropReason::kChecksum, sim_.now(), host_.name(), pkt);
     return;
   }
   if (pkt.mtp().is_ack()) {

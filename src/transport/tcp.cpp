@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/drop.hpp"
 #include "telemetry/trace.hpp"
 
 namespace mtp::transport {
@@ -62,12 +63,8 @@ void TcpStack::on_packet(net::Packet&& pkt) {
   if (!pkt.checksum_ok()) {
     // Damaged segment: drop before demux (SYNs, ACKs and data alike) and
     // let normal loss recovery retransmit. Never surfaces to a connection.
-    ++checksum_drops_;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::trace().record(net::packet_trace_event(
-          host_.simulator().now(), telemetry::TraceEventType::kChecksumDrop, host_.name(),
-          pkt));
-    }
+    net::drop(checksum_drops_, net::DropReason::kChecksum, host_.simulator().now(),
+              host_.name(), pkt);
     return;
   }
   const auto& hdr = pkt.tcp();

@@ -246,7 +246,7 @@ class TcpStack {
   std::uint64_t total_timeouts() const { return timeouts_; }
   /// Packets dropped before demux on payload checksum mismatch; loss
   /// recovery (SACK/RTO) retransmits them like any other drop.
-  std::uint64_t total_checksum_drops() const { return checksum_drops_; }
+  std::uint64_t checksum_drops() const { return checksum_drops_; }
 
  private:
   friend class TcpConnection;

@@ -72,7 +72,7 @@ void wfq_per_tc_isolation(net::PacketPool* shared) {
   if (shared != nullptr) q.bind_pool(*shared);
   for (int i = 0; i < 10; ++i) q.enqueue(mtp_data(1, 9, i, 0, 1, 1000, 1));
   EXPECT_TRUE(q.enqueue(mtp_data(2, 9, 99, 0, 1, 1000, 2)));  // TC2 unaffected
-  EXPECT_EQ(q.stats().dropped, 6u);
+  EXPECT_EQ(q.stats().dropped(), 6u);
   EXPECT_EQ(q.tc_len_pkts(1), 4u);
   EXPECT_EQ(q.tc_len_pkts(2), 1u);
 }
@@ -95,7 +95,7 @@ void trims_mtp_data(net::PacketPool* shared) {
   q.enqueue(mtp_data(1, 9, 2, 0, 1, 1000));
   q.enqueue(mtp_data(1, 9, 3, 0, 1, 1000));  // over capacity: trimmed
   EXPECT_EQ(q.trimmed(), 1u);
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.stats().dropped(), 0u);
   // Trimmed header comes out FIRST (control lane priority).
   auto first = q.dequeue();
   ASSERT_TRUE(first.has_value());
@@ -113,7 +113,7 @@ void non_mtp_overflow_drops(net::PacketPool* shared) {
   p2.payload_bytes = 500;
   EXPECT_TRUE(q.enqueue(std::move(p1)));
   EXPECT_FALSE(q.enqueue(std::move(p2)));
-  EXPECT_EQ(q.stats().dropped, 1u);
+  EXPECT_EQ(q.stats().dropped(), 1u);
 }
 
 TEST(WfqQueue, EqualServiceForUnequalArrivals) { wfq_equal_service(nullptr); }

@@ -68,7 +68,7 @@ void drops_when_full(PacketPool* shared) {
   EXPECT_TRUE(q.enqueue(make_pkt(0, 1, 100)));
   EXPECT_TRUE(q.enqueue(make_pkt(0, 1, 100)));
   EXPECT_FALSE(q.enqueue(make_pkt(0, 1, 100)));
-  EXPECT_EQ(q.stats().dropped, 1u);
+  EXPECT_EQ(q.stats().dropped(), 1u);
   EXPECT_EQ(q.stats().bytes_dropped, 100u);
 }
 
@@ -265,7 +265,7 @@ TEST(Link, TwoLinksSharingAPoolDoNotCrossTalk) {
       }
     }
     sim.run();
-    EXPECT_GT(a.queue().stats().dropped, 0u);  // the 8-packet queue overflowed
+    EXPECT_GT(a.queue().stats().dropped(), 0u);  // the 8-packet queue overflowed
     EXPECT_EQ(pool.live(), 0u);
     Arrivals got_a, got_b;
     for (std::size_t i = 0; i < sink_a.pkts.size(); ++i) {
@@ -586,7 +586,7 @@ LazyRigResult run_lazy_rig(bool lazy) {
     const LinkStats& st = l->stats();
     const QueueStats& q = l->queue().stats();
     for (const std::uint64_t v : {st.pkts_delivered, st.bytes_delivered, st.pkts_dropped_down,
-                                  q.enqueued, q.dequeued, q.dropped, q.ecn_marked}) {
+                                  q.enqueued, q.dequeued, q.dropped(), q.ecn_marked}) {
       d.add(0, v);
     }
   }

@@ -152,7 +152,8 @@ TEST(QueueDropSplit, CausesSumToTotalDropped) {
   const net::QueueStats& s = q.stats();
   EXPECT_EQ(s.tail_dropped, 1u);
   EXPECT_EQ(s.policer_dropped, 1u);
-  EXPECT_EQ(s.dropped, s.tail_dropped + s.policer_dropped);
+  EXPECT_EQ(s.dropped(), 2u);
+  EXPECT_EQ(s.bytes_dropped, 2 * mk().size_bytes());
 }
 
 // --- Transport: receiver-driven grants pace an 8:1 incast.
@@ -186,9 +187,8 @@ IncastOutcome run_incast(bool overload_on) {
   t.sim().run(500_ms);
   out.grants = rx.grants_issued();
   out.tail_drops = t.bottleneck->queue().stats().tail_dropped;
-  // Drop-split invariant on the bottleneck: nothing discarded untagged.
-  const net::QueueStats& qs = t.bottleneck->queue().stats();
-  EXPECT_EQ(qs.dropped, qs.tail_dropped + qs.policer_dropped);
+  // No policer on the bottleneck: every queue drop there is a tail drop.
+  EXPECT_EQ(t.bottleneck->queue().stats().policer_dropped, 0u);
   EXPECT_EQ(t.sim().pending_events(), 0u);
   return out;
 }

@@ -19,6 +19,7 @@
 #include "mtp/endpoint.hpp"
 #include "mtp/rpc.hpp"
 #include "mtp/stream/stream.hpp"
+#include "net/drop.hpp"
 #include "net/network.hpp"
 #include "stats/stats.hpp"
 #include "telemetry/metrics.hpp"
@@ -527,18 +528,23 @@ TEST_F(TelemetryTest, TwoHostTransferProducesOrderedEvents) {
 
 // -------------------------------------------------------------- drop sites
 
-/// alice - tor - bob at 1 Gb/s, routes built.
+/// alice - tor - bob at 1 Gb/s, routes built; every queue holds
+/// `capacity_pkts` packets.
 struct DropRig {
   net::Network net;
   net::Host* alice = net.add_host("alice");
   net::Host* bob = net.add_host("bob");
   net::Switch* sw = net.add_switch("tor");
-  net::Link* uplink = nullptr;
+  net::Link* uplink = nullptr;    ///< alice->tor
+  net::Link* downlink = nullptr;  ///< tor->bob
 
-  DropRig() {
-    uplink = net.connect(*alice, *sw, sim::Bandwidth::gbps(1), 1_us, {.capacity_pkts = 64})
+  explicit DropRig(std::size_t capacity_pkts = 64) {
+    uplink = net.connect(*alice, *sw, sim::Bandwidth::gbps(1), 1_us,
+                         {.capacity_pkts = capacity_pkts})
                  .forward;
-    net.connect(*sw, *bob, sim::Bandwidth::gbps(1), 1_us, {.capacity_pkts = 64});
+    downlink = net.connect(*sw, *bob, sim::Bandwidth::gbps(1), 1_us,
+                           {.capacity_pkts = capacity_pkts})
+                   .forward;
     net.build_routes();
   }
 
@@ -551,21 +557,41 @@ struct DropRig {
   }
 };
 
+/// Runs `discard`, which must discard exactly one packet: `counter()` rises
+/// by one and the trace gains one kDrop, from `component`, whose value is
+/// `reason`. Returns that event.
+template <class Counter, class Discard>
+TraceEvent expect_one_drop(Counter counter, net::DropReason reason,
+                           const std::string& component, Discard discard) {
+  trace().clear();
+  const std::uint64_t before = counter();
+  discard();
+  EXPECT_EQ(counter(), before + 1);
+  std::vector<TraceEvent> drops;
+  for (const TraceEvent& ev : trace().events()) {
+    if (ev.type == TraceEventType::kDrop) drops.push_back(ev);
+  }
+  if (drops.size() != 1) {
+    ADD_FAILURE() << drops.size() << " kDrop events, want 1";
+    return {};
+  }
+  EXPECT_EQ(drops[0].component, component);
+  EXPECT_EQ(drops[0].value, static_cast<std::uint64_t>(reason));
+  return drops[0];
+}
+
 TEST_F(TelemetryTest, NoRouteDropIsTraced) {
   TraceSink::set_enabled(true);
   DropRig rig;
   const net::NodeId nowhere = 999;
   ASSERT_TRUE(rig.sw->route_candidates(nowhere).empty());
-  for (int i = 0; i < 3; ++i) rig.sw->send(rig.packet(nowhere));
+  const TraceEvent ev =
+      expect_one_drop([&] { return rig.sw->no_route_drops(); }, net::DropReason::kNoRoute,
+                      "tor", [&] { rig.sw->send(rig.packet(nowhere)); });
+  EXPECT_EQ(ev.dst, nowhere);
   rig.sw->send(rig.packet(rig.bob->id()));  // routed: no drop
-
-  ASSERT_EQ(rig.sw->no_route_drops(), 3u);
-  EXPECT_EQ(trace().count(TraceEventType::kDrop), 3u);
-  for (const auto& ev : trace().events()) {
-    if (ev.type != TraceEventType::kDrop) continue;
-    EXPECT_EQ(ev.component, "tor");
-    EXPECT_EQ(ev.dst, nowhere);
-  }
+  EXPECT_EQ(rig.sw->no_route_drops(), 1u);
+  EXPECT_EQ(trace().count(TraceEventType::kDrop), 1u);
 }
 
 TEST_F(TelemetryTest, LinkDownDiscardIsTraced) {
@@ -577,14 +603,71 @@ TEST_F(TelemetryTest, LinkDownDiscardIsTraced) {
   ASSERT_EQ(queued, 9u);
   ASSERT_EQ(trace().count(TraceEventType::kDrop), 0u);
 
-  rig.uplink->set_up(false);
+  rig.uplink->set_up(false);  // the flap discards the queue
   ASSERT_EQ(rig.uplink->stats().pkts_dropped_down, queued);
   EXPECT_EQ(trace().count(TraceEventType::kDrop), queued);
   for (const auto& ev : trace().events()) {
     if (ev.type != TraceEventType::kDrop) continue;
     EXPECT_EQ(ev.component, "alice->tor");
     EXPECT_EQ(ev.dst, rig.bob->id());
+    EXPECT_EQ(ev.value, static_cast<std::uint64_t>(net::DropReason::kLinkDown));
   }
+  // A send into the down link is discarded at once.
+  expect_one_drop([&] { return rig.uplink->stats().pkts_dropped_down; },
+                  net::DropReason::kLinkDown, "alice->tor",
+                  [&] { rig.uplink->send(rig.packet(rig.bob->id())); });
+}
+
+TEST_F(TelemetryTest, QueueFullDropIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig(/*capacity_pkts=*/2);
+  // One packet starts serializing; two fill the queue.
+  for (int i = 0; i < 3; ++i) rig.uplink->send(rig.packet(rig.bob->id()));
+  ASSERT_EQ(rig.uplink->queue().len_pkts(), 2u);
+  expect_one_drop([&] { return rig.uplink->queue().stats().tail_dropped; },
+                  net::DropReason::kQueueFull, "alice->tor",
+                  [&] { rig.uplink->send(rig.packet(rig.bob->id())); });
+  EXPECT_EQ(rig.uplink->queue().stats().dropped(), 1u);
+}
+
+TEST_F(TelemetryTest, FaultHookDropIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig;
+  rig.uplink->set_fault_hook([](const net::Packet&) { return net::FaultAction::kDrop; });
+  expect_one_drop([&] { return rig.uplink->stats().pkts_dropped_fault; },
+                  net::DropReason::kFault, "alice->tor",
+                  [&] { rig.uplink->send(rig.packet(rig.bob->id())); });
+  EXPECT_EQ(rig.uplink->queue().stats().enqueued, 0u);
+}
+
+// The fair-share policer consumes an over-share packet at the switch's
+// ingress: the policed egress queue counts it, the switch traces it.
+TEST_F(TelemetryTest, PolicerDropIsTraced) {
+  TraceSink::set_enabled(true);
+  DropRig rig;
+  auto policer = std::make_shared<innetwork::FairSharePolicer>(
+      rig.net.simulator(), innetwork::FairSharePolicer::Config{.egress = rig.downlink});
+  rig.sw->add_ingress(policer);
+  auto arrive = [&](proto::TrafficClassId tc) {
+    net::Packet p = rig.packet(rig.bob->id());
+    p.tc = tc;  // not ECN-capable: over its share, the policer drops it
+    rig.sw->receive(std::move(p), 0);
+  };
+  // One rate window in which TC 1 offers 40 packets and TC 2 one. Both are
+  // active, so each one's fair share is half the link; TC 1 is far over it.
+  for (int i = 0; i < 40; ++i) arrive(1);
+  arrive(2);
+  rig.net.simulator().run(innetwork::FairSharePolicer::kUpdatePeriod + 1_us);
+  ASSERT_GT(policer->fair_rate_gbps(), 0.0);
+  ASSERT_GE(rig.downlink->queue().len_pkts(), innetwork::FairSharePolicer::kMinQueuePkts);
+  ASSERT_EQ(policer->dropped(), 0u);
+
+  expect_one_drop([&] { return policer->dropped(); }, net::DropReason::kPolicer, "tor", [&] {
+    // The policer drops a share of TC 1's packets: offer them until one goes.
+    for (int i = 0; i < 8 && policer->dropped() == 0; ++i) arrive(1);
+  });
+  EXPECT_EQ(rig.downlink->queue().stats().policer_dropped, 1u);
+  EXPECT_EQ(*MetricRegistry::global().snapshot().value("policer", "tor->bob", "dropped"), 1.0);
 }
 
 TEST_F(TelemetryTest, HostDiscardIsTraced) {
@@ -597,25 +680,22 @@ TEST_F(TelemetryTest, HostDiscardIsTraced) {
   net::Packet udp = rig.packet(rig.bob->id());
   udp.header = proto::UdpHeader{};
   net::Packet unknown = rig.packet(rig.bob->id());
-  net::Packet misdelivered = rig.packet(rig.alice->id());
-  rig.bob->receive(std::move(tcp), 0);
-  rig.bob->receive(std::move(mtp), 0);
-  rig.bob->receive(std::move(udp), 0);
-  rig.bob->receive(std::move(unknown), 0);
-  rig.bob->receive(std::move(misdelivered), 0);
-
-  EXPECT_EQ(rig.bob->unhandled_packets(), 4u);
-  EXPECT_EQ(rig.bob->misdelivered_packets(), 1u);
-  EXPECT_EQ(trace().count(TraceEventType::kDrop), 5u);
-  for (const auto& ev : trace().events()) {
-    if (ev.type != TraceEventType::kDrop) continue;
-    EXPECT_EQ(ev.component, "bob");
+  for (net::Packet* p : {&tcp, &mtp, &udp, &unknown}) {
+    const TraceEvent ev = expect_one_drop([&] { return rig.bob->unhandled_packets(); },
+                                          net::DropReason::kUnhandled, "bob",
+                                          [&] { rig.bob->receive(std::move(*p), 0); });
     EXPECT_EQ(ev.src, rig.alice->id());
   }
+  expect_one_drop([&] { return rig.bob->misdelivered_packets(); },
+                  net::DropReason::kMisdelivered, "bob",
+                  [&] { rig.bob->receive(rig.packet(rig.alice->id()), 0); });
+  EXPECT_EQ(rig.bob->unhandled_packets(), 4u);
+  EXPECT_EQ(rig.bob->misdelivered_packets(), 1u);
 }
 
 // Every receiver that verifies payload checksums traces its drop the same
-// way: one kChecksumDrop per corrupted packet, named after the node.
+// way: one kDrop with reason kChecksum per corrupted packet, named after the
+// node.
 TEST_F(TelemetryTest, ChecksumDropIsTracedAtEveryReceiver) {
   TraceSink::set_enabled(true);
   DropRig rig;
@@ -632,38 +712,28 @@ TEST_F(TelemetryTest, ChecksumDropIsTracedAtEveryReceiver) {
   data.msg_len_bytes = 1000;
   data.msg_len_pkts = 1;
   data.pkt_len = 1000;
-  auto expect_one = [](const char* node) {
-    SCOPED_TRACE(node);
-    EXPECT_EQ(trace().count(TraceEventType::kChecksumDrop), 1u);
-    for (const auto& ev : trace().events()) {
-      if (ev.type != TraceEventType::kChecksumDrop) continue;
-      EXPECT_EQ(ev.component, node);
-    }
-    trace().clear();
-  };
+  constexpr net::DropReason kChecksum = net::DropReason::kChecksum;
   {
     core::MtpEndpoint mtp_ep(*rig.bob, {});
-    rig.bob->receive(corrupted(rig.alice, rig.bob, data), 0);
-    EXPECT_EQ(mtp_ep.checksum_drops(), 1u);
-    expect_one("bob");
+    expect_one_drop([&] { return mtp_ep.checksum_drops(); }, kChecksum, "bob",
+                    [&] { rig.bob->receive(corrupted(rig.alice, rig.bob, data), 0); });
   }
   {
     transport::HomaEndpoint homa(*rig.bob);
-    rig.bob->receive(corrupted(rig.alice, rig.bob, data), 0);
-    EXPECT_EQ(homa.checksum_drops(), 1u);
-    expect_one("bob");
+    expect_one_drop([&] { return homa.checksum_drops(); }, kChecksum, "bob",
+                    [&] { rig.bob->receive(corrupted(rig.alice, rig.bob, data), 0); });
   }
   {
     transport::TcpStack tcp(*rig.alice, {});
-    rig.alice->receive(corrupted(rig.bob, rig.alice, proto::TcpHeader{}), 0);
-    EXPECT_EQ(tcp.total_checksum_drops(), 1u);
-    expect_one("alice");
+    expect_one_drop([&] { return tcp.checksum_drops(); }, kChecksum, "alice", [&] {
+      rig.alice->receive(corrupted(rig.bob, rig.alice, proto::TcpHeader{}), 0);
+    });
   }
   {
     innetwork::DeviceReceiver device(*rig.sw, {});
-    EXPECT_FALSE(device.on_data(corrupted(rig.alice, rig.bob, data)).has_value());
-    EXPECT_EQ(device.checksum_drops(), 1u);
-    expect_one("tor");
+    expect_one_drop([&] { return device.checksum_drops(); }, kChecksum, "tor", [&] {
+      EXPECT_FALSE(device.on_data(corrupted(rig.alice, rig.bob, data)).has_value());
+    });
   }
 }
 
