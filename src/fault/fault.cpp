@@ -166,12 +166,4 @@ void FaultInjector::crash_device(sim::Simulator& on, std::string name, sim::SimT
                  });
 }
 
-void FaultInjector::apply(const FaultPlan& plan) {
-  for (const auto& f : plan.flaps) flap_link(*f.link, f.down_at, f.down_for);
-  for (const auto& i : plan.impairments) impair_link(*i.link, i.model);
-  for (const auto& c : plan.crashes) {
-    crash_device(c.name, c.at, c.down_for, c.crash_fn, c.restart_fn);
-  }
-}
-
 }  // namespace mtp::fault

@@ -35,7 +35,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "net/link.hpp"
 #include "sim/random.hpp"
@@ -81,31 +80,6 @@ struct GilbertElliott {
   bool bad = false;
 };
 
-/// Declarative fault schedule: built by hand or generated, then handed to
-/// FaultInjector::apply(). Times are absolute simulator times.
-struct FaultPlan {
-  struct LinkFlap {
-    net::Link* link = nullptr;
-    sim::SimTime down_at;
-    sim::SimTime down_for;
-  };
-  struct Impairment {
-    net::Link* link = nullptr;
-    GilbertElliott::Config model;
-  };
-  struct Crash {
-    std::string name;  ///< device name for traces/metrics
-    sim::SimTime at;
-    sim::SimTime down_for;
-    std::function<void()> crash_fn;    ///< wipe state, go offline
-    std::function<void()> restart_fn;  ///< come back empty
-  };
-
-  std::vector<LinkFlap> flaps;
-  std::vector<Impairment> impairments;
-  std::vector<Crash> crashes;
-};
-
 class FaultInjector {
  public:
   /// `seed` is the root of every random stream this injector derives. Two
@@ -147,9 +121,6 @@ class FaultInjector {
   void crash_device(sim::Simulator& on, std::string name, sim::SimTime at,
                     sim::SimTime down_for, std::function<void()> crash_fn,
                     std::function<void()> restart_fn);
-
-  /// Apply a whole declarative plan.
-  void apply(const FaultPlan& plan);
 
   // --- Introspection. Relaxed atomics: runtime increments come from shard
   // worker threads; reads are exact once a run has joined.

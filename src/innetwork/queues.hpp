@@ -129,6 +129,7 @@ class TrimmingQueue final : public net::Queue {
   ~TrimmingQueue() override { discard_all(); }
 
   bool enqueue(net::Packet&& pkt) override {
+    bool trim = false;
     if (pkt.payload_bytes != 0 && data_.size() >= cfg_.capacity_pkts) {
       if (!pkt.is_mtp() || pkt.mtp().is_ack()) {
         note_tail_drop(pkt);
@@ -136,13 +137,14 @@ class TrimmingQueue final : public net::Queue {
       }
       // Trim: drop the payload, keep the header, jump the queue.
       pkt.payload_bytes = 0;
-      ++trimmed_;
+      trim = true;
     }
     const bool control = pkt.payload_bytes == 0;
     if (control && control_.size() >= kControlCapacityPkts) {
       note_tail_drop(pkt);
       return false;
     }
+    if (trim) ++trimmed_;  // only once the control lane has taken it
     if (!control && cfg_.ecn_threshold_pkts != 0 && data_.size() >= cfg_.ecn_threshold_pkts &&
         pkt.ecn != net::Ecn::kNotEct) {
       pkt.ecn = net::Ecn::kCe;

@@ -7,7 +7,7 @@
 // per-sender grant on every ACK:
 //
 //   grant = clamp(ewma_rate * grant_horizon / active_senders,
-//                 min_grant_bytes, max_grant_bytes)
+//                 kMinGrantBytes, kMaxGrantBytes)
 //
 // Senders cap new-message bytes in flight toward that receiver at the
 // grant, so an 8:1 incast self-paces to the receiver's drain rate instead
@@ -26,16 +26,17 @@
 
 namespace mtp::overload {
 
+/// Delivered-bytes accumulation window folded into the rate EWMA.
+inline constexpr sim::SimTime kAdmissionRateWindow = sim::SimTime::microseconds(20);
+inline constexpr double kAdmissionEwmaAlpha = 0.3;
+inline constexpr std::int64_t kMinGrantBytes = 2000;
+inline constexpr std::int64_t kMaxGrantBytes = 1 << 20;
+/// Senders silent this long stop counting toward the per-sender split.
+inline constexpr sim::SimTime kSenderIdleTimeout = sim::SimTime::microseconds(500);
+
 struct AdmissionConfig {
-  /// Delivered-bytes accumulation window folded into the rate EWMA.
-  sim::SimTime rate_window = sim::SimTime::microseconds(20);
-  double ewma_alpha = 0.3;
   /// Credit horizon: how much service time each sender's grant covers.
   sim::SimTime grant_horizon = sim::SimTime::microseconds(50);
-  std::int64_t min_grant_bytes = 2000;
-  std::int64_t max_grant_bytes = 1 << 20;
-  /// Senders silent this long stop counting toward the per-sender split.
-  sim::SimTime sender_idle_timeout = sim::SimTime::microseconds(500);
 };
 
 class Admission {
@@ -51,20 +52,20 @@ class Admission {
     }
     senders_[src] = now;
     window_bytes_ += bytes;
-    if (now - window_start_ >= cfg_.rate_window) fold(now);
+    if (now - window_start_ >= kAdmissionRateWindow) fold(now);
   }
 
   /// Per-sender new-message credit to stamp on the next ACK.
   std::int64_t grant_bytes(sim::SimTime now) {
     // A long silent gap means the EWMA is stale-high; fold the (empty)
     // window so the estimate decays before sizing the grant.
-    if (started_ && now - window_start_ >= cfg_.rate_window * 2) fold(now);
+    if (started_ && now - window_start_ >= kAdmissionRateWindow * 2) fold(now);
     const std::size_t senders = std::max<std::size_t>(1, active_senders_);
     const double credit =
         rate_bytes_per_ns_ * static_cast<double>(cfg_.grant_horizon.ns()) /
         static_cast<double>(senders);
     const std::int64_t g = static_cast<std::int64_t>(credit);
-    return std::clamp(g, cfg_.min_grant_bytes, cfg_.max_grant_bytes);
+    return std::clamp(g, kMinGrantBytes, kMaxGrantBytes);
   }
 
   double rate_gbps() const { return rate_bytes_per_ns_ * 8.0; }
@@ -77,8 +78,8 @@ class Admission {
     const double inst =
         static_cast<double>(window_bytes_) / static_cast<double>(span.ns());
     rate_bytes_per_ns_ = seeded_
-                             ? cfg_.ewma_alpha * inst +
-                                   (1.0 - cfg_.ewma_alpha) * rate_bytes_per_ns_
+                             ? kAdmissionEwmaAlpha * inst +
+                                   (1.0 - kAdmissionEwmaAlpha) * rate_bytes_per_ns_
                              : inst;
     seeded_ = true;
     window_bytes_ = 0;
@@ -86,7 +87,7 @@ class Admission {
     // Prune idle senders here (once per window) so grant_bytes() stays O(1).
     active_senders_ = 0;
     for (auto it = senders_.begin(); it != senders_.end();) {
-      if (now - it->second >= cfg_.sender_idle_timeout) {
+      if (now - it->second >= kSenderIdleTimeout) {
         it = senders_.erase(it);
       } else {
         ++active_senders_;

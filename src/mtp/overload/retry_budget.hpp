@@ -5,7 +5,7 @@
 // system stays collapsed long after the trigger is gone (Bronson et al.,
 // "Metastable Failures in Distributed Systems"). The standard defense is to
 // cap retries to a *fraction of successes*: tokens accrue per completed
-// call and each retry (or hedge) spends one, so retry traffic can never
+// call and each retry spends one, so retry traffic can never
 // exceed ratio x goodput in steady state. A small burst allowance covers
 // cold start and isolated blips.
 //
@@ -35,7 +35,7 @@ class RetryBudget {
   /// A call completed successfully: accrue ratio tokens, capped at burst.
   void on_success() { tokens_ = std::min(cfg_.burst, tokens_ + cfg_.ratio); }
 
-  /// Try to buy one retry/hedge. False = budget exhausted (fail fast).
+  /// Try to buy one retry. False = budget exhausted (fail fast).
   bool try_spend() {
     // Epsilon absorbs the accumulated float error of many ratio-increments;
     // the comparison must not deny a token the accrual math clearly earned.

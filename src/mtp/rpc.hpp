@@ -15,8 +15,6 @@
 //     amplifying offered load into a metastable retry storm.
 //   - Deadline propagation: calls carry an absolute deadline in the MTP
 //     header; devices and servers shed expired work *before* service.
-//   - Hedged requests: one budget-guarded duplicate after hedge_after —
-//     the shared correlation id keeps completion exactly-once.
 //   - Busy fast-fail: an explicit kBusy reject from the receiver aborts the
 //     attempt immediately (no timeout burn); the call retries after backoff
 //     if the budget allows, else fails with rejected=true.
@@ -72,16 +70,13 @@ class RpcClient {
     /// Per-attempt timeout doubles up to this cap (capped exponential backoff).
     sim::SimTime retry_backoff_cap = sim::SimTime::milliseconds(80);
     std::uint64_t retry_seed = 1;
-    /// Retry budget: each success accrues `ratio` tokens, each retry or
-    /// hedge spends one. 0 (default) = unlimited retries up to max_retries.
+    /// Retry budget: each success accrues `ratio` tokens, each retry spends
+    /// one. 0 (default) = unlimited retries up to max_retries.
     double retry_budget_ratio = 0.0;
     double retry_budget_burst = 10.0;
     /// Per-call deadline (relative to call time) stamped into the MTP
     /// header so every hop can shed expired work. Zero = none.
     sim::SimTime deadline;
-    /// Hedge: duplicate a still-pending call once after this long (guarded
-    /// by the retry budget). Zero = disabled.
-    sim::SimTime hedge_after;
   };
 
   RpcClient(MtpEndpoint& ep, Config cfg) : ep_(ep), cfg_(cfg), rng_(cfg.retry_seed) {
@@ -108,8 +103,6 @@ class RpcClient {
                          static_cast<double>(timeouts_)});
           out.push_back({"retries", MetricKind::kCounter,
                          static_cast<double>(retries_)});
-          out.push_back({"hedges", MetricKind::kCounter,
-                         static_cast<double>(hedges_)});
           out.push_back({"rejected", MetricKind::kCounter,
                          static_cast<double>(rejected_)});
           if (budget_) {
@@ -137,9 +130,6 @@ class RpcClient {
     p.priority = priority;
     if (cfg_.deadline.ns() > 0) p.deadline = sim.now() + cfg_.deadline;
     p.timeout = sim.schedule(cfg_.timeout, [this, id] { expire(id); });
-    if (cfg_.hedge_after.ns() > 0) {
-      p.hedge = sim.schedule(cfg_.hedge_after, [this, id] { hedge(id); });
-    }
     pending_.emplace(id, std::move(p));
     issue(id);
   }
@@ -148,7 +138,6 @@ class RpcClient {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t timed_out() const { return timeouts_; }
   std::uint64_t retries() const { return retries_; }
-  std::uint64_t hedges() const { return hedges_; }
   /// Calls failed on an explicit busy-reject (never waited out the timeout).
   std::uint64_t rejected() const { return rejected_; }
   const overload::RetryBudget* retry_budget() const {
@@ -161,7 +150,6 @@ class RpcClient {
     sim::SimTime started;
     sim::SimTime deadline;  ///< absolute; zero = none
     sim::EventId timeout;
-    sim::EventId hedge;
     net::NodeId server = net::kInvalidNode;
     proto::PortNum service_port = 0;
     std::string method;
@@ -216,7 +204,6 @@ class RpcClient {
     auto& sim = ep_.node().simulator();
     Pending& p = it->second;
     sim.cancel(p.timeout);
-    sim.cancel(p.hedge);
     RpcReply r;
     r.ok = false;
     r.rejected = rejected;
@@ -239,7 +226,6 @@ class RpcClient {
     if (it == pending_.end()) return;  // late reply after timeout: drop
     auto& sim = ep_.node().simulator();
     sim.cancel(it->second.timeout);
-    sim.cancel(it->second.hedge);
     if (budget_) budget_->on_success();
     RpcReply r;
     r.ok = true;
@@ -299,27 +285,6 @@ class RpcClient {
     p.timeout = sim.schedule(backoff_wait(p.attempt + 1), [this, id] { expire(id); });
   }
 
-  /// Budget-guarded hedge: duplicate a still-pending call once. The hedge
-  /// shares the correlation id, so whichever attempt replies first wins and
-  /// the loser's reply is dropped as a duplicate — exactly-once regardless.
-  void hedge(std::uint64_t id) {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    if (budget_ && !budget_->try_spend()) return;  // over budget: no hedge
-    ++hedges_;
-    if (telemetry::TraceSink::enabled()) {
-      telemetry::TraceEvent ev;
-      ev.t = ep_.node().simulator().now();
-      ev.type = telemetry::TraceEventType::kHedge;
-      ev.component = ep_.node().name();
-      ev.src = ep_.node().id();
-      ev.dst = it->second.server;
-      ev.value = id;
-      telemetry::trace().record(ev);
-    }
-    issue(id);
-  }
-
   MtpEndpoint& ep_;
   Config cfg_;
   sim::Rng rng_;
@@ -331,7 +296,6 @@ class RpcClient {
   std::uint64_t completed_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
-  std::uint64_t hedges_ = 0;
   std::uint64_t rejected_ = 0;
 };
 
@@ -349,7 +313,7 @@ class RpcServer {
       std::function<Response(const std::string& method, std::int64_t request_bytes,
                              net::NodeId caller)>;
 
-  /// Everything a context-aware handler can see about the request.
+  /// What the server knows about a queued request.
   struct RequestContext {
     std::string method;
     std::int64_t request_bytes = 0;
@@ -357,7 +321,6 @@ class RpcServer {
     std::uint8_t priority = 0;
     sim::SimTime deadline;  ///< absolute, propagated from the caller; 0 = none
   };
-  using ExHandlerFn = std::function<Response(const RequestContext&)>;
 
   /// Optional service model: without one (default), requests are answered
   /// instantly on arrival (old behaviour). With one, each request costs
@@ -378,10 +341,6 @@ class RpcServer {
   /// Register a handler for `method`; empty string = default handler.
   void handle(const std::string& method, HandlerFn fn) {
     handlers_[method] = std::move(fn);
-  }
-  /// Context-aware variant (sees priority and remaining deadline).
-  void handle_ex(const std::string& method, ExHandlerFn fn) {
-    ex_handlers_[method] = std::move(fn);
   }
 
   void set_service_model(ServiceModel m) { model_ = m; }
@@ -473,16 +432,10 @@ class RpcServer {
   }
 
   void serve(const Job& job) {
-    Response resp;
-    if (auto ex = ex_handlers_.find(job.ctx.method); ex != ex_handlers_.end()) {
-      resp = ex->second(job.ctx);
-    } else {
-      auto it = handlers_.find(job.ctx.method);
-      if (it == handlers_.end()) it = handlers_.find("");
-      if (it == handlers_.end() && ex_handlers_.empty()) return;  // unknown
-      if (it == handlers_.end()) return;
-      resp = it->second(job.ctx.method, job.ctx.request_bytes, job.ctx.caller);
-    }
+    auto it = handlers_.find(job.ctx.method);
+    if (it == handlers_.end()) it = handlers_.find("");
+    if (it == handlers_.end()) return;  // unknown method
+    const Response resp = it->second(job.ctx.method, job.ctx.request_bytes, job.ctx.caller);
     ++served_;
     MessageOptions opts;
     opts.tc = job.tc;
@@ -496,7 +449,6 @@ class RpcServer {
 
   MtpEndpoint& ep_;
   std::unordered_map<std::string, HandlerFn> handlers_;
-  std::unordered_map<std::string, ExHandlerFn> ex_handlers_;
   std::optional<ServiceModel> model_;
   std::deque<Job> hi_;
   std::deque<Job> lo_;

@@ -21,7 +21,6 @@ enum TcpFlags : std::uint8_t {
   kTcpFin = 1 << 2,
   kTcpRst = 1 << 3,
   kTcpEce = 1 << 4,  ///< ECN-Echo: receiver saw CE-marked segment (RFC 3168)
-  kTcpCwr = 1 << 5,  ///< Congestion Window Reduced
 };
 
 /// One SACK block: received bytes [start, end).

@@ -336,13 +336,11 @@ void ScenarioBuilder::wire_flow_level(Scenario& s) {
     s.flow_models_.push_back(std::move(fm));
   }
 
-  std::vector<std::uint32_t> used_conduits;
   for (std::uint32_t ti = 0; ti < bulk_transfers_.size(); ++ti) {
     const workload::BulkTransfer& t = bulk_transfers_[ti];
     net::Host* src = s.bulk_host(t.src);
     net::Host* dst = s.bulk_host(t.dst);
     const std::vector<std::uint32_t> path = walk_path(index_of, src, dst, ti);
-    used_conduits.insert(used_conduits.end(), path.begin(), path.end());
     const unsigned owner = net.shard_of(*src);
     for (unsigned shard = 0; shard < S; ++shard) {
       sim::flow::FluidModel::DoneFn done;
@@ -369,25 +367,6 @@ void ScenarioBuilder::wire_flow_level(Scenario& s) {
       s.flow_models_[shard]->set_capacity_at(f.at, it->second, 0);
       s.flow_models_[shard]->set_capacity_at(f.at + f.duration, it->second,
                                              link->bandwidth().bits_per_sec());
-    }
-  }
-
-  // Optional reverse coupling: each declared foreground arrival becomes an
-  // external-load window (full line rate for the message's serialization
-  // time) on its source's uplink, if that uplink carries any fluid flow.
-  if (fg_coupling_ && !s.schedule_.empty()) {
-    const std::unordered_set<std::uint32_t> used(used_conduits.begin(),
-                                                 used_conduits.end());
-    for (const auto& a : s.schedule_.arrivals()) {
-      net::Link* uplink = s.topo_.senders.at(a.src)->out_port(0);
-      const auto it = index_of.find(uplink);
-      if (it == index_of.end() || !used.count(it->second)) continue;
-      const std::int64_t rate = uplink->bandwidth().bits_per_sec();
-      const sim::SimTime end = a.at + uplink->bandwidth().serialization_delay(a.bytes);
-      for (unsigned shard = 0; shard < S; ++shard) {
-        s.flow_models_[shard]->add_load_at(a.at, it->second, rate);
-        s.flow_models_[shard]->add_load_at(end, it->second, -rate);
-      }
     }
   }
 }

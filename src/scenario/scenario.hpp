@@ -334,15 +334,6 @@ class ScenarioBuilder {
     for (const auto& t : v) bulk_transfers_.push_back(t);
     return *this;
   }
-  /// Mirror the declared foreground workload into the fluid model as
-  /// external-load windows on each source's uplink: flows yield (re-solve)
-  /// while a declared packet burst occupies a shared conduit. Off by
-  /// default — CBR (rate-capped) bulk does not yield to bursts, and that is
-  /// the regime the packet-mode oracle compares against.
-  ScenarioBuilder& bulk_foreground_coupling(bool on) {
-    fg_coupling_ = on;
-    return *this;
-  }
   /// Take topology fault_links[link] down over [at, at + duration). build()
   /// throws std::invalid_argument when `link` is not a fault_links index.
   ScenarioBuilder& flap(std::size_t link, sim::SimTime at, sim::SimTime duration) {
@@ -376,7 +367,6 @@ class ScenarioBuilder {
   std::int64_t bulk_bytes_ = 0;
   BulkMode bulk_mode_ = BulkMode::kPacket;
   std::vector<workload::BulkTransfer> bulk_transfers_;
-  bool fg_coupling_ = false;
   std::vector<Flap> flaps_;
   sim::SimTime goodput_window_ = 0_us;
 

@@ -39,11 +39,6 @@ void FluidModel::set_capacity_at(SimTime at, std::uint32_t conduit,
   declared_.push_back({at, Declared::Kind::kCapacity, conduit, capacity_bps});
 }
 
-void FluidModel::add_load_at(SimTime at, std::uint32_t conduit, std::int64_t delta_bps) {
-  if (started_) throw std::logic_error("FluidModel::add_load_at after start()");
-  declared_.push_back({at, Declared::Kind::kLoad, conduit, delta_bps});
-}
-
 void FluidModel::start() {
   if (started_) throw std::logic_error("FluidModel::start called twice");
   started_ = true;
@@ -65,10 +60,8 @@ void FluidModel::start() {
 }
 
 std::int64_t FluidModel::fluid_capacity(const Conduit& c) const {
-  const auto scaled = static_cast<__int128>(c.capacity_bps) * cfg_.capacity_num /
-                      cfg_.capacity_den;
-  const std::int64_t avail = static_cast<std::int64_t>(scaled) - c.external_load_bps;
-  return avail > 0 ? avail : 0;
+  return static_cast<std::int64_t>(static_cast<__int128>(c.capacity_bps) *
+                                   cfg_.capacity_num / cfg_.capacity_den);
 }
 
 void FluidModel::advance_to(SimTime t) {
@@ -105,9 +98,6 @@ void FluidModel::apply_declared(const Declared& d) {
     }
     case Declared::Kind::kCapacity:
       conduits_[d.index].capacity_bps = d.value;
-      break;
-    case Declared::Kind::kLoad:
-      conduits_[d.index].external_load_bps += d.value;
       break;
   }
 }

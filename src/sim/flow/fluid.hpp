@@ -3,10 +3,9 @@
 // A bulk transfer that only has to *occupy capacity* does not need one event
 // per packet: model it as a rate process on the conduits (links) along its
 // path. The model re-solves max-min fair rates by progressive filling on
-// every flow arrival, completion, capacity change (a link flap) and external
-// load change (a declared packet-level burst), and schedules exactly one
-// keyed simulator event per state change — orders of magnitude fewer events
-// than per-packet simulation of the same bytes.
+// every flow arrival, completion and capacity change (a link flap), and
+// schedules exactly one keyed simulator event per state change — orders of
+// magnitude fewer events than per-packet simulation of the same bytes.
 //
 // Exactness: rates are integer bits/sec and progress is tracked in
 // bit-nanoseconds (bits x 1e9), so the bits delivered over [t1, t2) at rate
@@ -17,11 +16,10 @@
 // bit-for-bit. violations() counts any breach — tests assert it stays 0.
 //
 // Sharding: the model is *replicated*, one identical instance per shard.
-// Every input is declared before start() (flows, capacity events, load
-// events), so every replica executes the identical solve sequence and
-// schedules the identical keyed events (kFlowKeyBase | seq) on its own
-// shard's simulator — no cross-shard messages, no effect on the engine's
-// lookahead. Side effects are gated per replica: a conduit's RateFn and a
+// Every input is declared before start() (flows and capacity events), so
+// every replica executes the identical solve sequence and schedules the
+// identical keyed events (kFlowKeyBase | seq) on its own shard's simulator
+// — no cross-shard messages, no effect on the engine's lookahead. Side effects are gated per replica: a conduit's RateFn and a
 // flow's DoneFn are only installed on the shard that owns the link / the
 // flow's source, so reservations and completion logs happen exactly once.
 // This is why dynamic (runtime-measured) inputs are deliberately NOT
@@ -75,11 +73,6 @@ class FluidModel {
   /// mirror of a scheduled link flap). Replaces the conduit's capacity.
   void set_capacity_at(SimTime at, std::uint32_t conduit, std::int64_t capacity_bps);
 
-  /// Declare an external packet-level load delta on a conduit at `at`
-  /// (+rate when a declared burst starts, -rate when it ends). Flows see
-  /// fluid capacity max(0, cap_fraction * capacity - external_load).
-  void add_load_at(SimTime at, std::uint32_t conduit, std::int64_t delta_bps);
-
   /// Schedule every declared event. Call exactly once, at declaration time
   /// (before the simulator runs past the earliest declaration).
   void start();
@@ -117,7 +110,6 @@ class FluidModel {
 
   struct Conduit {
     std::int64_t capacity_bps = 0;      ///< line rate (0 while flapped down)
-    std::int64_t external_load_bps = 0; ///< declared packet-burst load
     std::int64_t reserved_bps = 0;      ///< summed flow rates, last applied
     __int128 delivered_bitns = 0;       ///< exact fluid bits x ns delivered
     RateFn apply;                       ///< null on non-owning replicas
@@ -145,9 +137,9 @@ class FluidModel {
   /// One declared state change, scheduled as a keyed event by start().
   struct Declared {
     SimTime at;
-    enum class Kind : std::uint8_t { kArrival, kCapacity, kLoad } kind;
+    enum class Kind : std::uint8_t { kArrival, kCapacity } kind;
     std::uint32_t index = 0;        ///< flow (arrival) or conduit
-    std::int64_t value = 0;         ///< capacity / load delta
+    std::int64_t value = 0;         ///< new capacity (kCapacity)
   };
 
   std::uint64_t next_key() {

@@ -10,10 +10,10 @@ namespace mtp::telemetry {
 
 namespace {
 
-constexpr std::array<const char*, 18> kTypeNames = {
+constexpr std::array<const char*, 17> kTypeNames = {
     "enqueue", "dequeue", "drop", "ecn_mark", "tx", "rx",
     "ack", "nack", "rto", "pathlet_feedback", "link_flap", "corrupt",
-    "crash", "fec_repair", "stream_retx", "busy", "shed", "hedge",
+    "crash", "fec_repair", "stream_retx", "busy", "shed",
 };
 
 }  // namespace

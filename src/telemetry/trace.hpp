@@ -34,7 +34,6 @@ enum class TraceEventType : std::uint8_t {
   kStreamRetx,       ///< mtp::stream fell back to a stream-level retransmit
   kBusy,             ///< overload: explicit busy-reject emitted for a message
   kShed,             ///< overload: queued work discarded before service
-  kHedge,            ///< overload: RPC issued a budget-guarded hedged attempt
 };
 
 const char* to_string(TraceEventType t);

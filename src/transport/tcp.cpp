@@ -226,7 +226,7 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len, bool retr
   pkt.dst = peer_;
   pkt.payload_bytes = len;
   pkt.header_bytes = kTcpHeaderBytes;
-  pkt.ecn = cfg.uses_ecn() ? net::Ecn::kEct : net::Ecn::kNotEct;
+  pkt.ecn = cfg.dctcp ? net::Ecn::kEct : net::Ecn::kNotEct;
   pkt.tc = cfg.tc;
   pkt.flow_hash = make_flow_hash(pkt.src, local_port_, peer_, peer_port_);
   proto::TcpHeader hdr;
@@ -235,10 +235,6 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len, bool retr
   hdr.seq = seq;
   hdr.ack = rcv_nxt_;
   hdr.flags = proto::kTcpAck;
-  if (cwr_pending_ && !retransmit) {
-    hdr.flags |= proto::kTcpCwr;
-    cwr_pending_ = false;
-  }
   hdr.rwnd = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, cfg.rcv_buf_bytes - rx_ready_));
   hdr.payload = len;
@@ -281,13 +277,8 @@ void TcpConnection::send_control(std::uint8_t flags, std::uint64_t seq) {
 
 void TcpConnection::send_ack() {
   std::uint8_t flags = proto::kTcpAck;
-  if (stack_.config().dctcp) {
-    // DCTCP: the ACK echoes the CE state of the segment it acknowledges.
-    if (last_seg_ce_) flags |= proto::kTcpEce;
-  } else if (stack_.config().ecn) {
-    // Classic ECN: latch ECE until the sender signals CWR.
-    if (ece_latched_) flags |= proto::kTcpEce;
-  }
+  // DCTCP: the ACK echoes the CE state of the segment it acknowledges.
+  if (stack_.config().dctcp && last_seg_ce_) flags |= proto::kTcpEce;
   send_control(flags, snd_nxt_);
 }
 
@@ -338,14 +329,6 @@ void TcpConnection::on_packet(net::Packet&& pkt) {
 void TcpConnection::on_ack(const proto::TcpHeader& hdr) {
   const auto& cfg = stack_.config();
   peer_rwnd_ = static_cast<std::int64_t>(hdr.rwnd);
-
-  // --- Classic ECN congestion response: once per window of data.
-  if (cfg.ecn && !cfg.dctcp && hdr.has(proto::kTcpEce) && snd_una_ >= ecn_recover_) {
-    ssthresh_ = std::max(static_cast<double>(flight()) / 2.0, 2.0 * kTcpMss);
-    cwnd_ = ssthresh_;
-    ecn_recover_ = snd_nxt_;
-    cwr_pending_ = true;
-  }
 
   const std::size_t sack_intervals_before = sacked_.size();
   const std::int64_t sacked_bytes_before = sacked_bytes_;
@@ -552,10 +535,7 @@ void TcpConnection::dctcp_window_end() {
 
 void TcpConnection::on_segment(const net::Packet& pkt) {
   const proto::TcpHeader& hdr = pkt.tcp();
-  const bool ce = pkt.ecn == net::Ecn::kCe;
-  last_seg_ce_ = ce;
-  if (ce) ece_latched_ = true;
-  if (hdr.has(proto::kTcpCwr)) ece_latched_ = false;
+  last_seg_ce_ = pkt.ecn == net::Ecn::kCe;
 
   if (hdr.payload > 0) {
     const std::uint64_t seg_start = hdr.seq;

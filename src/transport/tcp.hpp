@@ -6,7 +6,7 @@
 //   - sliding-window byte stream with cumulative ACKs and a receive window
 //     (Fig 2's proxy buffering / HOL-blocking trade-off),
 //   - slow start, congestion avoidance, fast retransmit/recovery, RTO,
-//   - ECN (RFC 3168 echo) and DCTCP's fraction-based window reduction
+//   - DCTCP: per-segment ECE echo and fraction-based window reduction
 //     (Figs 5 and 7 baselines).
 //
 // Payloads are counted bytes, not buffers; sequence numbers are 64-bit so
@@ -42,14 +42,11 @@ struct TcpConfig {
   /// Receive-buffer limit; the advertised window is this minus unread bytes.
   std::int64_t rcv_buf_bytes = std::int64_t{1} << 40;
 
-  bool ecn = false;    ///< ECT on data, classic ECE/CWR response
-  bool dctcp = false;  ///< DCTCP: per-packet ECE echo + alpha-based reduction (implies ecn)
+  bool dctcp = false;  ///< DCTCP: ECT on data, per-packet ECE echo, alpha-based reduction
 
   /// Traffic class stamped on every packet this stack emits (DSCP-style
   /// tenant marking; per-TC switch policies key on it).
   proto::TrafficClassId tc = 0;
-
-  bool uses_ecn() const { return ecn || dctcp; }
 };
 
 class TcpStack;
@@ -196,10 +193,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   sim::TimerId rto_timer_;  ///< on the simulator's shared timer wheel
   double rto_backoff_ = 1.0;
 
-  // --- Classic ECN sender state.
-  bool cwr_pending_ = false;         ///< reduce once per window on ECE
-  std::uint64_t ecn_recover_ = 0;
-
   // --- DCTCP sender state.
   double dctcp_alpha_ = 0.0;
   std::int64_t dctcp_acked_total_ = 0;
@@ -218,7 +211,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   bool auto_consume_ = true;
   bool peer_fin_ = false;
   std::uint64_t fin_seq_ = 0;
-  bool ece_latched_ = false;         ///< classic ECN: echo until CWR
   bool last_seg_ce_ = false;         ///< DCTCP: echo CE state of the segment acked
 };
 

@@ -177,23 +177,6 @@ TEST(FaultInjector, RandomFlapsAreSeedDeterministicAndEndUp) {
   EXPECT_NE(d1, d3);  // different seed, different timeline
 }
 
-TEST(FaultInjector, ApplyRunsAWholePlan) {
-  HostPair t;
-  int crashed = 0, restarted = 0;
-  FaultPlan plan;
-  plan.flaps.push_back({t.sw_to_b, 50_us, 100_us});
-  plan.impairments.push_back({t.a_to_sw, {.p_good_to_bad = 0.0}});
-  plan.crashes.push_back({"dev", 20_us, 40_us, [&] { ++crashed; }, [&] { ++restarted; }});
-  FaultInjector inj(t.sim(), 3);
-  inj.apply(plan);
-  t.sim().run(1_ms);
-  EXPECT_EQ(inj.flaps_executed(), 2u);
-  EXPECT_EQ(crashed, 1);
-  EXPECT_EQ(restarted, 1);
-  EXPECT_EQ(inj.crashes(), 1u);
-  EXPECT_EQ(inj.restarts(), 1u);
-}
-
 // ------------------------------------------------------- MTP RTO backoff
 
 TEST(MtpRto, BackoffGrowsUnderBlackholeAndResetsOnProgress) {

@@ -121,22 +121,6 @@ TEST(Fluid, DownConduitStallsAndResumes) {
   EXPECT_EQ(fm.violations(), 0u);
 }
 
-TEST(Fluid, ExternalLoadWindowSlowsFlow) {
-  sim::Simulator s;
-  FluidModel fm(s, full_cap());
-  const auto c = fm.add_conduit(10'000'000'000LL);
-  // A declared 6 Gbps packet burst over [100us, 200us) leaves 4 Gbps of
-  // fluid capacity. 2e6 bits: 1e6 by 100us, 0.4e6 during the burst, the
-  // last 0.6e6 at full rate in 60 us -> 260 us.
-  fm.add_flow(sim::SimTime::zero(), {c}, 250'000);
-  fm.add_load_at(100_us, c, 6'000'000'000LL);
-  fm.add_load_at(200_us, c, -6'000'000'000LL);
-  fm.start();
-  s.run();
-  EXPECT_EQ(fm.flow_finish(0).ns(), 260'000);
-  EXPECT_EQ(fm.violations(), 0u);
-}
-
 TEST(Fluid, ZeroByteFlowCompletesOnArrival) {
   sim::Simulator s;
   FluidModel fm(s, full_cap());
@@ -355,39 +339,6 @@ TEST(FlowScenario, ShardInvariantAcrossFlapsAndSeeds) {
     ASSERT_EQ(s1.done.size(), 12u) << "seed " << seed;
     EXPECT_EQ(s1.violations, 0u);
   }
-}
-
-TEST(FlowScenario, ForegroundCouplingSlowsFluidFlows) {
-  // With bulk_foreground_coupling(true), declared packet bursts become load
-  // windows: the fluid flow must finish later than without coupling, and the
-  // model must re-solve more often.
-  auto run = [&](bool coupling) {
-    workload::ArrivalSchedule sched;
-    sim::SimTime t = 20_us;
-    for (int m = 0; m < 30; ++m) {
-      sched.add(t, 0, 200'000);
-      t += 10_us;
-    }
-    scenario::ScenarioBuilder b;
-    b.seed(5)
-        .topology(scenario::topo::shared_bottleneck())
-        .transport("mtp")
-        .workload(std::move(sched))
-        .bulk_mode(scenario::BulkMode::kFlowLevel)
-        .bulk_transfer({.at = sim::SimTime::zero(), .src = 0,
-                        .dst = scenario::kBulkToReceiver,
-                        .bytes = 2'000'000, .rate_cap_bps = 0});
-    // The bulk flow shares tenant1's uplink with the foreground bursts.
-    b.bulk_foreground_coupling(coupling);
-    auto s = b.build();
-    s->run();
-    return std::pair<sim::SimTime, std::uint64_t>{
-        s->flow_model(0)->flow_finish(0), s->flow_model(0)->resolves()};
-  };
-  const auto [t_off, solves_off] = run(false);
-  const auto [t_on, solves_on] = run(true);
-  EXPECT_GT(t_on.ns(), t_off.ns());
-  EXPECT_GT(solves_on, solves_off);
 }
 
 // --- hybrid fidelity gates (the PR's acceptance criteria) -----------------

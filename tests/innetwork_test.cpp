@@ -116,6 +116,22 @@ void non_mtp_overflow_drops(net::PacketPool* shared) {
   EXPECT_EQ(q.stats().dropped(), 1u);
 }
 
+// A trimmed header that finds the control lane full is dropped, and counts
+// as a tail drop only: trimmed() counts headers the control lane took.
+TEST(TrimmingQueue, TrimmedHeaderDroppedOnFullControlLaneIsNotCountedTrimmed) {
+  TrimmingQueue q({.capacity_pkts = 1});
+  ASSERT_TRUE(q.enqueue(mtp_data(1, 9, 0, 0, 1, 1000)));  // fills the data lane
+  const auto lane = static_cast<proto::MsgId>(TrimmingQueue::kControlCapacityPkts);
+  for (proto::MsgId m = 1; m <= lane; ++m) {
+    ASSERT_TRUE(q.enqueue(mtp_data(1, 9, m, 0, 1, 1000)));  // trimmed into the lane
+  }
+  EXPECT_EQ(q.trimmed(), TrimmingQueue::kControlCapacityPkts);
+  EXPECT_FALSE(q.enqueue(mtp_data(1, 9, lane + 1, 0, 1, 1000)));
+  EXPECT_EQ(q.stats().tail_dropped, 1u);
+  EXPECT_EQ(q.trimmed(), TrimmingQueue::kControlCapacityPkts);
+  EXPECT_EQ(q.len_pkts(), TrimmingQueue::kControlCapacityPkts + 1);
+}
+
 TEST(WfqQueue, EqualServiceForUnequalArrivals) { wfq_equal_service(nullptr); }
 TEST(WfqQueue, PerTcIsolationOnDrops) { wfq_per_tc_isolation(nullptr); }
 TEST(WfqQueue, DrainsCompletely) { wfq_drains_completely(nullptr); }

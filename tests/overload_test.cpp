@@ -67,12 +67,7 @@ TEST(RetryBudget, TokensCapAtBurst) {
 // --- Unit: receiver admission rate estimate and grant sizing.
 
 TEST(Admission, GrantTracksServiceRateSplitAcrossSenders) {
-  overload::Admission adm({.rate_window = 20_us,
-                           .ewma_alpha = 0.3,
-                           .grant_horizon = 50_us,
-                           .min_grant_bytes = 1000,
-                           .max_grant_bytes = 1 << 20,
-                           .sender_idle_timeout = 500_us});
+  overload::Admission adm({.grant_horizon = 50_us});
   // Two senders deliver 1000 B every microsecond for 100 us: 1 B/ns total.
   SimTime t;
   for (int i = 0; i < 100; ++i) {
@@ -343,7 +338,7 @@ TEST(OverloadDevices, KvsCacheShedsLowPriorityAndServesProtected) {
 }
 
 // --- RPC: propagated deadlines shed expired work at the server before
-// service; the context-aware handler sees the deadline.
+// service.
 
 TEST(OverloadRpc, ServerShedsExpiredQueuedWork) {
   HostPair t(Bandwidth::gbps(10));
@@ -359,9 +354,7 @@ TEST(OverloadRpc, ServerShedsExpiredQueuedWork) {
   RpcServer server(server_ep, 80);
   server.set_service_model({.service_time = 100_us, .queue_limit = 16,
                             .shed_expired = true});
-  std::uint64_t saw_deadline = 0;
-  server.handle_ex("work", [&](const RpcServer::RequestContext& ctx) {
-    if (ctx.deadline.ns() > 0) ++saw_deadline;
+  server.handle("work", [](const std::string&, std::int64_t, net::NodeId) {
     return RpcServer::Response{1'000, "ok"};
   });
   const int kCalls = 5;
@@ -375,13 +368,13 @@ TEST(OverloadRpc, ServerShedsExpiredQueuedWork) {
   }
   t.sim().run(500_ms);
   for (int i = 0; i < kCalls; ++i) EXPECT_EQ(cb[i], 1) << "call " << i;
-  // 100 us service against a 250 us deadline: three fit, two expire queued.
+  // 100 us service against a 250 us deadline: three fit, two expire queued
+  // (the server sheds them, so the deadline reached it).
   EXPECT_EQ(server.requests_served(), 3u);
   EXPECT_EQ(server.shed_expired(), 2u);
   EXPECT_EQ(ok, 3u);
   EXPECT_EQ(client.completed(), 3u);
   EXPECT_EQ(client.timed_out(), 2u);
-  EXPECT_EQ(saw_deadline, 3u) << "deadline must propagate into the handler";
   EXPECT_EQ(t.sim().pending_events(), 0u);
 }
 
@@ -425,55 +418,6 @@ TEST(OverloadRpc, RetryBudgetCapsStormAgainstDeadServer) {
   ASSERT_NE(budgeted.retry_budget(), nullptr);
   EXPECT_GE(budgeted.retry_budget()->exhausted(), 1u);
   EXPECT_EQ(budgeted.timed_out(), static_cast<std::uint64_t>(kCalls));
-  EXPECT_EQ(t.sim().pending_events(), 0u);
-}
-
-// --- RPC: hedged requests are budget-guarded and complete exactly once.
-
-TEST(OverloadRpc, HedgesAreBudgetGuardedAndExactlyOnce) {
-  HostPair t(Bandwidth::gbps(10));
-  MtpEndpoint client_ep(*t.a, cfg_default());
-  MtpEndpoint server_ep(*t.b, cfg_default());
-  RpcServer server(server_ep, 80);
-  server.set_service_model({.service_time = 50_us, .queue_limit = 32});
-  server.handle("", [](const std::string&, std::int64_t, net::NodeId) {
-    return RpcServer::Response{1'000, "ok"};
-  });
-  RpcClient hedger(client_ep, {.reply_port = 9000,
-                               .timeout = 10_ms,
-                               .retry_budget_ratio = 1.0,
-                               .retry_budget_burst = 10.0,
-                               .hedge_after = 20_us});
-  RpcClient starved(client_ep, {.reply_port = 9001,
-                                .timeout = 10_ms,
-                                .retry_budget_ratio = 0.01,
-                                .retry_budget_burst = 0.5,  // < 1: never a hedge
-                                .hedge_after = 20_us});
-  const int kCalls = 3;
-  std::vector<int> cb_h(kCalls, 0), cb_s(kCalls, 0);
-  for (int i = 0; i < kCalls; ++i) {
-    t.sim().schedule_at(SimTime::microseconds(200 * i), [&, i] {
-      hedger.call(t.b->id(), 80, "m", 1'000,
-                  [&cb_h, i](const RpcReply& r) {
-                    ++cb_h[i];
-                    EXPECT_TRUE(r.ok);
-                  });
-      starved.call(t.b->id(), 80, "m", 1'000,
-                   [&cb_s, i](const RpcReply& r) {
-                     ++cb_s[i];
-                     EXPECT_TRUE(r.ok);
-                   });
-    });
-  }
-  t.sim().run(500_ms);
-  for (int i = 0; i < kCalls; ++i) {
-    EXPECT_EQ(cb_h[i], 1) << "hedged call must complete exactly once";
-    EXPECT_EQ(cb_s[i], 1);
-  }
-  EXPECT_EQ(hedger.hedges(), static_cast<std::uint64_t>(kCalls));
-  EXPECT_EQ(starved.hedges(), 0u) << "an exhausted budget must veto hedging";
-  ASSERT_NE(starved.retry_budget(), nullptr);
-  EXPECT_GE(starved.retry_budget()->exhausted(), 1u);
   EXPECT_EQ(t.sim().pending_events(), 0u);
 }
 

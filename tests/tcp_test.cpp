@@ -285,21 +285,6 @@ TEST(Dctcp, StillSaturatesLink) {
   EXPECT_GT(meter.average_gbps(), 8.5);
 }
 
-TEST(ClassicEcn, SenderReducesOnEce) {
-  HostPair t(Bandwidth::gbps(10), 2_us,
-             {.capacity_pkts = 128, .ecn_threshold_pkts = 20});
-  TcpConfig cfg;
-  cfg.ecn = true;
-  TcpStack ca(*t.a, cfg);
-  TcpStack cb(*t.b, cfg);
-  TcpSink sink(cb, 80);
-  TcpBulkSource src(ca, t.b->id(), 80);
-  t.sim().run(10_ms);
-  // With marking but no drops, delivery is loss-free.
-  EXPECT_EQ(src.connection().retransmits(), 0u);
-  EXPECT_GT(sink.bytes_received(), 0);
-}
-
 TEST(TcpPerMessage, EachMessageCostsHandshakeAndSlowStart) {
   HostPair t(Bandwidth::gbps(100), 1_us);
   TcpStack ca(*t.a, {});

@@ -395,7 +395,7 @@ TEST_F(TelemetryTest, EveryProviderKindReportsItsMetricNames) {
        {"enqueued", "dequeued", "dropped", "ecn_marked", "bytes_dropped", "tail_dropped",
         "policer_dropped", "len_pkts", "len_bytes"}},
       {"rpc_client",
-       {"completed", "timed_out", "retries", "hedges", "rejected", "retry_budget_tokens",
+       {"completed", "timed_out", "retries", "rejected", "retry_budget_tokens",
         "retry_budget_exhausted"}},
       {"stream",
        {"segments_sent", "parity_sent", "stream_retx", "segments_delivered",
@@ -457,7 +457,7 @@ TEST_F(TelemetryTest, CountByType) {
 
 TEST_F(TelemetryTest, EventTypeNamesRoundTrip) {
   std::set<std::string> names;
-  for (int i = 0; i <= static_cast<int>(TraceEventType::kHedge); ++i) {
+  for (int i = 0; i <= static_cast<int>(TraceEventType::kShed); ++i) {
     const std::string name = to_string(static_cast<TraceEventType>(i));
     EXPECT_NE(name, "?") << "type " << i << " has no name";
     EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
